@@ -24,11 +24,9 @@ from .dynamics import (
     EvolutionResult,
     IntegrationError,
     LinkScanResult,
-    cosine_driven_hamiltonian,
     cosine_driven_model,
     effective_hamiltonian,
     evolve,
-    laser_driven_hamiltonian,
     laser_driven_model,
     link_transfer_scan,
     plaquette_experiment,

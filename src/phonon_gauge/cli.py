@@ -19,6 +19,7 @@ import multiprocessing
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +29,10 @@ from .config import ConfigError, EXPERIMENT_SUMMARIES, EXPERIMENTS, ExperimentCo
     parse_config
 from .couplings import BrokenCycleError, DomainError, dressed_factor, \
     effective_coupling_matrix
-from .dynamics import IntegrationError, LinkScanResult, link_point, plaquette_experiment
+from .dynamics import IntegrationError, link_transfer_scan, plaquette_experiment
 from .fock import CapacityError
 from .model import ConfigurationError, GeometryError, build_array, cosine_drive, laser_drive
-from .spectra import FluxSweepResult, eigensystem, edge_state_report, flat_band_report, \
+from .spectra import eigensystem, edge_state_report, flat_band_report, flux_sweep, \
     gap_windows_from_clusters, rhombic_ladder_cells, rhombic_ladder_matrix, \
     square_lattice_matrix
 
@@ -42,12 +43,21 @@ _CONFIG_ERRORS = (ConfigError, ConfigurationError, GeometryError, CapacityError,
 _NUMERIC_ERRORS = (IntegrationError, np.linalg.LinAlgError, FloatingPointError)
 
 
-def _pmap(fn, items, jobs: int):
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
-        return pool.map(fn, items)
+def _pool_size(jobs: int, n_items: int) -> int:
+    return max(1, min(jobs, n_items, os.cpu_count() or 1))
+
+
+def _fork_map(jobs: int):
+    """A map over a fork pool of at most `jobs` workers (never more workers
+    than items or CPUs); one worker maps in-process."""
+    def pool_map(fn, items):
+        items = list(items)
+        workers = _pool_size(jobs, len(items))
+        if workers == 1:
+            return list(map(fn, items))
+        with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
+            return pool.map(fn, items)
+    return pool_map
 
 
 def _write(path: Path, text: str) -> str:
@@ -59,41 +69,16 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-# --- worker jobs (module level so they pickle) ------------------------------
-
-
-def _dressed_row(args):
-    eta, r, dphis = args
-    return [abs(dressed_factor(r, eta, dp)) for dp in dphis]
-
-
-def _link_job(args):
-    dphi, kwargs = args
-    return link_point(dphi, **kwargs)
-
-
-def _ladder_sweep_job(args):
-    cells, j1, j2, boundary, phi = args
-    return np.linalg.eigvalsh(rhombic_ladder_matrix(cells, j1, j2, phi, boundary))
-
-
-def _butterfly_job(args):
-    size, jx, jy, m_max, boundary, alpha = args
-    return np.linalg.eigvalsh(square_lattice_matrix(size, size, alpha, jx, jy,
-                                                    m_max, boundary))
-
-
 # --- experiment runners ------------------------------------------------------
 
 
-def _run_dressed_map(cfg: ExperimentConfig, out: Path, fmt: str, jobs: int, info: dict):
+def _run_dressed_map(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
     etas = np.linspace(0.0, cfg["map.eta_max"], cfg["map.eta_points"])
     dphis = np.linspace(0.0, 2.0 * math.pi, cfg["map.phase_points"])
     r = cfg["drive.resonance_order"]
-    rows = _pmap(_dressed_row, [(eta, r, tuple(dphis)) for eta in etas], jobs)
+    rows = [[abs(v) for v in dressed_factor(r, eta, dphis).tolist()] for eta in etas]
     if fmt == "json":
-        payload = {"eta_d": etas.tolist(), "delta_phi": dphis.tolist(),
-                   "magnitude": [list(map(float, row)) for row in rows]}
+        payload = {"eta_d": etas.tolist(), "delta_phi": dphis.tolist(), "magnitude": rows}
         return [_write(out / "dressed_map.json",
                        json.dumps(payload, sort_keys=True, indent=2) + "\n")]
     lines = ["eta_d,delta_phi,magnitude"]
@@ -103,38 +88,27 @@ def _run_dressed_map(cfg: ExperimentConfig, out: Path, fmt: str, jobs: int, info
     return [_write(out / "dressed_map.csv", "\n".join(lines) + "\n")]
 
 
-def _run_link_scan(cfg: ExperimentConfig, out: Path, fmt: str, jobs: int, info: dict):
-    grid = np.linspace(0.0, 2.0 * math.pi, cfg["scan.points"])
-    kwargs = {
-        "gradient": cfg["array.gradient"],
-        "coulomb_beta": cfg["array.beta"],
-        "base_frequency": cfg["array.base_frequency"],
-        "rabi_frequency": cfg["drive.rabi_frequency"],
-        "beat_frequency": cfg["drive.beat_frequency"],
-        "lamb_dicke": cfg["drive.lamb_dicke"],
-        "resonance_order": cfg["drive.resonance_order"],
-        "n_max": cfg["numerics.n_max"],
-        "direction": cfg["direction"],
-        "time_step_divisor": cfg["numerics.time_step_divisor"],
-    }
-    rows = _pmap(_link_job, [(p, kwargs) for p in grid], jobs)
-    t_star, n2_eff, n2_exact, defined = (np.array(x) for x in zip(*rows))
-    result = LinkScanResult(delta_phi=grid, t_star=t_star, n2_effective=n2_eff,
-                            n2_exact=n2_exact, defined=defined.astype(bool))
+def _run_link_scan(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
+    result = link_transfer_scan(
+        np.linspace(0.0, 2.0 * math.pi, cfg["scan.points"]),
+        map_fn=map_fn,
+        gradient=cfg["array.gradient"],
+        coulomb_beta=cfg["array.beta"],
+        base_frequency=cfg["array.base_frequency"],
+        rabi_frequency=cfg["drive.rabi_frequency"],
+        beat_frequency=cfg["drive.beat_frequency"],
+        lamb_dicke=cfg["drive.lamb_dicke"],
+        resonance_order=cfg["drive.resonance_order"],
+        n_max=cfg["numerics.n_max"],
+        direction=cfg["direction"],
+        time_step_divisor=cfg["numerics.time_step_divisor"],
+    )
     if fmt == "json":
-        payload = {
-            "delta_phi": grid.tolist(),
-            "t_star": [None if not d else t for t, d in zip(t_star, result.defined)],
-            "n2_effective": [None if not d else v for v, d in zip(n2_eff, result.defined)],
-            "n2_exact": [None if not d else v for v, d in zip(n2_exact, result.defined)],
-            "defined": result.defined.tolist(),
-        }
-        return [_write(out / "link_scan.json",
-                       json.dumps(payload, sort_keys=True, indent=2) + "\n")]
+        return [_write(out / "link_scan.json", result.to_json())]
     return [_write(out / "link_scan.csv", result.to_csv())]
 
 
-def _run_plaquette(cfg: ExperimentConfig, out: Path, fmt: str, jobs: int, info: dict):
+def _run_plaquette(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
     res_eff, res_exact = plaquette_experiment(
         cfg["plaquette.flux"],
         rabi_frequency=cfg["drive.rabi_frequency"],
@@ -161,7 +135,7 @@ def _run_plaquette(cfg: ExperimentConfig, out: Path, fmt: str, jobs: int, info: 
     return files
 
 
-def _run_ladder_spectrum(cfg: ExperimentConfig, out: Path, fmt: str, jobs: int, info: dict):
+def _run_ladder_spectrum(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
     cells_n = cfg["ladder.cells"]
     boundary = cfg["ladder.boundary"]
     matrix = rhombic_ladder_matrix(cells_n, cfg["ladder.j1"], cfg["ladder.j2"],
@@ -188,32 +162,28 @@ def _run_ladder_spectrum(cfg: ExperimentConfig, out: Path, fmt: str, jobs: int, 
                    json.dumps(payload, sort_keys=True, indent=2) + "\n")]
 
 
-def _run_flux_sweep(cfg: ExperimentConfig, out: Path, fmt: str, jobs: int, info: dict):
-    phis = np.linspace(-math.pi, math.pi, cfg["sweep.points"])
-    args = [(cfg["ladder.cells"], cfg["ladder.j1"], cfg["ladder.j2"],
-             cfg["sweep.boundary"], phi) for phi in phis]
-    table = np.array(_pmap(_ladder_sweep_job, args, jobs))
-    absvals = np.sort(np.abs(table), axis=1)
-    scale = max(np.abs(table).max(), 1e-300)
-    zero_band = int(min((row < 1e-8 * scale).sum() for row in absvals))
-    gaps = absvals[:, zero_band] if zero_band < table.shape[1] else np.zeros(phis.size)
-    result = FluxSweepResult(fluxes=phis, eigenvalues=table, gaps=gaps)
+def _run_flux_sweep(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
+    builder = partial(rhombic_ladder_matrix, cfg["ladder.cells"], cfg["ladder.j1"],
+                      cfg["ladder.j2"], boundary=cfg["sweep.boundary"])
+    result = flux_sweep(builder, np.linspace(-math.pi, math.pi, cfg["sweep.points"]),
+                        map_fn=map_fn)
     return [_write(out / "flux_sweep.csv", result.to_csv())]
 
 
-def _run_butterfly(cfg: ExperimentConfig, out: Path, fmt: str, jobs: int, info: dict):
+def _run_butterfly(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
     alphas = np.linspace(0.0, 2.0 * math.pi, cfg["butterfly.points"])
-    args = [(cfg["butterfly.size"], cfg["butterfly.j_x"], cfg["butterfly.j_y"],
-             cfg["butterfly.m_max"], cfg["butterfly.boundary"], a) for a in alphas]
-    rows = _pmap(_butterfly_job, args, jobs)
-    n = rows[0].size
-    lines = ["alpha," + ",".join(f"E_{k+1}" for k in range(n))]
-    for alpha, vals in zip(alphas, rows):
+    size = cfg["butterfly.size"]
+    builder = partial(square_lattice_matrix, size, size, j_x=cfg["butterfly.j_x"],
+                      j_y=cfg["butterfly.j_y"], m_max=cfg["butterfly.m_max"],
+                      boundary=cfg["butterfly.boundary"])
+    table = flux_sweep(builder, alphas, map_fn=map_fn).eigenvalues
+    lines = ["alpha," + ",".join(f"E_{k+1}" for k in range(table.shape[1]))]
+    for alpha, vals in zip(alphas, table):
         lines.append(_fmt(alpha) + "," + ",".join(_fmt(v) for v in vals))
     return [_write(out / "butterfly.csv", "\n".join(lines) + "\n")]
 
 
-def _run_custom(cfg: ExperimentConfig, out: Path, fmt: str, jobs: int, info: dict):
+def _run_custom(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
     layout = cfg["array.layout"]
     dims = {"link": (2,), "plaquette": (2, 2),
             "square": (cfg["array.nx"], cfg["array.ny"]),
@@ -243,6 +213,14 @@ def _run_custom(cfg: ExperimentConfig, out: Path, fmt: str, jobs: int, info: dic
                    json.dumps(payload, sort_keys=True, indent=2) + "\n")]
 
 
+#: Experiments that write a single format; the other one is rejected.
+_ONLY_FORMAT = {
+    "fig2e_ladder_spectrum": "json",
+    "fig2f_flux_sweep": "csv",
+    "butterfly": "csv",
+    "custom": "json",
+}
+
 _RUNNERS = {
     "fig2a_dressed_map": _run_dressed_map,
     "fig2b_link_scan": _run_link_scan,
@@ -258,16 +236,25 @@ def run_experiment(config: ExperimentConfig, out_dir, fmt: str | None = None,
                    jobs: int = 1) -> list[str]:
     """Run the configured experiment into `out_dir`; returns written files.
 
-    Data files are bit-identical across reruns of the same config.  A
-    manifest.json records the fully resolved parameters, the package
-    version, and the wall-clock duration.
+    Data files are bit-identical across reruns of the same config and any
+    `jobs`, the most worker processes a sweep may use.  A manifest.json
+    records the fully resolved parameters, the package version, and the
+    wall-clock duration.
     """
+    fmt = fmt or config.get("output.format", "csv")
+    violations = []
+    only = _ONLY_FORMAT.get(config.experiment)
+    if only is not None and fmt != only:
+        violations.append(f"output format: {config.experiment} writes only {only}, got {fmt}")
+    if jobs < 1:
+        violations.append(f"--jobs: must be >= 1, got {jobs}")
+    if violations:
+        raise ConfigError(violations)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fmt = fmt or config.get("output.format", "csv")
     start = time.perf_counter()
     info: dict = {}
-    files = _RUNNERS[config.experiment](config, out, fmt, jobs, info)
+    files = _RUNNERS[config.experiment](config, out, fmt, _fork_map(jobs), info)
     manifest = {
         "experiment": config.experiment,
         "parameters": {k: v for k, v in config.values},
@@ -297,7 +284,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--format", choices=("csv", "json"), default=None,
                      help="override the configured output format")
     sim.add_argument("--jobs", type=int, default=1,
-                     help="worker pool size for sweep points")
+                     help="worker processes for the link scan, flux sweep and butterfly")
     pre = sub.add_parser("preset", help="inspect available presets")
     pre.add_argument("--list", action="store_true", dest="list_presets")
     return parser

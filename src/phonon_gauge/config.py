@@ -45,8 +45,14 @@ class ConfigError(ValueError):
 _PI_FORM = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)\s*pi$")
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
 def _parse_float(text: str) -> float:
-    return float(text)
+    return _finite(float(text))
 
 
 def _parse_angle(text: str) -> float:
@@ -57,8 +63,8 @@ def _parse_angle(text: str) -> float:
             mult = "1"
         elif mult == "-":
             mult = "-1"
-        return float(mult) * math.pi
-    return float(text)
+        return _finite(float(mult) * math.pi)
+    return _finite(float(text))
 
 
 def _parse_int(text: str) -> int:

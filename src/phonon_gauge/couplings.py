@@ -79,28 +79,17 @@ def bessel_first_kind_array(n_top: int, x: float) -> np.ndarray:
 def bessel_j(order: int, x: float) -> float:
     """Bessel function of the first kind J_order(x), |x| <= 50.
 
-    Backward (Miller) recurrence for moderate arguments, ascending series
-    for small ones; absolute error below 1e-12 over the supported range.
+    Reads J_|order|(|x|) from bessel_first_kind_array and applies the
+    reflection signs; absolute error below 1e-12 over the supported range.
     """
     if abs(x) > BESSEL_MAX_ARGUMENT:
         raise DomainError(f"argument {x} outside supported range |x| <= {BESSEL_MAX_ARGUMENT}")
-    s = int(order)
-    sign = 1.0
-    if s < 0:
-        s = -s
-        if s % 2:
-            sign = -sign
-    if x < 0:
-        x = -x
-        if s % 2:
-            sign = -sign
+    k = int(order)
+    s = abs(k)
     if s >= _BESSEL_ZERO_ORDER:
         return 0.0
-    if x == 0.0:
-        return 1.0 if s == 0 else 0.0
-    if x <= 8.0:
-        return sign * _bessel_series(s, x)
-    return sign * float(_bessel_array_miller(s, x)[s])
+    value = float(bessel_first_kind_array(s, abs(x))[s])
+    return -value if s % 2 and (k < 0) != (x < 0) else value
 
 
 def dressed_series_cutoff(eta_d: float) -> int:
@@ -109,12 +98,13 @@ def dressed_series_cutoff(eta_d: float) -> int:
     return 25 + math.ceil(3.0 * eta_d)
 
 
-def dressed_factor(resonance_order: int, eta_d: float, delta_phi: float) -> complex:
+def dressed_factor(resonance_order: int, eta_d: float, delta_phi):
     """Drive-dressed renormalisation of a hopping bridged by r drive quanta.
 
     Sums J_s(eta_d) J_{s+r}(eta_d) exp(i (s + r/2) delta_phi) over integer s,
     truncated where the tail is below 1e-14.  Satisfies
-    |value| = |J_r(2 eta_d sin(delta_phi / 2))|.
+    |value| = |J_r(2 eta_d sin(delta_phi / 2))|.  A scalar delta_phi gives a
+    complex; an array gives a complex array of the same shape.
     """
     r = int(resonance_order)
     if r < 0:
@@ -123,19 +113,15 @@ def dressed_factor(resonance_order: int, eta_d: float, delta_phi: float) -> comp
         raise DomainError("eta_d must be >= 0")
     cut = dressed_series_cutoff(eta_d)
     table = bessel_first_kind_array(cut + r, eta_d)
-
-    def j_signed(s: int) -> float:
-        a = abs(s)
-        if a >= table.size:
-            return 0.0
-        v = table[a]
-        return -v if (s < 0 and a % 2) else v
-
-    s_vals = np.arange(-cut, cut + 1)
-    left = np.array([j_signed(s) for s in s_vals])
-    right = np.array([j_signed(s + r) for s in s_vals])
-    phases = np.exp(1j * (s_vals + r / 2.0) * delta_phi)
-    return complex(np.sum(left * right * phases))
+    orders = np.arange(-cut, cut + r + 1)
+    # J_{-k} = (-1)^k J_k
+    signed = np.where((orders < 0) & (orders % 2 == 1), -1.0, 1.0) * table[np.abs(orders)]
+    s_vals = orders[: 2 * cut + 1]
+    weights = signed[: 2 * cut + 1] * signed[r:]
+    phases = np.exp(1j * np.multiply.outer(np.asarray(delta_phi, dtype=float),
+                                           s_vals + r / 2.0))
+    total = np.sum(weights * phases, axis=-1)
+    return complex(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)
@@ -163,29 +149,31 @@ class CouplingMatrix:
 
 def _pair_table(array: TrapArray, direction: str, cutoff_range: float,
                 reference_frequencies: bool):
-    """Bare dipolar amplitude for every retained ordered pair (i > j)."""
+    """Bare dipolar amplitude for every retained pair i > j, as arrays (i, j, amp)."""
     pos = array.positions
-    lat = array.lattice
+    lat = np.array(array.lattice, dtype=float)
     if reference_frequencies:
         w = np.full(array.n_sites, dict(array.base_frequency)[direction])
     else:
         w = array.frequencies(direction)
     axis = {"x": 0, "y": 1, "z": None}[direction]
     beta = array.coulomb_beta
-    out = {}
-    for i in range(array.n_sites):
-        for j in range(i):
-            dlat = math.hypot(lat[i][0] - lat[j][0], lat[i][1] - lat[j][1])
-            if dlat > cutoff_range + 1e-9:
-                continue
-            dr = pos[i] - pos[j]
-            dist = math.hypot(dr[0], dr[1])
-            if dist == 0.0:
-                raise GeometryError(f"sites {i} and {j} coincide")
-            comp = 0.0 if axis is None else dr[axis]
-            geom = (3.0 * comp * comp - dist * dist) / dist**5
-            out[(i, j)] = -(beta / 2.0) * geom / math.sqrt(w[i] * w[j])
-    return out
+    i, j = np.tril_indices(array.n_sites, -1)
+    dlat = np.hypot(lat[i, 0] - lat[j, 0], lat[i, 1] - lat[j, 1])
+    keep = dlat <= cutoff_range + 1e-9
+    i, j = i[keep], j[keep]
+    dr = pos[i] - pos[j]
+    dist = np.hypot(dr[:, 0], dr[:, 1])
+    if np.any(dist == 0.0):
+        k = int(np.argmin(dist))
+        raise GeometryError(f"sites {i[k]} and {j[k]} coincide")
+    comp = np.zeros_like(dist) if axis is None else dr[:, axis]
+    # |dr|^5 through the C library's pow, once per distinct distance: numpy's
+    # vectorised power may round differently in the last bit on some CPUs.
+    distinct, which = np.unique(dist, return_inverse=True)
+    dist5 = np.array([d**5 for d in distinct.tolist()])[which]
+    geom = (3.0 * comp * comp - dist * dist) / dist5
+    return i, j, -(beta / 2.0) * geom / np.sqrt(w[i] * w[j])
 
 
 def bare_coupling_matrix(array: TrapArray, direction: str,
@@ -206,10 +194,9 @@ def bare_coupling_matrix(array: TrapArray, direction: str,
         raise ConfigurationError("cutoff_range must be >= 1")
     n = array.n_sites
     m = np.zeros((n, n), dtype=complex)
-    for (i, j), v in _pair_table(array, direction, cutoff_range,
-                                 reference_frequencies).items():
-        m[i, j] = v
-        m[j, i] = v
+    i, j, amp = _pair_table(array, direction, cutoff_range, reference_frequencies)
+    m[i, j] = amp
+    m[j, i] = amp
     return CouplingMatrix(matrix=m, direction=direction)
 
 
@@ -237,24 +224,27 @@ def effective_coupling_matrix(array: TrapArray, drive: DriveSpec, direction: str
     phases = drive.site_phases(array)
     r = drive.resonance_order
     eta = drive.eta_d
-    lat = array.lattice
+    lat = np.array(array.lattice)
     n = array.n_sites
     m = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if i == j or bare.matrix[i, j] == 0:
-                continue
-            dix = lat[i][0] - lat[j][0]
-            if dix == 0:
-                m[i, j] = bare.matrix[i, j]
-            elif dix == 1:
-                if not diagonal_bonds and lat[i][1] != lat[j][1]:
-                    continue
-                dphi = phases[i] - phases[j]
-                amp = bare.matrix[i, j] * dressed_factor(r, eta, dphi) \
-                    * np.exp(-0.5j * r * (phases[i] + phases[j]))
-                m[i, j] = amp
-                m[j, i] = np.conj(amp)
+    i, j = np.nonzero(bare.matrix)
+    dix = lat[i, 0] - lat[j, 0]
+    within = dix == 0
+    m[i[within], j[within]] = bare.matrix[i[within], j[within]]
+    assisted = dix == 1
+    if not diagonal_bonds:
+        assisted &= lat[i, 1] == lat[j, 1]
+    i, j = i[assisted], j[assisted]
+    dphi, bond_dphi = np.unique(phases[i] - phases[j], return_inverse=True)
+    scaled = bare.matrix[i, j] * dressed_factor(r, eta, dphi)[bond_dphi]
+    turn = np.exp(-0.5j * r * (phases[i] + phases[j]))
+    # The complex product in real arithmetic: numpy's vectorised complex
+    # multiply may fuse it (FMA) and round differently from one CPU to another.
+    amp = np.empty(i.size, dtype=complex)
+    amp.real = scaled.real * turn.real - scaled.imag * turn.imag
+    amp.imag = scaled.real * turn.imag + scaled.imag * turn.real
+    m[i, j] = amp
+    m[j, i] = np.conj(amp)
     meta = (
         ("resonance_order", float(r)),
         ("drive_strength", float(eta)),

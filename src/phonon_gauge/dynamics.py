@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -115,11 +116,6 @@ def cosine_driven_model(array: TrapArray, drive: DriveSpec, bare: CouplingMatrix
                              frequency_scale=scale)
 
 
-def cosine_driven_hamiltonian(array, drive, bare, space, tau, direction="z") -> np.ndarray:
-    """Instantaneous cosine-driven Hamiltonian at time tau (lab frame)."""
-    return cosine_driven_model(array, drive, bare, space, direction).at(tau)
-
-
 def laser_driven_model(array: TrapArray, drive: DriveSpec, bare: CouplingMatrix,
                        space: FockSpace, direction: str = "z") -> DrivenHamiltonian:
     """Lab-frame trap + hopping driven by the full optical beat.
@@ -143,11 +139,6 @@ def laser_driven_model(array: TrapArray, drive: DriveSpec, bare: CouplingMatrix,
              + drive.rabi_frequency + _hop_scale(bare))
     return DrivenHamiltonian(static=static, drive=v, modulation=-drive.drive_frequency,
                              frequency_scale=scale)
-
-
-def laser_driven_hamiltonian(array, drive, bare, space, tau, direction="z") -> np.ndarray:
-    """Instantaneous laser-driven Hamiltonian at time tau (lab frame)."""
-    return laser_driven_model(array, drive, bare, space, direction).at(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -199,27 +190,14 @@ class _MagnusStepper:
                 + (f1 * np.conj(f2) - np.conj(f1) * f2) * self.c_vvd)
         return -1j * h * a_mean + (_GL_COMM * h * h) * comm
 
-    def advance(self, state, t, h):
-        return _exp_action(self.omega(t, h), state, h)
 
-
-class _CallableStepper:
-    """Same scheme for an arbitrary hamiltonian_at callable."""
-
-    def __init__(self, hamiltonian_at):
-        self.h_at = hamiltonian_at
-        h0 = np.asarray(hamiltonian_at(0.0))
-        self.shift = np.trace(h0).real / h0.shape[0]
-        self.eye = np.eye(h0.shape[0])
-
-    def omega(self, t, h):
-        a1 = np.asarray(self.h_at(t + _GL_NODES[0] * h)) - self.shift * self.eye
-        a2 = np.asarray(self.h_at(t + _GL_NODES[1] * h)) - self.shift * self.eye
-        comm = a1 @ a2 - a2 @ a1
-        return -0.5j * h * (a1 + a2) + (_GL_COMM * h * h) * comm
-
-    def advance(self, state, t, h):
-        return _exp_action(self.omega(t, h), state, h)
+def _magnus_steps(stepper: _MagnusStepper, x: np.ndarray, t: float, h: float, n: int):
+    """n Magnus steps of size h from time t on a state vector or a matrix of
+    columns; returns the result and the accumulated time."""
+    for _ in range(n):
+        x = _exp_action(stepper.omega(t, h), x, h)
+        t += h
+    return x, t
 
 
 def default_time_step(model: DrivenHamiltonian, time_step_divisor: int = 40) -> float:
@@ -273,11 +251,12 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
            label: str = "evolution", parameters: dict | None = None) -> EvolutionResult:
     """Integrate i dpsi/dtau = H(tau) psi and record site populations.
 
-    `hamiltonian` may be a constant matrix (propagated exactly through its
-    eigensystem), a DrivenHamiltonian (structured fixed-step Magnus scheme),
-    or a callable tau -> matrix.  The output grid has `samples` points on
-    [0, t_final]; steps are fitted to the grid so every sample lands on a
-    step boundary.  Aborts if the norm drifts beyond 1e-4.
+    `hamiltonian` is either a constant matrix (propagated exactly through
+    its eigensystem) or a DrivenHamiltonian (structured fixed-step Magnus
+    scheme; `model.at(tau)` gives its matrix at one instant).  The output
+    grid has `samples` points on [0, t_final]; steps are fitted to the grid
+    so every sample lands on a step boundary.  Aborts if the norm drifts
+    beyond 1e-4.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -300,14 +279,11 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         return EvolutionResult(times=times, populations=np.array(pops),
                                norms=np.array(norms), model=label, parameters=params)
 
-    if isinstance(hamiltonian, DrivenHamiltonian):
-        stepper = _MagnusStepper(hamiltonian)
-        if dt is None:
-            dt = default_time_step(hamiltonian, time_step_divisor)
-    else:
-        stepper = _CallableStepper(hamiltonian)
-        if dt is None:
-            raise ValueError("dt is required for a plain hamiltonian_at callable")
+    if not isinstance(hamiltonian, DrivenHamiltonian):
+        raise TypeError("hamiltonian must be a matrix or a DrivenHamiltonian")
+    stepper = _MagnusStepper(hamiltonian)
+    if dt is None:
+        dt = default_time_step(hamiltonian, time_step_divisor)
 
     seg = t_final / (samples - 1)
     n_sub = max(1, math.ceil(seg / dt - 1e-12))
@@ -317,9 +293,7 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     norms = [np.linalg.norm(psi)]
     t = 0.0
     for _ in range(samples - 1):
-        for _ in range(n_sub):
-            psi = stepper.advance(psi, t, h)
-            t += h
+        psi, t = _magnus_steps(stepper, psi, t, h, n_sub)
         nrm = np.linalg.norm(psi)
         if abs(nrm - 1.0) > NORM_ABORT:
             raise IntegrationError(
@@ -342,11 +316,7 @@ def _floquet_period_propagator(model: DrivenHamiltonian, dt: float):
     n = max(1, math.ceil(period / dt - 1e-12))
     h = period / n
     stepper = _MagnusStepper(model)
-    u = np.eye(model.dim, dtype=complex)
-    t = 0.0
-    for _ in range(n):
-        u = _exp_action(stepper.omega(t, h), u, h)
-        t += h
+    u, _ = _magnus_steps(stepper, np.eye(model.dim, dtype=complex), 0.0, h, n)
     return u, period, h, stepper
 
 
@@ -366,9 +336,7 @@ def _state_at(model: DrivenHamiltonian, psi0: np.ndarray, t_target: float, dt: f
     remainder = t_target - n_per * period
     t = 0.0
     while remainder - t > 1e-12:
-        step = min(h, remainder - t)
-        psi = stepper.advance(psi, t, step)
-        t += step
+        psi, t = _magnus_steps(stepper, psi, t, min(h, remainder - t), 1)
     return psi
 
 
@@ -391,6 +359,20 @@ class LinkScanResult:
                 f"{int(self.defined[k])}"
             )
         return "\n".join(lines) + "\n"
+
+    def to_json(self) -> str:
+        """JSON with null where a point is undefined (coupling below threshold)."""
+        def masked(values):
+            return [v if d else None for v, d in zip(values.tolist(), self.defined)]
+
+        payload = {
+            "delta_phi": self.delta_phi.tolist(),
+            "t_star": masked(self.t_star),
+            "n2_effective": masked(self.n2_effective),
+            "n2_exact": masked(self.n2_exact),
+            "defined": self.defined.tolist(),
+        }
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def link_point(delta_phi: float, *, gradient=0.05, coulomb_beta=0.002,
@@ -424,15 +406,16 @@ def link_point(delta_phi: float, *, gradient=0.05, coulomb_beta=0.002,
     return t_star, n2_eff, n2_exact, True
 
 
-def link_transfer_scan(delta_phi_grid, **kwargs) -> LinkScanResult:
+def link_transfer_scan(delta_phi_grid, *, map_fn=map, **kwargs) -> LinkScanResult:
     """Effective and laser-exact transfer curves over a grid of phase steps.
 
     Each point runs to its own full-transfer time pi / (2 |J|); points whose
     dressed coupling falls below the threshold are marked undefined instead
-    of integrating to an unbounded window.
+    of integrating to an unbounded window.  `map_fn` maps link_point over the
+    grid; the points are independent, so a process-pool map may run them.
     """
     grid = np.asarray(list(delta_phi_grid), dtype=float)
-    rows = [link_point(p, **kwargs) for p in grid]
+    rows = list(map_fn(partial(link_point, **kwargs), grid))
     t_star, n2_eff, n2_exact, defined = (np.array(x) for x in zip(*rows))
     return LinkScanResult(delta_phi=grid, t_star=t_star, n2_effective=n2_eff,
                           n2_exact=n2_exact, defined=defined.astype(bool))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -291,20 +292,23 @@ class FluxSweepResult:
         return "\n".join(lines) + "\n"
 
 
+def _eigenvalues_at(model_builder, phi: float) -> np.ndarray:
+    return np.linalg.eigvalsh(model_builder(phi))
+
+
 def flux_sweep(model_builder, phi_grid, *, zero_band_size: int | None = None,
-               zero_tol: float = 1e-8) -> FluxSweepResult:
+               zero_tol: float = 1e-8, map_fn=map) -> FluxSweepResult:
     """Spectra over a grid of flux values plus the minimal inter-band gap.
 
     The gap at each flux is the smallest |E| outside the geometry-protected
     zero band; the zero-band size is the minimal count of near-zero
     eigenvalues across the sweep unless given explicitly.  It closes where a
-    dispersive band touches the zero band.
+    dispersive band touches the zero band.  `map_fn` maps the per-flux
+    diagonalisation over the grid; a process-pool map needs a picklable
+    `model_builder`, such as a functools.partial of a module-level function.
     """
     phis = np.asarray(list(phi_grid), dtype=float)
-    spectra = []
-    for phi in phis:
-        spectra.append(np.linalg.eigvalsh(model_builder(phi)))
-    table = np.array(spectra)
+    table = np.array(list(map_fn(partial(_eigenvalues_at, model_builder), phis)))
     absvals = np.sort(np.abs(table), axis=1)
     scale = max(np.abs(table).max(), 1e-300)
     if zero_band_size is None:

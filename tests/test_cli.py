@@ -44,10 +44,53 @@ def test_rerun_is_bit_identical(tmp_path):
     assert (out1 / "dressed_map.csv").read_bytes() == (out2 / "dressed_map.csv").read_bytes()
 
 
+JOBS_CASES = {
+    "dressed_map.csv": SMALL_MAP,
+    "flux_sweep.csv": "experiment = fig2f_flux_sweep\nsweep.points = 5\nladder.cells = 3\n",
+    "butterfly.csv": "experiment = butterfly\nbutterfly.size = 4\nbutterfly.points = 5\n",
+    "link_scan.csv": "experiment = fig2b_link_scan\nscan.points = 2\n",
+}
+
+
 def test_jobs_do_not_change_output(tmp_path):
-    _, out1 = _simulate(tmp_path, SMALL_MAP, "serial")
-    _, out2 = _simulate(tmp_path, SMALL_MAP, "parallel", extra=("--jobs", "2"))
-    assert (out1 / "dressed_map.csv").read_bytes() == (out2 / "dressed_map.csv").read_bytes()
+    for data_file, text in JOBS_CASES.items():
+        _, out1 = _simulate(tmp_path, text, f"serial_{data_file}")
+        _, out2 = _simulate(tmp_path, text, f"parallel_{data_file}", extra=("--jobs", "2"))
+        assert (out1 / data_file).read_bytes() == (out2 / data_file).read_bytes(), data_file
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
+    code, out = _simulate(tmp_path, SMALL_MAP, extra=("--jobs", jobs))
+    assert code == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pool_size_is_clamped(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._pool_size(1, 21) == 1
+    assert cli._pool_size(2, 21) == 2
+    assert cli._pool_size(64, 21) == 2
+    assert cli._pool_size(64, 1) == 1
+    assert cli._pool_size(2, 0) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._pool_size(2, 21) == 1
+
+
+@pytest.mark.parametrize("text, extra, fmt", [
+    ("experiment = butterfly\nbutterfly.size = 2\nbutterfly.points = 2\n",
+     ("--format", "json"), "json"),
+    ("experiment = fig2f_flux_sweep\nsweep.points = 2\nladder.cells = 1\n"
+     "output.format = json\n", (), "json"),
+    ("experiment = fig2e_ladder_spectrum\n", ("--format", "csv"), "csv"),
+    ("experiment = custom\narray.layout = link\noutput.format = csv\n", (), "csv"),
+])
+def test_single_format_experiments_reject_the_other(tmp_path, capsys, text, extra, fmt):
+    code, out = _simulate(tmp_path, text, extra=extra)
+    assert code == 1
+    assert f"got {fmt}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_format_flag_switches_serialisation(tmp_path):
@@ -96,6 +139,15 @@ def test_link_scan_pipeline_suppressed_grid(tmp_path):
     lines = (out / "link_scan.csv").read_text().splitlines()
     assert len(lines) == 3
     assert lines[1].endswith(",0") and lines[2].endswith(",0")
+
+
+def test_link_scan_json_marks_undefined_points_null(tmp_path):
+    code, out = _simulate(tmp_path, "experiment = fig2b_link_scan\nscan.points = 2\n",
+                          extra=("--format", "json"))
+    assert code == 0
+    payload = json.loads((out / "link_scan.json").read_text())
+    assert payload["defined"] == [False, False]
+    assert payload["t_star"] == [None, None] and payload["n2_exact"] == [None, None]
 
 
 def test_plaquette_pipeline_short_window(tmp_path):

@@ -101,3 +101,11 @@ def test_every_preset_parses_standalone():
             cfg = parse_config(f"experiment = {name}\n")
         assert cfg.experiment == name
         assert cfg.as_dict()["experiment"] == name
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["array.gradient", "drive.phase_x"])
+def test_non_finite_numbers_rejected(key, token):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"experiment = custom\narray.layout = link\n{key} = {token}\n")
+    assert exc.value.violations == [f"{key}: must be finite, got {float(token)}"]

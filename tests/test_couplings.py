@@ -118,6 +118,18 @@ def test_dressed_factor_closed_form_equivalence(r, eta, dphi):
     assert series == pytest.approx(closed, abs=1e-10)
 
 
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_dressed_factor_array_matches_scalar_calls_exactly(r):
+    dphis = np.linspace(0.0, 2 * math.pi, 81)
+    for eta in np.linspace(0.0, 2.0, 9):
+        values = dressed_factor(r, eta, dphis)
+        assert values.shape == dphis.shape
+        assert values.tolist() == [dressed_factor(r, eta, dp) for dp in dphis]
+    grid = dressed_factor(r, 0.7, dphis.reshape(9, 9))
+    assert grid.shape == (9, 9)
+    assert grid.ravel().tolist() == dressed_factor(r, 0.7, dphis).tolist()
+
+
 def test_dressed_map_shape():
     # first-order assisted hopping dies at phase steps 0 and 2 pi and peaks
     # near pi for moderate drive strengths
@@ -244,6 +256,67 @@ def test_effective_metadata_echo():
     meta = dict(eff.metadata)
     assert meta["resonance_order"] == 1.0
     assert meta["drive_strength"] == pytest.approx(0.6)
+
+
+def _loop_bare_matrix(array, direction, cutoff_range=3.0):
+    """Pair-by-pair reference for bare_coupling_matrix."""
+    pos, lat, w = array.positions, array.lattice, array.frequencies(direction)
+    axis = {"x": 0, "y": 1, "z": None}[direction]
+    m = np.zeros((array.n_sites, array.n_sites), dtype=complex)
+    for i in range(array.n_sites):
+        for j in range(i):
+            if math.hypot(lat[i][0] - lat[j][0], lat[i][1] - lat[j][1]) > cutoff_range + 1e-9:
+                continue
+            dr = pos[i] - pos[j]
+            dist = math.hypot(dr[0], dr[1])
+            comp = 0.0 if axis is None else dr[axis]
+            geom = (3.0 * comp * comp - dist * dist) / dist**5
+            m[i, j] = m[j, i] = -(array.coulomb_beta / 2.0) * geom / math.sqrt(w[i] * w[j])
+    return m
+
+
+@pytest.mark.parametrize("layout, dims", [("square", (6, 5)), ("rhombic_ladder", (4,))])
+@pytest.mark.parametrize("direction", ["x", "y", "z"])
+def test_bare_matrix_equals_pair_loop(layout, dims, direction):
+    arr = build_array(layout, dims, spacing_y=0.7, gradient=0.05)
+    ref = _loop_bare_matrix(arr, direction)
+    assert np.count_nonzero(ref) > 0
+    assert np.array_equal(bare_coupling_matrix(arr, direction).matrix, ref)
+
+
+def _loop_effective_matrix(array, drive, direction, diagonal_bonds=True):
+    """Bond-by-bond reference for effective_coupling_matrix."""
+    bare = _loop_bare_matrix(array, direction)
+    phases = drive.site_phases(array)
+    r, lat = drive.resonance_order, array.lattice
+    m = np.zeros_like(bare)
+    for i in range(array.n_sites):
+        for j in range(array.n_sites):
+            if i == j or bare[i, j] == 0:
+                continue
+            dix = lat[i][0] - lat[j][0]
+            if dix == 0:
+                m[i, j] = bare[i, j]
+            elif dix == 1 and (diagonal_bonds or lat[i][1] == lat[j][1]):
+                amp = bare[i, j] * dressed_factor(r, drive.eta_d, phases[i] - phases[j]) \
+                    * np.exp(-0.5j * r * (phases[i] + phases[j]))
+                m[i, j] = amp
+                m[j, i] = np.conj(amp)
+    return m
+
+
+@pytest.mark.parametrize("layout, dims", [("square", (4, 3)), ("rhombic_ladder", (3,))])
+@pytest.mark.parametrize("drive", [
+    laser_drive(0.75, 0.05, 0.2, 1, phase_x=1.1, phase_y=0.37),
+    cosine_drive(0.025, 1.3, 2, phase_x=2.0, phase_y=-0.7),
+])
+@pytest.mark.parametrize("diagonal_bonds", [True, False])
+def test_effective_matrix_equals_bond_loop(layout, dims, drive, diagonal_bonds):
+    arr = build_array(layout, dims, spacing_y=0.7, gradient=0.05)
+    eff = effective_coupling_matrix(arr, drive, "z", diagonal_bonds=diagonal_bonds)
+    ref = _loop_effective_matrix(arr, drive, "z", diagonal_bonds)
+    assert np.count_nonzero(ref) > 0
+    assert np.array_equal(eff.matrix, ref)
 
 
 def test_laser_drive_builds_same_effective_matrix_as_cosine():

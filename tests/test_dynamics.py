@@ -8,11 +8,9 @@ from phonon_gauge.couplings import bare_coupling_matrix
 from phonon_gauge.dynamics import (
     DrivenHamiltonian,
     IntegrationError,
-    cosine_driven_hamiltonian,
     cosine_driven_model,
     effective_hamiltonian,
     evolve,
-    laser_driven_hamiltonian,
     laser_driven_model,
     link_point,
     link_transfer_scan,
@@ -63,7 +61,7 @@ def test_cosine_static_limit_mode_splitting():
     space = build_fock_space(2, 2)
     bare = bare_coupling_matrix(arr, "z")
     drv = cosine_drive(0.05, 0.0)
-    h = cosine_driven_hamiltonian(arr, drv, bare, space, 0.0)
+    h = cosine_driven_model(arr, drv, bare, space).at(0.0)
     vals = np.linalg.eigvalsh(h)
     ones = sorted(v for v in vals if abs(v - 1.0) < 0.1)
     # single-phonon doublet splits by 2 |J_c| around the trap frequency
@@ -74,15 +72,16 @@ def test_cosine_static_limit_mode_splitting():
 def test_cosine_periodicity(link_setup):
     arr, space, bare = link_setup
     drv = cosine_drive(0.05, 0.6)
-    h0 = cosine_driven_hamiltonian(arr, drv, bare, space, 0.37)
-    h1 = cosine_driven_hamiltonian(arr, drv, bare, space, 0.37 + 2 * math.pi / 0.05)
+    model = cosine_driven_model(arr, drv, bare, space)
+    h0 = model.at(0.37)
+    h1 = model.at(0.37 + 2 * math.pi / 0.05)
     assert np.abs(h0 - h1).max() < 1e-12
 
 
 def test_cosine_diagonal_at_time_zero(link_setup):
     arr, space, bare = link_setup
     drv = cosine_drive(0.05, 0.6)
-    h = cosine_driven_hamiltonian(arr, drv, bare, space, 0.0)
+    h = cosine_driven_model(arr, drv, bare, space).at(0.0)
     for site, occ in ((0, (1, 0)), (1, (0, 1))):
         psi = basis_state(space, occ)
         want = arr.frequencies("z")[site] + 0.6 * 0.05
@@ -117,7 +116,7 @@ def test_laser_zero_lamb_dicke_is_scalar_drive(link_setup):
 def test_laser_dimension_at_reference_parameters(link_setup):
     arr, space, bare = link_setup
     drv = laser_drive(0.75, 0.05, 0.2)
-    h = laser_driven_hamiltonian(arr, drv, bare, space, 0.1)
+    h = laser_driven_model(arr, drv, bare, space).at(0.1)
     assert h.shape == (25, 25)
     assert np.abs(h - h.conj().T).max() < 1e-14
 
@@ -192,21 +191,11 @@ def test_absurd_step_raises_integration_error(link_setup):
         evolve(model, psi0, 4000.0, 2000.0, space=space, samples=3)
 
 
-def test_callable_hamiltonian_path(link_setup):
+def test_callable_hamiltonian_rejected(link_setup):
     arr, space, bare = link_setup
-    drv = laser_drive(0.75, 0.05, 0.2)
-    model = laser_driven_model(arr, drv, bare, space)
-    psi0 = single_phonon_state(space, 0)
-    a = evolve(model, psi0, 60.0, 0.08, space=space, samples=4)
-    b = evolve(model.at, psi0, 60.0, 0.08, space=space, samples=4)
-    assert np.abs(a.populations - b.populations).max() < 1e-10
-
-
-def test_callable_requires_dt(link_setup):
-    arr, space, bare = link_setup
-    psi0 = single_phonon_state(space, 0)
-    with pytest.raises(ValueError):
-        evolve(lambda t: np.zeros((space.dim, space.dim)), psi0, 1.0, space=space)
+    model = laser_driven_model(arr, laser_drive(0.75, 0.05, 0.2), bare, space)
+    with pytest.raises(TypeError):
+        evolve(model.at, single_phonon_state(space, 0), 1.0, 0.08, space=space)
 
 
 def test_unnormalised_state_rejected(link_setup):
