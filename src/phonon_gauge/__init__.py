@@ -13,9 +13,11 @@ from .couplings import (
     BrokenCycleError,
     CouplingMatrix,
     DomainError,
+    DressedMapResult,
     bare_coupling_matrix,
     bessel_j,
     dressed_factor,
+    dressed_map,
     effective_coupling_matrix,
     plaquette_flux,
 )
@@ -51,8 +53,10 @@ from .model import (
 )
 from .spectra import (
     BandCluster,
+    CustomSpectrumResult,
     EdgeState,
     FluxSweepResult,
+    LadderSpectrumResult,
     NonHermitianError,
     SpectrumResult,
     dressed_ladder_couplings,
@@ -61,6 +65,7 @@ from .spectra import (
     flat_band_report,
     flux_sweep,
     gap_windows_from_clusters,
+    ladder_spectrum,
     rhombic_ladder_cells,
     rhombic_ladder_matrix,
     square_lattice_matrix,

@@ -27,14 +27,12 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, EXPERIMENT_SUMMARIES, EXPERIMENTS, ExperimentConfig, \
     parse_config
-from .couplings import BrokenCycleError, DomainError, dressed_factor, \
-    effective_coupling_matrix
+from .couplings import BrokenCycleError, DomainError, dressed_map, effective_coupling_matrix
 from .dynamics import IntegrationError, link_transfer_scan, plaquette_experiment
 from .fock import CapacityError
 from .model import ConfigurationError, GeometryError, build_array, cosine_drive, laser_drive
-from .spectra import eigensystem, edge_state_report, flat_band_report, flux_sweep, \
-    gap_windows_from_clusters, rhombic_ladder_cells, rhombic_ladder_matrix, \
-    square_lattice_matrix
+from .spectra import CustomSpectrumResult, eigensystem, flux_sweep, ladder_spectrum, \
+    rhombic_ladder_matrix, square_lattice_matrix
 
 ENV_OUT = "PHONON_GAUGE_OUT"
 
@@ -73,19 +71,12 @@ def _fmt(v: float) -> str:
 
 
 def _run_dressed_map(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
-    etas = np.linspace(0.0, cfg["map.eta_max"], cfg["map.eta_points"])
-    dphis = np.linspace(0.0, 2.0 * math.pi, cfg["map.phase_points"])
-    r = cfg["drive.resonance_order"]
-    rows = [[abs(v) for v in dressed_factor(r, eta, dphis).tolist()] for eta in etas]
+    result = dressed_map(cfg["drive.resonance_order"],
+                         np.linspace(0.0, cfg["map.eta_max"], cfg["map.eta_points"]),
+                         np.linspace(0.0, 2.0 * math.pi, cfg["map.phase_points"]))
     if fmt == "json":
-        payload = {"eta_d": etas.tolist(), "delta_phi": dphis.tolist(), "magnitude": rows}
-        return [_write(out / "dressed_map.json",
-                       json.dumps(payload, sort_keys=True, indent=2) + "\n")]
-    lines = ["eta_d,delta_phi,magnitude"]
-    for eta, row in zip(etas, rows):
-        for dp, mag in zip(dphis, row):
-            lines.append(f"{_fmt(eta)},{_fmt(dp)},{_fmt(mag)}")
-    return [_write(out / "dressed_map.csv", "\n".join(lines) + "\n")]
+        return [_write(out / "dressed_map.json", result.to_json())]
+    return [_write(out / "dressed_map.csv", result.to_csv())]
 
 
 def _run_link_scan(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
@@ -126,6 +117,7 @@ def _run_plaquette(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dic
     )
     for key in ("window", "spacing_y", "bond_magnitude", "drive_strength"):
         info[key] = res_eff.parameters[key]
+    info["diagnostics"] = res_exact.diagnostics
     files = []
     for tag, res in (("effective", res_eff), ("exact", res_exact)):
         if fmt == "json":
@@ -136,30 +128,9 @@ def _run_plaquette(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dic
 
 
 def _run_ladder_spectrum(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
-    cells_n = cfg["ladder.cells"]
-    boundary = cfg["ladder.boundary"]
-    matrix = rhombic_ladder_matrix(cells_n, cfg["ladder.j1"], cfg["ladder.j2"],
-                                   cfg["ladder.flux"], boundary)
-    cells = rhombic_ladder_cells(cells_n, boundary)
-    spectrum = eigensystem(matrix, cells=cells, flux=cfg["ladder.flux"])
-    clusters = flat_band_report(spectrum)
-    bulk = [c for c in clusters if c.count >= 3]
-    windows = gap_windows_from_clusters(bulk if len(bulk) >= 2 else clusters)
-    edges = edge_state_report(spectrum, windows)
-    payload = {
-        "spectrum": spectrum.to_json_dict(),
-        "flat_bands": [{"energy": c.energy, "count": c.count, "spread": c.spread}
-                       for c in clusters],
-        "gap_windows": [list(w) for w in windows],
-        "edge_states": [
-            {"energy": e.energy, "boundary_weight": e.boundary_weight,
-             "localization_length": (None if math.isinf(e.localization_length)
-                                     else e.localization_length)}
-            for e in edges
-        ],
-    }
-    return [_write(out / "ladder_spectrum.json",
-                   json.dumps(payload, sort_keys=True, indent=2) + "\n")]
+    result = ladder_spectrum(cfg["ladder.cells"], cfg["ladder.j1"], cfg["ladder.j2"],
+                             cfg["ladder.flux"], cfg["ladder.boundary"])
+    return [_write(out / "ladder_spectrum.json", result.to_json())]
 
 
 def _run_flux_sweep(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
@@ -203,14 +174,9 @@ def _run_custom(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
                              phase_x=cfg["drive.phase_x"], phase_y=cfg["drive.phase_y"])
     matrix = effective_coupling_matrix(array, drive, cfg["direction"],
                                        cfg["numerics.cutoff_range"])
-    spectrum = eigensystem(matrix.matrix)
-    payload = {
-        "layout": layout,
-        "n_sites": array.n_sites,
-        "spectrum": spectrum.to_json_dict(),
-    }
-    return [_write(out / "custom_spectrum.json",
-                   json.dumps(payload, sort_keys=True, indent=2) + "\n")]
+    result = CustomSpectrumResult(layout=layout, n_sites=array.n_sites,
+                                  spectrum=eigensystem(matrix.matrix))
+    return [_write(out / "custom_spectrum.json", result.to_json())]
 
 
 #: Experiments that write a single format; the other one is rejected.

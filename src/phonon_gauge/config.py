@@ -13,6 +13,8 @@ import math
 import re
 from dataclasses import dataclass
 
+from .fock import DENSE_OPERATOR_LIMIT
+
 EXPERIMENTS = (
     "fig2a_dressed_map",
     "fig2b_link_scan",
@@ -301,6 +303,19 @@ def _split_lines(text: str):
         yield lineno, key.strip(), value.strip()
 
 
+def _lattice_size(experiment: str, values: dict):
+    """(keys, site count) of the single-particle lattice an experiment builds."""
+    if experiment == "custom" and values["array.layout"] == "square":
+        return "array.nx * array.ny", values["array.nx"] * values["array.ny"]
+    if experiment == "custom" and values["array.layout"] == "rhombic_ladder":
+        return "array.cells", 3 * values["array.cells"] + 1
+    if experiment == "butterfly":
+        return "butterfly.size", values["butterfly.size"] ** 2
+    if experiment in _LADDERS:
+        return "ladder.cells", 3 * values["ladder.cells"] + 1  # open; periodic has 3p
+    return None
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Validate the document against the schema or raise ConfigError with
     the full list of violations (path plus reason, one entry each)."""
@@ -349,6 +364,11 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in _REQUIRED.get(experiment, ()):
         if values.get(key) is None:
             violations.append(f"{key}: missing required key for experiment {experiment}")
+
+    size = _lattice_size(experiment, values)
+    if size is not None and size[1] > DENSE_OPERATOR_LIMIT:
+        violations.append(f"{size[0]}: the lattice has {size[1]} sites, above the dense "
+                          f"limit of {DENSE_OPERATOR_LIMIT}")
 
     if experiment == "fig2cd_plaquette" and values.get("drive.rabi_frequency") is None:
         values["drive.rabi_frequency"] = _PLAQUETTE_RABI[values["plaquette.flux"]]

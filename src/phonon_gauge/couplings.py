@@ -6,6 +6,7 @@ evaluated in parallel across parameter grids.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -122,6 +123,36 @@ def dressed_factor(resonance_order: int, eta_d: float, delta_phi):
                                            s_vals + r / 2.0))
     total = np.sum(weights * phases, axis=-1)
     return complex(total) if total.ndim == 0 else total
+
+
+@dataclass(frozen=True)
+class DressedMapResult:
+    """|dressed_factor| over drive strengths (rows) and phase steps (columns)."""
+
+    eta_d: np.ndarray
+    delta_phi: np.ndarray
+    magnitude: np.ndarray
+
+    def to_csv(self) -> str:
+        lines = ["eta_d,delta_phi,magnitude"]
+        for eta, row in zip(self.eta_d, self.magnitude):
+            lines += [f"{eta:.17g},{dp:.17g},{mag:.17g}" for dp, mag in zip(self.delta_phi, row)]
+        return "\n".join(lines) + "\n"
+
+    def to_json(self) -> str:
+        payload = {"eta_d": self.eta_d.tolist(), "delta_phi": self.delta_phi.tolist(),
+                   "magnitude": self.magnitude.tolist()}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def dressed_map(resonance_order: int, eta_grid, delta_phi_grid) -> DressedMapResult:
+    """Dressed-coupling magnitude on a grid, one dressed_factor call per strength."""
+    etas = np.asarray(eta_grid, dtype=float)
+    dphis = np.asarray(delta_phi_grid, dtype=float)
+    # Python's complex abs per value, as numpy's vectorised abs may round differently
+    rows = [[abs(v) for v in dressed_factor(resonance_order, eta, dphis).tolist()]
+            for eta in etas]
+    return DressedMapResult(eta_d=etas, delta_phi=dphis, magnitude=np.array(rows))
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,23 @@
 """Driven Hamiltonians and unitary time evolution on the truncated Fock space.
 
 The integrator is a fixed-step 4th-order Magnus scheme (two Gauss-Legendre
-nodes per step) whose step propagator is applied through a machine-precision
-Taylor expansion of the exponential; each step is unitary up to roundoff, so
-norm is conserved over arbitrarily long windows.  Evolutions are
-deterministic and single-threaded; independent parameter points of a scan
-may run concurrently.
+nodes per step) on a grid that divides the drive period into equal steps.
+Each step generator is six real coefficients times a table of fixed
+matrices, and its exponential is a Taylor polynomial whose degree is fixed
+before stepping from a bound on the generator's 1-norm, so that the
+truncation stays below 2^-53.  The polynomial is applied to state vectors
+by Horner's rule; the one-period propagator, used to cross stretches of
+whole periods without a sample, is formed by Paterson-Stockmeyer.  Each
+step is unitary up to roundoff, so norm is conserved over arbitrarily long
+windows.  Evolutions are deterministic and single-threaded; independent
+parameter points of a scan may run concurrently.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -144,60 +149,127 @@ def laser_driven_model(array: TrapArray, drive: DriveSpec, bare: CouplingMatrix,
 # ---------------------------------------------------------------------------
 # integrator internals
 
+#: Truncation target for the Taylor series of every step exponential.
+_TAYLOR_TOL = 2.0 ** -53
 
-def _exp_action(omega: np.ndarray, state: np.ndarray, dt_label: float):
-    """exp(omega) @ state by a Taylor sum, accurate to machine precision."""
-    term = state.copy()
-    out = state.copy()
-    ref = np.linalg.norm(state)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, 121):
-            term = omega @ term / k
-            size = np.linalg.norm(term)
-            if not np.isfinite(size):
-                break
-            out += term
-            if size <= 1e-16 * ref:
-                return out
-    raise IntegrationError(
-        f"step propagator expansion did not converge; dt = {dt_label} is too large"
-    )
+#: A step whose exponential needs a higher Taylor degree is too large.
+MAX_TAYLOR_DEGREE = 120
 
 
-class _MagnusStepper:
-    """Fourth-order Magnus stepper for H(t) = Hs + f(t) V + conj(f(t)) V^dag."""
+def _taylor_degree(beta: float, h: float) -> int:
+    """Smallest degree m whose Taylor tail is below 2^-53 when ||Omega||_1 <= beta:
+    sum_{k>m} beta^k / k! <= beta^(m+1) / (m+1)! / (1 - beta / (m+2))."""
+    term = 1.0  # beta^m / m!
+    for m in range(1, MAX_TAYLOR_DEGREE + 1):
+        term *= beta / m
+        if beta < m + 2 and term * beta / (m + 1) <= _TAYLOR_TOL * (1.0 - beta / (m + 2)):
+            return m
+    raise IntegrationError(f"step exponential needs a Taylor degree above "
+                           f"{MAX_TAYLOR_DEGREE}; dt = {h} is too large")
 
-    def __init__(self, model: DrivenHamiltonian):
-        dim = model.dim
-        shift = np.trace(model.static).real / dim  # global phase only
-        self.hs = model.static - shift * np.eye(dim)
-        self.v = model.drive
+
+def _taylor_apply(omega: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """sum_{k<=m} omega^k x / k! by Horner's rule (m products with x)."""
+    y = x
+    for k in range(m, 0, -1):
+        y = omega @ y
+        y *= 1.0 / k
+        y += x
+    return y
+
+
+def _ps_shape(m: int) -> tuple[int, int]:
+    """Paterson-Stockmeyer split of a degree-m polynomial: powers up to s, r blocks."""
+    s = math.isqrt(m) + 1  # ceil(sqrt(m + 1))
+    return s, -(-(m + 1) // s)
+
+
+def _taylor_matrix(omega: np.ndarray, m: int) -> np.ndarray:
+    """sum_{k<=m} omega^k / k! by Paterson-Stockmeyer: s - 1 products for the
+    powers up to omega^s, then r - 1 for Horner in omega^s over the blocks."""
+    s, r = _ps_shape(m)
+    powers = [None, omega]
+    while len(powers) <= s:
+        powers.append(powers[-1] @ omega)
+    out = np.zeros_like(omega)
+    for j in range(r - 1, -1, -1):
+        if j < r - 1:
+            out = out @ powers[s]
+        for i in range(1, min(s, m + 1 - j * s)):
+            out += powers[i] * (1.0 / math.factorial(j * s + i))
+        out.flat[::omega.shape[0] + 1] += 1.0 / math.factorial(j * s)
+    return out
+
+
+class _PeriodGrid:
+    """Fourth-order Magnus steps of one size h = T / n on the grid t = j h.
+
+    H(t) = Hs + f V + conj(f) V^dag with f = exp(i w t) repeats with period
+    T = 2 pi / |w|, so step j uses the coefficients of step j mod n.  With
+    f1, f2 at the two Gauss-Legendre nodes, (f1 + f2) / 2 = a + ib,
+    f2 - f1 = p + iq and s = Im(f1 conj(f2)), the step generator is
+      Omega = h (-i Hs) + h a (-i (V + V^dag)) + h b (V - V^dag)
+              + C h^2 [p ([Hs,V] + [Hs,V^dag]) + q i ([Hs,V] - [Hs,V^dag])
+                       + s 2i [V,V^dag]]
+    with C = sqrt(3) / 12: six real coefficients times a fixed table of
+    anti-Hermitian matrices.
+    """
+
+    def __init__(self, model: DrivenHamiltonian, dt: float, period: float):
+        self.n = max(1, math.ceil(period / dt - 1e-12))
+        self.h = h = period / self.n
         self.mod = model.modulation
-        if self.v is not None:
-            self.vd = self.v.conj().T
-            self.c_hv = self.hs @ self.v - self.v @ self.hs
-            self.c_hvd = self.hs @ self.vd - self.vd @ self.hs
-            self.c_vvd = self.v @ self.vd - self.vd @ self.v
+        dim = model.dim
+        hs = model.static - (np.trace(model.static).real / dim) * np.eye(dim)  # global phase
+        v = model.drive if model.drive is not None else np.zeros_like(hs)
+        vd = v.conj().T
+        self.table = tab = np.empty((6, dim, dim), dtype=complex)
+        np.multiply(hs, -1j, out=tab[0])
+        np.add(v, vd, out=tab[1])
+        tab[1] *= -1j
+        np.subtract(v, vd, out=tab[2])
+        comm = hs @ v  # [Hs, V]; [Hs, V^dag] = -[Hs, V]^dag
+        comm -= v @ hs
+        np.subtract(comm, comm.conj().T, out=tab[3])
+        np.add(comm, comm.conj().T, out=tab[4])
+        tab[4] *= 1j
+        np.matmul(v, vd, out=tab[5])
+        tab[5] -= vd @ v
+        tab[5] *= 2j
+        self._flat = tab.reshape(6, -1).view(np.float64)
+        # ||M_k||_1 with |(f1 + f2) / 2| <= 1, |f2 - f1| <= min(x, 2) and
+        # |s| <= min(x, 1), x the drive phase between the nodes.  The bound
+        # grows with h, so it covers the shorter partial steps too.
+        n0, n1, n2, n3, n4, n5 = (np.abs(mat).sum(axis=0).max() for mat in tab)
+        x = abs(self.mod) * h / math.sqrt(3.0)
+        beta = (h * (n0 + math.hypot(n1, n2))
+                + _GL_COMM * h * h * (min(x, 2.0) * math.hypot(n3, n4) + min(x, 1.0) * n5))
+        self.degree = _taylor_degree(beta, h)
+        self.coefs = self.coefficients(np.arange(self.n) * h, h)
 
-    def omega(self, t: float, h: float) -> np.ndarray:
-        if self.v is None:
-            return -1j * h * self.hs
+    def coefficients(self, t, h) -> np.ndarray:
+        """Table coefficients, one row per step of size h starting at t."""
+        t, h = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(h, dtype=float))
         f1 = np.exp(1j * self.mod * (t + _GL_NODES[0] * h))
         f2 = np.exp(1j * self.mod * (t + _GL_NODES[1] * h))
-        fm = 0.5 * (f1 + f2)
-        a_mean = self.hs + fm * self.v + np.conj(fm) * self.vd
-        comm = ((f2 - f1) * self.c_hv + np.conj(f2 - f1) * self.c_hvd
-                + (f1 * np.conj(f2) - np.conj(f1) * f2) * self.c_vvd)
-        return -1j * h * a_mean + (_GL_COMM * h * h) * comm
+        fm, df, ch2 = 0.5 * (f1 + f2), f2 - f1, _GL_COMM * h * h
+        return np.stack((h, h * fm.real, h * fm.imag, ch2 * df.real, ch2 * df.imag,
+                         ch2 * (f1 * np.conj(f2)).imag), axis=-1)
 
+    def omega(self, row: np.ndarray) -> np.ndarray:
+        return (row @ self._flat).view(complex).reshape(self.table.shape[1:])
 
-def _magnus_steps(stepper: _MagnusStepper, x: np.ndarray, t: float, h: float, n: int):
-    """n Magnus steps of size h from time t on a state vector or a matrix of
-    columns; returns the result and the accumulated time."""
-    for _ in range(n):
-        x = _exp_action(stepper.omega(t, h), x, h)
-        t += h
-    return x, t
+    def advance(self, x: np.ndarray, j: int, count: int) -> np.ndarray:
+        """x moved by `count` grid steps from grid point j."""
+        for i in range(j, j + count):
+            x = _taylor_apply(self.omega(self.coefs[i % self.n]), x, self.degree)
+        return x
+
+    def period_propagator(self) -> np.ndarray:
+        u = np.eye(self.table.shape[1], dtype=complex)
+        for row in self.coefs:
+            u = _taylor_matrix(self.omega(row), self.degree) @ u
+        return u
 
 
 def default_time_step(model: DrivenHamiltonian, time_step_divisor: int = 40) -> float:
@@ -207,13 +279,17 @@ def default_time_step(model: DrivenHamiltonian, time_step_divisor: int = 40) -> 
 
 @dataclass
 class EvolutionResult:
-    """Site populations and state norm on a time grid, with a parameter echo."""
+    """Site populations and state norm on a time grid, with a parameter echo.
+
+    `diagnostics` reports what the integrator did; the writers leave it out.
+    """
 
     times: np.ndarray
     populations: np.ndarray  # (n_times, n_sites)
     norms: np.ndarray
     model: str
     parameters: dict
+    diagnostics: dict = field(default_factory=dict)
 
     @property
     def n_sites(self) -> int:
@@ -254,9 +330,12 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     `hamiltonian` is either a constant matrix (propagated exactly through
     its eigensystem) or a DrivenHamiltonian (structured fixed-step Magnus
     scheme; `model.at(tau)` gives its matrix at one instant).  The output
-    grid has `samples` points on [0, t_final]; steps are fitted to the grid
-    so every sample lands on a step boundary.  Aborts if the norm drifts
-    beyond 1e-4.
+    grid has `samples` points on [0, t_final].  Magnus steps of size
+    h = T / ceil(T / dt) fill the drive period T (the sample spacing for an
+    undriven model); each sample is one partial step from the last grid
+    point.  Stretches of whole periods without a sample are crossed with
+    the one-period propagator when that costs fewer flops than stepping.
+    Aborts if the norm drifts beyond 1e-4.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -281,63 +360,65 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
 
     if not isinstance(hamiltonian, DrivenHamiltonian):
         raise TypeError("hamiltonian must be a matrix or a DrivenHamiltonian")
-    stepper = _MagnusStepper(hamiltonian)
     if dt is None:
         dt = default_time_step(hamiltonian, time_step_divisor)
+    periodic = hamiltonian.drive is not None and hamiltonian.modulation != 0
+    grid = _PeriodGrid(hamiltonian, dt,
+                       2.0 * math.pi / abs(hamiltonian.modulation) if periodic
+                       else t_final / (samples - 1))
+    h, n, m = grid.h, grid.n, grid.degree
 
-    seg = t_final / (samples - 1)
-    n_sub = max(1, math.ceil(seg / dt - 1e-12))
-    h = seg / n_sub
+    # grid point at or below each sample, and the partial step beyond it
+    points = np.floor(times / h + 1e-9).astype(np.int64)
+    partial = np.maximum(times - points * h, 0.0)
+    partial_coefs = grid.coefficients((points % n) * h, partial)
+
+    # whole sample-free periods between one sample's grid point and the next
+    starts = -(-np.concatenate(([0], points[:-1])) // n) * n
+    skips = np.maximum(points - starts, 0) // n
+    # stepping a period costs n m matrix-vector products; building the period
+    # propagator costs n (s + r - 1) matrix products (Paterson-Stockmeyer + 1)
+    use_period = int(skips.sum()) * m > (sum(_ps_shape(m)) - 1) * hamiltonian.dim
+    if use_period:
+        u_period = grid.period_propagator()
+    else:
+        skips[:] = 0
+
     psi = psi0.astype(complex)
-    pops = [_populations(space, psi)]
-    norms = [np.linalg.norm(psi)]
-    t = 0.0
-    for _ in range(samples - 1):
-        psi, t = _magnus_steps(stepper, psi, t, h, n_sub)
-        nrm = np.linalg.norm(psi)
+    j = 0
+    pops, norms = [], []
+    for k, target in enumerate(points.tolist()):
+        if skips[k]:
+            psi = grid.advance(psi, j, int(starts[k]) - j)
+            for _ in range(skips[k]):
+                psi = u_period @ psi
+            j = int(starts[k] + skips[k] * n)
+        psi = grid.advance(psi, j, target - j)
+        j = target
+        out = _taylor_apply(grid.omega(partial_coefs[k]), psi, m)  # exact copy if on grid
+        nrm = np.linalg.norm(out)
         if abs(nrm - 1.0) > NORM_ABORT:
             raise IntegrationError(
-                f"norm drifted to {nrm:.6f} at t = {t:.3f}; dt = {h} is too large"
+                f"norm drifted to {nrm:.6f} at t = {times[k]:.3f}; dt = {h} is too large"
             )
-        pops.append(_populations(space, psi))
+        pops.append(_populations(space, out))
         norms.append(nrm)
+    norms = np.array(norms)
     params.update({"integrator": "magnus4", "dt": h, "dt_requested": dt})
-    return EvolutionResult(times=times, populations=np.array(pops),
-                           norms=np.array(norms), model=label, parameters=params)
+    diagnostics = {
+        "magnus_steps": int(points[-1] - skips.sum() * n + (partial > 0).sum()
+                            + use_period * n),
+        "taylor_degree": m,
+        "period_propagator": use_period,
+        "period_powers": int(skips.sum()),
+        "max_norm_drift": float(np.abs(norms - 1.0).max()),
+    }
+    return EvolutionResult(times=times, populations=np.array(pops), norms=norms,
+                           model=label, parameters=params, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
 # preset experiments
-
-
-def _floquet_period_propagator(model: DrivenHamiltonian, dt: float):
-    """Unitary over one modulation period, stepped with the Magnus scheme."""
-    period = 2.0 * math.pi / abs(model.modulation)
-    n = max(1, math.ceil(period / dt - 1e-12))
-    h = period / n
-    stepper = _MagnusStepper(model)
-    u, _ = _magnus_steps(stepper, np.eye(model.dim, dtype=complex), 0.0, h, n)
-    return u, period, h, stepper
-
-
-def _state_at(model: DrivenHamiltonian, psi0: np.ndarray, t_target: float, dt: float):
-    """psi(t_target) using the drive-periodic propagator, then a remainder."""
-    u, period, h, stepper = _floquet_period_propagator(model, dt)
-    n_per = int(t_target // period)
-    psi = psi0.astype(complex)
-    block = u
-    k = n_per
-    while k:  # binary power of the period propagator
-        if k & 1:
-            psi = block @ psi
-        k >>= 1
-        if k:
-            block = block @ block
-    remainder = t_target - n_per * period
-    t = 0.0
-    while remainder - t > 1e-12:
-        psi, t = _magnus_steps(stepper, psi, t, min(h, remainder - t), 1)
-    return psi
 
 
 @dataclass
@@ -398,11 +479,9 @@ def link_point(delta_phi: float, *, gradient=0.05, coulomb_beta=0.002,
 
     bare = bare_coupling_matrix(array, direction)
     exact = laser_driven_model(array, drive, bare, space, direction)
-    dt = default_time_step(exact, time_step_divisor)
-    psi = _state_at(exact, psi0, t_star, dt)
-    if abs(np.linalg.norm(psi) - 1.0) > NORM_ABORT:
-        raise IntegrationError(f"norm drift in link run at delta_phi = {delta_phi}")
-    n2_exact = float(_populations(space, psi)[1])
+    res_exact = evolve(exact, psi0, t_star, space=space, samples=2,
+                       time_step_divisor=time_step_divisor, label="laser_exact")
+    n2_exact = float(res_exact.populations[-1, 1])
     return t_star, n2_eff, n2_exact, True
 
 

@@ -7,8 +7,9 @@ mapped over workers with no shared mutable state.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -275,6 +276,60 @@ def edge_state_report(spectrum: SpectrumResult, gap_windows) -> list[EdgeState]:
         out.append(EdgeState(energy=float(e), boundary_weight=bw,
                              localization_length=xi))
     return out
+
+
+@dataclass(frozen=True)
+class LadderSpectrumResult:
+    """Rhombic-ladder spectrum with its flat bands, gap windows and edge states."""
+
+    spectrum: SpectrumResult
+    flat_bands: list[BandCluster]
+    gap_windows: list[tuple[float, float]]
+    edge_states: list[EdgeState]
+
+    def to_json(self) -> str:
+        """JSON with null for an edge state's unbounded localisation length."""
+        edges = [asdict(e) for e in self.edge_states]
+        for e in edges:
+            if math.isinf(e["localization_length"]):
+                e["localization_length"] = None
+        payload = {
+            "spectrum": self.spectrum.to_json_dict(),
+            "flat_bands": [asdict(c) for c in self.flat_bands],
+            "gap_windows": [list(w) for w in self.gap_windows],
+            "edge_states": edges,
+        }
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def ladder_spectrum(n_cells: int, j1: float, j2: float, phi: float,
+                    boundary: str = "open") -> LadderSpectrumResult:
+    """Rhombic-ladder spectrum, flat-band clusters and mid-gap edge states.
+
+    The gap windows lie between the bulk clusters (three or more states)
+    when there are at least two of them, else between all clusters.
+    """
+    matrix = rhombic_ladder_matrix(n_cells, j1, j2, phi, boundary)
+    spectrum = eigensystem(matrix, cells=rhombic_ladder_cells(n_cells, boundary), flux=phi)
+    clusters = flat_band_report(spectrum)
+    bulk = [c for c in clusters if c.count >= 3]
+    windows = gap_windows_from_clusters(bulk if len(bulk) >= 2 else clusters)
+    return LadderSpectrumResult(spectrum=spectrum, flat_bands=clusters, gap_windows=windows,
+                                edge_states=edge_state_report(spectrum, windows))
+
+
+@dataclass(frozen=True)
+class CustomSpectrumResult:
+    """Spectrum of the effective coupling matrix of a user-defined array."""
+
+    layout: str
+    n_sites: int
+    spectrum: SpectrumResult
+
+    def to_json(self) -> str:
+        payload = {"layout": self.layout, "n_sites": self.n_sites,
+                   "spectrum": self.spectrum.to_json_dict()}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 @dataclass(frozen=True)

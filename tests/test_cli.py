@@ -163,6 +163,40 @@ def test_plaquette_pipeline_short_window(tmp_path):
     assert manifest["parameters"]["drive.rabi_frequency"] == 0.25
 
 
+def test_plaquette_manifest_reports_exact_diagnostics(tmp_path):
+    text = "experiment = fig2cd_plaquette\nnumerics.window = 150\nnumerics.samples = 4\n"
+    code, out = _simulate(tmp_path, text)
+    assert code == 0
+    diag = json.loads((out / "manifest.json").read_text())["resolved"]["diagnostics"]
+    assert set(diag) == {"magnus_steps", "taylor_degree", "period_propagator",
+                         "period_powers", "max_norm_drift"}
+    assert diag["magnus_steps"] > 0 and diag["taylor_degree"] > 0
+    assert diag["period_propagator"] is False and diag["period_powers"] == 0
+    assert 0 <= diag["max_norm_drift"] < 1e-8
+    assert "diagnostics" not in (out / "plaquette_exact.csv").read_text()
+
+
+@pytest.mark.parametrize("text, key", [
+    ("experiment = custom\narray.layout = square\narray.nx = 100000\narray.ny = 100000\n",
+     "array.nx * array.ny"),
+    ("experiment = custom\narray.layout = rhombic_ladder\narray.cells = 1366\n", "array.cells"),
+    ("experiment = butterfly\nbutterfly.size = 65\n", "butterfly.size"),
+    ("experiment = fig2e_ladder_spectrum\nladder.cells = 1366\n", "ladder.cells"),
+    ("experiment = fig2f_flux_sweep\nladder.cells = 1366\n", "ladder.cells"),
+])
+def test_oversized_lattice_is_a_config_error(tmp_path, monkeypatch, capsys, text, key):
+    def never(*args, **kwargs):
+        raise AssertionError("lattice built despite the size limit")
+
+    monkeypatch.setattr(cli, "build_array", never)
+    code, out = _simulate(tmp_path, text + "output.format = xml\n")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"config error: {key}: the lattice has" in err
+    assert "output.format" in err  # every violation is listed
+    assert not out.exists()
+
+
 def test_custom_spectrum(tmp_path):
     text = "experiment = custom\narray.layout = rhombic_ladder\narray.cells = 3\n"
     code, out = _simulate(tmp_path, text)

@@ -109,3 +109,13 @@ def test_non_finite_numbers_rejected(key, token):
     with pytest.raises(ConfigError) as exc:
         parse_config(f"experiment = custom\narray.layout = link\n{key} = {token}\n")
     assert exc.value.violations == [f"{key}: must be finite, got {float(token)}"]
+
+
+@pytest.mark.parametrize("text", [
+    "experiment = butterfly\nbutterfly.size = 64\n",
+    "experiment = custom\narray.layout = square\narray.nx = 64\narray.ny = 64\n",
+    "experiment = custom\narray.layout = rhombic_ladder\narray.cells = 1365\n",
+    "experiment = fig2e_ladder_spectrum\nladder.cells = 1365\n",
+])
+def test_lattice_at_the_dense_limit_is_accepted(text):
+    parse_config(text)  # 4096 sites, the largest dense lattice

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from phonon_gauge import dynamics
 from phonon_gauge.couplings import bare_coupling_matrix
 from phonon_gauge.dynamics import (
     DrivenHamiltonian,
@@ -16,6 +18,7 @@ from phonon_gauge.dynamics import (
     link_transfer_scan,
     plaquette_experiment,
 )
+from phonon_gauge.dynamics import _populations
 from phonon_gauge.fock import basis_state, build_fock_space, single_phonon_state
 from phonon_gauge.model import ConfigurationError, build_array, cosine_drive, laser_drive
 
@@ -182,12 +185,19 @@ def test_norm_conservation_and_number_injection_bound(link_setup):
     assert np.abs(res.total_number() - 1.0).max() < 0.1
 
 
-def test_absurd_step_raises_integration_error(link_setup):
+def test_absurd_step_raises_integration_error(link_setup, monkeypatch):
     arr, space, bare = link_setup
     drv = laser_drive(0.75, 0.05, 0.2)
     model = laser_driven_model(arr, drv, bare, space)
     psi0 = single_phonon_state(space, 0)
-    with pytest.raises(IntegrationError):
+
+    def no_stepping(*args):
+        raise AssertionError("stepped before the Taylor degree was checked")
+
+    # the degree cap must fire before any step exponential is applied
+    monkeypatch.setattr(dynamics, "_taylor_apply", no_stepping)
+    monkeypatch.setattr(dynamics, "_taylor_matrix", no_stepping)
+    with pytest.raises(IntegrationError, match="Taylor degree above 120"):
         evolve(model, psi0, 4000.0, 2000.0, space=space, samples=3)
 
 
@@ -221,18 +231,97 @@ def test_evolution_result_serialisation(link_setup):
 # -- preset experiments -------------------------------------------------------
 
 
-def test_period_propagator_matches_straight_evolution(link_setup):
-    from phonon_gauge.dynamics import _state_at, _populations
+def _plain_magnus_populations(model, space, psi0, times, dt):
+    """Reference: the 4th-order Magnus scheme on the grid h = T / ceil(T / dt),
+    stepped straight through with scipy's expm, one partial step per sample."""
+    period = 2 * math.pi / abs(model.modulation)
+    h = period / math.ceil(period / dt - 1e-12)
+    hs, v = model.static, model.drive
+    vd = v.conj().T
+    c_hv, c_hvd, c_vvd = hs @ v - v @ hs, hs @ vd - vd @ hs, v @ vd - vd @ v
+    nodes = (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
 
+    def propagator(t, step):
+        f1, f2 = (np.exp(1j * model.modulation * (t + c * step)) for c in nodes)
+        fm = 0.5 * (f1 + f2)
+        omega = (-1j * step * (hs + fm * v + np.conj(fm) * vd)
+                 + math.sqrt(3) / 12 * step**2 * ((f2 - f1) * c_hv + np.conj(f2 - f1) * c_hvd
+                                                  + (f1 * np.conj(f2) - np.conj(f1) * f2) * c_vvd))
+        return expm(omega)
+
+    psi, done, out = psi0.astype(complex), 0, []
+    for t in times:
+        full = int(t // h)
+        for j in range(done, full):
+            psi = propagator(j * h, h) @ psi
+        done = full
+        rest = t - full * h
+        out.append(_populations(space, propagator(full * h, rest) @ psi if rest > 0 else psi))
+    return np.array(out)
+
+
+@pytest.fixture
+def pi_link_model(link_setup):
     arr, space, bare = link_setup
     drv = laser_drive(0.75, 0.05, 0.2, phase_x=math.pi)
-    model = laser_driven_model(arr, drv, bare, space)
+    return laser_driven_model(arr, drv, bare, space), space
+
+
+def test_period_propagator_matches_straight_evolution(pi_link_model):
+    model, space = pi_link_model
     psi0 = single_phonon_state(space, 0)
-    t_target = 333.3  # several drive periods plus a remainder
-    straight = evolve(model, psi0, t_target, space=space, samples=2)
-    fast = _populations(space, _state_at(model, psi0, t_target,
-                                         dt=2 * math.pi / (40 * model.frequency_scale)))
-    assert np.abs(straight.populations[-1] - fast).max() < 1e-9
+    period = 2 * math.pi / abs(model.modulation)
+    # samples at 12.35 T and 24.7 T: 12 and then 11 whole sample-free periods,
+    # each stretch ending in a partial step
+    res = evolve(model, psi0, 24.7 * period, 0.4, space=space, samples=3)
+    assert res.diagnostics["period_propagator"]
+    assert res.diagnostics["period_powers"] == 23
+    ref = _plain_magnus_populations(model, space, psi0, res.times, 0.4)
+    assert np.abs(res.populations - ref).max() < 1e-9
+
+
+@pytest.mark.parametrize("periods, samples, uses_propagator", [(3, 4, False), (20, 2, True)])
+def test_samples_at_period_multiples_land_on_the_grid(pi_link_model, periods, samples,
+                                                      uses_propagator):
+    model, space = pi_link_model
+    psi0 = single_phonon_state(space, 0)
+    period = 2 * math.pi / abs(model.modulation)
+    res = evolve(model, psi0, periods * period, 0.4, space=space, samples=samples)
+    n = math.ceil(period / 0.4 - 1e-12)
+    diag = res.diagnostics
+    assert diag["period_propagator"] is uses_propagator
+    # no partial steps: every sample is a grid point
+    if uses_propagator:
+        assert diag["period_powers"] == periods and diag["magnus_steps"] == n
+    else:
+        assert diag["period_powers"] == 0 and diag["magnus_steps"] == periods * n
+    ref = _plain_magnus_populations(model, space, psi0, res.times, 0.4)
+    assert np.abs(res.populations - ref).max() < 1e-9
+
+
+@pytest.mark.parametrize("t_final, samples", [(2000.0, 2), (300.0, 7)])
+def test_reruns_are_bit_identical(pi_link_model, t_final, samples):
+    model, space = pi_link_model
+    psi0 = single_phonon_state(space, 0)
+    a = evolve(model, psi0, t_final, space=space, samples=samples)
+    b = evolve(model, psi0, t_final, space=space, samples=samples)
+    assert a.diagnostics["period_propagator"] is (samples == 2)
+    assert np.array_equal(a.populations, b.populations)
+    assert np.array_equal(a.norms, b.norms)
+
+
+def test_taylor_degree_close_to_adaptive_term_count(link_setup):
+    # Per-step term counts of the previous adaptive series (terms until one
+    # fell below 1e-16) at the preset step sizes: 13, 14 and 18.
+    arr, space, bare = link_setup
+    model = laser_driven_model(arr, laser_drive(0.75, 0.05, 0.2, phase_x=math.pi), bare, space)
+    link = evolve(model, single_phonon_state(space, 0), 1.0, space=space, samples=2)
+    assert model.dim == 25 and link.diagnostics["taylor_degree"] <= 13 + 2
+    for n_max, dim, adaptive in ((2, 81, 14), (4, 625, 18)):
+        _, ring = plaquette_experiment(math.pi, rabi_frequency=0.25, n_max=n_max,
+                                       window=1.0, samples=2)
+        assert build_fock_space(4, n_max).dim == dim
+        assert ring.diagnostics["taylor_degree"] <= adaptive + 2
 
 
 def test_link_point_at_pi():
