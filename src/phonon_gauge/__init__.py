@@ -53,6 +53,7 @@ from .model import (
 )
 from .spectra import (
     BandCluster,
+    ButterflyResult,
     CustomSpectrumResult,
     EdgeState,
     FluxSweepResult,

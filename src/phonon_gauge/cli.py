@@ -4,8 +4,9 @@ Usage:
     phonon-gauge simulate --config FILE --out DIR [--format csv|json] [--jobs N]
     phonon-gauge preset --list
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.  The
-environment variable PHONON_GAUGE_OUT, when set, overrides --out.  Rerunning
+Exit codes: 0 success, 1 configuration error, 2 numerical failure, 3 internal
+error (a fault of the program, printed as "internal error: <type>: <message>").
+The environment variable PHONON_GAUGE_OUT, when set, overrides --out.  Rerunning
 with an identical config reproduces bit-identical data files; the manifest
 additionally records the wall-clock duration.
 """
@@ -13,7 +14,6 @@ additionally records the wall-clock duration.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import multiprocessing
 import os
@@ -25,19 +25,25 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._text import json_text
 from .config import ConfigError, EXPERIMENT_SUMMARIES, EXPERIMENTS, ExperimentConfig, \
     parse_config
-from .couplings import BrokenCycleError, DomainError, dressed_map, effective_coupling_matrix
-from .dynamics import IntegrationError, link_transfer_scan, plaquette_experiment
+from .couplings import BrokenCycleError, DomainError, DressedMapResult, dressed_map, \
+    effective_coupling_matrix
+from .dynamics import EvolutionResult, IntegrationError, LinkScanResult, link_transfer_scan, \
+    plaquette_experiment
 from .fock import CapacityError
 from .model import ConfigurationError, GeometryError, build_array, cosine_drive, laser_drive
-from .spectra import CustomSpectrumResult, eigensystem, flux_sweep, ladder_spectrum, \
-    rhombic_ladder_matrix, square_lattice_matrix
+from .spectra import ButterflyResult, CustomSpectrumResult, FluxSweepResult, \
+    LadderSpectrumResult, eigensystem, flux_sweep, ladder_spectrum, rhombic_ladder_matrix, \
+    square_lattice_matrix
 
 ENV_OUT = "PHONON_GAUGE_OUT"
 
+#: Config violations, and the library errors that a valid config can still
+#: trigger; any error outside these and _NUMERIC_ERRORS is internal.
 _CONFIG_ERRORS = (ConfigError, ConfigurationError, GeometryError, CapacityError,
-                  BrokenCycleError, DomainError, ValueError, KeyError)
+                  BrokenCycleError, DomainError)
 _NUMERIC_ERRORS = (IntegrationError, np.linalg.LinAlgError, FloatingPointError)
 
 
@@ -63,98 +69,68 @@ def _write(path: Path, text: str) -> str:
     return path.name
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
+# --- experiment runners: (cfg, map_fn) -> ({file stem: result}, resolved) ----
 
 
-# --- experiment runners ------------------------------------------------------
-
-
-def _run_dressed_map(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
+def _run_dressed_map(cfg: ExperimentConfig, map_fn):
     result = dressed_map(cfg["drive.resonance_order"],
                          np.linspace(0.0, cfg["map.eta_max"], cfg["map.eta_points"]),
                          np.linspace(0.0, 2.0 * math.pi, cfg["map.phase_points"]))
-    if fmt == "json":
-        return [_write(out / "dressed_map.json", result.to_json())]
-    return [_write(out / "dressed_map.csv", result.to_csv())]
+    return {"dressed_map": result}, {}
 
 
-def _run_link_scan(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
-    result = link_transfer_scan(
-        np.linspace(0.0, 2.0 * math.pi, cfg["scan.points"]),
-        map_fn=map_fn,
-        gradient=cfg["array.gradient"],
-        coulomb_beta=cfg["array.beta"],
-        base_frequency=cfg["array.base_frequency"],
-        rabi_frequency=cfg["drive.rabi_frequency"],
-        beat_frequency=cfg["drive.beat_frequency"],
-        lamb_dicke=cfg["drive.lamb_dicke"],
-        resonance_order=cfg["drive.resonance_order"],
-        n_max=cfg["numerics.n_max"],
-        direction=cfg["direction"],
-        time_step_divisor=cfg["numerics.time_step_divisor"],
-    )
-    if fmt == "json":
-        return [_write(out / "link_scan.json", result.to_json())]
-    return [_write(out / "link_scan.csv", result.to_csv())]
+def _exact_drive_kwargs(cfg: ExperimentConfig) -> dict:
+    """The arguments both exact-drive experiments take from the config."""
+    return dict(gradient=cfg["array.gradient"], coulomb_beta=cfg["array.beta"],
+                base_frequency=cfg["array.base_frequency"], direction=cfg["direction"],
+                rabi_frequency=cfg["drive.rabi_frequency"], lamb_dicke=cfg["drive.lamb_dicke"],
+                beat_frequency=cfg["drive.beat_frequency"], n_max=cfg["numerics.n_max"],
+                resonance_order=cfg["drive.resonance_order"],
+                time_step_divisor=cfg["numerics.time_step_divisor"])
 
 
-def _run_plaquette(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
+def _run_link_scan(cfg: ExperimentConfig, map_fn):
+    result = link_transfer_scan(np.linspace(0.0, 2.0 * math.pi, cfg["scan.points"]),
+                                map_fn=map_fn, **_exact_drive_kwargs(cfg))
+    return {"link_scan": result}, {}
+
+
+def _run_plaquette(cfg: ExperimentConfig, map_fn):
     res_eff, res_exact = plaquette_experiment(
-        cfg["plaquette.flux"],
-        rabi_frequency=cfg["drive.rabi_frequency"],
-        n_max=cfg["numerics.n_max"],
-        gradient=cfg["array.gradient"],
-        coulomb_beta=cfg["array.beta"],
-        beat_frequency=cfg["drive.beat_frequency"],
-        lamb_dicke=cfg["drive.lamb_dicke"],
-        resonance_order=cfg["drive.resonance_order"],
-        direction=cfg["direction"],
-        window=cfg.get("numerics.window"),
-        samples=cfg["numerics.samples"],
-        time_step_divisor=cfg["numerics.time_step_divisor"],
-        cutoff_range=cfg["numerics.cutoff_range"],
-    )
-    for key in ("window", "spacing_y", "bond_magnitude", "drive_strength"):
-        info[key] = res_eff.parameters[key]
-    info["diagnostics"] = res_exact.diagnostics
-    files = []
-    for tag, res in (("effective", res_eff), ("exact", res_exact)):
-        if fmt == "json":
-            files.append(_write(out / f"plaquette_{tag}.json", res.to_json()))
-        else:
-            files.append(_write(out / f"plaquette_{tag}.csv", res.to_csv()))
-    return files
+        cfg["plaquette.flux"], window=cfg["numerics.window"],
+        samples=cfg["numerics.samples"], cutoff_range=cfg["numerics.cutoff_range"],
+        **_exact_drive_kwargs(cfg))
+    resolved = {key: res_eff.parameters[key]
+                for key in ("window", "spacing_y", "bond_magnitude", "drive_strength")}
+    resolved["diagnostics"] = res_exact.diagnostics
+    return {"plaquette_effective": res_eff, "plaquette_exact": res_exact}, resolved
 
 
-def _run_ladder_spectrum(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
+def _run_ladder_spectrum(cfg: ExperimentConfig, map_fn):
     result = ladder_spectrum(cfg["ladder.cells"], cfg["ladder.j1"], cfg["ladder.j2"],
                              cfg["ladder.flux"], cfg["ladder.boundary"])
-    return [_write(out / "ladder_spectrum.json", result.to_json())]
+    return {"ladder_spectrum": result}, {}
 
 
-def _run_flux_sweep(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
+def _run_flux_sweep(cfg: ExperimentConfig, map_fn):
     builder = partial(rhombic_ladder_matrix, cfg["ladder.cells"], cfg["ladder.j1"],
                       cfg["ladder.j2"], boundary=cfg["sweep.boundary"])
     result = flux_sweep(builder, np.linspace(-math.pi, math.pi, cfg["sweep.points"]),
                         map_fn=map_fn)
-    return [_write(out / "flux_sweep.csv", result.to_csv())]
+    return {"flux_sweep": result}, {}
 
 
-def _run_butterfly(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
-    alphas = np.linspace(0.0, 2.0 * math.pi, cfg["butterfly.points"])
+def _run_butterfly(cfg: ExperimentConfig, map_fn):
     size = cfg["butterfly.size"]
     builder = partial(square_lattice_matrix, size, size, j_x=cfg["butterfly.j_x"],
                       j_y=cfg["butterfly.j_y"], m_max=cfg["butterfly.m_max"],
                       boundary=cfg["butterfly.boundary"])
-    table = flux_sweep(builder, alphas, map_fn=map_fn).eigenvalues
-    lines = ["alpha," + ",".join(f"E_{k+1}" for k in range(table.shape[1]))]
-    for alpha, vals in zip(alphas, table):
-        lines.append(_fmt(alpha) + "," + ",".join(_fmt(v) for v in vals))
-    return [_write(out / "butterfly.csv", "\n".join(lines) + "\n")]
+    sweep = flux_sweep(builder, np.linspace(0.0, 2.0 * math.pi, cfg["butterfly.points"]),
+                       map_fn=map_fn)
+    return {"butterfly": ButterflyResult(alphas=sweep.fluxes, eigenvalues=sweep.eigenvalues)}, {}
 
 
-def _run_custom(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
+def _run_custom(cfg: ExperimentConfig, map_fn):
     layout = cfg["array.layout"]
     dims = {"link": (2,), "plaquette": (2, 2),
             "square": (cfg["array.nx"], cfg["array.ny"]),
@@ -176,25 +152,19 @@ def _run_custom(cfg: ExperimentConfig, out: Path, fmt: str, map_fn, info: dict):
                                        cfg["numerics.cutoff_range"])
     result = CustomSpectrumResult(layout=layout, n_sites=array.n_sites,
                                   spectrum=eigensystem(matrix.matrix))
-    return [_write(out / "custom_spectrum.json", result.to_json())]
+    return {"custom_spectrum": result}, {}
 
 
-#: Experiments that write a single format; the other one is rejected.
-_ONLY_FORMAT = {
-    "fig2e_ladder_spectrum": "json",
-    "fig2f_flux_sweep": "csv",
-    "butterfly": "csv",
-    "custom": "json",
-}
-
+#: experiment -> (result type, runner).  The formats an experiment writes are
+#: the to_csv/to_json methods of its result type.
 _RUNNERS = {
-    "fig2a_dressed_map": _run_dressed_map,
-    "fig2b_link_scan": _run_link_scan,
-    "fig2cd_plaquette": _run_plaquette,
-    "fig2e_ladder_spectrum": _run_ladder_spectrum,
-    "fig2f_flux_sweep": _run_flux_sweep,
-    "butterfly": _run_butterfly,
-    "custom": _run_custom,
+    "fig2a_dressed_map": (DressedMapResult, _run_dressed_map),
+    "fig2b_link_scan": (LinkScanResult, _run_link_scan),
+    "fig2cd_plaquette": (EvolutionResult, _run_plaquette),
+    "fig2e_ladder_spectrum": (LadderSpectrumResult, _run_ladder_spectrum),
+    "fig2f_flux_sweep": (FluxSweepResult, _run_flux_sweep),
+    "butterfly": (ButterflyResult, _run_butterfly),
+    "custom": (CustomSpectrumResult, _run_custom),
 }
 
 
@@ -207,31 +177,36 @@ def run_experiment(config: ExperimentConfig, out_dir, fmt: str | None = None,
     records the fully resolved parameters, the package version, and the
     wall-clock duration.
     """
-    fmt = fmt or config.get("output.format", "csv")
+    fmt = fmt or config["output.format"]
+    result_type, runner = _RUNNERS[config.experiment]
+    writes = [f for f in ("csv", "json") if hasattr(result_type, f"to_{f}")]
     violations = []
-    only = _ONLY_FORMAT.get(config.experiment)
-    if only is not None and fmt != only:
-        violations.append(f"output format: {config.experiment} writes only {only}, got {fmt}")
+    if fmt not in writes:
+        violations.append(f"output format: {config.experiment} writes only "
+                          f"{' and '.join(writes)}, got {fmt}")
     if jobs < 1:
         violations.append(f"--jobs: must be >= 1, got {jobs}")
     if violations:
         raise ConfigError(violations)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"--out: {exc}"]) from None
     start = time.perf_counter()
-    info: dict = {}
-    files = _RUNNERS[config.experiment](config, out, fmt, _fork_map(jobs), info)
+    results, resolved = runner(config, _fork_map(jobs))
+    files = [_write(out / f"{stem}.{fmt}", getattr(result, f"to_{fmt}")())
+             for stem, result in results.items()]
     manifest = {
         "experiment": config.experiment,
-        "parameters": {k: v for k, v in config.values},
-        "resolved": info,
+        "parameters": dict(config.values),
+        "resolved": resolved,
         "output_format": fmt,
         "files": files,
         "version": __version__,
         "duration_seconds": time.perf_counter() - start,
     }
-    files.append(_write(out / "manifest.json",
-                        json.dumps(manifest, sort_keys=True, indent=2) + "\n"))
+    files.append(_write(out / "manifest.json", json_text(manifest)))
     return files
 
 
@@ -277,16 +252,16 @@ def main(argv=None) -> int:
             raise ConfigError([f"config file: {exc}"]) from None
         config = parse_config(text)
         files = run_experiment(config, out_dir, fmt=args.format, jobs=args.jobs)
-    except ConfigError as exc:
-        for v in exc.violations:
+    except _CONFIG_ERRORS as exc:
+        for v in getattr(exc, "violations", [exc]):  # a ConfigError lists them all
             print(f"config error: {v}", file=sys.stderr)
         return 1
     except _NUMERIC_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:  # a fault of the program, not of the config
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     for name in files:
         print(name)
     return 0

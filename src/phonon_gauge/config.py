@@ -131,9 +131,9 @@ SCHEMA: dict[str, FieldSpec] = {
     "map.phase_points": _f(_parse_int, ("fig2a_dressed_map",), _ge(2)),
     # array geometry / Coulomb scale
     "array.layout": _f(_enum("link", "plaquette", "rhombic_ladder", "square"), ("custom",)),
-    "array.nx": _f(_parse_int, ("custom",)),
-    "array.ny": _f(_parse_int, ("custom",)),
-    "array.cells": _f(_parse_int, ("custom",)),
+    "array.nx": _f(_parse_int, ("custom",), _ge(1)),
+    "array.ny": _f(_parse_int, ("custom",), _ge(1)),
+    "array.cells": _f(_parse_int, ("custom",), _ge(1)),
     "array.spacing_x": _f(_parse_float, ("custom",), _gt(0)),
     "array.spacing_y": _f(_parse_float, ("custom",), _gt(0)),
     "array.base_frequency": _f(_parse_float, _DYNAMIC + ("custom",), _gt(0)),
@@ -277,17 +277,6 @@ class ExperimentConfig:
             if k == key:
                 return v
         raise KeyError(key)
-
-    def get(self, key: str, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def as_dict(self) -> dict:
-        out = {"experiment": self.experiment}
-        out.update(dict(self.values))
-        return out
 
 
 def _split_lines(text: str):

@@ -6,12 +6,12 @@ evaluated in parallel across parameter grids.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import csv_text, json_text
 from .model import ConfigurationError, DriveSpec, GeometryError, TrapArray
 
 #: Largest |x| accepted by bessel_j.
@@ -134,15 +134,13 @@ class DressedMapResult:
     magnitude: np.ndarray
 
     def to_csv(self) -> str:
-        lines = ["eta_d,delta_phi,magnitude"]
-        for eta, row in zip(self.eta_d, self.magnitude):
-            lines += [f"{eta:.17g},{dp:.17g},{mag:.17g}" for dp, mag in zip(self.delta_phi, row)]
-        return "\n".join(lines) + "\n"
+        return csv_text(("eta_d", "delta_phi", "magnitude"),
+                        ((eta, dp, mag) for eta, row in zip(self.eta_d, self.magnitude)
+                         for dp, mag in zip(self.delta_phi, row)))
 
     def to_json(self) -> str:
-        payload = {"eta_d": self.eta_d.tolist(), "delta_phi": self.delta_phi.tolist(),
-                   "magnitude": self.magnitude.tolist()}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json_text({"eta_d": self.eta_d.tolist(), "delta_phi": self.delta_phi.tolist(),
+                          "magnitude": self.magnitude.tolist()})
 
 
 def dressed_map(resonance_order: int, eta_grid, delta_phi_grid) -> DressedMapResult:

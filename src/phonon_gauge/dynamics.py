@@ -15,13 +15,13 @@ parameter points of a scan may run concurrently.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
+from ._text import csv_text, json_text
 from .couplings import CouplingMatrix, dressed_factor, bare_coupling_matrix, \
     effective_coupling_matrix
 from .fock import FockSpace, build_fock_space, displacement_exponential, \
@@ -299,22 +299,18 @@ class EvolutionResult:
         return self.populations.sum(axis=1)
 
     def to_csv(self) -> str:
-        head = "time," + ",".join(f"n_{k+1}" for k in range(self.n_sites)) + ",norm"
-        lines = [head]
-        for t, row, nrm in zip(self.times, self.populations, self.norms):
-            vals = ",".join(format(v, ".17g") for v in row)
-            lines.append(f"{t:.17g},{vals},{nrm:.17g}")
-        return "\n".join(lines) + "\n"
+        header = ["time"] + [f"n_{k+1}" for k in range(self.n_sites)] + ["norm"]
+        return csv_text(header, ((t, *row, nrm) for t, row, nrm
+                                 in zip(self.times, self.populations, self.norms)))
 
     def to_json(self) -> str:
-        payload = {
+        return json_text({
             "model": self.model,
             "parameters": self.parameters,
             "times": self.times.tolist(),
             "populations": self.populations.tolist(),
             "norms": self.norms.tolist(),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        })
 
 
 def _populations(space: FockSpace, psi: np.ndarray) -> np.ndarray:
@@ -432,28 +428,22 @@ class LinkScanResult:
     defined: np.ndarray
 
     def to_csv(self) -> str:
-        lines = ["delta_phi,t_star,n2_effective,n2_exact,defined"]
-        for k in range(self.delta_phi.size):
-            lines.append(
-                f"{self.delta_phi[k]:.17g},{self.t_star[k]:.17g},"
-                f"{self.n2_effective[k]:.17g},{self.n2_exact[k]:.17g},"
-                f"{int(self.defined[k])}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(("delta_phi", "t_star", "n2_effective", "n2_exact", "defined"),
+                        zip(self.delta_phi, self.t_star, self.n2_effective, self.n2_exact,
+                            self.defined.astype(int).tolist()))
 
     def to_json(self) -> str:
         """JSON with null where a point is undefined (coupling below threshold)."""
         def masked(values):
             return [v if d else None for v, d in zip(values.tolist(), self.defined)]
 
-        payload = {
+        return json_text({
             "delta_phi": self.delta_phi.tolist(),
             "t_star": masked(self.t_star),
             "n2_effective": masked(self.n2_effective),
             "n2_exact": masked(self.n2_exact),
             "defined": self.defined.tolist(),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        })
 
 
 def link_point(delta_phi: float, *, gradient=0.05, coulomb_beta=0.002,
@@ -505,7 +495,7 @@ def plaquette_experiment(flux: float, *, rabi_frequency: float, n_max: int = 2,
                          lamb_dicke=0.2, resonance_order=1, direction="z",
                          window: float | None = None, samples: int = 601,
                          time_step_divisor: int = 40, initial_site: int = 0,
-                         cutoff_range: float = 3.0):
+                         cutoff_range: float = 3.0, base_frequency: float = 1.0):
     """Four-site interference experiment; returns (effective, exact) results.
 
     The geometry is tuned so every ring bond of the dressed model has the
@@ -520,7 +510,8 @@ def plaquette_experiment(flux: float, *, rabi_frequency: float, n_max: int = 2,
     eta_d = drive_probe.eta_d
     f_mag = abs(dressed_factor(resonance_order, eta_d, math.pi))
     array = build_array("plaquette", (2, 2), spacing_y=f_mag ** (-1.0 / 3.0),
-                        gradient=gradient, coulomb_beta=coulomb_beta)
+                        base_frequency=base_frequency, gradient=gradient,
+                        coulomb_beta=coulomb_beta)
     space = build_fock_space(4, n_max)
     psi0 = single_phonon_state(space, initial_site)
 

@@ -7,13 +7,13 @@ mapped over workers with no shared mutable state.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
 
+from ._text import csv_text, json_text
 from .couplings import dressed_factor
 from .model import DriveSpec
 
@@ -293,13 +293,12 @@ class LadderSpectrumResult:
         for e in edges:
             if math.isinf(e["localization_length"]):
                 e["localization_length"] = None
-        payload = {
+        return json_text({
             "spectrum": self.spectrum.to_json_dict(),
             "flat_bands": [asdict(c) for c in self.flat_bands],
             "gap_windows": [list(w) for w in self.gap_windows],
             "edge_states": edges,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        })
 
 
 def ladder_spectrum(n_cells: int, j1: float, j2: float, phi: float,
@@ -327,9 +326,8 @@ class CustomSpectrumResult:
     spectrum: SpectrumResult
 
     def to_json(self) -> str:
-        payload = {"layout": self.layout, "n_sites": self.n_sites,
-                   "spectrum": self.spectrum.to_json_dict()}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json_text({"layout": self.layout, "n_sites": self.n_sites,
+                          "spectrum": self.spectrum.to_json_dict()})
 
 
 @dataclass(frozen=True)
@@ -339,12 +337,21 @@ class FluxSweepResult:
     gaps: np.ndarray
 
     def to_csv(self) -> str:
-        lines = ["phi," + ",".join(f"E_{k+1}" for k in range(self.eigenvalues.shape[1]))
-                 + ",min_gap"]
-        for phi, row, gap in zip(self.fluxes, self.eigenvalues, self.gaps):
-            vals = ",".join(format(v, ".17g") for v in row)
-            lines.append(f"{phi:.17g},{vals},{gap:.17g}")
-        return "\n".join(lines) + "\n"
+        header = ["phi"] + [f"E_{k+1}" for k in range(self.eigenvalues.shape[1])] + ["min_gap"]
+        return csv_text(header, ((phi, *row, gap) for phi, row, gap
+                                 in zip(self.fluxes, self.eigenvalues, self.gaps)))
+
+
+@dataclass(frozen=True)
+class ButterflyResult:
+    """Square-lattice spectra over a grid of flux per plaquette."""
+
+    alphas: np.ndarray
+    eigenvalues: np.ndarray  # shape (n_alpha, n_states)
+
+    def to_csv(self) -> str:
+        return csv_text(["alpha"] + [f"E_{k+1}" for k in range(self.eigenvalues.shape[1])],
+                        ((alpha, *row) for alpha, row in zip(self.alphas, self.eigenvalues)))
 
 
 def _eigenvalues_at(model_builder, phi: float) -> np.ndarray:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from phonon_gauge import cli
-from phonon_gauge.config import parse_config
+from phonon_gauge.config import EXPERIMENTS, SCHEMA, ExperimentConfig, parse_config
 from phonon_gauge.dynamics import IntegrationError
 
 
@@ -228,10 +228,35 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise IntegrationError("norm drifted; dt = 1.0 is too large")
 
-    monkeypatch.setitem(cli._RUNNERS, "fig2a_dressed_map", boom)
+    result_type, _ = cli._RUNNERS["fig2a_dressed_map"]
+    monkeypatch.setitem(cli._RUNNERS, "fig2a_dressed_map", (result_type, boom))
     code, _ = _simulate(tmp_path, SMALL_MAP)
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_internal_fault_is_not_a_config_error(tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise KeyError("missing_table_entry")
+
+    result_type, _ = cli._RUNNERS["fig2a_dressed_map"]
+    monkeypatch.setitem(cli._RUNNERS, "fig2a_dressed_map", (result_type, boom))
+    code, _ = _simulate(tmp_path, SMALL_MAP)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: KeyError: 'missing_table_entry'\n"
+
+
+def test_out_that_cannot_be_created_is_a_config_error(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("computed despite an unusable --out")
+
+    monkeypatch.setitem(cli._RUNNERS, "fig2a_dressed_map",
+                        (cli._RUNNERS["fig2a_dressed_map"][0], never))
+    (tmp_path / "blocker").write_text("a regular file")
+    code, _ = _simulate(tmp_path, SMALL_MAP, out_name="blocker/out")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: --out: ")
 
 
 def test_env_var_overrides_out(tmp_path, monkeypatch):
@@ -257,3 +282,44 @@ def test_run_experiment_library_entry(tmp_path):
     files = cli.run_experiment(cfg, tmp_path / "lib_out")
     assert files[-1] == "manifest.json"
     assert (tmp_path / "lib_out" / "dressed_map.csv").exists()
+
+
+def test_plaquette_uses_base_frequency(tmp_path):
+    text = "experiment = fig2cd_plaquette\nnumerics.window = 50\nnumerics.samples = 4\n"
+    data = []
+    for omega in ("1.0", "2.0"):
+        code, out = _simulate(tmp_path, text + f"array.base_frequency = {omega}\n", omega)
+        assert code == 0
+        data.append((out / "plaquette_exact.csv").read_bytes())
+    assert data[0] != data[1]
+
+
+#: Small configs that together run every branch of each runner.
+READ_CASES = {
+    "fig2a_dressed_map": [SMALL_MAP],
+    "fig2b_link_scan": ["experiment = fig2b_link_scan\nscan.points = 2\n"],
+    "fig2cd_plaquette": ["experiment = fig2cd_plaquette\nnumerics.window = 50\n"
+                         "numerics.samples = 2\n"],
+    "fig2e_ladder_spectrum": ["experiment = fig2e_ladder_spectrum\nladder.cells = 2\n"],
+    "fig2f_flux_sweep": ["experiment = fig2f_flux_sweep\nsweep.points = 2\nladder.cells = 1\n"],
+    "butterfly": ["experiment = butterfly\nbutterfly.size = 2\nbutterfly.points = 2\n"],
+    "custom": ["experiment = custom\narray.layout = link\n",
+               "experiment = custom\narray.layout = link\ndrive.mode = cosine\n"],
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_runner_reads_every_key_the_schema_accepts(tmp_path, monkeypatch, experiment):
+    read = set()
+    getitem = ExperimentConfig.__getitem__
+
+    def recording_getitem(self, key):
+        read.add(key)
+        return getitem(self, key)
+
+    monkeypatch.setattr(ExperimentConfig, "__getitem__", recording_getitem)
+    for k, text in enumerate(READ_CASES[experiment]):
+        cli.run_experiment(parse_config(text), tmp_path / str(k))
+    accepted = {key for key, spec in SCHEMA.items() if experiment in spec.experiments}
+    # `experiment` itself is read as config.experiment, to pick the runner
+    assert sorted(accepted - read - {"experiment"}) == []

