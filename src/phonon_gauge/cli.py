@@ -186,13 +186,17 @@ def run_experiment(config: ExperimentConfig, out_dir, fmt: str | None = None,
                           f"{' and '.join(writes)}, got {fmt}")
     if jobs < 1:
         violations.append(f"--jobs: must be >= 1, got {jobs}")
-    if violations:
-        raise ConfigError(violations)
     out = Path(out_dir)
+    new_dirs = [p for p in (out, *out.parents) if not os.path.exists(p)]  # deepest first
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError([f"--out: {exc}"]) from None
+        violations.append(f"--out: {exc}")
+    if violations:  # leave no directory behind from a run that never starts
+        for path in new_dirs:
+            if os.path.isdir(path):
+                path.rmdir()
+        raise ConfigError(violations)
     start = time.perf_counter()
     results, resolved = runner(config, _fork_map(jobs))
     files = [_write(out / f"{stem}.{fmt}", getattr(result, f"to_{fmt}")())

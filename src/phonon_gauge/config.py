@@ -107,69 +107,64 @@ def _gt(bound):
 
 @dataclass(frozen=True)
 class FieldSpec:
+    """Parser and range check of one key; the presets that list it consume it."""
+
     parse: object
-    experiments: frozenset
     check: object = None
-    help: str = ""
 
 
-def _f(parse, experiments, check=None, help=""):
-    return FieldSpec(parse=parse, experiments=frozenset(experiments), check=check, help=help)
-
-
-_DYNAMIC = ("fig2b_link_scan", "fig2cd_plaquette")
 _LADDERS = ("fig2e_ladder_spectrum", "fig2f_flux_sweep")
-_ALL = EXPERIMENTS
 
 SCHEMA: dict[str, FieldSpec] = {
-    "experiment": _f(_enum(*EXPERIMENTS), _ALL, help="which preset to run"),
-    "output.format": _f(_enum("csv", "json"), _ALL),
-    "direction": _f(_enum("x", "y", "z"), _DYNAMIC + ("custom",)),
+    "experiment": FieldSpec(_enum(*EXPERIMENTS)),
+    "output.format": FieldSpec(_enum("csv", "json")),
+    "direction": FieldSpec(_enum("x", "y", "z")),
     # dressed-coupling map
-    "map.eta_max": _f(_parse_float, ("fig2a_dressed_map",), _gt(0)),
-    "map.eta_points": _f(_parse_int, ("fig2a_dressed_map",), _ge(2)),
-    "map.phase_points": _f(_parse_int, ("fig2a_dressed_map",), _ge(2)),
+    "map.eta_max": FieldSpec(_parse_float, _gt(0)),
+    "map.eta_points": FieldSpec(_parse_int, _ge(2)),
+    "map.phase_points": FieldSpec(_parse_int, _ge(2)),
     # array geometry / Coulomb scale
-    "array.layout": _f(_enum("link", "plaquette", "rhombic_ladder", "square"), ("custom",)),
-    "array.nx": _f(_parse_int, ("custom",), _ge(1)),
-    "array.ny": _f(_parse_int, ("custom",), _ge(1)),
-    "array.cells": _f(_parse_int, ("custom",), _ge(1)),
-    "array.spacing_x": _f(_parse_float, ("custom",), _gt(0)),
-    "array.spacing_y": _f(_parse_float, ("custom",), _gt(0)),
-    "array.base_frequency": _f(_parse_float, _DYNAMIC + ("custom",), _gt(0)),
-    "array.gradient": _f(_parse_float, _DYNAMIC + ("custom",)),
-    "array.beta": _f(_parse_float, _DYNAMIC + ("custom",), _gt(0)),
+    "array.layout": FieldSpec(_enum("link", "plaquette", "rhombic_ladder", "square")),
+    "array.nx": FieldSpec(_parse_int, _ge(1)),
+    "array.ny": FieldSpec(_parse_int, _ge(1)),
+    "array.cells": FieldSpec(_parse_int, _ge(1)),
+    "array.spacing_x": FieldSpec(_parse_float, _gt(0)),
+    "array.spacing_y": FieldSpec(_parse_float, _gt(0)),
+    "array.base_frequency": FieldSpec(_parse_float, _gt(0)),
+    "array.gradient": FieldSpec(_parse_float),
+    "array.beta": FieldSpec(_parse_float, _gt(0)),
     # drive
-    "drive.mode": _f(_enum("cosine", "laser"), ("custom",)),
-    "drive.rabi_frequency": _f(_parse_float, _DYNAMIC + ("custom",), _ge(0)),
-    "drive.beat_frequency": _f(_parse_float, _DYNAMIC + ("custom",), _gt(0)),
-    "drive.lamb_dicke": _f(_parse_float, _DYNAMIC + ("custom",), _ge(0)),
-    "drive.strength": _f(_parse_float, ("custom",), _ge(0)),
-    "drive.resonance_order": _f(_parse_int, ("fig2a_dressed_map",) + _DYNAMIC + ("custom",), _ge(1)),
-    "drive.phase_x": _f(_parse_angle, ("custom",)),
-    "drive.phase_y": _f(_parse_angle, ("custom",)),
+    "drive.mode": FieldSpec(_enum("cosine", "laser")),
+    "drive.rabi_frequency": FieldSpec(_parse_float, _ge(0)),
+    "drive.beat_frequency": FieldSpec(_parse_float, _gt(0)),
+    "drive.lamb_dicke": FieldSpec(_parse_float, _ge(0)),
+    "drive.strength": FieldSpec(_parse_float, _ge(0)),
+    "drive.resonance_order": FieldSpec(_parse_int, _ge(1)),
+    "drive.phase_x": FieldSpec(_parse_angle),
+    "drive.phase_y": FieldSpec(_parse_angle),
     # experiment-specific knobs
-    "plaquette.flux": _f(_parse_flux_token, ("fig2cd_plaquette",)),
-    "scan.points": _f(_parse_int, ("fig2b_link_scan",), _ge(2)),
-    "ladder.cells": _f(_parse_int, _LADDERS, _ge(1)),
-    "ladder.j1": _f(_parse_float, _LADDERS, _gt(0)),
-    "ladder.j2": _f(_parse_float, _LADDERS, _ge(0)),
-    "ladder.flux": _f(_parse_angle, ("fig2e_ladder_spectrum",)),
-    "ladder.boundary": _f(_enum("open", "periodic"), ("fig2e_ladder_spectrum",)),
-    "sweep.points": _f(_parse_int, ("fig2f_flux_sweep",), _ge(2)),
-    "sweep.boundary": _f(_enum("open", "periodic"), ("fig2f_flux_sweep",)),
-    "butterfly.size": _f(_parse_int, ("butterfly",), _ge(2)),
-    "butterfly.points": _f(_parse_int, ("butterfly",), _ge(2)),
-    "butterfly.j_x": _f(_parse_float, ("butterfly",), _gt(0)),
-    "butterfly.j_y": _f(_parse_float, ("butterfly",), _gt(0)),
-    "butterfly.m_max": _f(_parse_int, ("butterfly",), _ge(1)),
-    "butterfly.boundary": _f(_enum("open", "periodic"), ("butterfly",)),
+    "plaquette.flux": FieldSpec(_parse_flux_token),
+    "scan.points": FieldSpec(_parse_int, _ge(2)),
+    "ladder.cells": FieldSpec(_parse_int, _ge(1)),
+    "ladder.j1": FieldSpec(_parse_float, _gt(0)),
+    "ladder.j2": FieldSpec(_parse_float, _ge(0)),
+    "ladder.flux": FieldSpec(_parse_angle),
+    "ladder.boundary": FieldSpec(_enum("open", "periodic")),
+    "sweep.points": FieldSpec(_parse_int, _ge(2)),
+    "sweep.boundary": FieldSpec(_enum("open", "periodic")),
+    "butterfly.size": FieldSpec(_parse_int, _ge(2)),
+    "butterfly.points": FieldSpec(_parse_int, _ge(2)),
+    "butterfly.j_x": FieldSpec(_parse_float, _gt(0)),
+    "butterfly.j_y": FieldSpec(_parse_float, _gt(0)),
+    "butterfly.m_max": FieldSpec(_parse_int, _ge(1)),
+    "butterfly.boundary": FieldSpec(_enum("open", "periodic")),
     # numerics
-    "numerics.n_max": _f(_parse_int, _DYNAMIC, _ge(0)),
-    "numerics.samples": _f(_parse_int, ("fig2cd_plaquette",), _ge(2)),
-    "numerics.time_step_divisor": _f(_parse_int, _DYNAMIC, _ge(1)),
-    "numerics.cutoff_range": _f(_parse_float, ("fig2cd_plaquette", "custom"), _ge(1)),
-    "numerics.window": _f(_parse_float, ("fig2cd_plaquette",), _gt(0)),
+    # both exact-drive presets start from one phonon
+    "numerics.n_max": FieldSpec(_parse_int, _ge(1)),
+    "numerics.samples": FieldSpec(_parse_int, _ge(2)),
+    "numerics.time_step_divisor": FieldSpec(_parse_int, _ge(1)),
+    "numerics.cutoff_range": FieldSpec(_parse_float, _ge(1)),
+    "numerics.window": FieldSpec(_parse_float, _gt(0)),
 }
 
 _REQUIRED = {"custom": ("array.layout",)}
@@ -335,7 +330,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if spec is None:
             violations.append(f"{key}: unknown key")
             continue
-        if experiment not in spec.experiments:
+        if key not in PRESETS[experiment]:
             violations.append(f"{key}: not consumed by experiment {experiment}")
             continue
         try:

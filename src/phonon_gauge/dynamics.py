@@ -2,7 +2,7 @@
 
 The integrator is a fixed-step 4th-order Magnus scheme (two Gauss-Legendre
 nodes per step) on a grid that divides the drive period into equal steps.
-Each step generator is six real coefficients times a table of fixed
+Each step generator is five real coefficients times a table of fixed
 matrices, and its exponential is a Taylor polynomial whose degree is fixed
 before stepping from a bound on the generator's 1-norm, so that the
 truncation stays below 2^-53.  The polynomial is applied to state vectors
@@ -25,7 +25,7 @@ from ._text import csv_text, json_text
 from .couplings import CouplingMatrix, dressed_factor, bare_coupling_matrix, \
     effective_coupling_matrix
 from .fock import FockSpace, build_fock_space, displacement_exponential, \
-    ladder_matrix, single_phonon_state
+    single_phonon_state
 from .model import ConfigurationError, DriveSpec, TrapArray, build_array, laser_drive
 
 _GL_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
@@ -38,6 +38,10 @@ COUPLING_THRESHOLD = 1e-6
 #: Norm drift that aborts an evolution.
 NORM_ABORT = 1e-4
 
+#: A drive V counts as normal when ||[V, V^dag]||_1 <= NORMAL_TOL ||V||_1^2.
+#: Both drive models give a normal V, up to roundoff near 1e-15 relative.
+NORMAL_TOL = 1e-12
+
 
 class IntegrationError(RuntimeError):
     """Time integration failed (norm drift or non-convergent step)."""
@@ -45,25 +49,32 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class DrivenHamiltonian:
-    """H(tau) = static + exp(i modulation tau) drive + h.c.
+    """H(tau) = static + exp(i modulation tau) drive + h.c., periodic in tau.
 
-    `modulation` is a signed angular frequency; `drive` may be None for a
-    purely static operator.  `frequency_scale` is the largest frequency
-    scale present, used for the default step size.
+    `modulation` is a nonzero signed angular frequency, and `drive` must be
+    a normal matrix (see NORMAL_TOL), so that [V, V^dag] drops out of the
+    Magnus generator.  `frequency_scale` is the largest frequency scale
+    present, used for the default step size.
     """
 
     static: np.ndarray
-    drive: np.ndarray | None = None
-    modulation: float = 0.0
-    frequency_scale: float = 1.0
+    drive: np.ndarray
+    modulation: float
+    frequency_scale: float
+
+    def __post_init__(self):
+        if self.modulation == 0:
+            raise ValueError("modulation must be nonzero; evolve a constant matrix directly")
+        v, vd = self.drive, self.drive.conj().T
+        norm = np.abs(v).sum(axis=0).max()  # ||V||_1
+        if np.abs(v @ vd - vd @ v).sum(axis=0).max() > NORMAL_TOL * norm * norm:
+            raise ValueError("drive must be a normal matrix ([V, V^dag] = 0)")
 
     @property
     def dim(self) -> int:
         return self.static.shape[0]
 
     def at(self, tau: float) -> np.ndarray:
-        if self.drive is None:
-            return self.static.copy()
         f = np.exp(1j * self.modulation * tau)
         return self.static + f * self.drive + np.conj(f) * self.drive.conj().T
 
@@ -78,19 +89,16 @@ def effective_hamiltonian(matrix: CouplingMatrix, space: FockSpace) -> np.ndarra
         raise ValueError(
             f"coupling matrix is {matrix.n}-site but the Fock space has {space.n_sites}"
         )
-    dim = space.dim
-    h = np.zeros((dim, dim), dtype=complex)
-    raises = {}
-    lowers = {}
-    for i in range(space.n_sites):
-        for j in range(space.n_sites):
-            if i == j or matrix.matrix[i, j] == 0:
-                continue
-            if i not in raises:
-                raises[i] = ladder_matrix(space, i, "raise")
-            if j not in lowers:
-                lowers[j] = ladder_matrix(space, j, "lower")
-            h += matrix.matrix[i, j] * (raises[i] @ lowers[j])
+    occ = space.occupation_table()
+    stride = space.local_dim ** np.arange(space.n_sites - 1, -1, -1)
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    for i, j in zip(*np.nonzero(matrix.matrix)):
+        if i == j:
+            continue
+        # a_i^dag a_j |n> = sqrt(n_i + 1) sqrt(n_j) |n + e_i - e_j> inside the truncation
+        cols = np.flatnonzero((occ[j] > 0) & (occ[i] < space.n_max))
+        h[cols + (stride[i] - stride[j]), cols] += matrix.matrix[i, j] * (
+            np.sqrt(occ[i, cols] + 1) * np.sqrt(occ[j, cols]))
     return h
 
 
@@ -206,24 +214,25 @@ class _PeriodGrid:
 
     H(t) = Hs + f V + conj(f) V^dag with f = exp(i w t) repeats with period
     T = 2 pi / |w|, so step j uses the coefficients of step j mod n.  With
-    f1, f2 at the two Gauss-Legendre nodes, (f1 + f2) / 2 = a + ib,
-    f2 - f1 = p + iq and s = Im(f1 conj(f2)), the step generator is
+    f1, f2 at the two Gauss-Legendre nodes, (f1 + f2) / 2 = a + ib and
+    f2 - f1 = p + iq, the step generator is
       Omega = h (-i Hs) + h a (-i (V + V^dag)) + h b (V - V^dag)
-              + C h^2 [p ([Hs,V] + [Hs,V^dag]) + q i ([Hs,V] - [Hs,V^dag])
-                       + s 2i [V,V^dag]]
-    with C = sqrt(3) / 12: six real coefficients times a fixed table of
-    anti-Hermitian matrices.
+              + C h^2 [p ([Hs,V] + [Hs,V^dag]) + q i ([Hs,V] - [Hs,V^dag])]
+    with C = sqrt(3) / 12: five real coefficients times a fixed table of
+    anti-Hermitian matrices.  The commutator [H(t1), H(t2)] also holds a
+    term Im(f1 conj(f2)) 2i [V,V^dag], which vanishes for the normal V that
+    DrivenHamiltonian requires.
     """
 
-    def __init__(self, model: DrivenHamiltonian, dt: float, period: float):
+    def __init__(self, model: DrivenHamiltonian, dt: float):
+        period = 2.0 * math.pi / abs(model.modulation)
         self.n = max(1, math.ceil(period / dt - 1e-12))
         self.h = h = period / self.n
         self.mod = model.modulation
         dim = model.dim
         hs = model.static - (np.trace(model.static).real / dim) * np.eye(dim)  # global phase
-        v = model.drive if model.drive is not None else np.zeros_like(hs)
-        vd = v.conj().T
-        self.table = tab = np.empty((6, dim, dim), dtype=complex)
+        v, vd = model.drive, model.drive.conj().T
+        self.table = tab = np.empty((5, dim, dim), dtype=complex)
         np.multiply(hs, -1j, out=tab[0])
         np.add(v, vd, out=tab[1])
         tab[1] *= -1j
@@ -233,17 +242,13 @@ class _PeriodGrid:
         np.subtract(comm, comm.conj().T, out=tab[3])
         np.add(comm, comm.conj().T, out=tab[4])
         tab[4] *= 1j
-        np.matmul(v, vd, out=tab[5])
-        tab[5] -= vd @ v
-        tab[5] *= 2j
-        self._flat = tab.reshape(6, -1).view(np.float64)
-        # ||M_k||_1 with |(f1 + f2) / 2| <= 1, |f2 - f1| <= min(x, 2) and
-        # |s| <= min(x, 1), x the drive phase between the nodes.  The bound
-        # grows with h, so it covers the shorter partial steps too.
-        n0, n1, n2, n3, n4, n5 = (np.abs(mat).sum(axis=0).max() for mat in tab)
+        self._flat = tab.reshape(5, -1).view(np.float64)
+        # ||M_k||_1 with |(f1 + f2) / 2| <= 1 and |f2 - f1| <= min(x, 2), x the
+        # drive phase between the nodes.  The bound grows with h, so it covers
+        # the shorter partial steps too.
+        n0, n1, n2, n3, n4 = (np.abs(mat).sum(axis=0).max() for mat in tab)
         x = abs(self.mod) * h / math.sqrt(3.0)
-        beta = (h * (n0 + math.hypot(n1, n2))
-                + _GL_COMM * h * h * (min(x, 2.0) * math.hypot(n3, n4) + min(x, 1.0) * n5))
+        beta = h * (n0 + math.hypot(n1, n2)) + _GL_COMM * h * h * min(x, 2.0) * math.hypot(n3, n4)
         self.degree = _taylor_degree(beta, h)
         self.coefs = self.coefficients(np.arange(self.n) * h, h)
 
@@ -253,8 +258,7 @@ class _PeriodGrid:
         f1 = np.exp(1j * self.mod * (t + _GL_NODES[0] * h))
         f2 = np.exp(1j * self.mod * (t + _GL_NODES[1] * h))
         fm, df, ch2 = 0.5 * (f1 + f2), f2 - f1, _GL_COMM * h * h
-        return np.stack((h, h * fm.real, h * fm.imag, ch2 * df.real, ch2 * df.imag,
-                         ch2 * (f1 * np.conj(f2)).imag), axis=-1)
+        return np.stack((h, h * fm.real, h * fm.imag, ch2 * df.real, ch2 * df.imag), axis=-1)
 
     def omega(self, row: np.ndarray) -> np.ndarray:
         return (row @ self._flat).view(complex).reshape(self.table.shape[1:])
@@ -327,10 +331,10 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     its eigensystem) or a DrivenHamiltonian (structured fixed-step Magnus
     scheme; `model.at(tau)` gives its matrix at one instant).  The output
     grid has `samples` points on [0, t_final].  Magnus steps of size
-    h = T / ceil(T / dt) fill the drive period T (the sample spacing for an
-    undriven model); each sample is one partial step from the last grid
-    point.  Stretches of whole periods without a sample are crossed with
-    the one-period propagator when that costs fewer flops than stepping.
+    h = T / ceil(T / dt) fill the drive period T; each sample is one partial
+    step from the last grid point.  Stretches of whole periods without a
+    sample are crossed with the one-period propagator when that costs fewer
+    flops than stepping.
     Aborts if the norm drifts beyond 1e-4.
     """
     if t_final <= 0:
@@ -358,10 +362,7 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         raise TypeError("hamiltonian must be a matrix or a DrivenHamiltonian")
     if dt is None:
         dt = default_time_step(hamiltonian, time_step_divisor)
-    periodic = hamiltonian.drive is not None and hamiltonian.modulation != 0
-    grid = _PeriodGrid(hamiltonian, dt,
-                       2.0 * math.pi / abs(hamiltonian.modulation) if periodic
-                       else t_final / (samples - 1))
+    grid = _PeriodGrid(hamiltonian, dt)
     h, n, m = grid.h, grid.n, grid.degree
 
     # grid point at or below each sample, and the partial step beyond it
@@ -509,6 +510,10 @@ def plaquette_experiment(flux: float, *, rabi_frequency: float, n_max: int = 2,
                               resonance_order, phase_x=math.pi, phase_y=flux)
     eta_d = drive_probe.eta_d
     f_mag = abs(dressed_factor(resonance_order, eta_d, math.pi))
+    if f_mag == 0:
+        raise ConfigurationError(f"the dressed ring bond vanishes: |F_{resonance_order}"
+                                 f"(eta_d, pi)| = 0 at eta_d = {eta_d}; the ring needs a "
+                                 "nonzero drive")
     array = build_array("plaquette", (2, 2), spacing_y=f_mag ** (-1.0 / 3.0),
                         base_frequency=base_frequency, gradient=gradient,
                         coulomb_beta=coulomb_beta)

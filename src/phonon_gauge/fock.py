@@ -12,15 +12,12 @@ from functools import lru_cache
 
 import numpy as np
 
-#: Hard cap on Hilbert-space size at construction time.
-DEFAULT_MAX_DIM = 1_000_000
-
-#: Dense operators are only materialised up to this dimension.
+#: Largest Fock dimension a space may have; every operator on it is dense.
 DENSE_OPERATOR_LIMIT = 4096
 
 
 class CapacityError(ValueError):
-    """Requested space or operator exceeds the configured size limits."""
+    """Requested space exceeds the dense-operator limit."""
 
 
 @dataclass(frozen=True)
@@ -73,23 +70,16 @@ def _occupation_table(n_sites: int, n_max: int) -> np.ndarray:
     return table
 
 
-def build_fock_space(n_sites: int, n_max: int, max_dim: int = DEFAULT_MAX_DIM) -> FockSpace:
+def build_fock_space(n_sites: int, n_max: int) -> FockSpace:
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     dim = (n_max + 1) ** n_sites
-    if dim > max_dim:
-        raise CapacityError(f"Fock dimension {dim} exceeds the limit {max_dim}")
+    if dim > DENSE_OPERATOR_LIMIT:
+        raise CapacityError(f"Fock dimension {dim} ({n_sites} sites, n_max = {n_max}) "
+                            f"exceeds the dense-operator limit {DENSE_OPERATOR_LIMIT}")
     return FockSpace(n_sites=n_sites, n_max=n_max)
-
-
-def _check_dense(space: FockSpace):
-    if space.dim > DENSE_OPERATOR_LIMIT:
-        raise CapacityError(
-            f"dense operators are limited to dimension {DENSE_OPERATOR_LIMIT}, "
-            f"requested {space.dim}"
-        )
 
 
 def _check_site(space: FockSpace, site: int):
@@ -116,7 +106,6 @@ def ladder_matrix(space: FockSpace, site: int, kind: str) -> np.ndarray:
     kind "lower" maps |n> to sqrt(n) |n-1>, "raise" is its adjoint on the
     truncated space, "number" is the diagonal occupation operator.
     """
-    _check_dense(space)
     _check_site(space, site)
     a = _local_lowering(space.n_max)
     if kind == "lower":
@@ -138,7 +127,6 @@ def displacement_exponential(space: FockSpace, site: int, eta: float) -> np.ndar
     evolution norm-preserving; the truncation itself converges like the
     vacuum overlap exp(-eta^2/2).
     """
-    _check_dense(space)
     _check_site(space, site)
     if eta < 0:
         raise ValueError("eta must be >= 0")

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from phonon_gauge import cli
-from phonon_gauge.config import EXPERIMENTS, SCHEMA, ExperimentConfig, parse_config
+from phonon_gauge import cli, dynamics
+from phonon_gauge.config import EXPERIMENTS, PRESETS, ExperimentConfig, parse_config
 from phonon_gauge.dynamics import IntegrationError
 
 
@@ -197,6 +197,47 @@ def test_oversized_lattice_is_a_config_error(tmp_path, monkeypatch, capsys, text
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    "experiment = fig2cd_plaquette\n",
+    "experiment = fig2b_link_scan\nscan.points = 3\n",
+], ids=["fig2cd_plaquette", "fig2b_link_scan"])
+def test_n_max_zero_is_a_range_violation(tmp_path, capsys, text):
+    code, _ = _simulate(tmp_path, text + "numerics.n_max = 0\n")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: numerics.n_max: range violation, must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("key", ["drive.rabi_frequency", "drive.lamb_dicke"])
+def test_ring_without_drive_is_a_config_error(tmp_path, capsys, key):
+    code, out = _simulate(tmp_path, f"experiment = fig2cd_plaquette\n{key} = 0\n")
+    assert code == 1
+    assert "config error: the dressed ring bond vanishes" in capsys.readouterr().err
+    assert not (out / "plaquette_exact.csv").exists()
+
+
+def test_ring_above_the_fock_limit_is_a_config_error(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("exact-drive model built above the Fock-space limit")
+
+    monkeypatch.setattr(dynamics, "laser_driven_model", never)
+    code, _ = _simulate(tmp_path, "experiment = fig2cd_plaquette\nnumerics.n_max = 8\n")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: Fock dimension 6561 (4 sites, n_max = 8) exceeds the "
+        "dense-operator limit 4096\n")
+
+
+def test_jobs_and_out_violations_are_listed_together(tmp_path, capsys):
+    (tmp_path / "blocker").write_text("a regular file")
+    code, _ = _simulate(tmp_path, SMALL_MAP, out_name="blocker/out", extra=("--jobs", "0"))
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "config error: --jobs: must be >= 1, got 0"
+    assert err[1].startswith("config error: --out: ")
+    assert len(err) == 2
+
+
 def test_custom_spectrum(tmp_path):
     text = "experiment = custom\narray.layout = rhombic_ladder\narray.cells = 3\n"
     code, out = _simulate(tmp_path, text)
@@ -320,6 +361,4 @@ def test_runner_reads_every_key_the_schema_accepts(tmp_path, monkeypatch, experi
     monkeypatch.setattr(ExperimentConfig, "__getitem__", recording_getitem)
     for k, text in enumerate(READ_CASES[experiment]):
         cli.run_experiment(parse_config(text), tmp_path / str(k))
-    accepted = {key for key, spec in SCHEMA.items() if experiment in spec.experiments}
-    # `experiment` itself is read as config.experiment, to pick the runner
-    assert sorted(accepted - read - {"experiment"}) == []
+    assert sorted(set(PRESETS[experiment]) - read) == []

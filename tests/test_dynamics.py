@@ -6,7 +6,8 @@ import pytest
 from scipy.linalg import expm
 
 from phonon_gauge import dynamics
-from phonon_gauge.couplings import bare_coupling_matrix
+from phonon_gauge.couplings import CouplingMatrix, bare_coupling_matrix, \
+    effective_coupling_matrix
 from phonon_gauge.dynamics import (
     DrivenHamiltonian,
     IntegrationError,
@@ -19,7 +20,8 @@ from phonon_gauge.dynamics import (
     plaquette_experiment,
 )
 from phonon_gauge.dynamics import _populations
-from phonon_gauge.fock import basis_state, build_fock_space, single_phonon_state
+from phonon_gauge.fock import basis_state, build_fock_space, ladder_matrix, \
+    single_phonon_state
 from phonon_gauge.model import ConfigurationError, build_array, cosine_drive, laser_drive
 
 
@@ -36,8 +38,6 @@ def link_setup():
 
 def test_effective_hamiltonian_zero_matrix(link_setup):
     arr, space, bare = link_setup
-    from phonon_gauge.couplings import CouplingMatrix
-
     zero = CouplingMatrix(matrix=np.zeros((2, 2), complex), direction="z")
     assert np.all(effective_hamiltonian(zero, space) == 0)
 
@@ -51,6 +51,48 @@ def test_effective_hamiltonian_single_excitation_block(link_setup):
     assert np.vdot(e01, h @ e10) == pytest.approx(j)
     assert np.vdot(e10, h @ e01) == pytest.approx(np.conj(j))
     assert np.abs(h - h.conj().T).max() == 0
+
+
+def _ring_coupling():
+    arr = build_array("plaquette", (2, 2), spacing_y=1.26, gradient=0.05)
+    return effective_coupling_matrix(arr, laser_drive(0.25, 0.05, 0.2, phase_x=math.pi,
+                                                      phase_y=math.pi), "z")
+
+
+def _three_site_coupling():
+    j = np.array([[0, 0.3 - 0.1j, 0.05j], [0, 0, -0.2 + 0.7j], [0, 0, 0]])
+    return CouplingMatrix(matrix=j + j.conj().T, direction="z")
+
+
+@pytest.mark.parametrize("coupling, n_max", [
+    (lambda: bare_coupling_matrix(build_array("link", (2,)), "z"), 0),
+    (lambda: bare_coupling_matrix(build_array("link", (2,), gradient=0.05), "z"), 4),
+    (_ring_coupling, 2),
+    (_three_site_coupling, 3),
+], ids=["link-n_max-0", "link-n_max-4", "ring-n_max-2", "three-site-complex"])
+def test_effective_hamiltonian_matches_ladder_products(coupling, n_max):
+    matrix = coupling()
+    space = build_fock_space(matrix.n, n_max)
+    ref = np.zeros((space.dim, space.dim), dtype=complex)
+    for i in range(matrix.n):
+        for j in range(matrix.n):
+            if i != j and matrix.matrix[i, j] != 0:
+                ref += matrix.matrix[i, j] * (ladder_matrix(space, i, "raise")
+                                              @ ladder_matrix(space, j, "lower"))
+    h = effective_hamiltonian(matrix, space)
+    assert h.tobytes() == ref.tobytes()
+
+
+def test_driven_hamiltonian_is_periodic_with_a_normal_drive(link_setup):
+    arr, space, bare = link_setup
+    static = effective_hamiltonian(bare, space)
+    normal = np.diag(np.arange(space.dim) * (1 + 0.5j))
+    DrivenHamiltonian(static=static, drive=normal, modulation=0.05, frequency_scale=1.0)
+    with pytest.raises(ValueError, match="modulation"):
+        DrivenHamiltonian(static=static, drive=normal, modulation=0.0, frequency_scale=1.0)
+    with pytest.raises(ValueError, match="normal"):
+        DrivenHamiltonian(static=static, drive=ladder_matrix(space, 0, "raise"),
+                          modulation=0.05, frequency_scale=1.0)
 
 
 def test_effective_hamiltonian_dimension_mismatch(link_setup):
@@ -156,10 +198,10 @@ def test_two_level_full_transfer(link_setup):
 def test_stepping_matches_exact_for_constant_h(link_setup):
     arr, space, bare = link_setup
     psi0 = single_phonon_state(space, 0)
-    h = effective_hamiltonian(bare, space)
-    model = DrivenHamiltonian(static=h, frequency_scale=0.01)
+    model = laser_driven_model(arr, laser_drive(0.0, 0.05, 0.2), bare, space)
+    assert not model.drive.any()
     t_final = 200.0
-    exact = evolve(h, psi0, t_final, space=space, samples=5)
+    exact = evolve(model.static, psi0, t_final, space=space, samples=5)
     stepped = evolve(model, psi0, t_final, space=space, samples=5)
     assert np.abs(exact.populations - stepped.populations).max() < 1e-9
 

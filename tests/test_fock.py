@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phonon_gauge.fock import (
+    DENSE_OPERATOR_LIMIT,
     CapacityError,
     basis_state,
     build_fock_space,
@@ -25,9 +26,9 @@ def test_capacity_error():
 
 
 def test_dense_operator_limit():
-    space = build_fock_space(6, 4)  # dim 15625 is fine as a space ...
-    with pytest.raises(CapacityError):
-        ladder_matrix(space, 0, "number")  # ... but too large for dense ops
+    assert build_fock_space(6, 3).dim == DENSE_OPERATOR_LIMIT == 4096
+    with pytest.raises(CapacityError, match="dense-operator limit 4096"):
+        build_fock_space(6, 4)  # dim 15625
 
 
 def test_index_roundtrip_exhaustive_small():
