@@ -26,10 +26,9 @@ from .dynamics import (
     EvolutionResult,
     IntegrationError,
     LinkScanResult,
-    cosine_driven_model,
+    driven_model,
     effective_hamiltonian,
     evolve,
-    laser_driven_model,
     link_transfer_scan,
     plaquette_experiment,
 )

@@ -13,17 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .fock import DENSE_OPERATOR_LIMIT
-
-EXPERIMENTS = (
-    "fig2a_dressed_map",
-    "fig2b_link_scan",
-    "fig2cd_plaquette",
-    "fig2e_ladder_spectrum",
-    "fig2f_flux_sweep",
-    "butterfly",
-    "custom",
-)
+from .fock import DENSE_OPERATOR_LIMIT, CapacityError, build_fock_space
 
 EXPERIMENT_SUMMARIES = {
     "fig2a_dressed_map": "map of the dressed-coupling magnitude over drive strength and phase step",
@@ -34,6 +24,8 @@ EXPERIMENT_SUMMARIES = {
     "butterfly": "square-lattice spectrum vs flux per plaquette",
     "custom": "effective-coupling spectrum for a user-defined array and drive",
 }
+
+EXPERIMENTS = tuple(EXPERIMENT_SUMMARIES)
 
 
 class ConfigError(ValueError):
@@ -114,6 +106,9 @@ class FieldSpec:
 
 
 _LADDERS = ("fig2e_ladder_spectrum", "fig2f_flux_sweep")
+
+#: Sites of the exact-drive Fock space, per experiment.
+_EXACT_DRIVE_SITES = {"fig2b_link_scan": 2, "fig2cd_plaquette": 4}
 
 SCHEMA: dict[str, FieldSpec] = {
     "experiment": FieldSpec(_enum(*EXPERIMENTS)),
@@ -353,6 +348,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if size is not None and size[1] > DENSE_OPERATOR_LIMIT:
         violations.append(f"{size[0]}: the lattice has {size[1]} sites, above the dense "
                           f"limit of {DENSE_OPERATOR_LIMIT}")
+    if experiment in _EXACT_DRIVE_SITES:
+        try:
+            build_fock_space(_EXACT_DRIVE_SITES[experiment], values["numerics.n_max"])
+        except CapacityError as exc:
+            violations.append(str(exc))
 
     if experiment == "fig2cd_plaquette" and values.get("drive.rabi_frequency") is None:
         values["drive.rabi_frequency"] = _PLAQUETTE_RABI[values["plaquette.flux"]]

@@ -1,5 +1,8 @@
 """Driven Hamiltonians and unitary time evolution on the truncated Fock space.
 
+`driven_model` builds the exact lab-frame Hamiltonian, trap diagonal plus
+hopping plus the periodic drive, for both drive modes of `DriveSpec`: the
+direct cosine modulation and the two-photon laser beat.
 The integrator is a fixed-step 4th-order Magnus scheme (two Gauss-Legendre
 nodes per step) on a grid that divides the drive period into equal steps.
 Each step generator is five real coefficients times a table of fixed
@@ -112,45 +115,35 @@ def _hop_scale(matrix: CouplingMatrix) -> float:
     return float(np.abs(matrix.matrix).sum(axis=1).max()) if matrix.n else 0.0
 
 
-def cosine_driven_model(array: TrapArray, drive: DriveSpec, bare: CouplingMatrix,
-                        space: FockSpace, direction: str = "z") -> DrivenHamiltonian:
-    """Lab-frame trap + hopping with direct cosine frequency modulation."""
-    if drive.mode != "cosine":
-        raise ConfigurationError("cosine_driven_model needs a cosine-mode drive")
+def driven_model(array: TrapArray, drive: DriveSpec, bare: CouplingMatrix,
+                 space: FockSpace, direction: str = "z") -> DrivenHamiltonian:
+    """Lab-frame trap + hopping with the periodic drive of `drive`.
+
+    mode "cosine" modulates the trap frequencies directly: the drive term is
+    (eta_d w / 2) sum_i exp(i(phi_i + w tau)) n_i + h.c. with phi_i the site
+    phases.  mode "laser" drives with the full optical beat: the drive term
+    is (rabi/2) sum_i exp(i(theta_i - w tau)) D_i + h.c. with D_i the site
+    displacement exponential of the simulated direction's Lamb-Dicke
+    parameter and theta_i the optical phases.
+    """
     if space.n_sites != array.n_sites:
         raise ValueError("Fock space and array disagree on the site count")
     static = _trap_diagonal(array, space, direction) + effective_hamiltonian(bare, space)
     amp = drive.eta_d * drive.drive_frequency
-    phases = drive.site_phases(array)
-    occ = space.occupation_table()
-    v = np.diag((amp / 2.0) * (np.exp(1j * phases) @ occ.astype(complex)))
-    scale = float(array.frequencies(direction).max()) + amp + _hop_scale(bare)
-    return DrivenHamiltonian(static=static, drive=v, modulation=drive.drive_frequency,
-                             frequency_scale=scale)
-
-
-def laser_driven_model(array: TrapArray, drive: DriveSpec, bare: CouplingMatrix,
-                       space: FockSpace, direction: str = "z") -> DrivenHamiltonian:
-    """Lab-frame trap + hopping driven by the full optical beat.
-
-    The drive term is (rabi/2) sum_i exp(i(theta_i - beat tau)) D_i + h.c.
-    with D_i the site displacement exponential of the simulated direction's
-    Lamb-Dicke parameter and theta_i the optical phases.
-    """
-    if drive.mode != "laser":
-        raise ConfigurationError("laser_driven_model needs a laser-mode drive")
-    if space.n_sites != array.n_sites:
-        raise ValueError("Fock space and array disagree on the site count")
-    static = _trap_diagonal(array, space, direction) + effective_hamiltonian(bare, space)
-    thetas = drive.optical_phases(array)
-    v = np.zeros((space.dim, space.dim), dtype=complex)
-    for i in range(space.n_sites):
-        v += np.exp(1j * thetas[i]) * displacement_exponential(space, i, drive.lamb_dicke)
-    v *= drive.rabi_frequency / 2.0
-    scale = (float(array.frequencies(direction).max())
-             + drive.eta_d * drive.drive_frequency
-             + drive.rabi_frequency + _hop_scale(bare))
-    return DrivenHamiltonian(static=static, drive=v, modulation=-drive.drive_frequency,
+    if drive.mode == "cosine":
+        phases = drive.site_phases(array)
+        occ = space.occupation_table()
+        v = np.diag((amp / 2.0) * (np.exp(1j * phases) @ occ.astype(complex)))
+        modulation, rabi = drive.drive_frequency, 0.0
+    else:
+        thetas = drive.optical_phases(array)
+        v = np.zeros((space.dim, space.dim), dtype=complex)
+        for i in range(space.n_sites):
+            v += np.exp(1j * thetas[i]) * displacement_exponential(space, i, drive.lamb_dicke)
+        v *= drive.rabi_frequency / 2.0
+        modulation, rabi = -drive.drive_frequency, drive.rabi_frequency
+    scale = float(array.frequencies(direction).max()) + amp + rabi + _hop_scale(bare)
+    return DrivenHamiltonian(static=static, drive=v, modulation=modulation,
                              frequency_scale=scale)
 
 
@@ -341,6 +334,8 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         raise ValueError("t_final must be positive")
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalised")
     times = np.linspace(0.0, t_final, samples)
@@ -450,7 +445,7 @@ class LinkScanResult:
 def link_point(delta_phi: float, *, gradient=0.05, coulomb_beta=0.002,
                rabi_frequency=0.75, beat_frequency=0.05, lamb_dicke=0.2,
                resonance_order=1, n_max=4, direction="z", base_frequency=1.0,
-               time_step_divisor=40, coupling_threshold=COUPLING_THRESHOLD):
+               time_step_divisor=40):
     """(t_star, n2_effective, n2_exact, defined) for one phase step."""
     array = build_array("link", (2,), base_frequency=base_frequency,
                         gradient=gradient, coulomb_beta=coulomb_beta)
@@ -459,7 +454,7 @@ def link_point(delta_phi: float, *, gradient=0.05, coulomb_beta=0.002,
     space = build_fock_space(2, n_max)
     eff = effective_coupling_matrix(array, drive, direction)
     j_eff = abs(eff.matrix[1, 0])
-    if j_eff < coupling_threshold:
+    if j_eff < COUPLING_THRESHOLD:
         return math.nan, math.nan, math.nan, False
     t_star = math.pi / (2.0 * j_eff)
     psi0 = single_phonon_state(space, 0)
@@ -469,7 +464,7 @@ def link_point(delta_phi: float, *, gradient=0.05, coulomb_beta=0.002,
     n2_eff = float(res_eff.populations[-1, 1])
 
     bare = bare_coupling_matrix(array, direction)
-    exact = laser_driven_model(array, drive, bare, space, direction)
+    exact = driven_model(array, drive, bare, space, direction)
     res_exact = evolve(exact, psi0, t_star, space=space, samples=2,
                        time_step_divisor=time_step_divisor, label="laser_exact")
     n2_exact = float(res_exact.populations[-1, 1])
@@ -495,14 +490,14 @@ def plaquette_experiment(flux: float, *, rabi_frequency: float, n_max: int = 2,
                          gradient=0.05, coulomb_beta=0.002, beat_frequency=0.05,
                          lamb_dicke=0.2, resonance_order=1, direction="z",
                          window: float | None = None, samples: int = 601,
-                         time_step_divisor: int = 40, initial_site: int = 0,
-                         cutoff_range: float = 3.0, base_frequency: float = 1.0):
+                         time_step_divisor: int = 40, cutoff_range: float = 3.0,
+                         base_frequency: float = 1.0):
     """Four-site interference experiment; returns (effective, exact) results.
 
     The geometry is tuned so every ring bond of the dressed model has the
     same magnitude: d_x = d_y |F_r(eta_d, pi)|^(1/3).  flux selects the
     synthetic plaquette flux through the phase generators (phase_x = pi,
-    phase_y = flux); only 0 and pi are supported.
+    phase_y = flux); only 0 and pi are supported.  The phonon starts on site 0.
     """
     if not (abs(flux) < 1e-12 or abs(flux - math.pi) < 1e-12):
         raise ConfigurationError("plaquette_experiment supports flux 0 or pi")
@@ -518,7 +513,7 @@ def plaquette_experiment(flux: float, *, rabi_frequency: float, n_max: int = 2,
                         base_frequency=base_frequency, gradient=gradient,
                         coulomb_beta=coulomb_beta)
     space = build_fock_space(4, n_max)
-    psi0 = single_phonon_state(space, initial_site)
+    psi0 = single_phonon_state(space, 0)
 
     eff = effective_coupling_matrix(array, drive_probe, direction, cutoff_range,
                                     reference_frequencies=True, diagonal_bonds=False)
@@ -541,7 +536,7 @@ def plaquette_experiment(flux: float, *, rabi_frequency: float, n_max: int = 2,
     res_eff = evolve(effective_hamiltonian(eff, space), psi0, window, space=space,
                      samples=samples, label="effective", parameters=common)
     bare = bare_coupling_matrix(array, direction, cutoff_range)
-    exact_model = laser_driven_model(array, drive_probe, bare, space, direction)
+    exact_model = driven_model(array, drive_probe, bare, space, direction)
     res_exact = evolve(exact_model, psi0, window, space=space, samples=samples,
                        time_step_divisor=time_step_divisor, label="laser_exact",
                        parameters=common)

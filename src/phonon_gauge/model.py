@@ -99,10 +99,10 @@ class DriveSpec:
 
     mode "cosine": direct frequency modulation of strength
     drive_strength * drive_frequency.  mode "laser": a two-photon Raman beat
-    implementing the same modulation with the identifications
-    drive_frequency = beat_frequency,
-    drive_strength * drive_frequency = rabi_frequency * lamb_dicke**2,
-    and site phases of opposite sign to the optical phases.
+    at drive_frequency implementing the same modulation with the
+    identification drive_strength * drive_frequency = rabi_frequency *
+    lamb_dicke**2, and site phases of opposite sign to the optical phases.
+    A laser drive derives drive_strength and accepts none.
 
     Site phases grow linearly with position: phi_i = phase_x*i_x + phase_y*i_y.
     """
@@ -114,7 +114,6 @@ class DriveSpec:
     phase_y: float = 0.0
     drive_strength: float | None = None
     rabi_frequency: float | None = None
-    beat_frequency: float | None = None
     lamb_dicke: float | None = None
 
     def __post_init__(self):
@@ -132,28 +131,22 @@ class DriveSpec:
                 name
                 for name, v in (
                     ("rabi_frequency", self.rabi_frequency),
-                    ("beat_frequency", self.beat_frequency),
                     ("lamb_dicke", self.lamb_dicke),
                 )
                 if v is None
             ]
             if missing:
                 raise ConfigurationError(f"laser mode needs {', '.join(missing)}")
-            if self.beat_frequency <= 0 or self.rabi_frequency < 0 or self.lamb_dicke < 0:
+            if self.rabi_frequency < 0 or self.lamb_dicke < 0:
                 raise ConfigurationError("laser parameters out of range")
-            if abs(self.beat_frequency - self.drive_frequency) > 1e-12:
-                raise ConfigurationError("laser mode requires drive_frequency == beat_frequency")
             if self.drive_strength is not None:
-                derived = self.rabi_frequency * self.lamb_dicke**2 / self.drive_frequency
-                if abs(self.drive_strength - derived) > 1e-12:
-                    raise ConfigurationError(
-                        "drive_strength inconsistent with rabi_frequency * lamb_dicke**2"
-                    )
+                raise ConfigurationError("laser mode derives drive_strength from "
+                                         "rabi_frequency * lamb_dicke**2 / drive_frequency")
 
     @property
     def eta_d(self) -> float:
         """Dimensionless modulation strength (drive amplitude / drive frequency)."""
-        if self.mode == "cosine" or self.drive_strength is not None:
+        if self.mode == "cosine":
             return self.drive_strength
         return self.rabi_frequency * self.lamb_dicke**2 / self.drive_frequency
 
@@ -191,7 +184,6 @@ def laser_drive(rabi_frequency, beat_frequency, lamb_dicke, resonance_order=1,
         phase_x=phase_x,
         phase_y=phase_y,
         rabi_frequency=rabi_frequency,
-        beat_frequency=beat_frequency,
         lamb_dicke=lamb_dicke,
     )
 

@@ -20,8 +20,16 @@ from .model import DriveSpec
 #: Relative tolerance used to verify Hermiticity of eigensystem inputs.
 HERMITICITY_TOL = 1e-12
 
-#: Default eigenvalue clustering tolerance, relative to max |E|.
-DEFAULT_CLUSTER_TOL = 1e-8
+#: Eigenvalue clustering tolerance, relative to max |E|.
+CLUSTER_TOL = 1e-8
+
+#: Fraction of each gap between cluster centers left out at both ends of a
+#: gap window.
+GAP_MARGIN = 0.1
+
+#: A flux sweep counts eigenvalues below this fraction of its largest |E| as
+#: the zero band.
+ZERO_BAND_TOL = 1e-8
 
 
 class NonHermitianError(ValueError):
@@ -165,14 +173,14 @@ def _greedy_clusters(values: np.ndarray, tol: float) -> np.ndarray:
 
 
 def eigensystem(matrix: np.ndarray, *, cells: np.ndarray | None = None,
-                flux: float | None = None,
-                cluster_tol: float | None = None) -> SpectrumResult:
+                flux: float | None = None) -> SpectrumResult:
     """Full spectrum of a Hermitian matrix with deterministic conventions.
 
     Eigenvalues ascend; each eigenvector is rotated so its largest-magnitude
     component is real positive.  Per-state metrics: inverse participation
     ratio sum |v_i|^4 and the probability weight on the outermost cell at
-    each end (sites are their own cells unless `cells` is given).
+    each end (sites are their own cells unless `cells` is given).  Band
+    labels number the clusters of eigenvalues closer than CLUSTER_TOL max |E|.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -190,9 +198,7 @@ def eigensystem(matrix: np.ndarray, *, cells: np.ndarray | None = None,
     first, last = cells.min(), cells.max()
     edge_mask = (cells == first) | (cells == last)
     boundary_weight = prob[edge_mask].sum(axis=0)
-    tol = (cluster_tol if cluster_tol is not None
-           else DEFAULT_CLUSTER_TOL * max(np.abs(vals).max(), 1e-300))
-    labels = _greedy_clusters(vals, tol)
+    labels = _greedy_clusters(vals, CLUSTER_TOL * max(np.abs(vals).max(), 1e-300))
     return SpectrumResult(
         eigenvalues=vals,
         eigenvectors=vecs,
@@ -211,13 +217,9 @@ class BandCluster:
     spread: float
 
 
-def flat_band_report(spectrum: SpectrumResult,
-                     cluster_tol: float | None = None) -> list[BandCluster]:
-    """Greedy 1D clustering of the spectrum: centers, multiplicities, spreads."""
-    vals = spectrum.eigenvalues
-    tol = (cluster_tol if cluster_tol is not None
-           else DEFAULT_CLUSTER_TOL * max(np.abs(vals).max(), 1e-300))
-    labels = _greedy_clusters(vals, tol)
+def flat_band_report(spectrum: SpectrumResult) -> list[BandCluster]:
+    """Center, multiplicity and spread of each band-label cluster of the spectrum."""
+    vals, labels = spectrum.eigenvalues, spectrum.band_labels
     out = []
     for lab in range(labels.max() + 1):
         sel = vals[labels == lab]
@@ -226,12 +228,13 @@ def flat_band_report(spectrum: SpectrumResult,
     return out
 
 
-def gap_windows_from_clusters(clusters: list[BandCluster], trim: float = 0.1):
-    """Open energy intervals between consecutive cluster centers."""
+def gap_windows_from_clusters(clusters: list[BandCluster]):
+    """Open energy intervals between consecutive cluster centers, less GAP_MARGIN
+    of the gap at each end."""
     centers = sorted(c.energy for c in clusters)
     windows = []
     for lo, hi in zip(centers, centers[1:]):
-        margin = trim * (hi - lo)
+        margin = GAP_MARGIN * (hi - lo)
         windows.append((lo + margin, hi - margin))
     return windows
 
@@ -358,13 +361,12 @@ def _eigenvalues_at(model_builder, phi: float) -> np.ndarray:
     return np.linalg.eigvalsh(model_builder(phi))
 
 
-def flux_sweep(model_builder, phi_grid, *, zero_band_size: int | None = None,
-               zero_tol: float = 1e-8, map_fn=map) -> FluxSweepResult:
+def flux_sweep(model_builder, phi_grid, *, map_fn=map) -> FluxSweepResult:
     """Spectra over a grid of flux values plus the minimal inter-band gap.
 
     The gap at each flux is the smallest |E| outside the geometry-protected
-    zero band; the zero-band size is the minimal count of near-zero
-    eigenvalues across the sweep unless given explicitly.  It closes where a
+    zero band; the zero-band size is the minimal count of eigenvalues below
+    ZERO_BAND_TOL max |E| across the sweep.  It closes where a
     dispersive band touches the zero band.  `map_fn` maps the per-flux
     diagonalisation over the grid; a process-pool map needs a picklable
     `model_builder`, such as a functools.partial of a module-level function.
@@ -373,10 +375,9 @@ def flux_sweep(model_builder, phi_grid, *, zero_band_size: int | None = None,
     table = np.array(list(map_fn(partial(_eigenvalues_at, model_builder), phis)))
     absvals = np.sort(np.abs(table), axis=1)
     scale = max(np.abs(table).max(), 1e-300)
-    if zero_band_size is None:
-        zero_band_size = int(min((row < zero_tol * scale).sum() for row in absvals))
-    if zero_band_size >= table.shape[1]:
+    n_zero = int(min((row < ZERO_BAND_TOL * scale).sum() for row in absvals))
+    if n_zero >= table.shape[1]:
         gaps = np.zeros(phis.size)
     else:
-        gaps = absvals[:, zero_band_size]
+        gaps = absvals[:, n_zero]
     return FluxSweepResult(fluxes=phis, eigenvalues=table, gaps=gaps)

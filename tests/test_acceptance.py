@@ -177,15 +177,15 @@ def test_criterion_8_property_suite(link_scan, plaquette_pi, plaquette_zero):
     # unitarity over every preset evolution window
     drift = max(float(np.abs(res.norms - 1.0).max())
                 for res in (*plaquette_pi, *plaquette_zero))
-    from phonon_gauge.dynamics import evolve, laser_driven_model
+    from phonon_gauge.dynamics import driven_model, evolve
     from phonon_gauge.fock import build_fock_space, single_phonon_state
     from phonon_gauge.model import laser_drive
 
     link_arr = build_array("link", (2,), gradient=0.05)
     link_space = build_fock_space(2, 4)
     link_drv = laser_drive(0.75, 0.05, 0.2, phase_x=math.pi)
-    link_model = laser_driven_model(link_arr, link_drv,
-                                    bare_coupling_matrix(link_arr, "z"), link_space)
+    link_model = driven_model(link_arr, link_drv,
+                              bare_coupling_matrix(link_arr, "z"), link_space)
     t_star = link_scan.t_star[10]
     link_run = evolve(link_model, single_phonon_state(link_space, 0), t_star,
                       space=link_space, samples=9)

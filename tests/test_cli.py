@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -220,12 +221,41 @@ def test_ring_above_the_fock_limit_is_a_config_error(tmp_path, monkeypatch, caps
     def never(*args, **kwargs):
         raise AssertionError("exact-drive model built above the Fock-space limit")
 
-    monkeypatch.setattr(dynamics, "laser_driven_model", never)
+    monkeypatch.setattr(dynamics, "driven_model", never)
     code, _ = _simulate(tmp_path, "experiment = fig2cd_plaquette\nnumerics.n_max = 8\n")
     assert code == 1
     assert capsys.readouterr().err == (
         "config error: Fock dimension 6561 (4 sites, n_max = 8) exceeds the "
         "dense-operator limit 4096\n")
+
+
+@pytest.mark.parametrize("text, capacity", [
+    ("experiment = fig2cd_plaquette\nnumerics.n_max = 8\n",
+     "Fock dimension 6561 (4 sites, n_max = 8)"),
+    ("experiment = fig2b_link_scan\nnumerics.n_max = 64\n",
+     "Fock dimension 4225 (2 sites, n_max = 64)"),
+], ids=["fig2cd_plaquette", "fig2b_link_scan"])
+def test_fock_limit_is_listed_with_the_other_violations(tmp_path, capsys, text, capacity):
+    code, out = _simulate(tmp_path, text + "output.format = xml\n")
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("config error: output.format: ")
+    assert err[1] == f"config error: {capacity} exceeds the dense-operator limit 4096"
+    assert len(err) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, function", [
+    ("fig2b_link_scan", dynamics.link_point),
+    ("fig2cd_plaquette", dynamics.plaquette_experiment),
+])
+def test_library_defaults_match_the_presets(experiment, function):
+    preset = cli._exact_drive_kwargs(parse_config(f"experiment = {experiment}\n"))
+    defaults = {name: p.default for name, p in inspect.signature(function).parameters.items()
+                if p.default is not inspect.Parameter.empty}
+    assert set(preset) - set(defaults) <= {"rabi_frequency"}  # the ring's depends on the flux
+    assert {k: defaults[k] for k in preset if k in defaults} == \
+        {k: preset[k] for k in preset if k in defaults}
 
 
 def test_jobs_and_out_violations_are_listed_together(tmp_path, capsys):

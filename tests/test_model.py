@@ -107,7 +107,7 @@ def test_inconsistent_laser_strength_rejected():
 
     with pytest.raises(ConfigurationError):
         DriveSpec(mode="laser", drive_frequency=0.05, resonance_order=1,
-                  rabi_frequency=0.75, beat_frequency=0.05, lamb_dicke=0.2,
+                  rabi_frequency=0.75, lamb_dicke=0.2,
                   drive_strength=0.5)  # should be 0.6
 
 

@@ -54,7 +54,7 @@ def test_pi_flux_band_positions_scale_with_couplings():
 def test_zero_flux_dispersive_bands():
     m = rhombic_ladder_matrix(10, 1.0, 1.0, 0.0)
     spectrum = eigensystem(m)
-    clusters = flat_band_report(spectrum, cluster_tol=1e-6)
+    clusters = flat_band_report(spectrum)
     for c in clusters:
         if abs(c.energy) > 1e-6:  # the geometric zero band stays degenerate
             assert c.count <= 2
