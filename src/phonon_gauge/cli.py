@@ -26,8 +26,8 @@ import numpy as np
 
 from . import __version__
 from ._text import json_text
-from .config import ConfigError, EXPERIMENT_SUMMARIES, EXPERIMENTS, ExperimentConfig, \
-    parse_config
+from .config import _CUSTOM_SWITCHED, ConfigError, EXPERIMENT_SUMMARIES, EXPERIMENTS, \
+    ExperimentConfig, parse_config
 from .couplings import BrokenCycleError, DomainError, DressedMapResult, dressed_map, \
     effective_coupling_matrix
 from .dynamics import EvolutionResult, IntegrationError, LinkScanResult, link_transfer_scan, \
@@ -132,9 +132,7 @@ def _run_butterfly(cfg: ExperimentConfig, map_fn):
 
 def _run_custom(cfg: ExperimentConfig, map_fn):
     layout = cfg["array.layout"]
-    dims = {"link": (2,), "plaquette": (2, 2),
-            "square": (cfg["array.nx"], cfg["array.ny"]),
-            "rhombic_ladder": (cfg["array.cells"],)}[layout]
+    dims = tuple(cfg[key] for key in _CUSTOM_SWITCHED.get(("array.layout", layout), ()))
     array = build_array(layout, dims, spacing_x=cfg["array.spacing_x"],
                         spacing_y=cfg["array.spacing_y"],
                         base_frequency=cfg["array.base_frequency"],
@@ -168,6 +166,25 @@ _RUNNERS = {
 }
 
 
+def _open_out(out_dir, jobs: int, violations: list[str]) -> Path:
+    """Create `out_dir`, or add the --jobs and --out violations to `violations`
+    and raise them all, leaving no directory behind from a run that never starts."""
+    if jobs < 1:
+        violations.append(f"--jobs: must be >= 1, got {jobs}")
+    out = Path(out_dir)
+    new_dirs = [p for p in (out, *out.parents) if not os.path.exists(p)]  # deepest first
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        violations.append(f"--out: {exc}")
+    if violations:
+        for path in new_dirs:
+            if os.path.isdir(path):
+                path.rmdir()
+        raise ConfigError(violations)
+    return out
+
+
 def run_experiment(config: ExperimentConfig, out_dir, fmt: str | None = None,
                    jobs: int = 1) -> list[str]:
     """Run the configured experiment into `out_dir`; returns written files.
@@ -184,19 +201,7 @@ def run_experiment(config: ExperimentConfig, out_dir, fmt: str | None = None,
     if fmt not in writes:
         violations.append(f"output format: {config.experiment} writes only "
                           f"{' and '.join(writes)}, got {fmt}")
-    if jobs < 1:
-        violations.append(f"--jobs: must be >= 1, got {jobs}")
-    out = Path(out_dir)
-    new_dirs = [p for p in (out, *out.parents) if not os.path.exists(p)]  # deepest first
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        violations.append(f"--out: {exc}")
-    if violations:  # leave no directory behind from a run that never starts
-        for path in new_dirs:
-            if os.path.isdir(path):
-                path.rmdir()
-        raise ConfigError(violations)
+    out = _open_out(out_dir, jobs, violations)
     start = time.perf_counter()
     results, resolved = runner(config, _fork_map(jobs))
     files = [_write(out / f"{stem}.{fmt}", getattr(result, f"to_{fmt}")())
@@ -254,7 +259,11 @@ def main(argv=None) -> int:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError([f"config file: {exc}"]) from None
-        config = parse_config(text)
+        try:
+            config = parse_config(text)
+        except ConfigError as exc:  # list the flag violations with the config's
+            _open_out(out_dir, args.jobs, exc.violations)
+            raise  # not reached: _open_out raises on a nonempty list
         files = run_experiment(config, out_dir, fmt=args.format, jobs=args.jobs)
     except _CONFIG_ERRORS as exc:
         for v in getattr(exc, "violations", [exc]):  # a ConfigError lists them all

@@ -13,7 +13,10 @@ import math
 import re
 from dataclasses import dataclass
 
+from .couplings import DomainError
+from .dynamics import ring_bond_factor
 from .fock import DENSE_OPERATOR_LIMIT, CapacityError, build_fock_space
+from .model import ConfigurationError, laser_drive
 
 EXPERIMENT_SUMMARIES = {
     "fig2a_dressed_map": "map of the dressed-coupling magnitude over drive strength and phase step",
@@ -162,7 +165,13 @@ SCHEMA: dict[str, FieldSpec] = {
     "numerics.window": FieldSpec(_parse_float, _gt(0)),
 }
 
-_REQUIRED = {"custom": ("array.layout",)}
+#: Keys `custom` reads under one array.layout (as build_array dims) or drive.mode only.
+_CUSTOM_SWITCHED = {
+    ("array.layout", "square"): ("array.nx", "array.ny"),
+    ("array.layout", "rhombic_ladder"): ("array.cells",),
+    ("drive.mode", "cosine"): ("drive.strength",),
+    ("drive.mode", "laser"): ("drive.rabi_frequency", "drive.lamb_dicke"),
+}
 
 #: Conditional default: the ring-interference drive power depends on the flux
 #: (strong drive for free circulation, weak drive for the interference run).
@@ -340,9 +349,13 @@ def parse_config(text: str) -> ExperimentConfig:
                 continue
         values[key] = value
 
-    for key in _REQUIRED.get(experiment, ()):
-        if values.get(key) is None:
-            violations.append(f"{key}: missing required key for experiment {experiment}")
+    if experiment == "custom" and values["array.layout"] is None:
+        violations.append("array.layout: missing required key for experiment custom")
+    for (switch, wanted), keys in _CUSTOM_SWITCHED.items():
+        for key in keys:
+            if experiment == "custom" and key in raw and values[switch] not in (None, wanted):
+                violations.append(f"{key}: not consumed by experiment custom with "
+                                  f"{switch} = {values[switch]}")
 
     size = _lattice_size(experiment, values)
     if size is not None and size[1] > DENSE_OPERATOR_LIMIT:
@@ -354,8 +367,16 @@ def parse_config(text: str) -> ExperimentConfig:
         except CapacityError as exc:
             violations.append(str(exc))
 
-    if experiment == "fig2cd_plaquette" and values.get("drive.rabi_frequency") is None:
-        values["drive.rabi_frequency"] = _PLAQUETTE_RABI[values["plaquette.flux"]]
+    if experiment == "fig2cd_plaquette":
+        if values["drive.rabi_frequency"] is None:
+            values["drive.rabi_frequency"] = _PLAQUETTE_RABI[values["plaquette.flux"]]
+        try:
+            ring_bond_factor(laser_drive(values["drive.rabi_frequency"],
+                                         values["drive.beat_frequency"],
+                                         values["drive.lamb_dicke"],
+                                         values["drive.resonance_order"]))
+        except (ConfigurationError, DomainError, OverflowError) as exc:  # eta_d overflow
+            violations.append(str(exc))
 
     if violations:
         raise ConfigError(violations)

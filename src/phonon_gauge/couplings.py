@@ -108,10 +108,10 @@ def dressed_factor(resonance_order: int, eta_d: float, delta_phi):
     complex; an array gives a complex array of the same shape.
     """
     r = int(resonance_order)
-    if r < 0:
-        raise DomainError("resonance_order must be >= 0")
-    if eta_d < 0:
-        raise DomainError("eta_d must be >= 0")
+    if not 0 <= r <= _BESSEL_ZERO_ORDER:
+        raise DomainError(f"resonance_order must be in [0, {_BESSEL_ZERO_ORDER}], got {r}")
+    if not 0 <= eta_d <= BESSEL_MAX_ARGUMENT:  # also rejects nan and inf
+        raise DomainError(f"eta_d must be in [0, {BESSEL_MAX_ARGUMENT}], got {eta_d}")
     cut = dressed_series_cutoff(eta_d)
     table = bessel_first_kind_array(cut + r, eta_d)
     orders = np.arange(-cut, cut + r + 1)
@@ -158,8 +158,6 @@ class CouplingMatrix:
     """Hermitian matrix of complex hopping amplitudes for one direction."""
 
     matrix: np.ndarray
-    direction: str
-    metadata: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         m = self.matrix
@@ -182,9 +180,9 @@ def _pair_table(array: TrapArray, direction: str, cutoff_range: float,
     pos = array.positions
     lat = np.array(array.lattice, dtype=float)
     if reference_frequencies:
-        w = np.full(array.n_sites, dict(array.base_frequency)[direction])
+        w = np.full(array.n_sites, array.base_frequency)
     else:
-        w = array.frequencies(direction)
+        w = array.frequencies()
     axis = {"x": 0, "y": 1, "z": None}[direction]
     beta = array.coulomb_beta
     i, j = np.tril_indices(array.n_sites, -1)
@@ -226,7 +224,7 @@ def bare_coupling_matrix(array: TrapArray, direction: str,
     i, j, amp = _pair_table(array, direction, cutoff_range, reference_frequencies)
     m[i, j] = amp
     m[j, i] = amp
-    return CouplingMatrix(matrix=m, direction=direction)
+    return CouplingMatrix(matrix=m)
 
 
 def effective_coupling_matrix(array: TrapArray, drive: DriveSpec, direction: str,
@@ -252,10 +250,8 @@ def effective_coupling_matrix(array: TrapArray, drive: DriveSpec, direction: str
                                 reference_frequencies=reference_frequencies)
     phases = drive.site_phases(array)
     r = drive.resonance_order
-    eta = drive.eta_d
     lat = np.array(array.lattice)
-    n = array.n_sites
-    m = np.zeros((n, n), dtype=complex)
+    m = np.zeros(bare.matrix.shape, dtype=complex)  # calloc'd: unwritten pages add no RSS
     i, j = np.nonzero(bare.matrix)
     dix = lat[i, 0] - lat[j, 0]
     within = dix == 0
@@ -265,7 +261,7 @@ def effective_coupling_matrix(array: TrapArray, drive: DriveSpec, direction: str
         assisted &= lat[i, 1] == lat[j, 1]
     i, j = i[assisted], j[assisted]
     dphi, bond_dphi = np.unique(phases[i] - phases[j], return_inverse=True)
-    scaled = bare.matrix[i, j] * dressed_factor(r, eta, dphi)[bond_dphi]
+    scaled = bare.matrix[i, j] * dressed_factor(r, drive.eta_d, dphi)[bond_dphi]
     turn = np.exp(-0.5j * r * (phases[i] + phases[j]))
     # The complex product in real arithmetic: numpy's vectorised complex
     # multiply may fuse it (FMA) and round differently from one CPU to another.
@@ -274,13 +270,7 @@ def effective_coupling_matrix(array: TrapArray, drive: DriveSpec, direction: str
     amp.imag = scaled.real * turn.imag + scaled.imag * turn.real
     m[i, j] = amp
     m[j, i] = np.conj(amp)
-    meta = (
-        ("resonance_order", float(r)),
-        ("drive_strength", float(eta)),
-        ("phase_x", float(drive.phase_x)),
-        ("phase_y", float(drive.phase_y)),
-    )
-    return CouplingMatrix(matrix=m, direction=direction, metadata=meta)
+    return CouplingMatrix(matrix=m)
 
 
 def plaquette_flux(matrix, cycle) -> float:

@@ -95,9 +95,7 @@ def effective_hamiltonian(matrix: CouplingMatrix, space: FockSpace) -> np.ndarra
     occ = space.occupation_table()
     stride = space.local_dim ** np.arange(space.n_sites - 1, -1, -1)
     h = np.zeros((space.dim, space.dim), dtype=complex)
-    for i, j in zip(*np.nonzero(matrix.matrix)):
-        if i == j:
-            continue
+    for i, j in zip(*np.nonzero(matrix.matrix)):  # i != j: CouplingMatrix has a zero diagonal
         # a_i^dag a_j |n> = sqrt(n_i + 1) sqrt(n_j) |n + e_i - e_j> inside the truncation
         cols = np.flatnonzero((occ[j] > 0) & (occ[i] < space.n_max))
         h[cols + (stride[i] - stride[j]), cols] += matrix.matrix[i, j] * (
@@ -105,20 +103,11 @@ def effective_hamiltonian(matrix: CouplingMatrix, space: FockSpace) -> np.ndarra
     return h
 
 
-def _trap_diagonal(array: TrapArray, space: FockSpace, direction: str) -> np.ndarray:
-    freqs = array.frequencies(direction)
-    occ = space.occupation_table()
-    return np.diag(freqs @ occ).astype(complex)
-
-
-def _hop_scale(matrix: CouplingMatrix) -> float:
-    return float(np.abs(matrix.matrix).sum(axis=1).max()) if matrix.n else 0.0
-
-
 def driven_model(array: TrapArray, drive: DriveSpec, bare: CouplingMatrix,
-                 space: FockSpace, direction: str = "z") -> DrivenHamiltonian:
+                 space: FockSpace) -> DrivenHamiltonian:
     """Lab-frame trap + hopping with the periodic drive of `drive`.
 
+    `bare` was built for the simulated direction; the trap part holds `array.frequencies()`.
     mode "cosine" modulates the trap frequencies directly: the drive term is
     (eta_d w / 2) sum_i exp(i(phi_i + w tau)) n_i + h.c. with phi_i the site
     phases.  mode "laser" drives with the full optical beat: the drive term
@@ -128,11 +117,12 @@ def driven_model(array: TrapArray, drive: DriveSpec, bare: CouplingMatrix,
     """
     if space.n_sites != array.n_sites:
         raise ValueError("Fock space and array disagree on the site count")
-    static = _trap_diagonal(array, space, direction) + effective_hamiltonian(bare, space)
+    occ = space.occupation_table()
+    static = np.diag(array.frequencies() @ occ).astype(complex)
+    static += effective_hamiltonian(bare, space)
     amp = drive.eta_d * drive.drive_frequency
     if drive.mode == "cosine":
         phases = drive.site_phases(array)
-        occ = space.occupation_table()
         v = np.diag((amp / 2.0) * (np.exp(1j * phases) @ occ.astype(complex)))
         modulation, rabi = drive.drive_frequency, 0.0
     else:
@@ -142,7 +132,8 @@ def driven_model(array: TrapArray, drive: DriveSpec, bare: CouplingMatrix,
             v += np.exp(1j * thetas[i]) * displacement_exponential(space, i, drive.lamb_dicke)
         v *= drive.rabi_frequency / 2.0
         modulation, rabi = -drive.drive_frequency, drive.rabi_frequency
-    scale = float(array.frequencies(direction).max()) + amp + rabi + _hop_scale(bare)
+    hop = float(np.abs(bare.matrix).sum(axis=1).max())  # largest row sum of |J|
+    scale = float(array.frequencies().max()) + amp + rabi + hop
     return DrivenHamiltonian(static=static, drive=v, modulation=modulation,
                              frequency_scale=scale)
 
@@ -316,19 +307,19 @@ def _populations(space: FockSpace, psi: np.ndarray) -> np.ndarray:
 
 
 def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = None, *,
-           space: FockSpace, samples: int = 401, time_step_divisor: int = 40,
-           label: str = "evolution", parameters: dict | None = None) -> EvolutionResult:
+           space: FockSpace, samples: int = 401, label: str = "evolution",
+           parameters: dict | None = None) -> EvolutionResult:
     """Integrate i dpsi/dtau = H(tau) psi and record site populations.
 
     `hamiltonian` is either a constant matrix (propagated exactly through
     its eigensystem) or a DrivenHamiltonian (structured fixed-step Magnus
     scheme; `model.at(tau)` gives its matrix at one instant).  The output
     grid has `samples` points on [0, t_final].  Magnus steps of size
-    h = T / ceil(T / dt) fill the drive period T; each sample is one partial
-    step from the last grid point.  Stretches of whole periods without a
-    sample are crossed with the one-period propagator when that costs fewer
-    flops than stepping.
-    Aborts if the norm drifts beyond 1e-4.
+    h = T / ceil(T / dt) fill the drive period T, dt defaulting to
+    `default_time_step(hamiltonian)`; each sample is one partial step from
+    the last grid point.  Stretches of whole periods without a sample are
+    crossed with the one-period propagator when that costs fewer flops than
+    stepping.  Aborts if the norm drifts beyond 1e-4.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -356,7 +347,7 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     if not isinstance(hamiltonian, DrivenHamiltonian):
         raise TypeError("hamiltonian must be a matrix or a DrivenHamiltonian")
     if dt is None:
-        dt = default_time_step(hamiltonian, time_step_divisor)
+        dt = default_time_step(hamiltonian)
     grid = _PeriodGrid(hamiltonian, dt)
     h, n, m = grid.h, grid.n, grid.degree
 
@@ -464,9 +455,9 @@ def link_point(delta_phi: float, *, gradient=0.05, coulomb_beta=0.002,
     n2_eff = float(res_eff.populations[-1, 1])
 
     bare = bare_coupling_matrix(array, direction)
-    exact = driven_model(array, drive, bare, space, direction)
-    res_exact = evolve(exact, psi0, t_star, space=space, samples=2,
-                       time_step_divisor=time_step_divisor, label="laser_exact")
+    exact = driven_model(array, drive, bare, space)
+    res_exact = evolve(exact, psi0, t_star, default_time_step(exact, time_step_divisor),
+                       space=space, samples=2, label="laser_exact")
     n2_exact = float(res_exact.populations[-1, 1])
     return t_star, n2_eff, n2_exact, True
 
@@ -486,6 +477,16 @@ def link_transfer_scan(delta_phi_grid, *, map_fn=map, **kwargs) -> LinkScanResul
                           n2_exact=n2_exact, defined=defined.astype(bool))
 
 
+def ring_bond_factor(drive: DriveSpec) -> float:
+    """|F_r(eta_d, pi)| of every ring bond; ConfigurationError when it vanishes."""
+    f_mag = abs(dressed_factor(drive.resonance_order, drive.eta_d, math.pi))
+    if f_mag == 0:
+        raise ConfigurationError(f"the dressed ring bond vanishes: |F_{drive.resonance_order}"
+                                 f"(eta_d, pi)| = 0 at eta_d = {drive.eta_d}; the ring needs a "
+                                 "nonzero drive")
+    return f_mag
+
+
 def plaquette_experiment(flux: float, *, rabi_frequency: float, n_max: int = 2,
                          gradient=0.05, coulomb_beta=0.002, beat_frequency=0.05,
                          lamb_dicke=0.2, resonance_order=1, direction="z",
@@ -503,13 +504,8 @@ def plaquette_experiment(flux: float, *, rabi_frequency: float, n_max: int = 2,
         raise ConfigurationError("plaquette_experiment supports flux 0 or pi")
     drive_probe = laser_drive(rabi_frequency, beat_frequency, lamb_dicke,
                               resonance_order, phase_x=math.pi, phase_y=flux)
-    eta_d = drive_probe.eta_d
-    f_mag = abs(dressed_factor(resonance_order, eta_d, math.pi))
-    if f_mag == 0:
-        raise ConfigurationError(f"the dressed ring bond vanishes: |F_{resonance_order}"
-                                 f"(eta_d, pi)| = 0 at eta_d = {eta_d}; the ring needs a "
-                                 "nonzero drive")
-    array = build_array("plaquette", (2, 2), spacing_y=f_mag ** (-1.0 / 3.0),
+    spacing_y = ring_bond_factor(drive_probe) ** (-1.0 / 3.0)
+    array = build_array("plaquette", (2, 2), spacing_y=spacing_y,
                         base_frequency=base_frequency, gradient=gradient,
                         coulomb_beta=coulomb_beta)
     space = build_fock_space(4, n_max)
@@ -525,19 +521,18 @@ def plaquette_experiment(flux: float, *, rabi_frequency: float, n_max: int = 2,
         "rabi_frequency": rabi_frequency,
         "beat_frequency": beat_frequency,
         "lamb_dicke": lamb_dicke,
-        "drive_strength": eta_d,
+        "drive_strength": drive_probe.eta_d,
         "gradient": gradient,
         "coulomb_beta": coulomb_beta,
         "n_max": n_max,
         "window": window,
-        "spacing_y": f_mag ** (-1.0 / 3.0),
+        "spacing_y": spacing_y,
         "bond_magnitude": j_bond,
     }
     res_eff = evolve(effective_hamiltonian(eff, space), psi0, window, space=space,
                      samples=samples, label="effective", parameters=common)
     bare = bare_coupling_matrix(array, direction, cutoff_range)
-    exact_model = driven_model(array, drive_probe, bare, space, direction)
-    res_exact = evolve(exact_model, psi0, window, space=space, samples=samples,
-                       time_step_divisor=time_step_divisor, label="laser_exact",
-                       parameters=common)
+    exact = driven_model(array, drive_probe, bare, space)
+    res_exact = evolve(exact, psi0, window, default_time_step(exact, time_step_divisor),
+                       space=space, samples=samples, label="laser_exact", parameters=common)
     return res_eff, res_exact

@@ -3,7 +3,9 @@
 Reduced units throughout: frequencies in units of the base trap frequency
 of the simulated direction (omega_ref), lengths in units of the x spacing
 (d_ref = d_x), hbar = 1.  The Coulomb scale enters only through the single
-dimensionless parameter beta; charge and mass are never stored.
+dimensionless parameter beta; charge and mass are never stored.  A run
+simulates one vibrational direction: `TrapArray` holds its base trap
+frequency, and the direction enters only the dipolar coupling geometry.
 
 Both `TrapArray` and `DriveSpec` are immutable after construction and safe
 to share read-only across parallel workers.
@@ -16,12 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DIRECTIONS = ("x", "y", "z")
 LAYOUTS = ("link", "plaquette", "rhombic_ladder", "square")
 
 #: beta above this triggers a validity warning (the dipolar expansion assumes
 #: Coulomb couplings much weaker than the trap frequency).
 BETA_WARN_THRESHOLD = 0.1
+
+#: Largest |r * drive_frequency - gradient| that counts as resonant.
+_RESONANCE_TOL = 1e-9
 
 
 class GeometryError(ValueError):
@@ -37,14 +41,14 @@ class TrapArray:
     """A planar array of microtraps with a linear frequency gradient along x.
 
     lattice holds integer coordinates (i_x, i_y) per site; positions follow
-    from the spacings.  Per-direction trap frequencies are
-    ``base_frequency[direction] + gradient * i_x``.
+    from the spacings.  The trap frequencies of the simulated direction are
+    ``base_frequency + gradient * i_x``.
     """
 
     lattice: tuple[tuple[int, int], ...]
     spacing_x: float = 1.0
     spacing_y: float = 1.0
-    base_frequency: tuple[tuple[str, float], ...] = (("x", 1.0), ("y", 1.0), ("z", 1.0))
+    base_frequency: float = 1.0
     gradient: float = 0.0
     coulomb_beta: float = 0.002
 
@@ -55,14 +59,8 @@ class TrapArray:
             raise GeometryError("lattice sites must be distinct")
         if self.spacing_x <= 0 or self.spacing_y <= 0:
             raise GeometryError("spacings must be positive")
-        base = dict(self.base_frequency)
-        if set(base) != set(DIRECTIONS):
-            raise ConfigurationError("base_frequency must cover directions x, y, z")
-        for alpha in DIRECTIONS:
-            if min(self.frequencies(alpha)) <= 0:
-                raise ConfigurationError(
-                    f"trap frequencies along {alpha} must stay positive over the array"
-                )
+        if min(self.frequencies()) <= 0:
+            raise ConfigurationError("trap frequencies must stay positive over the array")
         if self.coulomb_beta <= 0:
             raise ConfigurationError("coulomb_beta must be positive")
         if self.coulomb_beta >= BETA_WARN_THRESHOLD:
@@ -84,13 +82,10 @@ class TrapArray:
         pts[:, 1] *= ratio
         return pts
 
-    def frequencies(self, direction: str) -> np.ndarray:
-        """Per-site trap frequency along `direction` (units of omega_ref)."""
-        if direction not in DIRECTIONS:
-            raise ConfigurationError(f"unknown direction {direction!r}")
-        base = dict(self.base_frequency)[direction]
+    def frequencies(self) -> np.ndarray:
+        """Per-site trap frequency (units of omega_ref)."""
         ix = np.array([i for i, _ in self.lattice], dtype=float)
-        return base + self.gradient * ix
+        return self.base_frequency + self.gradient * ix
 
 
 @dataclass(frozen=True)
@@ -159,9 +154,9 @@ class DriveSpec:
         """Optical beat phases theta_i; these are minus the site phases."""
         return -self.site_phases(array)
 
-    def is_resonant(self, array: TrapArray, tol: float = 1e-9) -> bool:
+    def is_resonant(self, array: TrapArray) -> bool:
         """True when resonance_order * drive_frequency matches the gradient."""
-        return abs(self.resonance_order * self.drive_frequency - array.gradient) <= tol
+        return abs(self.resonance_order * self.drive_frequency - array.gradient) <= _RESONANCE_TOL
 
 
 def cosine_drive(drive_frequency, drive_strength, resonance_order=1, phase_x=0.0, phase_y=0.0):
@@ -188,15 +183,6 @@ def laser_drive(rabi_frequency, beat_frequency, lamb_dicke, resonance_order=1,
     )
 
 
-def _normalise_base(base_frequency) -> tuple[tuple[str, float], ...]:
-    if isinstance(base_frequency, (int, float)):
-        return tuple((d, float(base_frequency)) for d in DIRECTIONS)
-    base = dict(base_frequency)
-    for d in DIRECTIONS:
-        base.setdefault(d, 1.0)
-    return tuple((d, float(base[d])) for d in DIRECTIONS)
-
-
 def build_array(layout, dims, spacing_x=1.0, spacing_y=1.0, base_frequency=1.0,
                 gradient=0.0, coulomb_beta=0.002) -> TrapArray:
     """Construct a TrapArray for one of the preset layouts.
@@ -208,8 +194,6 @@ def build_array(layout, dims, spacing_x=1.0, spacing_y=1.0, base_frequency=1.0,
     """
     if layout not in LAYOUTS:
         raise GeometryError(f"unknown layout {layout!r}")
-    if spacing_x <= 0 or spacing_y <= 0:
-        raise GeometryError("spacings must be positive")
 
     if layout == "link":
         lattice = [(0, 0), (1, 0)]
@@ -236,7 +220,7 @@ def build_array(layout, dims, spacing_x=1.0, spacing_y=1.0, base_frequency=1.0,
         lattice=tuple(lattice),
         spacing_x=float(spacing_x),
         spacing_y=float(spacing_y),
-        base_frequency=_normalise_base(base_frequency),
+        base_frequency=float(base_frequency),
         gradient=float(gradient),
         coulomb_beta=float(coulomb_beta),
     )

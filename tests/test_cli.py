@@ -4,7 +4,8 @@ import json
 import pytest
 
 from phonon_gauge import cli, dynamics
-from phonon_gauge.config import EXPERIMENTS, PRESETS, ExperimentConfig, parse_config
+from phonon_gauge.config import ConfigError, EXPERIMENTS, PRESETS, ExperimentConfig, \
+    parse_config
 from phonon_gauge.dynamics import IntegrationError
 
 
@@ -268,6 +269,22 @@ def test_jobs_and_out_violations_are_listed_together(tmp_path, capsys):
     assert len(err) == 2
 
 
+@pytest.mark.parametrize("text, config_violation", [
+    ("experiment = fig2cd_plaquette\nnumerics.n_max = 0\n",
+     "numerics.n_max: range violation, must be >= 1, got 0"),
+    ("experiment = fig2cd_plaquette\ndrive.rabi_frequency = 0\n",
+     "the dressed ring bond vanishes: |F_1(eta_d, pi)| = 0 at eta_d = 0.0; "
+     "the ring needs a nonzero drive"),
+], ids=["n_max", "ring_bond"])
+def test_config_and_flag_violations_are_listed_together(tmp_path, capsys, text,
+                                                        config_violation):
+    code, out = _simulate(tmp_path, text, extra=("--jobs", "0"))
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {config_violation}", "config error: --jobs: must be >= 1, got 0"]
+    assert not out.exists()
+
+
 def test_custom_spectrum(tmp_path):
     text = "experiment = custom\narray.layout = rhombic_ladder\narray.cells = 3\n"
     code, out = _simulate(tmp_path, text)
@@ -375,8 +392,23 @@ READ_CASES = {
     "fig2f_flux_sweep": ["experiment = fig2f_flux_sweep\nsweep.points = 2\nladder.cells = 1\n"],
     "butterfly": ["experiment = butterfly\nbutterfly.size = 2\nbutterfly.points = 2\n"],
     "custom": ["experiment = custom\narray.layout = link\n",
-               "experiment = custom\narray.layout = link\ndrive.mode = cosine\n"],
+               "experiment = custom\narray.layout = plaquette\ndrive.mode = cosine\n",
+               "experiment = custom\narray.layout = square\n",
+               "experiment = custom\narray.layout = rhombic_ladder\ndrive.mode = cosine\n"],
 }
+
+
+def _accepted_keys(text):
+    """The keys that `text` sets or may set without a 'not consumed' violation."""
+    accepted = set()
+    for key in PRESETS[parse_config(text).experiment]:
+        try:
+            parse_config(text + f"{key} = 1\n")  # a duplicate if `text` sets the key
+        except ConfigError as exc:
+            if any(v.startswith(f"{key}: not consumed") for v in exc.violations):
+                continue
+        accepted.add(key)
+    return accepted
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -390,5 +422,6 @@ def test_runner_reads_every_key_the_schema_accepts(tmp_path, monkeypatch, experi
 
     monkeypatch.setattr(ExperimentConfig, "__getitem__", recording_getitem)
     for k, text in enumerate(READ_CASES[experiment]):
+        read.clear()
         cli.run_experiment(parse_config(text), tmp_path / str(k))
-    assert sorted(set(PRESETS[experiment]) - read) == []
+        assert read == _accepted_keys(text), text

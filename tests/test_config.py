@@ -137,6 +137,44 @@ def test_lattice_sizes_below_one_are_range_violations(lines, violations):
     assert exc.value.violations == violations
 
 
+@pytest.mark.parametrize("lines, violation", [
+    ("array.layout = link\narray.nx = 50\n",
+     "array.nx: not consumed by experiment custom with array.layout = link"),
+    ("array.layout = plaquette\narray.ny = 3\n",
+     "array.ny: not consumed by experiment custom with array.layout = plaquette"),
+    ("array.layout = square\narray.cells = 3\n",
+     "array.cells: not consumed by experiment custom with array.layout = square"),
+    ("array.layout = rhombic_ladder\narray.nx = 3\n",
+     "array.nx: not consumed by experiment custom with array.layout = rhombic_ladder"),
+    ("array.layout = link\ndrive.strength = 5.0\n",
+     "drive.strength: not consumed by experiment custom with drive.mode = laser"),
+    ("array.layout = link\ndrive.mode = cosine\ndrive.rabi_frequency = 9\n",
+     "drive.rabi_frequency: not consumed by experiment custom with drive.mode = cosine"),
+    ("array.layout = link\ndrive.mode = cosine\ndrive.lamb_dicke = 0.1\n",
+     "drive.lamb_dicke: not consumed by experiment custom with drive.mode = cosine"),
+], ids=["nx-link", "ny-plaquette", "cells-square", "nx-rhombic", "strength-laser",
+        "rabi-cosine", "lamb_dicke-cosine"])
+def test_custom_rejects_keys_its_layout_or_mode_never_reads(lines, violation):
+    with pytest.raises(ConfigError) as exc:
+        parse_config("experiment = custom\n" + lines)
+    assert exc.value.violations == [violation]
+
+
+@pytest.mark.parametrize("line, violation", [
+    # an unbounded resonance order would make the Bessel table unbounded too
+    ("drive.resonance_order = 99999999999",
+     "resonance_order must be in [0, 150], got 99999999999"),
+    ("drive.rabi_frequency = 1000", "eta_d must be in [0, 50.0], got 800.0000000000001"),
+    ("drive.lamb_dicke = 1e300", None),  # eta_d overflows
+], ids=["resonance_order", "eta_d", "overflow"])
+def test_ring_drive_outside_the_bessel_table_is_listed(line, violation):
+    # the ring-bond factor is checked at parse time
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"experiment = fig2cd_plaquette\n{line}\n")
+    assert len(exc.value.violations) == 1
+    assert violation in (None, exc.value.violations[0])
+
+
 _TOKENS = st.sampled_from(EXPERIMENTS + ("0", "-1", "2", "0.5", "1e400", "99999999999", "pi",
                                          "-0.5pi", "nan", "csv", "json", "square", "laser",
                                          "open", "z", ""))

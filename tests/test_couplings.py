@@ -70,6 +70,18 @@ def test_bessel_domain_error():
 # -- dressed factor -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("r", [-1, 151, 99999999999])
+def test_dressed_factor_order_outside_the_bessel_table(r):
+    with pytest.raises(DomainError, match=r"resonance_order must be in \[0, 150\]"):
+        dressed_factor(r, 0.6, math.pi)
+
+
+@pytest.mark.parametrize("eta", [-0.1, 50.5, math.inf, math.nan])
+def test_dressed_factor_strength_outside_the_bessel_table(eta):
+    with pytest.raises(DomainError, match=r"eta_d must be in \[0, 50.0\]"):
+        dressed_factor(1, eta, math.pi)
+
+
 def test_dressed_factor_trivial():
     assert dressed_factor(0, 0.8, 0.0) == pytest.approx(1.0, abs=1e-14)
     assert dressed_factor(0, 0.0, 1.3) == pytest.approx(1.0, abs=1e-14)
@@ -250,17 +262,9 @@ def test_effective_requires_gradient_and_resonance():
         effective_coupling_matrix(arr, drv, "z")
 
 
-def test_effective_metadata_echo():
-    arr, drv = _plaquette_setup(math.pi, 0.0)
-    eff = effective_coupling_matrix(arr, drv, "z")
-    meta = dict(eff.metadata)
-    assert meta["resonance_order"] == 1.0
-    assert meta["drive_strength"] == pytest.approx(0.6)
-
-
 def _loop_bare_matrix(array, direction, cutoff_range=3.0):
     """Pair-by-pair reference for bare_coupling_matrix."""
-    pos, lat, w = array.positions, array.lattice, array.frequencies(direction)
+    pos, lat, w = array.positions, array.lattice, array.frequencies()
     axis = {"x": 0, "y": 1, "z": None}[direction]
     m = np.zeros((array.n_sites, array.n_sites), dtype=complex)
     for i in range(array.n_sites):

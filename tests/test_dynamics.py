@@ -37,7 +37,7 @@ def link_setup():
 
 def test_effective_hamiltonian_zero_matrix(link_setup):
     arr, space, bare = link_setup
-    zero = CouplingMatrix(matrix=np.zeros((2, 2), complex), direction="z")
+    zero = CouplingMatrix(matrix=np.zeros((2, 2), complex))
     assert np.all(effective_hamiltonian(zero, space) == 0)
 
 
@@ -60,7 +60,7 @@ def _ring_coupling():
 
 def _three_site_coupling():
     j = np.array([[0, 0.3 - 0.1j, 0.05j], [0, 0, -0.2 + 0.7j], [0, 0, 0]])
-    return CouplingMatrix(matrix=j + j.conj().T, direction="z")
+    return CouplingMatrix(matrix=j + j.conj().T)
 
 
 @pytest.mark.parametrize("coupling, n_max", [
@@ -128,7 +128,7 @@ def test_cosine_diagonal_at_time_zero(link_setup):
     h = driven_model(arr, drv, bare, space).at(0.0)
     for site, occ in ((0, (1, 0)), (1, (0, 1))):
         psi = basis_state(space, occ)
-        want = arr.frequencies("z")[site] + 0.6 * 0.05
+        want = arr.frequencies()[site] + 0.6 * 0.05
         assert np.vdot(psi, h @ psi).real == pytest.approx(want, rel=1e-12)
 
 
