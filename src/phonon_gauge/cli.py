@@ -30,10 +30,10 @@ from .config import _CUSTOM_SWITCHED, ConfigError, EXPERIMENT_SUMMARIES, EXPERIM
     ExperimentConfig, parse_config
 from .couplings import BrokenCycleError, DomainError, DressedMapResult, dressed_map, \
     effective_coupling_matrix
-from .dynamics import EvolutionResult, IntegrationError, LinkScanResult, link_transfer_scan, \
-    plaquette_experiment
+from .dynamics import EvolutionResult, IntegrationError, LinkScanResult, config_drive, \
+    link_transfer_scan, plaquette_experiment
 from .fock import CapacityError
-from .model import ConfigurationError, GeometryError, build_array, cosine_drive, laser_drive
+from .model import ConfigurationError, GeometryError, build_array
 from .spectra import ButterflyResult, CustomSpectrumResult, FluxSweepResult, \
     LadderSpectrumResult, eigensystem, flux_sweep, ladder_spectrum, rhombic_ladder_matrix, \
     square_lattice_matrix
@@ -79,27 +79,12 @@ def _run_dressed_map(cfg: ExperimentConfig, map_fn):
     return {"dressed_map": result}, {}
 
 
-def _exact_drive_kwargs(cfg: ExperimentConfig) -> dict:
-    """The arguments both exact-drive experiments take from the config."""
-    return dict(gradient=cfg["array.gradient"], coulomb_beta=cfg["array.beta"],
-                base_frequency=cfg["array.base_frequency"], direction=cfg["direction"],
-                rabi_frequency=cfg["drive.rabi_frequency"], lamb_dicke=cfg["drive.lamb_dicke"],
-                beat_frequency=cfg["drive.beat_frequency"], n_max=cfg["numerics.n_max"],
-                resonance_order=cfg["drive.resonance_order"],
-                time_step_divisor=cfg["numerics.time_step_divisor"])
-
-
 def _run_link_scan(cfg: ExperimentConfig, map_fn):
-    result = link_transfer_scan(np.linspace(0.0, 2.0 * math.pi, cfg["scan.points"]),
-                                map_fn=map_fn, **_exact_drive_kwargs(cfg))
-    return {"link_scan": result}, {}
+    return {"link_scan": link_transfer_scan(cfg, map_fn=map_fn)}, {}
 
 
 def _run_plaquette(cfg: ExperimentConfig, map_fn):
-    res_eff, res_exact = plaquette_experiment(
-        cfg["plaquette.flux"], window=cfg["numerics.window"],
-        samples=cfg["numerics.samples"], cutoff_range=cfg["numerics.cutoff_range"],
-        **_exact_drive_kwargs(cfg))
+    res_eff, res_exact = plaquette_experiment(cfg)
     resolved = {key: res_eff.parameters[key]
                 for key in ("window", "spacing_y", "bond_magnitude", "drive_strength")}
     resolved["diagnostics"] = res_exact.diagnostics
@@ -138,14 +123,7 @@ def _run_custom(cfg: ExperimentConfig, map_fn):
                         base_frequency=cfg["array.base_frequency"],
                         gradient=cfg["array.gradient"],
                         coulomb_beta=cfg["array.beta"])
-    if cfg["drive.mode"] == "laser":
-        drive = laser_drive(cfg["drive.rabi_frequency"], cfg["drive.beat_frequency"],
-                            cfg["drive.lamb_dicke"], cfg["drive.resonance_order"],
-                            phase_x=cfg["drive.phase_x"], phase_y=cfg["drive.phase_y"])
-    else:
-        drive = cosine_drive(cfg["drive.beat_frequency"], cfg["drive.strength"],
-                             cfg["drive.resonance_order"],
-                             phase_x=cfg["drive.phase_x"], phase_y=cfg["drive.phase_y"])
+    drive = config_drive(cfg, cfg["drive.mode"], cfg["drive.phase_x"], cfg["drive.phase_y"])
     matrix = effective_coupling_matrix(array, drive, cfg["direction"],
                                        cfg["numerics.cutoff_range"])
     result = CustomSpectrumResult(layout=layout, n_sites=array.n_sites,
@@ -164,6 +142,16 @@ _RUNNERS = {
     "butterfly": (ButterflyResult, _run_butterfly),
     "custom": (CustomSpectrumResult, _run_custom),
 }
+
+
+def _output_format(config: ExperimentConfig, fmt: str | None, violations: list[str]) -> str:
+    """`fmt`, else the configured format; a violation when the experiment does not write it."""
+    fmt = fmt or config["output.format"]
+    writes = [f for f in ("csv", "json") if hasattr(_RUNNERS[config.experiment][0], f"to_{f}")]
+    if fmt not in writes:
+        violations.append(f"output format: {config.experiment} writes only "
+                          f"{' and '.join(writes)}, got {fmt}")
+    return fmt
 
 
 def _open_out(out_dir, jobs: int, violations: list[str]) -> Path:
@@ -194,16 +182,11 @@ def run_experiment(config: ExperimentConfig, out_dir, fmt: str | None = None,
     records the fully resolved parameters, the package version, and the
     wall-clock duration.
     """
-    fmt = fmt or config["output.format"]
-    result_type, runner = _RUNNERS[config.experiment]
-    writes = [f for f in ("csv", "json") if hasattr(result_type, f"to_{f}")]
     violations = []
-    if fmt not in writes:
-        violations.append(f"output format: {config.experiment} writes only "
-                          f"{' and '.join(writes)}, got {fmt}")
+    fmt = _output_format(config, fmt, violations)
     out = _open_out(out_dir, jobs, violations)
     start = time.perf_counter()
-    results, resolved = runner(config, _fork_map(jobs))
+    results, resolved = _RUNNERS[config.experiment][1](config, _fork_map(jobs))
     files = [_write(out / f"{stem}.{fmt}", getattr(result, f"to_{fmt}")())
              for stem, result in results.items()]
     manifest = {
@@ -262,6 +245,8 @@ def main(argv=None) -> int:
         try:
             config = parse_config(text)
         except ConfigError as exc:  # list the flag violations with the config's
+            if exc.config is not None:
+                _output_format(exc.config, args.format, exc.violations)
             _open_out(out_dir, args.jobs, exc.violations)
             raise  # not reached: _open_out raises on a nonempty list
         files = run_experiment(config, out_dir, fmt=args.format, jobs=args.jobs)

@@ -13,10 +13,10 @@ import math
 import re
 from dataclasses import dataclass
 
-from .couplings import DomainError
-from .dynamics import ring_bond_factor
+from .couplings import DomainError, dressed_factor
+from .dynamics import config_drive, ring_bond_factor
 from .fock import DENSE_OPERATOR_LIMIT, CapacityError, build_fock_space
-from .model import ConfigurationError, laser_drive
+from .model import ConfigurationError
 
 EXPERIMENT_SUMMARIES = {
     "fig2a_dressed_map": "map of the dressed-coupling magnitude over drive strength and phase step",
@@ -32,10 +32,11 @@ EXPERIMENTS = tuple(EXPERIMENT_SUMMARIES)
 
 
 class ConfigError(ValueError):
-    """One or more schema violations; `.violations` lists them all."""
+    """Schema violations, all in `.violations`; `.config` is the rejected config, if parsed."""
 
-    def __init__(self, violations):
+    def __init__(self, violations, config=None):
         self.violations = list(violations)
+        self.config = config
         super().__init__("; ".join(self.violations))
 
 
@@ -367,18 +368,25 @@ def parse_config(text: str) -> ExperimentConfig:
         except CapacityError as exc:
             violations.append(str(exc))
 
-    if experiment == "fig2cd_plaquette":
-        if values["drive.rabi_frequency"] is None:
-            values["drive.rabi_frequency"] = _PLAQUETTE_RABI[values["plaquette.flux"]]
+    if experiment == "fig2cd_plaquette" and values["drive.rabi_frequency"] is None:
+        values["drive.rabi_frequency"] = _PLAQUETTE_RABI[values["plaquette.flux"]]
+    if experiment == "fig2a_dressed_map":
         try:
-            ring_bond_factor(laser_drive(values["drive.rabi_frequency"],
-                                         values["drive.beat_frequency"],
-                                         values["drive.lamb_dicke"],
-                                         values["drive.resonance_order"]))
-        except (ConfigurationError, DomainError, OverflowError) as exc:  # eta_d overflow
+            dressed_factor(values["drive.resonance_order"], values["map.eta_max"], 0.0)
+        except DomainError as exc:
+            violations.append(f"drive.resonance_order, map.eta_max: {exc}")
+    elif experiment in _EXACT_DRIVE_SITES or experiment == "custom":
+        try:  # stops at the first rule broken: one message per cause
+            drive = config_drive(values, values.get("drive.mode", "laser"), 0.0, 0.0)
+            if experiment == "fig2cd_plaquette":
+                ring_bond_factor(drive)
+            else:
+                dressed_factor(drive.resonance_order, drive.eta_d, 0.0)
+            drive.check_resonance(values["array.gradient"])
+        except (ConfigurationError, DomainError) as exc:
             violations.append(str(exc))
 
+    config = ExperimentConfig(experiment=experiment, values=tuple(sorted(values.items())))
     if violations:
-        raise ConfigError(violations)
-    return ExperimentConfig(experiment=experiment,
-                            values=tuple(sorted(values.items())))
+        raise ConfigError(violations, config)
+    return config

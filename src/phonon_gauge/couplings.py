@@ -241,11 +241,7 @@ def effective_coupling_matrix(array: TrapArray, drive: DriveSpec, direction: str
     """
     if array.gradient == 0.0:
         raise ConfigurationError("effective couplings need a frequency gradient along x")
-    if not drive.is_resonant(array):
-        raise ConfigurationError(
-            f"drive is off-resonant: r * drive_frequency = "
-            f"{drive.resonance_order * drive.drive_frequency}, gradient = {array.gradient}"
-        )
+    drive.check_resonance(array.gradient)
     bare = bare_coupling_matrix(array, direction, cutoff_range,
                                 reference_frequencies=reference_frequencies)
     phases = drive.site_phases(array)

@@ -25,11 +25,12 @@ from functools import partial
 import numpy as np
 
 from ._text import csv_text, json_text
-from .couplings import CouplingMatrix, dressed_factor, bare_coupling_matrix, \
-    effective_coupling_matrix
+from .couplings import DEFAULT_CUTOFF_RANGE, CouplingMatrix, dressed_factor, \
+    bare_coupling_matrix, effective_coupling_matrix
 from .fock import FockSpace, build_fock_space, displacement_exponential, \
     single_phonon_state
-from .model import ConfigurationError, DriveSpec, TrapArray, build_array, laser_drive
+from .model import ConfigurationError, DriveSpec, TrapArray, build_array, cosine_drive, \
+    laser_drive
 
 _GL_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _GL_COMM = math.sqrt(3.0) / 12.0
@@ -404,6 +405,32 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
 # preset experiments
 
 
+def config_drive(cfg, mode: str, phase_x: float, phase_y: float) -> DriveSpec:
+    """The `mode` drive of the `drive.*` keys of `cfg` (a parsed config or its value dict)."""
+    if mode == "cosine":
+        return cosine_drive(cfg["drive.beat_frequency"], cfg["drive.strength"],
+                            cfg["drive.resonance_order"], phase_x=phase_x, phase_y=phase_y)
+    return laser_drive(cfg["drive.rabi_frequency"], cfg["drive.beat_frequency"],
+                       cfg["drive.lamb_dicke"], cfg["drive.resonance_order"],
+                       phase_x=phase_x, phase_y=phase_y)
+
+
+def _effective_and_exact(cfg, array: TrapArray, drive: DriveSpec, eff: CouplingMatrix,
+                         t_final: float, samples: int, cutoff_range: float,
+                         parameters: dict | None):
+    """Evolve one phonon from site 0 under `eff` and under the exact model of `drive`."""
+    space = build_fock_space(array.n_sites, cfg["numerics.n_max"])
+    psi0 = single_phonon_state(space, 0)
+    res_eff = evolve(effective_hamiltonian(eff, space), psi0, t_final, space=space,
+                     samples=samples, label="effective", parameters=parameters)
+    bare = bare_coupling_matrix(array, cfg["direction"], cutoff_range)
+    exact = driven_model(array, drive, bare, space)
+    res_exact = evolve(exact, psi0, t_final,
+                       default_time_step(exact, cfg["numerics.time_step_divisor"]),
+                       space=space, samples=samples, label="laser_exact", parameters=parameters)
+    return res_eff, res_exact
+
+
 @dataclass
 class LinkScanResult:
     """Transferred population at the full-transfer time, per phase step."""
@@ -433,45 +460,31 @@ class LinkScanResult:
         })
 
 
-def link_point(delta_phi: float, *, gradient=0.05, coulomb_beta=0.002,
-               rabi_frequency=0.75, beat_frequency=0.05, lamb_dicke=0.2,
-               resonance_order=1, n_max=4, direction="z", base_frequency=1.0,
-               time_step_divisor=40):
-    """(t_star, n2_effective, n2_exact, defined) for one phase step."""
-    array = build_array("link", (2,), base_frequency=base_frequency,
-                        gradient=gradient, coulomb_beta=coulomb_beta)
-    drive = laser_drive(rabi_frequency, beat_frequency, lamb_dicke,
-                        resonance_order, phase_x=delta_phi)
-    space = build_fock_space(2, n_max)
-    eff = effective_coupling_matrix(array, drive, direction)
+def link_point(cfg, delta_phi: float):
+    """(t_star, n2_effective, n2_exact, defined) for one phase step of the link config `cfg`."""
+    array = build_array("link", (2,), base_frequency=cfg["array.base_frequency"],
+                        gradient=cfg["array.gradient"], coulomb_beta=cfg["array.beta"])
+    drive = config_drive(cfg, "laser", delta_phi, 0.0)
+    eff = effective_coupling_matrix(array, drive, cfg["direction"])
     j_eff = abs(eff.matrix[1, 0])
     if j_eff < COUPLING_THRESHOLD:
         return math.nan, math.nan, math.nan, False
     t_star = math.pi / (2.0 * j_eff)
-    psi0 = single_phonon_state(space, 0)
-
-    h_eff = effective_hamiltonian(eff, space)
-    res_eff = evolve(h_eff, psi0, t_star, space=space, samples=2, label="effective")
-    n2_eff = float(res_eff.populations[-1, 1])
-
-    bare = bare_coupling_matrix(array, direction)
-    exact = driven_model(array, drive, bare, space)
-    res_exact = evolve(exact, psi0, t_star, default_time_step(exact, time_step_divisor),
-                       space=space, samples=2, label="laser_exact")
-    n2_exact = float(res_exact.populations[-1, 1])
-    return t_star, n2_eff, n2_exact, True
+    res_eff, res_exact = _effective_and_exact(cfg, array, drive, eff, t_star, 2,
+                                              DEFAULT_CUTOFF_RANGE, None)
+    return t_star, float(res_eff.populations[-1, 1]), float(res_exact.populations[-1, 1]), True
 
 
-def link_transfer_scan(delta_phi_grid, *, map_fn=map, **kwargs) -> LinkScanResult:
-    """Effective and laser-exact transfer curves over a grid of phase steps.
+def link_transfer_scan(cfg, *, map_fn=map) -> LinkScanResult:
+    """Effective and laser-exact transfer curves over `scan.points` phase steps in [0, 2 pi].
 
     Each point runs to its own full-transfer time pi / (2 |J|); points whose
     dressed coupling falls below the threshold are marked undefined instead
     of integrating to an unbounded window.  `map_fn` maps link_point over the
     grid; the points are independent, so a process-pool map may run them.
     """
-    grid = np.asarray(list(delta_phi_grid), dtype=float)
-    rows = list(map_fn(partial(link_point, **kwargs), grid))
+    grid = np.linspace(0.0, 2.0 * math.pi, cfg["scan.points"])
+    rows = list(map_fn(partial(link_point, cfg), grid))
     t_star, n2_eff, n2_exact, defined = (np.array(x) for x in zip(*rows))
     return LinkScanResult(delta_phi=grid, t_star=t_star, n2_effective=n2_eff,
                           n2_exact=n2_exact, defined=defined.astype(bool))
@@ -487,52 +500,37 @@ def ring_bond_factor(drive: DriveSpec) -> float:
     return f_mag
 
 
-def plaquette_experiment(flux: float, *, rabi_frequency: float, n_max: int = 2,
-                         gradient=0.05, coulomb_beta=0.002, beat_frequency=0.05,
-                         lamb_dicke=0.2, resonance_order=1, direction="z",
-                         window: float | None = None, samples: int = 601,
-                         time_step_divisor: int = 40, cutoff_range: float = 3.0,
-                         base_frequency: float = 1.0):
-    """Four-site interference experiment; returns (effective, exact) results.
+def plaquette_experiment(cfg):
+    """Four-site interference of the ring config `cfg`; returns (effective, exact) results.
 
     The geometry is tuned so every ring bond of the dressed model has the
-    same magnitude: d_x = d_y |F_r(eta_d, pi)|^(1/3).  flux selects the
-    synthetic plaquette flux through the phase generators (phase_x = pi,
-    phase_y = flux); only 0 and pi are supported.  The phonon starts on site 0.
+    same magnitude: d_x = d_y |F_r(eta_d, pi)|^(1/3).  `plaquette.flux`
+    selects the synthetic plaquette flux through the phase steps
+    (phase_x = pi, phase_y = flux).  The phonon starts on site 0.
     """
-    if not (abs(flux) < 1e-12 or abs(flux - math.pi) < 1e-12):
-        raise ConfigurationError("plaquette_experiment supports flux 0 or pi")
-    drive_probe = laser_drive(rabi_frequency, beat_frequency, lamb_dicke,
-                              resonance_order, phase_x=math.pi, phase_y=flux)
-    spacing_y = ring_bond_factor(drive_probe) ** (-1.0 / 3.0)
+    drive = config_drive(cfg, "laser", math.pi, cfg["plaquette.flux"])
+    spacing_y = ring_bond_factor(drive) ** (-1.0 / 3.0)
     array = build_array("plaquette", (2, 2), spacing_y=spacing_y,
-                        base_frequency=base_frequency, gradient=gradient,
-                        coulomb_beta=coulomb_beta)
-    space = build_fock_space(4, n_max)
-    psi0 = single_phonon_state(space, 0)
-
-    eff = effective_coupling_matrix(array, drive_probe, direction, cutoff_range,
+                        base_frequency=cfg["array.base_frequency"],
+                        gradient=cfg["array.gradient"], coulomb_beta=cfg["array.beta"])
+    eff = effective_coupling_matrix(array, drive, cfg["direction"], cfg["numerics.cutoff_range"],
                                     reference_frequencies=True, diagonal_bonds=False)
     j_bond = abs(eff.matrix[1, 0])
+    window = cfg["numerics.window"]
     if window is None:
         window = math.pi / j_bond
     common = {
-        "flux": flux,
-        "rabi_frequency": rabi_frequency,
-        "beat_frequency": beat_frequency,
-        "lamb_dicke": lamb_dicke,
-        "drive_strength": drive_probe.eta_d,
-        "gradient": gradient,
-        "coulomb_beta": coulomb_beta,
-        "n_max": n_max,
+        "flux": cfg["plaquette.flux"],
+        "rabi_frequency": cfg["drive.rabi_frequency"],
+        "beat_frequency": cfg["drive.beat_frequency"],
+        "lamb_dicke": cfg["drive.lamb_dicke"],
+        "drive_strength": drive.eta_d,
+        "gradient": cfg["array.gradient"],
+        "coulomb_beta": cfg["array.beta"],
+        "n_max": cfg["numerics.n_max"],
         "window": window,
         "spacing_y": spacing_y,
         "bond_magnitude": j_bond,
     }
-    res_eff = evolve(effective_hamiltonian(eff, space), psi0, window, space=space,
-                     samples=samples, label="effective", parameters=common)
-    bare = bare_coupling_matrix(array, direction, cutoff_range)
-    exact = driven_model(array, drive_probe, bare, space)
-    res_exact = evolve(exact, psi0, window, default_time_step(exact, time_step_divisor),
-                       space=space, samples=samples, label="laser_exact", parameters=common)
-    return res_eff, res_exact
+    return _effective_and_exact(cfg, array, drive, eff, window, cfg["numerics.samples"],
+                                cfg["numerics.cutoff_range"], common)

@@ -13,6 +13,7 @@ to share read-only across parallel workers.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -137,6 +138,13 @@ class DriveSpec:
             if self.drive_strength is not None:
                 raise ConfigurationError("laser mode derives drive_strength from "
                                          "rabi_frequency * lamb_dicke**2 / drive_frequency")
+            try:
+                finite = math.isfinite(self.eta_d)
+            except OverflowError:  # lamb_dicke**2 beyond the float range
+                finite = False
+            if not finite:
+                raise ConfigurationError(f"laser drive eta_d is not finite: rabi_frequency = "
+                                         f"{self.rabi_frequency}, lamb_dicke = {self.lamb_dicke}")
 
     @property
     def eta_d(self) -> float:
@@ -154,9 +162,13 @@ class DriveSpec:
         """Optical beat phases theta_i; these are minus the site phases."""
         return -self.site_phases(array)
 
-    def is_resonant(self, array: TrapArray) -> bool:
-        """True when resonance_order * drive_frequency matches the gradient."""
-        return abs(self.resonance_order * self.drive_frequency - array.gradient) <= _RESONANCE_TOL
+    def check_resonance(self, gradient: float) -> None:
+        """ConfigurationError unless resonance_order * drive_frequency matches the gradient."""
+        if not abs(self.resonance_order * self.drive_frequency - gradient) <= _RESONANCE_TOL:
+            raise ConfigurationError(
+                f"drive is off-resonant: r * drive_frequency = "
+                f"{self.resonance_order * self.drive_frequency}, gradient = {gradient}"
+            )
 
 
 def cosine_drive(drive_frequency, drive_strength, resonance_order=1, phase_x=0.0, phase_y=0.0):

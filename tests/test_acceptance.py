@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import jv  # independent special-function oracle
 
+from phonon_gauge.config import parse_config
 from phonon_gauge.couplings import (
     bare_coupling_matrix,
     dressed_factor,
@@ -38,21 +39,26 @@ def _report(num: int, ok: bool, detail: str):
 
 # -- shared heavy runs ----------------------------------------------------------------
 
+LINK = "experiment = fig2b_link_scan\n"
+RING_PI = "experiment = fig2cd_plaquette\nplaquette.flux = pi\ndrive.rabi_frequency = 0.25\n"
+#: the pi-flux ring on the truncated comparison window, for test economy
+SHORT_RING_PI = RING_PI + "numerics.window = 1500\nnumerics.samples = 151\n"
+
 
 @pytest.fixture(scope="module")
 def link_scan():
-    grid = np.linspace(0.0, 2.0 * math.pi, 21)
-    return link_transfer_scan(grid)
+    return link_transfer_scan(parse_config(LINK + "scan.points = 21\n"))
 
 
 @pytest.fixture(scope="module")
 def plaquette_pi():
-    return plaquette_experiment(math.pi, rabi_frequency=0.25)
+    return plaquette_experiment(parse_config(RING_PI))
 
 
 @pytest.fixture(scope="module")
 def plaquette_zero():
-    return plaquette_experiment(0.0, rabi_frequency=0.75)
+    return plaquette_experiment(parse_config(
+        "experiment = fig2cd_plaquette\nplaquette.flux = 0\ndrive.rabi_frequency = 0.75\n"))
 
 
 # -- criteria -------------------------------------------------------------------------
@@ -193,28 +199,27 @@ def test_criterion_8_property_suite(link_scan, plaquette_pi, plaquette_zero):
     checks.append(("norm drift", drift < 1e-8, f"max drift {drift:.1e} < 1e-8"))
 
     # step halving on the link preset (full window, exact model)
-    base = link_point(math.pi, time_step_divisor=40)
-    halved = link_point(math.pi, time_step_divisor=80)
+    base = link_point(parse_config(LINK + "numerics.time_step_divisor = 40\n"), math.pi)
+    halved = link_point(parse_config(LINK + "numerics.time_step_divisor = 80\n"), math.pi)
     dt_change = abs(base[2] - halved[2])
     checks.append(("step halving", dt_change < 1e-6, f"n2* change {dt_change:.1e} < 1e-6"))
 
     # step halving on the plaquette preset (truncated window for test economy)
-    short = dict(window=1500.0, samples=151)
-    _, pl_a = plaquette_experiment(math.pi, rabi_frequency=0.25,
-                                   time_step_divisor=10, **short)
-    _, pl_b = plaquette_experiment(math.pi, rabi_frequency=0.25,
-                                   time_step_divisor=20, **short)
+    _, pl_a = plaquette_experiment(parse_config(
+        SHORT_RING_PI + "numerics.time_step_divisor = 10\n"))
+    _, pl_b = plaquette_experiment(parse_config(
+        SHORT_RING_PI + "numerics.time_step_divisor = 20\n"))
     pl_change = float(np.abs(pl_a.populations - pl_b.populations).max())
     checks.append(("plaquette step halving", pl_change < 1e-6,
                    f"population change {pl_change:.1e} < 1e-6"))
 
     # truncation: doubling n_max moves populations by < 1e-3
-    deeper = link_point(math.pi, n_max=8)
+    deeper = link_point(parse_config(LINK + "numerics.n_max = 8\n"), math.pi)
     link_nmax = abs(base[2] - deeper[2])
-    _, pl_n2 = plaquette_experiment(math.pi, rabi_frequency=0.25, n_max=2,
-                                    time_step_divisor=10, **short)
-    _, pl_n4 = plaquette_experiment(math.pi, rabi_frequency=0.25, n_max=4,
-                                    time_step_divisor=10, **short)
+    _, pl_n2 = plaquette_experiment(parse_config(
+        SHORT_RING_PI + "numerics.n_max = 2\nnumerics.time_step_divisor = 10\n"))
+    _, pl_n4 = plaquette_experiment(parse_config(
+        SHORT_RING_PI + "numerics.n_max = 4\nnumerics.time_step_divisor = 10\n"))
     pl_nmax = float(np.abs(pl_n2.populations - pl_n4.populations).max())
     checks.append(("n_max doubling", link_nmax < 1e-3 and pl_nmax < 1e-3,
                    f"link change {link_nmax:.1e}, plaquette change {pl_nmax:.1e} < 1e-3"))

@@ -1,4 +1,3 @@
-import inspect
 import json
 
 import pytest
@@ -246,19 +245,6 @@ def test_fock_limit_is_listed_with_the_other_violations(tmp_path, capsys, text, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("experiment, function", [
-    ("fig2b_link_scan", dynamics.link_point),
-    ("fig2cd_plaquette", dynamics.plaquette_experiment),
-])
-def test_library_defaults_match_the_presets(experiment, function):
-    preset = cli._exact_drive_kwargs(parse_config(f"experiment = {experiment}\n"))
-    defaults = {name: p.default for name, p in inspect.signature(function).parameters.items()
-                if p.default is not inspect.Parameter.empty}
-    assert set(preset) - set(defaults) <= {"rabi_frequency"}  # the ring's depends on the flux
-    assert {k: defaults[k] for k in preset if k in defaults} == \
-        {k: preset[k] for k in preset if k in defaults}
-
-
 def test_jobs_and_out_violations_are_listed_together(tmp_path, capsys):
     (tmp_path / "blocker").write_text("a regular file")
     code, _ = _simulate(tmp_path, SMALL_MAP, out_name="blocker/out", extra=("--jobs", "0"))
@@ -269,19 +255,45 @@ def test_jobs_and_out_violations_are_listed_together(tmp_path, capsys):
     assert len(err) == 2
 
 
+OFF_RESONANT = "drive is off-resonant: r * drive_frequency = 0.06, gradient = 0.05"
+
+
 @pytest.mark.parametrize("text, config_violation", [
     ("experiment = fig2cd_plaquette\nnumerics.n_max = 0\n",
      "numerics.n_max: range violation, must be >= 1, got 0"),
     ("experiment = fig2cd_plaquette\ndrive.rabi_frequency = 0\n",
      "the dressed ring bond vanishes: |F_1(eta_d, pi)| = 0 at eta_d = 0.0; "
      "the ring needs a nonzero drive"),
-], ids=["n_max", "ring_bond"])
+    ("experiment = fig2b_link_scan\ndrive.beat_frequency = 0.06\n", OFF_RESONANT),
+    ("experiment = fig2cd_plaquette\ndrive.beat_frequency = 0.06\n", OFF_RESONANT),
+    ("experiment = custom\narray.layout = link\ndrive.beat_frequency = 0.06\n", OFF_RESONANT),
+    ("experiment = fig2b_link_scan\ndrive.lamb_dicke = 3\n",
+     "eta_d must be in [0, 50.0], got 135.0"),
+    ("experiment = custom\narray.layout = link\ndrive.mode = cosine\ndrive.strength = 60\n",
+     "eta_d must be in [0, 50.0], got 60.0"),
+    ("experiment = fig2a_dressed_map\nmap.eta_max = 60\n",
+     "drive.resonance_order, map.eta_max: eta_d must be in [0, 50.0], got 60.0"),
+    ("experiment = custom\narray.layout = link\ndrive.lamb_dicke = 1e300\n",
+     "laser drive eta_d is not finite: rabi_frequency = 0.75, lamb_dicke = 1e+300"),
+], ids=["n_max", "ring_bond", "link_off_resonant", "ring_off_resonant", "custom_off_resonant",
+        "link_eta_d", "custom_cosine_eta_d", "map_eta_max", "custom_eta_d_overflow"])
 def test_config_and_flag_violations_are_listed_together(tmp_path, capsys, text,
                                                         config_violation):
     code, out = _simulate(tmp_path, text, extra=("--jobs", "0"))
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
         f"config error: {config_violation}", "config error: --jobs: must be >= 1, got 0"]
+    assert not out.exists()
+
+
+def test_format_violation_is_listed_with_a_rejected_config(tmp_path, capsys):
+    text = "experiment = custom\narray.layout = link\noutput.format = csv\nnumerics.n_max = 3\n"
+    code, out = _simulate(tmp_path, text, extra=("--jobs", "0"))
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: numerics.n_max: not consumed by experiment custom",
+        "config error: output format: custom writes only json, got csv",
+        "config error: --jobs: must be >= 1, got 0"]
     assert not out.exists()
 
 
@@ -385,7 +397,7 @@ def test_plaquette_uses_base_frequency(tmp_path):
 #: Small configs that together run every branch of each runner.
 READ_CASES = {
     "fig2a_dressed_map": [SMALL_MAP],
-    "fig2b_link_scan": ["experiment = fig2b_link_scan\nscan.points = 2\n"],
+    "fig2b_link_scan": ["experiment = fig2b_link_scan\nscan.points = 3\n"],
     "fig2cd_plaquette": ["experiment = fig2cd_plaquette\nnumerics.window = 50\n"
                          "numerics.samples = 2\n"],
     "fig2e_ladder_spectrum": ["experiment = fig2e_ladder_spectrum\nladder.cells = 2\n"],

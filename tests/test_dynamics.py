@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from phonon_gauge import dynamics
+from phonon_gauge.config import parse_config
 from phonon_gauge.couplings import CouplingMatrix, bare_coupling_matrix, \
     effective_coupling_matrix
 from phonon_gauge.dynamics import (
@@ -21,7 +22,7 @@ from phonon_gauge.dynamics import (
 from phonon_gauge.dynamics import _populations
 from phonon_gauge.fock import basis_state, build_fock_space, ladder_matrix, \
     single_phonon_state
-from phonon_gauge.model import ConfigurationError, build_array, cosine_drive, laser_drive
+from phonon_gauge.model import build_array, cosine_drive, laser_drive
 
 
 @pytest.fixture
@@ -355,14 +356,18 @@ def test_taylor_degree_close_to_adaptive_term_count(link_setup):
     link = evolve(model, single_phonon_state(space, 0), 1.0, space=space, samples=2)
     assert model.dim == 25 and link.diagnostics["taylor_degree"] <= 13 + 2
     for n_max, dim, adaptive in ((2, 81, 14), (4, 625, 18)):
-        _, ring = plaquette_experiment(math.pi, rabi_frequency=0.25, n_max=n_max,
-                                       window=1.0, samples=2)
+        _, ring = plaquette_experiment(parse_config(
+            f"experiment = fig2cd_plaquette\nnumerics.n_max = {n_max}\n"
+            "numerics.window = 1\nnumerics.samples = 2\n"))
         assert build_fock_space(4, n_max).dim == dim
         assert ring.diagnostics["taylor_degree"] <= adaptive + 2
 
 
+LINK = "experiment = fig2b_link_scan\n"
+
+
 def test_link_point_at_pi():
-    t_star, n2_eff, n2_exact, defined = link_point(math.pi)
+    t_star, n2_eff, n2_exact, defined = link_point(parse_config(LINK), math.pi)
     assert defined
     assert n2_eff == pytest.approx(1.0, abs=1e-9)
     assert n2_exact > 0.9
@@ -370,22 +375,23 @@ def test_link_point_at_pi():
 
 
 def test_link_point_suppressed():
-    t_star, n2_eff, n2_exact, defined = link_point(0.0)
+    t_star, n2_eff, n2_exact, defined = link_point(parse_config(LINK), 0.0)
     assert not defined
     assert math.isnan(t_star)
 
 
 def test_link_scan_csv():
-    res = link_transfer_scan([0.0, math.pi])
+    res = link_transfer_scan(parse_config(LINK + "scan.points = 3\n"))  # 0, pi, 2 pi
     csv = res.to_csv().splitlines()
     assert csv[0] == "delta_phi,t_star,n2_effective,n2_exact,defined"
     assert csv[1].endswith(",0")
     assert csv[2].endswith(",1")
+    assert csv[3].endswith(",0")
 
 
 def test_plaquette_short_window_smoke():
-    res_eff, res_exact = plaquette_experiment(math.pi, rabi_frequency=0.25,
-                                              window=200.0, samples=41)
+    res_eff, res_exact = plaquette_experiment(parse_config(
+        "experiment = fig2cd_plaquette\nnumerics.window = 200\nnumerics.samples = 41\n"))
     assert res_eff.populations.shape == (41, 4)
     # destructive interference keeps the opposite corner empty in the dressed model
     assert res_eff.populations[:, 2].max() < 1e-10
@@ -393,7 +399,3 @@ def test_plaquette_short_window_smoke():
     assert np.abs(res_exact.norms - 1.0).max() < 1e-8
     assert np.abs(res_eff.total_number() - 1.0).max() < 1e-8
 
-
-def test_plaquette_rejects_other_fluxes():
-    with pytest.raises(ConfigurationError):
-        plaquette_experiment(1.0, rabi_frequency=0.25)

@@ -93,11 +93,19 @@ def test_laser_identifications():
     drv = laser_drive(0.75, 0.05, 0.2, 1)
     assert drv.eta_d == pytest.approx(0.75 * 0.04 / 0.05)
     arr = build_array("link", (2,), gradient=0.05)
-    assert drv.is_resonant(arr)
-    assert not drv.is_resonant(build_array("link", (2,), gradient=0.06))
+    drv.check_resonance(arr.gradient)
+    with pytest.raises(ConfigurationError, match="drive is off-resonant"):
+        drv.check_resonance(0.06)
     # optical phases carry the opposite sign of the modulation phases
     drv2 = laser_drive(0.75, 0.05, 0.2, 1, phase_x=1.1)
     assert np.allclose(drv2.optical_phases(arr), -drv2.site_phases(arr))
+
+
+@pytest.mark.parametrize("rabi_frequency, lamb_dicke", [(0.75, 1e300), (1e300, 1e10)],
+                         ids=["lamb_dicke-squared-overflows", "product-overflows"])
+def test_laser_drive_strength_must_be_finite(rabi_frequency, lamb_dicke):
+    with pytest.raises(ConfigurationError, match="laser drive eta_d is not finite"):
+        laser_drive(rabi_frequency, 0.05, lamb_dicke)
 
 
 def test_inconsistent_laser_strength_rejected():
