@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .couplings import DomainError, dressed_factor
-from .dynamics import config_drive, ring_bond_factor
+from .dynamics import config_drive, ring_couplings
 from .fock import DENSE_OPERATOR_LIMIT, CapacityError, build_fock_space
 from .model import ConfigurationError
 
@@ -379,7 +379,7 @@ def parse_config(text: str) -> ExperimentConfig:
         try:  # stops at the first rule broken: one message per cause
             drive = config_drive(values, values.get("drive.mode", "laser"), 0.0, 0.0)
             if experiment == "fig2cd_plaquette":
-                ring_bond_factor(drive)
+                ring_couplings(values)
             else:
                 dressed_factor(drive.resonance_order, drive.eta_d, 0.0)
             drive.check_resonance(values["array.gradient"])

@@ -8,10 +8,14 @@ nodes per step) on a grid that divides the drive period into equal steps.
 Each step generator is five real coefficients times a table of fixed
 matrices, and its exponential is a Taylor polynomial whose degree is fixed
 before stepping from a bound on the generator's 1-norm, so that the
-truncation stays below 2^-53.  The polynomial is applied to state vectors
-by Horner's rule; the one-period propagator, used to cross stretches of
-whole periods without a sample, is formed by Paterson-Stockmeyer.  Each
-step is unitary up to roundoff, so norm is conserved over arbitrarily long
+truncation stays below 2^-53.  A flop rule picks one of two paths to the
+samples.  Plain stepping applies the polynomial to the state vector by
+Horner's rule, step by step.  Floquet sampling uses psi(qT + tau) =
+U(tau) U_T^q psi0: it forms the one-period propagator U_T once by
+Paterson-Stockmeyer, powers psi0 by it to every period that holds a
+sample, and steps those states through a single period together, as the
+columns of one block under the same Horner polynomial.  Each step is
+unitary up to roundoff, so norm is conserved over arbitrarily long
 windows.  Evolutions are deterministic and single-threaded; independent
 parameter points of a scan may run concurrently.
 """
@@ -261,6 +265,48 @@ class _PeriodGrid:
         return u
 
 
+#: Throughput of a complex d x d matrix product over that of a d x d
+#: matrix-vector product, per multiply-add, through numpy's `@`.  Measured
+#: on one core of a 2-vCPU Xeon (numpy 2.4, OpenBLAS 0.3.31, 1 thread), best
+#: of 5 in each of three runs: at d = 81 a matrix-vector product took
+#: 4.4-5.0 us and a matrix product 95-109 us, ratio 3.7-3.8; at d = 25 the
+#: ratio was 6.7-8.1 (1.7-2.3 us against 6.2-8.2 us) and at d = 625 4.6-5.3
+#: (296-352 us against 36-42 ms).  Taken at the preset ring's d = 81, rounded.
+_MATMUL_SPEEDUP = 4.0
+
+#: Columns per state dimension in one Floquet-sampling block, so that the
+#: block never outgrows the five-matrix generator table.
+_BLOCK_WIDTH = 5
+
+
+def _period_ends(periods: np.ndarray) -> np.ndarray:
+    """Index of the last sample in each sampled period (`periods` ascending)."""
+    return np.append(np.flatnonzero(np.diff(periods)), len(periods) - 1)
+
+
+def _floquet_pays(dim: int, n: int, degree: int, points: np.ndarray) -> bool:
+    """Whether Floquet sampling to the ascending grid `points` (n steps per
+    period) costs fewer weighted multiply-adds than plain stepping.
+
+    Plain stepping takes points[-1] steps of `degree` matrix-vector
+    products.  Floquet sampling builds U_T (n steps of s + r - 1 matrix
+    products, Paterson-Stockmeyer and the accumulation), applies U_T once per
+    period up to the last sample, and steps blocks of at most _BLOCK_WIDTH d columns,
+    one column per sampled period, to each column's last sample.  A block
+    step streams the generator once, a matrix-vector product, and pays the
+    columns after the first at matrix-product speed.  The partial steps of
+    the samples cost the same on both paths and are left out.
+    """
+    periods, offsets = np.divmod(points, n)
+    last = offsets[_period_ends(periods)]
+    width = _BLOCK_WIDTH * dim
+    steps = sum(int(last[i:i + width].max()) for i in range(0, len(last), width))
+    s, r = _ps_shape(degree)
+    floquet = (n * (s + r - 1) * dim / _MATMUL_SPEEDUP + int(periods[-1])
+               + degree * (steps + (int(last.sum()) - steps) / _MATMUL_SPEEDUP))
+    return bool(floquet < degree * int(points[-1]))
+
+
 def default_time_step(model: DrivenHamiltonian, time_step_divisor: int = 40) -> float:
     """Step rule: the shortest period in H(tau) divided by `time_step_divisor`."""
     return 2.0 * math.pi / (time_step_divisor * model.frequency_scale)
@@ -318,9 +364,12 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     grid has `samples` points on [0, t_final].  Magnus steps of size
     h = T / ceil(T / dt) fill the drive period T, dt defaulting to
     `default_time_step(hamiltonian)`; each sample is one partial step from
-    the last grid point.  Stretches of whole periods without a sample are
-    crossed with the one-period propagator when that costs fewer flops than
-    stepping.  Aborts if the norm drifts beyond 1e-4.
+    the grid point at or below it.  `_floquet_pays` picks the cheaper of two
+    paths to those grid points: plain stepping of the state vector, or
+    Floquet sampling, which builds the one-period propagator U_T, powers
+    psi0 by it to every period that holds a sample, and steps those states
+    through one period together as the columns of one block.  Aborts if the
+    norm drifts beyond 1e-4, naming the earliest sample that drifts.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -357,47 +406,76 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     partial = np.maximum(times - points * h, 0.0)
     partial_coefs = grid.coefficients((points % n) * h, partial)
 
-    # whole sample-free periods between one sample's grid point and the next
-    starts = -(-np.concatenate(([0], points[:-1])) // n) * n
-    skips = np.maximum(points - starts, 0) // n
-    # stepping a period costs n m matrix-vector products; building the period
-    # propagator costs n (s + r - 1) matrix products (Paterson-Stockmeyer + 1)
-    use_period = int(skips.sum()) * m > (sum(_ps_shape(m)) - 1) * hamiltonian.dim
-    if use_period:
-        u_period = grid.period_propagator()
-    else:
-        skips[:] = 0
+    occ = space.occupation_table()
+    top = (occ == space.n_max).any(axis=0)  # Fock states with some n_i = n_max
+    pops = np.empty((samples, space.n_sites))
+    norms, leakage = np.empty(samples), np.empty(samples)
 
-    psi = psi0.astype(complex)
-    j = 0
-    pops, norms = [], []
-    for k, target in enumerate(points.tolist()):
-        if skips[k]:
-            psi = grid.advance(psi, j, int(starts[k]) - j)
-            for _ in range(skips[k]):
-                psi = u_period @ psi
-            j = int(starts[k] + skips[k] * n)
-        psi = grid.advance(psi, j, target - j)
-        j = target
-        out = _taylor_apply(grid.omega(partial_coefs[k]), psi, m)  # exact copy if on grid
-        nrm = np.linalg.norm(out)
-        if abs(nrm - 1.0) > NORM_ABORT:
-            raise IntegrationError(
-                f"norm drifted to {nrm:.6f} at t = {times[k]:.3f}; dt = {h} is too large"
-            )
-        pops.append(_populations(space, out))
-        norms.append(nrm)
-    norms = np.array(norms)
+    def emit(k, x):
+        out = _taylor_apply(grid.omega(partial_coefs[k]), x, m)  # exact copy if on grid
+        weights = np.abs(out) ** 2
+        pops[k] = occ @ weights
+        norms[k] = np.linalg.norm(out)
+        leakage[k] = weights[top].sum()
+
+    floquet = _floquet_pays(hamiltonian.dim, n, m, points)
+    if floquet:
+        u_period = grid.period_propagator()
+        periods, offsets = np.divmod(points, n)
+        ends = _period_ends(periods)
+        width = _BLOCK_WIDTH * hamiltonian.dim
+        phi, power, first, block_steps = psi0.astype(complex), 0, 0, 0
+        for pass_ends in (ends[i:i + width] for i in range(0, len(ends), width)):
+            # Pass 1: U_T^q psi0 for each sampled period q, in columns ordered
+            # by their last sample's offset, latest first
+            last = offsets[pass_ends]
+            order = np.argsort(-last, kind="stable")
+            column = np.argsort(order)  # block column of each sampled period
+            block = np.empty((hamiltonian.dim, len(order)), dtype=complex)
+            for c, q in zip(column, periods[pass_ends]):
+                for _ in range(q - power):
+                    phi = u_period @ phi
+                power = q
+                block[:, c] = phi
+            last = last[order]
+            # Pass 2: step the block through the period, emitting in offset order;
+            # a column leaves once its last sample is out
+            ks = np.arange(first, pass_ends[-1] + 1)
+            sample_column = column[np.searchsorted(pass_ends, ks)]
+            j = 0
+            for i in np.argsort(offsets[ks], kind="stable"):
+                o = offsets[ks[i]]
+                if o > j:
+                    block = grid.advance(block[:, :np.count_nonzero(last >= o)], j, o - j)
+                    block_steps += o - j
+                    j = o
+                emit(ks[i], block[:, sample_column[i]])
+            first = pass_ends[-1] + 1
+        steps = n + block_steps
+    else:
+        psi, j = psi0.astype(complex), 0
+        for k, target in enumerate(points.tolist()):
+            psi = grid.advance(psi, j, target - j)
+            j = target
+            emit(k, psi)
+        steps, power = points[-1], 0
+
+    drifted = np.flatnonzero(np.abs(norms - 1.0) > NORM_ABORT)
+    if drifted.size:
+        k = drifted[0]
+        raise IntegrationError(
+            f"norm drifted to {norms[k]:.6f} at t = {times[k]:.3f}; dt = {h} is too large"
+        )
     params.update({"integrator": "magnus4", "dt": h, "dt_requested": dt})
     diagnostics = {
-        "magnus_steps": int(points[-1] - skips.sum() * n + (partial > 0).sum()
-                            + use_period * n),
+        "magnus_steps": int(steps + (partial > 0).sum()),
         "taylor_degree": m,
-        "period_propagator": use_period,
-        "period_powers": int(skips.sum()),
+        "period_propagator": floquet,
+        "period_powers": int(power),
         "max_norm_drift": float(np.abs(norms - 1.0).max()),
+        "max_top_level_population": float(leakage.max()),
     }
-    return EvolutionResult(times=times, populations=np.array(pops), norms=norms,
+    return EvolutionResult(times=times, populations=pops, norms=norms,
                            model=label, parameters=params, diagnostics=diagnostics)
 
 
@@ -490,35 +568,46 @@ def link_transfer_scan(cfg, *, map_fn=map) -> LinkScanResult:
                           n2_exact=n2_exact, defined=defined.astype(bool))
 
 
-def ring_bond_factor(drive: DriveSpec) -> float:
-    """|F_r(eta_d, pi)| of every ring bond; ConfigurationError when it vanishes."""
+def ring_couplings(cfg):
+    """(drive, array, effective couplings, window) of the ring config `cfg`.
+
+    The geometry is tuned so every ring bond of the dressed model has the
+    same magnitude: d_x = d_y |F_r(eta_d, pi)|^(1/3).  `plaquette.flux`
+    selects the synthetic plaquette flux through the phase steps
+    (phase_x = pi, phase_y = flux).  The automatic window is one full
+    ring-transfer cycle, pi / |J|.  ConfigurationError when the bond
+    vanishes, or when it is below COUPLING_THRESHOLD on the automatic
+    window, which would then be too long to integrate.
+    """
+    drive = config_drive(cfg, "laser", math.pi, cfg["plaquette.flux"])
     f_mag = abs(dressed_factor(drive.resonance_order, drive.eta_d, math.pi))
     if f_mag == 0:
         raise ConfigurationError(f"the dressed ring bond vanishes: |F_{drive.resonance_order}"
                                  f"(eta_d, pi)| = 0 at eta_d = {drive.eta_d}; the ring needs a "
                                  "nonzero drive")
-    return f_mag
+    array = build_array("plaquette", (2, 2), spacing_y=f_mag ** (-1.0 / 3.0),
+                        base_frequency=cfg["array.base_frequency"],
+                        gradient=cfg["array.gradient"], coulomb_beta=cfg["array.beta"])
+    eff = effective_coupling_matrix(array, drive, cfg["direction"], cfg["numerics.cutoff_range"],
+                                    reference_frequencies=True, diagonal_bonds=False)
+    window = cfg["numerics.window"]
+    if window is None:
+        j_bond = abs(eff.matrix[1, 0])
+        if j_bond < COUPLING_THRESHOLD:
+            raise ConfigurationError(
+                f"the dressed ring bond |J| = {j_bond:.3g} is below {COUPLING_THRESHOLD}, so "
+                "the automatic window pi / |J| is too long to integrate; set numerics.window "
+                "or strengthen the drive")
+        window = math.pi / j_bond
+    return drive, array, eff, window
 
 
 def plaquette_experiment(cfg):
     """Four-site interference of the ring config `cfg`; returns (effective, exact) results.
 
-    The geometry is tuned so every ring bond of the dressed model has the
-    same magnitude: d_x = d_y |F_r(eta_d, pi)|^(1/3).  `plaquette.flux`
-    selects the synthetic plaquette flux through the phase steps
-    (phase_x = pi, phase_y = flux).  The phonon starts on site 0.
+    The ring is that of `ring_couplings`; the phonon starts on site 0.
     """
-    drive = config_drive(cfg, "laser", math.pi, cfg["plaquette.flux"])
-    spacing_y = ring_bond_factor(drive) ** (-1.0 / 3.0)
-    array = build_array("plaquette", (2, 2), spacing_y=spacing_y,
-                        base_frequency=cfg["array.base_frequency"],
-                        gradient=cfg["array.gradient"], coulomb_beta=cfg["array.beta"])
-    eff = effective_coupling_matrix(array, drive, cfg["direction"], cfg["numerics.cutoff_range"],
-                                    reference_frequencies=True, diagonal_bonds=False)
-    j_bond = abs(eff.matrix[1, 0])
-    window = cfg["numerics.window"]
-    if window is None:
-        window = math.pi / j_bond
+    drive, array, eff, window = ring_couplings(cfg)
     common = {
         "flux": cfg["plaquette.flux"],
         "rabi_frequency": cfg["drive.rabi_frequency"],
@@ -529,8 +618,8 @@ def plaquette_experiment(cfg):
         "coulomb_beta": cfg["array.beta"],
         "n_max": cfg["numerics.n_max"],
         "window": window,
-        "spacing_y": spacing_y,
-        "bond_magnitude": j_bond,
+        "spacing_y": array.spacing_y,
+        "bond_magnitude": abs(eff.matrix[1, 0]),
     }
     return _effective_and_exact(cfg, array, drive, eff, window, cfg["numerics.samples"],
                                 cfg["numerics.cutoff_range"], common)

@@ -170,10 +170,11 @@ def test_plaquette_manifest_reports_exact_diagnostics(tmp_path):
     assert code == 0
     diag = json.loads((out / "manifest.json").read_text())["resolved"]["diagnostics"]
     assert set(diag) == {"magnus_steps", "taylor_degree", "period_propagator",
-                         "period_powers", "max_norm_drift"}
+                         "period_powers", "max_norm_drift", "max_top_level_population"}
     assert diag["magnus_steps"] > 0 and diag["taylor_degree"] > 0
     assert diag["period_propagator"] is False and diag["period_powers"] == 0
     assert 0 <= diag["max_norm_drift"] < 1e-8
+    assert 0 < diag["max_top_level_population"] < 1e-2  # n_max = 2 holds the drive's leakage
     assert "diagnostics" not in (out / "plaquette_exact.csv").read_text()
 
 
@@ -227,6 +228,23 @@ def test_ring_above_the_fock_limit_is_a_config_error(tmp_path, monkeypatch, caps
     assert capsys.readouterr().err == (
         "config error: Fock dimension 6561 (4 sites, n_max = 8) exceeds the "
         "dense-operator limit 4096\n")
+
+
+def test_weak_ring_drive_on_the_automatic_window_is_a_config_error(tmp_path, monkeypatch,
+                                                                  capsys):
+    # |J| = 8e-16 would give a window of 3.9e15 time units, a run that never ends
+    def never(*args, **kwargs):
+        raise AssertionError("evolved on an automatic window with a bond below threshold")
+
+    monkeypatch.setattr(dynamics, "evolve", never)
+    text = "experiment = fig2cd_plaquette\ndrive.rabi_frequency = 1e-12\n"
+    code, out = _simulate(tmp_path, text + "output.format = xml\n")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error: the dressed ring bond |J| = 8e-16 is below 1e-06" in err
+    assert "output.format" in err  # listed with the other violations
+    assert not out.exists()
+    parse_config(text + "numerics.window = 100\n")  # an explicit window stays valid
 
 
 @pytest.mark.parametrize("text, capacity", [

@@ -269,7 +269,7 @@ def test_evolution_result_serialisation(link_setup):
 # -- preset experiments -------------------------------------------------------
 
 
-def _plain_magnus_populations(model, space, psi0, times, dt):
+def _plain_magnus_states(model, psi0, times, dt):
     """Reference: the 4th-order Magnus scheme on the grid h = T / ceil(T / dt),
     stepped straight through with scipy's expm, one partial step per sample."""
     period = 2 * math.pi / abs(model.modulation)
@@ -294,8 +294,13 @@ def _plain_magnus_populations(model, space, psi0, times, dt):
             psi = propagator(j * h, h) @ psi
         done = full
         rest = t - full * h
-        out.append(_populations(space, propagator(full * h, rest) @ psi if rest > 0 else psi))
-    return np.array(out)
+        out.append(propagator(full * h, rest) @ psi if rest > 0 else psi)
+    return out
+
+
+def _plain_magnus_populations(model, space, psi0, times, dt):
+    return np.array([_populations(space, psi)
+                     for psi in _plain_magnus_states(model, psi0, times, dt)])
 
 
 @pytest.fixture
@@ -309,16 +314,17 @@ def test_period_propagator_matches_straight_evolution(pi_link_model):
     model, space = pi_link_model
     psi0 = single_phonon_state(space, 0)
     period = 2 * math.pi / abs(model.modulation)
-    # samples at 12.35 T and 24.7 T: 12 and then 11 whole sample-free periods,
-    # each stretch ending in a partial step
+    # samples at 0, 12.35 T and 24.7 T: U_T takes psi0 to period 24 in 24
+    # products, and the block carries periods 12 and 24 to their partial steps
     res = evolve(model, psi0, 24.7 * period, 0.4, space=space, samples=3)
     assert res.diagnostics["period_propagator"]
-    assert res.diagnostics["period_powers"] == 23
+    assert res.diagnostics["period_powers"] == 24
     ref = _plain_magnus_populations(model, space, psi0, res.times, 0.4)
     assert np.abs(res.populations - ref).max() < 1e-9
 
 
-@pytest.mark.parametrize("periods, samples, uses_propagator", [(3, 4, False), (20, 2, True)])
+@pytest.mark.parametrize("periods, samples, uses_propagator",
+                         [(2, 3, False), (3, 4, True), (20, 2, True)])
 def test_samples_at_period_multiples_land_on_the_grid(pi_link_model, periods, samples,
                                                       uses_propagator):
     model, space = pi_link_model
@@ -335,6 +341,79 @@ def test_samples_at_period_multiples_land_on_the_grid(pi_link_model, periods, sa
         assert diag["period_powers"] == 0 and diag["magnus_steps"] == periods * n
     ref = _plain_magnus_populations(model, space, psi0, res.times, 0.4)
     assert np.abs(res.populations - ref).max() < 1e-9
+
+
+@pytest.fixture
+def small_link_model():
+    arr = build_array("link", (2,), gradient=0.05)
+    space = build_fock_space(2, 2)  # dim 9: a block holds 45 periods
+    drv = laser_drive(0.75, 0.05, 0.2, phase_x=math.pi)
+    return driven_model(arr, drv, bare_coupling_matrix(arr, "z"), space), space
+
+
+@pytest.mark.parametrize("model_fixture, periods, samples", [
+    ("pi_link_model", 9.7, 11),   # one sample in every period
+    ("pi_link_model", 8.1, 29),   # several samples in each period
+    ("pi_link_model", 6.0, 5),    # offsets 0 and T / 2 in several periods, 3 T and 6 T on the grid
+    ("small_link_model", 50.5, 52),  # 51 sampled periods: two block passes of at most 45
+], ids=["every-period", "several-per-period", "same-offset", "two-passes"])
+def test_floquet_sampling_matches_plain_stepping(request, model_fixture, periods, samples):
+    model, space = request.getfixturevalue(model_fixture)
+    psi0 = single_phonon_state(space, 0)
+    period = 2 * math.pi / abs(model.modulation)
+    res = evolve(model, psi0, periods * period, 0.4, space=space, samples=samples)
+    assert res.diagnostics["period_propagator"]
+    assert res.diagnostics["period_powers"] == int(periods)
+    ref = _plain_magnus_populations(model, space, psi0, res.times, 0.4)
+    assert np.abs(res.populations - ref).max() < 1e-9
+
+
+def _grid_points(window, samples, n):
+    h = 2 * math.pi / 0.05 / n  # the presets drive at beat frequency 0.05
+    return np.floor(np.linspace(0.0, window, samples) / h + 1e-9).astype(np.int64)
+
+
+def test_cost_rule_branches_at_the_ring_shapes():
+    # criterion 8's n_max = 4 ring (dim 625, 263 steps per period at degree 32,
+    # 151 samples over 1500): U_T alone costs about 17 times the stepping
+    assert not dynamics._floquet_pays(625, 263, 32, _grid_points(1500.0, 151, 263))
+    # the pi ring at n_max = 2 (dim 81, 1050 steps at degree 14) on a 4060 window
+    assert dynamics._floquet_pays(81, 1050, 14, _grid_points(4060.0, 601, 1050))
+
+
+def test_norm_abort_names_the_earliest_drifting_sample(pi_link_model, monkeypatch):
+    model, space = pi_link_model
+    psi0 = single_phonon_state(space, 0)
+    t_final = 9.7 * 2 * math.pi / abs(model.modulation)
+    res = evolve(model, psi0, t_final, 0.4, space=space, samples=11)
+    # Floquet sampling emits these samples latest first after t = 0
+    assert res.diagnostics["period_propagator"]
+    drift = np.abs(res.norms - 1.0)
+    limit = np.sort(drift)[-3]
+    drifting = np.flatnonzero(drift > limit)
+    assert len(drifting) >= 2
+    monkeypatch.setattr(dynamics, "NORM_ABORT", limit)
+    with pytest.raises(IntegrationError, match=f"at t = {res.times[drifting[0]]:.3f};"):
+        evolve(model, psi0, t_final, 0.4, space=space, samples=11)
+
+
+def test_top_level_population_is_the_truncation_leakage():
+    text = "experiment = fig2cd_plaquette\nnumerics.window = 150\nnumerics.samples = 16\n"
+    cfg = parse_config(text)
+    _, res = plaquette_experiment(cfg)
+    drive, array, _, _ = dynamics.ring_couplings(cfg)
+    space = build_fock_space(4, 2)
+    bare = bare_coupling_matrix(array, cfg["direction"], cfg["numerics.cutoff_range"])
+    states = _plain_magnus_states(driven_model(array, drive, bare, space),
+                                  single_phonon_state(space, 0), res.times,
+                                  res.parameters["dt_requested"])
+    top = (space.occupation_table() == 2).any(axis=0)
+    want = max(float((np.abs(psi[top]) ** 2).sum()) for psi in states)
+    leakage = res.diagnostics["max_top_level_population"]
+    assert want > 1e-6
+    assert leakage == pytest.approx(want, abs=1e-9)
+    _, deeper = plaquette_experiment(parse_config(text + "numerics.n_max = 3\n"))
+    assert deeper.diagnostics["max_top_level_population"] < leakage
 
 
 @pytest.mark.parametrize("t_final, samples", [(2000.0, 2), (300.0, 7)])
