@@ -15,7 +15,6 @@ from .couplings import (
     DomainError,
     DressedMapResult,
     bare_coupling_matrix,
-    bessel_j,
     dressed_factor,
     dressed_map,
     effective_coupling_matrix,
@@ -35,10 +34,8 @@ from .dynamics import (
 from .fock import (
     CapacityError,
     FockSpace,
-    basis_state,
     build_fock_space,
     displacement_exponential,
-    ladder_matrix,
     single_phonon_state,
 )
 from .model import (

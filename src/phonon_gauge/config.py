@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .couplings import DomainError, dressed_factor
 from .dynamics import config_drive, ring_couplings
 from .fock import DENSE_OPERATOR_LIMIT, CapacityError, build_fock_space
-from .model import ConfigurationError
+from .model import ConfigurationError, GeometryError
 
 EXPERIMENT_SUMMARIES = {
     "fig2a_dressed_map": "map of the dressed-coupling magnitude over drive strength and phase step",
@@ -383,7 +383,7 @@ def parse_config(text: str) -> ExperimentConfig:
             else:
                 dressed_factor(drive.resonance_order, drive.eta_d, 0.0)
             drive.check_resonance(values["array.gradient"])
-        except (ConfigurationError, DomainError) as exc:
+        except (ConfigurationError, DomainError, GeometryError) as exc:
             violations.append(str(exc))
 
     config = ExperimentConfig(experiment=experiment, values=tuple(sorted(values.items())))

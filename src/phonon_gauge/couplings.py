@@ -14,7 +14,7 @@ import numpy as np
 from ._text import csv_text, json_text
 from .model import ConfigurationError, DriveSpec, GeometryError, TrapArray
 
-#: Largest |x| accepted by bessel_j.
+#: Largest argument accepted by bessel_first_kind_array and dressed_factor.
 BESSEL_MAX_ARGUMENT = 50.0
 
 #: Orders above this are indistinguishable from zero at the supported
@@ -75,22 +75,6 @@ def bessel_first_kind_array(n_top: int, x: float) -> np.ndarray:
     if x <= 8.0:
         return np.array([_bessel_series(s, x) for s in range(n_top + 1)])
     return _bessel_array_miller(n_top, x)
-
-
-def bessel_j(order: int, x: float) -> float:
-    """Bessel function of the first kind J_order(x), |x| <= 50.
-
-    Reads J_|order|(|x|) from bessel_first_kind_array and applies the
-    reflection signs; absolute error below 1e-12 over the supported range.
-    """
-    if abs(x) > BESSEL_MAX_ARGUMENT:
-        raise DomainError(f"argument {x} outside supported range |x| <= {BESSEL_MAX_ARGUMENT}")
-    k = int(order)
-    s = abs(k)
-    if s >= _BESSEL_ZERO_ORDER:
-        return 0.0
-    value = float(bessel_first_kind_array(s, abs(x))[s])
-    return -value if s % 2 and (k < 0) != (x < 0) else value
 
 
 def dressed_series_cutoff(eta_d: float) -> int:
@@ -198,7 +182,12 @@ def _pair_table(array: TrapArray, direction: str, cutoff_range: float,
     # |dr|^5 through the C library's pow, once per distinct distance: numpy's
     # vectorised power may round differently in the last bit on some CPUs.
     distinct, which = np.unique(dist, return_inverse=True)
-    dist5 = np.array([d**5 for d in distinct.tolist()])[which]
+    try:
+        dist5 = np.array([d**5 for d in distinct.tolist()])[which]
+    except OverflowError:  # beyond about 1.6e61 spacings
+        k = int(np.argmax(dist))
+        raise GeometryError(f"sites {i[k]} and {j[k]} are {dist[k]:.3g} x-spacings apart, "
+                            "too far for the dipolar coupling (|dr|^5 overflows)") from None
     geom = (3.0 * comp * comp - dist * dist) / dist5
     return i, j, -(beta / 2.0) * geom / np.sqrt(w[i] * w[j])
 

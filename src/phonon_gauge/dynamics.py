@@ -8,13 +8,13 @@ nodes per step) on a grid that divides the drive period into equal steps.
 Each step generator is five real coefficients times a table of fixed
 matrices, and its exponential is a Taylor polynomial whose degree is fixed
 before stepping from a bound on the generator's 1-norm, so that the
-truncation stays below 2^-53.  A flop rule picks one of two paths to the
-samples.  Plain stepping applies the polynomial to the state vector by
-Horner's rule, step by step.  Floquet sampling uses psi(qT + tau) =
-U(tau) U_T^q psi0: it forms the one-period propagator U_T once by
-Paterson-Stockmeyer, powers psi0 by it to every period that holds a
-sample, and steps those states through a single period together, as the
-columns of one block under the same Horner polynomial.  Each step is
+truncation stays below 2^-53.  One loop steps every state: a block of
+columns under the Horner form of that polynomial, one column per period
+that holds a sample.  Floquet sampling uses psi(qT + tau) = U(tau) U_T^q
+psi0: it forms the one-period propagator U_T once by Paterson-Stockmeyer,
+powers psi0 by it to every sampled period and steps those columns through
+one period together.  Plain stepping, which a flop rule picks when U_T does
+not pay, is one column stepped through the whole window.  Each step is
 unitary up to roundoff, so norm is conserved over arbitrarily long
 windows.  Evolutions are deterministic and single-threaded; independent
 parameter points of a scan may run concurrently.
@@ -31,8 +31,8 @@ import numpy as np
 from ._text import csv_text, json_text
 from .couplings import DEFAULT_CUTOFF_RANGE, CouplingMatrix, dressed_factor, \
     bare_coupling_matrix, effective_coupling_matrix
-from .fock import FockSpace, build_fock_space, displacement_exponential, \
-    single_phonon_state
+from .fock import FockSpace, add_local, build_fock_space, displacement_exponential, \
+    lowering, single_phonon_state
 from .model import ConfigurationError, DriveSpec, TrapArray, build_array, cosine_drive, \
     laser_drive
 
@@ -97,14 +97,11 @@ def effective_hamiltonian(matrix: CouplingMatrix, space: FockSpace) -> np.ndarra
         raise ValueError(
             f"coupling matrix is {matrix.n}-site but the Fock space has {space.n_sites}"
         )
-    occ = space.occupation_table()
-    stride = space.local_dim ** np.arange(space.n_sites - 1, -1, -1)
+    a, d = lowering(space.n_max), space.local_dim
+    hop = np.multiply.outer(a.T, a).swapaxes(1, 2).reshape(d * d, d * d)  # kron(a^dag, a)
     h = np.zeros((space.dim, space.dim), dtype=complex)
     for i, j in zip(*np.nonzero(matrix.matrix)):  # i != j: CouplingMatrix has a zero diagonal
-        # a_i^dag a_j |n> = sqrt(n_i + 1) sqrt(n_j) |n + e_i - e_j> inside the truncation
-        cols = np.flatnonzero((occ[j] > 0) & (occ[i] < space.n_max))
-        h[cols + (stride[i] - stride[j]), cols] += matrix.matrix[i, j] * (
-            np.sqrt(occ[i, cols] + 1) * np.sqrt(occ[j, cols]))
+        add_local(h, space, (i, j), matrix.matrix[i, j] * hop)
     return h
 
 
@@ -132,9 +129,10 @@ def driven_model(array: TrapArray, drive: DriveSpec, bare: CouplingMatrix,
         modulation, rabi = drive.drive_frequency, 0.0
     else:
         thetas = drive.optical_phases(array)
+        local = displacement_exponential(space.n_max, drive.lamb_dicke)
         v = np.zeros((space.dim, space.dim), dtype=complex)
         for i in range(space.n_sites):
-            v += np.exp(1j * thetas[i]) * displacement_exponential(space, i, drive.lamb_dicke)
+            add_local(v, space, (i,), np.exp(1j * thetas[i]) * local)
         v *= drive.rabi_frequency / 2.0
         modulation, rabi = -drive.drive_frequency, drive.rabi_frequency
     hop = float(np.abs(bare.matrix).sum(axis=1).max())  # largest row sum of |J|
@@ -364,12 +362,13 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     grid has `samples` points on [0, t_final].  Magnus steps of size
     h = T / ceil(T / dt) fill the drive period T, dt defaulting to
     `default_time_step(hamiltonian)`; each sample is one partial step from
-    the grid point at or below it.  `_floquet_pays` picks the cheaper of two
-    paths to those grid points: plain stepping of the state vector, or
-    Floquet sampling, which builds the one-period propagator U_T, powers
-    psi0 by it to every period that holds a sample, and steps those states
-    through one period together as the columns of one block.  Aborts if the
-    norm drifts beyond 1e-4, naming the earliest sample that drifts.
+    the grid point at or below it.  One block loop steps the states to
+    those grid points.  When `_floquet_pays`, it builds the one-period
+    propagator U_T, powers psi0 by it to every period that holds a sample,
+    and steps those states through one period as the columns of one block;
+    otherwise plain stepping runs the same loop with one column through the
+    whole window.  Aborts if the norm drifts beyond 1e-4, naming the
+    earliest sample that drifts.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -418,47 +417,40 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         norms[k] = np.linalg.norm(out)
         leakage[k] = weights[top].sum()
 
+    # plain stepping: the whole window is period 0, and U_T is never applied
     floquet = _floquet_pays(hamiltonian.dim, n, m, points)
-    if floquet:
-        u_period = grid.period_propagator()
-        periods, offsets = np.divmod(points, n)
-        ends = _period_ends(periods)
-        width = _BLOCK_WIDTH * hamiltonian.dim
-        phi, power, first, block_steps = psi0.astype(complex), 0, 0, 0
-        for pass_ends in (ends[i:i + width] for i in range(0, len(ends), width)):
-            # Pass 1: U_T^q psi0 for each sampled period q, in columns ordered
-            # by their last sample's offset, latest first
-            last = offsets[pass_ends]
-            order = np.argsort(-last, kind="stable")
-            column = np.argsort(order)  # block column of each sampled period
-            block = np.empty((hamiltonian.dim, len(order)), dtype=complex)
-            for c, q in zip(column, periods[pass_ends]):
-                for _ in range(q - power):
-                    phi = u_period @ phi
-                power = q
-                block[:, c] = phi
-            last = last[order]
-            # Pass 2: step the block through the period, emitting in offset order;
-            # a column leaves once its last sample is out
-            ks = np.arange(first, pass_ends[-1] + 1)
-            sample_column = column[np.searchsorted(pass_ends, ks)]
-            j = 0
-            for i in np.argsort(offsets[ks], kind="stable"):
-                o = offsets[ks[i]]
-                if o > j:
-                    block = grid.advance(block[:, :np.count_nonzero(last >= o)], j, o - j)
-                    block_steps += o - j
-                    j = o
-                emit(ks[i], block[:, sample_column[i]])
-            first = pass_ends[-1] + 1
-        steps = n + block_steps
-    else:
-        psi, j = psi0.astype(complex), 0
-        for k, target in enumerate(points.tolist()):
-            psi = grid.advance(psi, j, target - j)
-            j = target
-            emit(k, psi)
-        steps, power = points[-1], 0
+    u_period = grid.period_propagator() if floquet else None
+    periods, offsets = np.divmod(points, n) if floquet else (np.zeros_like(points), points)
+    ends = _period_ends(periods)
+    width = _BLOCK_WIDTH * hamiltonian.dim
+    phi, power, first, block_steps = psi0.astype(complex), 0, 0, 0
+    for pass_ends in (ends[i:i + width] for i in range(0, len(ends), width)):
+        # Pass 1: U_T^q psi0 for each sampled period q, in columns ordered
+        # by their last sample's offset, latest first
+        last = offsets[pass_ends]
+        order = np.argsort(-last, kind="stable")
+        column = np.argsort(order)  # block column of each sampled period
+        block = np.empty((hamiltonian.dim, len(order)), dtype=complex)
+        for c, q in zip(column, periods[pass_ends]):
+            for _ in range(q - power):
+                phi = u_period @ phi
+            power = q
+            block[:, c] = phi
+        last = last[order]
+        # Pass 2: step the block through the period, emitting in offset order;
+        # a column leaves once its last sample is out
+        ks = np.arange(first, pass_ends[-1] + 1)
+        sample_column = column[np.searchsorted(pass_ends, ks)]
+        j = 0
+        for i in np.argsort(offsets[ks], kind="stable"):
+            o = offsets[ks[i]]
+            if o > j:
+                block = grid.advance(block[:, :np.count_nonzero(last >= o)], j, o - j)
+                block_steps += o - j
+                j = o
+            emit(ks[i], block[:, sample_column[i]])
+        first = pass_ends[-1] + 1
+    steps = (n if floquet else 0) + block_steps
 
     drifted = np.flatnonzero(np.abs(norms - 1.0) > NORM_ABORT)
     if drifted.size:

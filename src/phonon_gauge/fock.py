@@ -1,8 +1,11 @@
-"""Truncated multi-site bosonic Fock space and dense single-site operators.
+"""Truncated multi-site bosonic Fock space, its local operators, and the one
+rule that places a local operator on the many-body space.
 
 Basis ordering is lexicographic with site 0 slowest, so the flat index of an
-occupation vector (n_0, ..., n_{N-1}) is its base-(n_max+1) value.  Spaces
-and operator matrices are immutable after construction.
+occupation vector (n_0, ..., n_{N-1}) is its base-(n_max+1) value; the
+occupation table lists every basis state in that order.  Operators here are
+local: d x d matrices on one site, d = n_max + 1.  `add_local` adds one to a
+many-body matrix on the sites it acts on.  Spaces are immutable.
 """
 
 from __future__ import annotations
@@ -33,26 +36,6 @@ class FockSpace:
     def dim(self) -> int:
         return self.local_dim**self.n_sites
 
-    def index_of(self, occupations) -> int:
-        occ = tuple(int(n) for n in occupations)
-        if len(occ) != self.n_sites:
-            raise ValueError(f"expected {self.n_sites} occupations, got {len(occ)}")
-        idx = 0
-        for n in occ:
-            if not 0 <= n <= self.n_max:
-                raise ValueError(f"occupation {n} outside [0, {self.n_max}]")
-            idx = idx * self.local_dim + n
-        return idx
-
-    def occupations(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.dim:
-            raise ValueError(f"index {index} outside [0, {self.dim})")
-        out = []
-        for _ in range(self.n_sites):
-            index, n = divmod(index, self.local_dim)
-            out.append(n)
-        return tuple(reversed(out))
-
     def occupation_table(self) -> np.ndarray:
         """Occupation of every site in every basis state, shape (n_sites, dim)."""
         return _occupation_table(self.n_sites, self.n_max)
@@ -82,44 +65,32 @@ def build_fock_space(n_sites: int, n_max: int) -> FockSpace:
     return FockSpace(n_sites=n_sites, n_max=n_max)
 
 
-def _check_site(space: FockSpace, site: int):
-    if not 0 <= site < space.n_sites:
-        raise ValueError(f"site {site} outside [0, {space.n_sites})")
+def add_local(out: np.ndarray, space: FockSpace, sites, local: np.ndarray) -> None:
+    """out += `local` acting on `sites`, identity elsewhere, in place.
+
+    `local` is d^k x d^k on the k distinct `sites`, ordered like the basis:
+    the first site slowest.  Each basis state of the other sites gets one
+    copy of `local`, scattered through the occupation table.
+    """
+    sites = list(sites)
+    if len(set(sites)) != len(sites) or not all(0 <= s < space.n_sites for s in sites):
+        raise ValueError(f"sites {sites} are not distinct sites in [0, {space.n_sites})")
+    occ = space.occupation_table()
+    stride = space.local_dim ** (space.n_sites - 1 - np.array(sites))
+    offsets = stride @ _occupation_table(len(sites), space.n_max)  # of each local state
+    rows = np.flatnonzero((occ[sites] == 0).all(axis=0))[:, None] + offsets
+    out[rows[:, :, None], rows[:, None, :]] += local
 
 
-def _embed(space: FockSpace, site: int, local: np.ndarray) -> np.ndarray:
-    d = space.local_dim
-    left = np.eye(d**site, dtype=local.dtype)
-    right = np.eye(d ** (space.n_sites - 1 - site), dtype=local.dtype)
-    out = np.kron(np.kron(left, local), right)
-    out.setflags(write=False)
-    return out
+def lowering(n_max: int) -> np.ndarray:
+    """Truncated lowering operator on one site: |n> -> sqrt(n) |n-1>.
 
-
-def _local_lowering(n_max: int) -> np.ndarray:
+    Its transpose is the raising operator; a.T @ a is the number operator.
+    """
     return np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
 
 
-def ladder_matrix(space: FockSpace, site: int, kind: str) -> np.ndarray:
-    """Truncated ladder operator acting on one site, identity elsewhere.
-
-    kind "lower" maps |n> to sqrt(n) |n-1>, "raise" is its adjoint on the
-    truncated space, "number" is the diagonal occupation operator.
-    """
-    _check_site(space, site)
-    a = _local_lowering(space.n_max)
-    if kind == "lower":
-        local = a
-    elif kind == "raise":
-        local = a.T
-    elif kind == "number":
-        local = np.diag(np.arange(float(space.local_dim)))
-    else:
-        raise ValueError(f"unknown ladder kind {kind!r}")
-    return _embed(space, site, local)
-
-
-def displacement_exponential(space: FockSpace, site: int, eta: float) -> np.ndarray:
+def displacement_exponential(n_max: int, eta: float) -> np.ndarray:
     """exp(i eta (a + a^dagger)) on one site, exactly unitary on the truncation.
 
     Built by exponentiating the truncated Hermitian generator (rather than
@@ -127,25 +98,19 @@ def displacement_exponential(space: FockSpace, site: int, eta: float) -> np.ndar
     evolution norm-preserving; the truncation itself converges like the
     vacuum overlap exp(-eta^2/2).
     """
-    _check_site(space, site)
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    a = _local_lowering(space.n_max)
-    gen = eta * (a + a.T)
-    vals, vecs = np.linalg.eigh(gen)
-    local = (vecs * np.exp(1j * vals)) @ vecs.conj().T
-    return _embed(space, site, local)
-
-
-def basis_state(space: FockSpace, occupations) -> np.ndarray:
-    psi = np.zeros(space.dim, dtype=complex)
-    psi[space.index_of(occupations)] = 1.0
-    return psi
+    a = lowering(n_max)
+    vals, vecs = np.linalg.eigh(eta * (a + a.T))
+    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
 
 
 def single_phonon_state(space: FockSpace, site: int) -> np.ndarray:
     """One phonon at `site`, vacuum elsewhere."""
-    _check_site(space, site)
-    occ = [0] * space.n_sites
-    occ[site] = 1
-    return basis_state(space, occ)
+    if not 0 <= site < space.n_sites:
+        raise ValueError(f"site {site} outside [0, {space.n_sites})")
+    if space.n_max < 1:
+        raise ValueError("a phonon needs n_max >= 1")
+    psi = np.zeros(space.dim, dtype=complex)
+    psi[space.local_dim ** (space.n_sites - 1 - site)] = 1.0
+    return psi

@@ -304,6 +304,30 @@ def test_config_and_flag_violations_are_listed_together(tmp_path, capsys, text,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, pair", [
+    ("experiment = fig2cd_plaquette\ndrive.rabi_frequency = 1e-300\n",
+     "sites 2 and 0 are 1.08e+100"),
+    ("experiment = custom\narray.layout = plaquette\narray.spacing_y = 1e70\n",
+     "sites 2 and 0 are 1e+70"),
+    ("experiment = custom\narray.layout = square\narray.spacing_x = 1e-70\n",
+     "sites 1 and 0 are 1e+70"),
+], ids=["ring_weak_drive", "custom_spacing_y", "custom_spacing_x"])
+def test_distance_beyond_the_float_range_is_a_geometry_error(tmp_path, capsys, text, pair):
+    # |dr|^5 overflows above about 1.6e61 x spacings; the ring's tuned
+    # spacing_y gets there for a drive this weak
+    code, out = _simulate(tmp_path, text)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"config error: {pair} x-spacings apart, too far for the dipolar coupling "
+        "(|dr|^5 overflows)\n")
+    if text.startswith("experiment = fig2cd_plaquette"):  # found by parse_config
+        assert not out.exists()
+        code, _ = _simulate(tmp_path, text, extra=("--jobs", "0"))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[1] == (
+            "config error: --jobs: must be >= 1, got 0")
+
+
 def test_format_violation_is_listed_with_a_rejected_config(tmp_path, capsys):
     text = "experiment = custom\narray.layout = link\noutput.format = csv\nnumerics.n_max = 3\n"
     code, out = _simulate(tmp_path, text, extra=("--jobs", "0"))

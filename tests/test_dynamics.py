@@ -20,9 +20,15 @@ from phonon_gauge.dynamics import (
     plaquette_experiment,
 )
 from phonon_gauge.dynamics import _populations
-from phonon_gauge.fock import basis_state, build_fock_space, ladder_matrix, \
+from phonon_gauge.fock import build_fock_space, displacement_exponential, lowering, \
     single_phonon_state
 from phonon_gauge.model import build_array, cosine_drive, laser_drive
+
+
+def _kron_embed(space, site, local):
+    """Reference: `local` on `site`, identity elsewhere, by np.kron."""
+    d = space.local_dim
+    return np.kron(np.kron(np.eye(d**site), local), np.eye(d ** (space.n_sites - 1 - site)))
 
 
 @pytest.fixture
@@ -45,8 +51,8 @@ def test_effective_hamiltonian_zero_matrix(link_setup):
 def test_effective_hamiltonian_single_excitation_block(link_setup):
     arr, space, bare = link_setup
     h = effective_hamiltonian(bare, space)
-    e10 = basis_state(space, (1, 0))
-    e01 = basis_state(space, (0, 1))
+    e10 = single_phonon_state(space, 0)
+    e01 = single_phonon_state(space, 1)
     j = bare.matrix[1, 0]
     assert np.vdot(e01, h @ e10) == pytest.approx(j)
     assert np.vdot(e10, h @ e01) == pytest.approx(np.conj(j))
@@ -77,8 +83,9 @@ def test_effective_hamiltonian_matches_ladder_products(coupling, n_max):
     for i in range(matrix.n):
         for j in range(matrix.n):
             if i != j and matrix.matrix[i, j] != 0:
-                ref += matrix.matrix[i, j] * (ladder_matrix(space, i, "raise")
-                                              @ ladder_matrix(space, j, "lower"))
+                a = lowering(space.n_max)
+                ref += matrix.matrix[i, j] * (_kron_embed(space, i, a.T)
+                                              @ _kron_embed(space, j, a))
     h = effective_hamiltonian(matrix, space)
     assert h.tobytes() == ref.tobytes()
 
@@ -91,7 +98,7 @@ def test_driven_hamiltonian_is_periodic_with_a_normal_drive(link_setup):
     with pytest.raises(ValueError, match="modulation"):
         DrivenHamiltonian(static=static, drive=normal, modulation=0.0, frequency_scale=1.0)
     with pytest.raises(ValueError, match="normal"):
-        DrivenHamiltonian(static=static, drive=ladder_matrix(space, 0, "raise"),
+        DrivenHamiltonian(static=static, drive=_kron_embed(space, 0, lowering(4).T),
                           modulation=0.05, frequency_scale=1.0)
 
 
@@ -127,8 +134,8 @@ def test_cosine_diagonal_at_time_zero(link_setup):
     arr, space, bare = link_setup
     drv = cosine_drive(0.05, 0.6)
     h = driven_model(arr, drv, bare, space).at(0.0)
-    for site, occ in ((0, (1, 0)), (1, (0, 1))):
-        psi = basis_state(space, occ)
+    for site in (0, 1):
+        psi = single_phonon_state(space, site)
         want = arr.frequencies()[site] + 0.6 * 0.05
         assert np.vdot(psi, h @ psi).real == pytest.approx(want, rel=1e-12)
 
@@ -158,6 +165,20 @@ def test_laser_dimension_at_reference_parameters(link_setup):
     h = driven_model(arr, drv, bare, space).at(0.1)
     assert h.shape == (25, 25)
     assert np.abs(h - h.conj().T).max() < 1e-14
+
+
+@pytest.mark.parametrize("layout, dims, n_max", [("link", (2,), 4), ("plaquette", (2, 2), 2)])
+def test_laser_drive_matches_kron_embedded_displacements(layout, dims, n_max):
+    arr = build_array(layout, dims, spacing_y=1.26, gradient=0.05)
+    space = build_fock_space(arr.n_sites, n_max)
+    drv = laser_drive(0.75, 0.05, 0.2, phase_x=math.pi, phase_y=math.pi)
+    model = driven_model(arr, drv, bare_coupling_matrix(arr, "z"), space)
+    local = displacement_exponential(n_max, 0.2)
+    ref = np.zeros((space.dim, space.dim), dtype=complex)
+    for i, theta in enumerate(drv.optical_phases(arr)):
+        ref += np.exp(1j * theta) * _kron_embed(space, i, local)
+    ref *= 0.75 / 2.0
+    assert model.drive.tobytes() == ref.tobytes()
 
 
 # -- evolve -------------------------------------------------------------------
@@ -351,19 +372,28 @@ def small_link_model():
     return driven_model(arr, drv, bare_coupling_matrix(arr, "z"), space), space
 
 
-@pytest.mark.parametrize("model_fixture, periods, samples", [
-    ("pi_link_model", 9.7, 11),   # one sample in every period
-    ("pi_link_model", 8.1, 29),   # several samples in each period
-    ("pi_link_model", 6.0, 5),    # offsets 0 and T / 2 in several periods, 3 T and 6 T on the grid
-    ("small_link_model", 50.5, 52),  # 51 sampled periods: two block passes of at most 45
-], ids=["every-period", "several-per-period", "same-offset", "two-passes"])
-def test_floquet_sampling_matches_plain_stepping(request, model_fixture, periods, samples):
+@pytest.mark.parametrize("model_fixture, periods, samples, uses_propagator", [
+    ("pi_link_model", 9.7, 11, True),   # one sample in every period
+    ("pi_link_model", 8.1, 29, True),   # several samples in each period
+    ("pi_link_model", 6.0, 5, True),    # offsets 0 and T / 2 in several periods, 3 T and 6 T
+    ("small_link_model", 50.5, 52, True),  # 51 sampled periods: two block passes of at most 45
+    ("pi_link_model", 0.95, 7, False),  # plain stepping to samples off the grid in one period
+], ids=["every-period", "several-per-period", "same-offset", "two-passes", "plain-partial-steps"])
+def test_floquet_sampling_matches_plain_stepping(request, model_fixture, periods, samples,
+                                                 uses_propagator):
     model, space = request.getfixturevalue(model_fixture)
     psi0 = single_phonon_state(space, 0)
     period = 2 * math.pi / abs(model.modulation)
     res = evolve(model, psi0, periods * period, 0.4, space=space, samples=samples)
-    assert res.diagnostics["period_propagator"]
-    assert res.diagnostics["period_powers"] == int(periods)
+    diag = res.diagnostics
+    assert diag["period_propagator"] is uses_propagator
+    assert diag["period_powers"] == (int(periods) if uses_propagator else 0)
+    if not uses_propagator:  # one step per grid point, one partial step per sample off it
+        h = period / math.ceil(period / 0.4 - 1e-12)
+        points = np.floor(res.times / h + 1e-9).astype(np.int64)
+        off_grid = np.count_nonzero(res.times - points * h > 0)
+        assert off_grid == samples - 1
+        assert diag["magnus_steps"] == points[-1] + off_grid
     ref = _plain_magnus_populations(model, space, psi0, res.times, 0.4)
     assert np.abs(res.populations - ref).max() < 1e-9
 
