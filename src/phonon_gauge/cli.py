@@ -26,14 +26,14 @@ import numpy as np
 
 from . import __version__
 from ._text import json_text
-from .config import _CUSTOM_SWITCHED, ConfigError, EXPERIMENT_SUMMARIES, EXPERIMENTS, \
-    ExperimentConfig, parse_config
+from .config import ConfigError, EXPERIMENT_SUMMARIES, EXPERIMENTS, ExperimentConfig, \
+    custom_array, parse_config
 from .couplings import BrokenCycleError, DomainError, DressedMapResult, dressed_map, \
     effective_coupling_matrix
 from .dynamics import EvolutionResult, IntegrationError, LinkScanResult, config_drive, \
     link_transfer_scan, plaquette_experiment
 from .fock import CapacityError
-from .model import ConfigurationError, GeometryError, build_array
+from .model import ConfigurationError, GeometryError
 from .spectra import ButterflyResult, CustomSpectrumResult, FluxSweepResult, \
     LadderSpectrumResult, eigensystem, flux_sweep, ladder_spectrum, rhombic_ladder_matrix, \
     square_lattice_matrix
@@ -116,17 +116,11 @@ def _run_butterfly(cfg: ExperimentConfig, map_fn):
 
 
 def _run_custom(cfg: ExperimentConfig, map_fn):
-    layout = cfg["array.layout"]
-    dims = tuple(cfg[key] for key in _CUSTOM_SWITCHED.get(("array.layout", layout), ()))
-    array = build_array(layout, dims, spacing_x=cfg["array.spacing_x"],
-                        spacing_y=cfg["array.spacing_y"],
-                        base_frequency=cfg["array.base_frequency"],
-                        gradient=cfg["array.gradient"],
-                        coulomb_beta=cfg["array.beta"])
+    array = custom_array(cfg)
     drive = config_drive(cfg, cfg["drive.mode"], cfg["drive.phase_x"], cfg["drive.phase_y"])
     matrix = effective_coupling_matrix(array, drive, cfg["direction"],
                                        cfg["numerics.cutoff_range"])
-    result = CustomSpectrumResult(layout=layout, n_sites=array.n_sites,
+    result = CustomSpectrumResult(layout=cfg["array.layout"], n_sites=array.n_sites,
                                   spectrum=eigensystem(matrix.matrix))
     return {"custom_spectrum": result}, {}
 

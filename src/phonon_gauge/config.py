@@ -13,10 +13,10 @@ import math
 import re
 from dataclasses import dataclass
 
-from .couplings import DomainError, dressed_factor
+from .couplings import DomainError, check_dipolar_reach, dressed_factor
 from .dynamics import config_drive, ring_couplings
 from .fock import DENSE_OPERATOR_LIMIT, CapacityError, build_fock_space
-from .model import ConfigurationError, GeometryError
+from .model import ConfigurationError, GeometryError, TrapArray, build_array
 
 EXPERIMENT_SUMMARIES = {
     "fig2a_dressed_map": "map of the dressed-coupling magnitude over drive strength and phase step",
@@ -305,6 +305,16 @@ def _lattice_size(experiment: str, values: dict):
     return None
 
 
+def custom_array(cfg) -> TrapArray:
+    """The array of the `custom` config `cfg` (a parsed config or its value dict)."""
+    layout = cfg["array.layout"]
+    dims = tuple(cfg[key] for key in _CUSTOM_SWITCHED.get(("array.layout", layout), ()))
+    return build_array(layout, dims, spacing_x=cfg["array.spacing_x"],
+                       spacing_y=cfg["array.spacing_y"],
+                       base_frequency=cfg["array.base_frequency"],
+                       gradient=cfg["array.gradient"], coulomb_beta=cfg["array.beta"])
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Validate the document against the schema or raise ConfigError with
     the full list of violations (path plus reason, one entry each)."""
@@ -362,6 +372,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if size is not None and size[1] > DENSE_OPERATOR_LIMIT:
         violations.append(f"{size[0]}: the lattice has {size[1]} sites, above the dense "
                           f"limit of {DENSE_OPERATOR_LIMIT}")
+    elif experiment == "custom" and values["array.layout"] is not None:  # a small lattice
+        try:
+            check_dipolar_reach(custom_array(values), values["numerics.cutoff_range"])
+        except (ConfigurationError, GeometryError) as exc:
+            violations.append(str(exc))
     if experiment in _EXACT_DRIVE_SITES:
         try:
             build_fock_space(_EXACT_DRIVE_SITES[experiment], values["numerics.n_max"])

@@ -158,6 +158,46 @@ class CouplingMatrix:
         return self.matrix.shape[0]
 
 
+def _fifth_power_overflows(dist: float) -> bool:
+    try:
+        dist**5
+    except OverflowError:
+        return True
+    return False
+
+
+def _too_far(i, j, dist) -> GeometryError:
+    return GeometryError(f"sites {i} and {j} are {dist:.3g} x-spacings apart, "
+                         "too far for the dipolar coupling (|dr|^5 overflows)")
+
+
+def check_dipolar_reach(array: TrapArray, cutoff_range: float) -> None:
+    """The GeometryError of `_pair_table` when a retained pair is too far apart
+    for |dr|^5, found without building the pair table.
+
+    The lattice extent bounds every distance, so an array whose bound stays
+    in range costs O(n_sites).  Beyond it, the retained pairs are walked one
+    site at a time, in `_pair_table`'s order and arithmetic, to name the same
+    farthest pair.
+    """
+    pos = array.positions
+    bound = float(np.hypot(*np.ptp(pos, axis=0)))
+    if not _fifth_power_overflows(bound * (1.0 + 1e-12)):
+        return
+    lat = np.array(array.lattice, dtype=float)
+    far, pair = 0.0, None
+    for i in range(1, array.n_sites):
+        dlat = np.hypot(lat[i, 0] - lat[:i, 0], lat[i, 1] - lat[:i, 1])
+        j = np.flatnonzero(dlat <= cutoff_range + 1e-9)
+        dr = pos[i] - pos[j]
+        dist = np.hypot(dr[:, 0], dr[:, 1])
+        if dist.size and dist.max() > far:
+            k = int(np.argmax(dist))
+            far, pair = float(dist[k]), (i, j[k])
+    if _fifth_power_overflows(far):
+        raise _too_far(*pair, far)
+
+
 def _pair_table(array: TrapArray, direction: str, cutoff_range: float,
                 reference_frequencies: bool):
     """Bare dipolar amplitude for every retained pair i > j, as arrays (i, j, amp)."""
@@ -186,8 +226,7 @@ def _pair_table(array: TrapArray, direction: str, cutoff_range: float,
         dist5 = np.array([d**5 for d in distinct.tolist()])[which]
     except OverflowError:  # beyond about 1.6e61 spacings
         k = int(np.argmax(dist))
-        raise GeometryError(f"sites {i[k]} and {j[k]} are {dist[k]:.3g} x-spacings apart, "
-                            "too far for the dipolar coupling (|dr|^5 overflows)") from None
+        raise _too_far(i[k], j[k], dist[k]) from None
     geom = (3.0 * comp * comp - dist * dist) / dist5
     return i, j, -(beta / 2.0) * geom / np.sqrt(w[i] * w[j])
 

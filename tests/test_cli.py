@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from phonon_gauge import cli, dynamics
+from phonon_gauge import cli, config, dynamics
 from phonon_gauge.config import ConfigError, EXPERIMENTS, PRESETS, ExperimentConfig, \
     parse_config
 from phonon_gauge.dynamics import IntegrationError
@@ -190,7 +190,7 @@ def test_oversized_lattice_is_a_config_error(tmp_path, monkeypatch, capsys, text
     def never(*args, **kwargs):
         raise AssertionError("lattice built despite the size limit")
 
-    monkeypatch.setattr(cli, "build_array", never)
+    monkeypatch.setattr(config, "build_array", never)  # builds the custom lattice
     code, out = _simulate(tmp_path, text + "output.format = xml\n")
     assert code == 1
     err = capsys.readouterr().err
@@ -293,8 +293,12 @@ OFF_RESONANT = "drive is off-resonant: r * drive_frequency = 0.06, gradient = 0.
      "drive.resonance_order, map.eta_max: eta_d must be in [0, 50.0], got 60.0"),
     ("experiment = custom\narray.layout = link\ndrive.lamb_dicke = 1e300\n",
      "laser drive eta_d is not finite: rabi_frequency = 0.75, lamb_dicke = 1e+300"),
+    ("experiment = custom\narray.layout = plaquette\narray.spacing_y = 1e70\n",
+     "sites 2 and 0 are 1e+70 x-spacings apart, too far for the dipolar coupling "
+     "(|dr|^5 overflows)"),
 ], ids=["n_max", "ring_bond", "link_off_resonant", "ring_off_resonant", "custom_off_resonant",
-        "link_eta_d", "custom_cosine_eta_d", "map_eta_max", "custom_eta_d_overflow"])
+        "link_eta_d", "custom_cosine_eta_d", "map_eta_max", "custom_eta_d_overflow",
+        "custom_far_apart"])
 def test_config_and_flag_violations_are_listed_together(tmp_path, capsys, text,
                                                         config_violation):
     code, out = _simulate(tmp_path, text, extra=("--jobs", "0"))
@@ -320,12 +324,10 @@ def test_distance_beyond_the_float_range_is_a_geometry_error(tmp_path, capsys, t
     assert capsys.readouterr().err == (
         f"config error: {pair} x-spacings apart, too far for the dipolar coupling "
         "(|dr|^5 overflows)\n")
-    if text.startswith("experiment = fig2cd_plaquette"):  # found by parse_config
-        assert not out.exists()
-        code, _ = _simulate(tmp_path, text, extra=("--jobs", "0"))
-        assert code == 1
-        assert capsys.readouterr().err.splitlines()[1] == (
-            "config error: --jobs: must be >= 1, got 0")
+    assert not out.exists()  # found by parse_config
+    code, _ = _simulate(tmp_path, text, extra=("--jobs", "0"))
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[1] == "config error: --jobs: must be >= 1, got 0"
 
 
 def test_format_violation_is_listed_with_a_rejected_config(tmp_path, capsys):

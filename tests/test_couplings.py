@@ -10,11 +10,13 @@ from phonon_gauge.couplings import (
     DomainError,
     bare_coupling_matrix,
     bessel_first_kind_array,
+    check_dipolar_reach,
     dressed_factor,
     effective_coupling_matrix,
     plaquette_flux,
 )
-from phonon_gauge.model import ConfigurationError, build_array, cosine_drive, laser_drive
+from phonon_gauge.model import ConfigurationError, GeometryError, build_array, cosine_drive, \
+    laser_drive
 
 # -- Bessel J -----------------------------------------------------------------
 
@@ -182,6 +184,30 @@ def test_cutoff_range_drops_far_pairs():
     m = bare_coupling_matrix(arr, "z", cutoff_range=3)
     assert m.matrix[0, 3] != 0
     assert m.matrix[0, 4] == 0
+
+
+def _geometry_message(fn, *args):
+    try:
+        fn(*args)
+    except GeometryError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("layout, dims", [("plaquette", ()), ("square", (7, 3)),
+                                          ("square", (1, 9)), ("rhombic_ladder", (5,))])
+@pytest.mark.parametrize("spacing_x, spacing_y", [(1.0, 1e70), (1e-70, 1.0), (1.0, 3e60),
+                                                  (1.0, 2e61), (0.7, 1e61), (1.0, 1.0)])
+@pytest.mark.parametrize("cutoff_range", [1.0, 1.5, 3.0, 1e9])
+def test_dipolar_reach_names_the_pair_of_the_pair_table(layout, dims, spacing_x, spacing_y,
+                                                        cutoff_range):
+    arr = build_array(layout, dims, spacing_x=spacing_x, spacing_y=spacing_y, gradient=0.05)
+    want = _geometry_message(bare_coupling_matrix, arr, "z", cutoff_range)
+    assert _geometry_message(check_dipolar_reach, arr, cutoff_range) == want
+    if (layout, spacing_y, cutoff_range) == ("plaquette", 1e70, 3.0):
+        assert want.startswith("sites 2 and 0 are 1e+70 x-spacings apart")  # the diagonal
+    if spacing_x == spacing_y:
+        assert want is None
 
 
 def test_bare_matrix_is_hermitian_with_zero_diagonal():

@@ -411,6 +411,52 @@ def test_cost_rule_branches_at_the_ring_shapes():
     assert dynamics._floquet_pays(81, 1050, 14, _grid_points(4060.0, 601, 1050))
 
 
+def test_stacked_taylor_matrix_equals_one_matrix_at_a_time():
+    rng = np.random.default_rng(7)
+    stack = rng.normal(size=(5, 25, 25)) + 1j * rng.normal(size=(5, 25, 25))
+    stack *= 0.1
+    for m in (1, 4, 14, 18):
+        out = dynamics._taylor_matrix(stack, m)
+        for k in range(len(stack)):
+            assert out[k].tobytes() == dynamics._taylor_matrix(stack[k:k + 1], m)[0].tobytes()
+    exact = np.stack([expm(x) for x in stack])
+    assert np.abs(dynamics._taylor_matrix(stack, 18) - exact).max() < 1e-12
+
+
+def _sequential_period_propagator(grid):
+    """Reference U_T: one generator and one Taylor exponential per step."""
+    u = np.eye(grid.table.shape[1], dtype=complex)
+    for row in grid.coefs:
+        u = dynamics._taylor_matrix(grid.omega(row)[None], grid.degree)[0] @ u
+    return u
+
+
+def _preset_ring_model():
+    cfg = parse_config("experiment = fig2cd_plaquette\n")
+    drive, array, _, _ = dynamics.ring_couplings(cfg)
+    space = build_fock_space(4, cfg["numerics.n_max"])
+    bare = bare_coupling_matrix(array, cfg["direction"], cfg["numerics.cutoff_range"])
+    return driven_model(array, drive, bare, space)
+
+
+@pytest.mark.parametrize("preset", ["link", "ring"])
+def test_stacked_period_propagator_equals_the_sequential_product(pi_link_model, preset):
+    model = pi_link_model[0] if preset == "link" else _preset_ring_model()
+    grid = dynamics._PeriodGrid(model, dynamics.default_time_step(model))
+    size = dynamics._stack_size(model.dim)
+    if preset == "link":  # 112 stacks of 13 and a ragged last stack of 9
+        assert (model.dim, grid.n, size, grid.n % size) == (25, 1465, 13, 9)
+    else:  # a stack of one
+        assert (model.dim, grid.n, size) == (81, 1050, 1)
+    assert grid.period_propagator().tobytes() == _sequential_period_propagator(grid).tobytes()
+
+
+def test_stack_budget_keeps_the_rings_one_generator_at_a_time():
+    # the link's d = 25 stacks; the preset ring (d = 81) and criterion 8's
+    # ring (d = 625) form one generator per stack
+    assert [dynamics._stack_size(d) for d in (25, 81, 625)] == [13, 1, 1]
+
+
 def test_norm_abort_names_the_earliest_drifting_sample(pi_link_model, monkeypatch):
     model, space = pi_link_model
     psi0 = single_phonon_state(space, 0)
