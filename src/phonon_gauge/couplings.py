@@ -7,6 +7,7 @@ evaluated in parallel across parameter grids.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,36 +167,57 @@ def _fifth_power_overflows(dist: float) -> bool:
     return False
 
 
+def _fifth_power_underflows(dist: float) -> bool:
+    """|dr|^5 below the smallest normal float: zero, or too few digits to divide by."""
+    return dist**5 < sys.float_info.min
+
+
 def _too_far(i, j, dist) -> GeometryError:
     return GeometryError(f"sites {i} and {j} are {dist:.3g} x-spacings apart, "
                          "too far for the dipolar coupling (|dr|^5 overflows)")
 
 
+def _too_close(i, j, dist) -> GeometryError:
+    return GeometryError(f"sites {i} and {j} are {dist:.3g} x-spacings apart, "
+                         "too close for the dipolar coupling (|dr|^5 underflows)")
+
+
 def check_dipolar_reach(array: TrapArray, cutoff_range: float) -> None:
     """The GeometryError of `_pair_table` when a retained pair is too far apart
-    for |dr|^5, found without building the pair table.
+    or too close for |dr|^5, found without building the pair table.
 
-    The lattice extent bounds every distance, so an array whose bound stays
-    in range costs O(n_sites).  Beyond it, the retained pairs are walked one
-    site at a time, in `_pair_table`'s order and arithmetic, to name the same
-    farthest pair.
+    The lattice extent bounds every distance from above.  Distinct integer
+    sites differ by a whole step in x or in y, so min(1, d_y / d_x) bounds
+    every distance from below.  An array whose bounds stay in range costs
+    O(n_sites).  Beyond them, the retained pairs are walked one site at a
+    time, in `_pair_table`'s order and arithmetic, to name the same farthest
+    or nearest pair.
     """
     pos = array.positions
     bound = float(np.hypot(*np.ptp(pos, axis=0)))
-    if not _fifth_power_overflows(bound * (1.0 + 1e-12)):
+    least = min(1.0, array.spacing_y / array.spacing_x)
+    if not (_fifth_power_overflows(bound * (1.0 + 1e-12))
+            or _fifth_power_underflows(least * (1.0 - 1e-12))):
         return
     lat = np.array(array.lattice, dtype=float)
-    far, pair = 0.0, None
+    far, far_pair, near, near_pair = 0.0, None, math.inf, None
     for i in range(1, array.n_sites):
         dlat = np.hypot(lat[i, 0] - lat[:i, 0], lat[i, 1] - lat[:i, 1])
         j = np.flatnonzero(dlat <= cutoff_range + 1e-9)
         dr = pos[i] - pos[j]
         dist = np.hypot(dr[:, 0], dr[:, 1])
-        if dist.size and dist.max() > far:
-            k = int(np.argmax(dist))
-            far, pair = float(dist[k]), (i, j[k])
+        if not dist.size:
+            continue
+        k = int(np.argmax(dist))
+        if dist[k] > far:
+            far, far_pair = float(dist[k]), (i, j[k])
+        k = int(np.argmin(dist))
+        if dist[k] < near:
+            near, near_pair = float(dist[k]), (i, j[k])
     if _fifth_power_overflows(far):
-        raise _too_far(*pair, far)
+        raise _too_far(*far_pair, far)
+    if near_pair is not None and _fifth_power_underflows(near):
+        raise _too_close(*near_pair, near)
 
 
 def _pair_table(array: TrapArray, direction: str, cutoff_range: float,
@@ -227,6 +249,9 @@ def _pair_table(array: TrapArray, direction: str, cutoff_range: float,
     except OverflowError:  # beyond about 1.6e61 spacings
         k = int(np.argmax(dist))
         raise _too_far(i[k], j[k], dist[k]) from None
+    if dist.size and _fifth_power_underflows(float(dist.min())):  # below about 2.9e-62 spacings
+        k = int(np.argmin(dist))
+        raise _too_close(i[k], j[k], dist[k])
     geom = (3.0 * comp * comp - dist * dist) / dist5
     return i, j, -(beta / 2.0) * geom / np.sqrt(w[i] * w[j])
 

@@ -13,12 +13,15 @@ columns under the Horner form of that polynomial, one column per period
 that holds a sample.  Floquet sampling uses psi(qT + tau) = U(tau) U_T^q
 psi0: it forms the one-period propagator U_T once, powers psi0 by it to
 every sampled period and steps those columns through one period together.
-U_T takes its step exponentials by Paterson-Stockmeyer, a cache-sized stack
-of step generators at a time.  Plain stepping, which a flop rule picks when
-U_T does not pay, is one column stepped through the whole window.  Each
-step is unitary up to roundoff, so norm is conserved over arbitrarily long
-windows.  Evolutions are deterministic and single-threaded; independent
-parameter points of a scan may run concurrently.
+When the samples fall on at most five distinct grid offsets, U_T keeps its
+partial products there instead, and each column reaches its sample in one
+matrix-vector product.  U_T takes its step exponentials by
+Paterson-Stockmeyer, a cache-sized stack of step generators at a time.
+Plain stepping, which a flop rule picks when U_T does not pay, is one
+column stepped through the whole window.  Each step is unitary up to
+roundoff, so norm is conserved over arbitrarily long windows.  Evolutions
+are deterministic and single-threaded; independent parameter points of a
+scan may run concurrently.
 """
 
 from __future__ import annotations
@@ -278,25 +281,32 @@ class _PeriodGrid:
             x = _taylor_apply(self.omega(self.coefs[i % self.n]), x, self.degree)
         return x
 
-    def period_propagator(self) -> np.ndarray:
-        """U_T = E_{n-1} ... E_1 E_0, E_k the Taylor exponential of step k's generator.
+    def period_propagator(self, offsets=frozenset()) -> tuple[np.ndarray, dict]:
+        """U_T = E_{n-1} ... E_1 E_0, E_k the Taylor exponential of step k's
+        generator, and the partial product P_o = E_{o-1} ... E_0 kept at each
+        grid offset o in `offsets` (0 <= o < n; P_0 is the identity).
 
         The generators are formed, one row product each, into stacks of at
         most _STACK_BYTES and exponentiated a stack at a time; the product
-        u = E_k u stays sequential, so U_T does not depend on the stack size.
+        u = E_k u stays sequential, so U_T and the kept P_o do not depend on
+        the stack size.  Each product is a new matrix, so keeping P_o copies
+        nothing.
         """
         d = self.table.shape[1]
         size = _stack_size(d)
         flat = np.empty((size, self._flat.shape[1]))
+        kept = {}
         u = np.eye(d, dtype=complex)
         for k in range(0, self.n, size):
             rows = self.coefs[k:k + size]
             for row, out in zip(rows, flat):
                 np.matmul(row, self._flat, out=out)
-            for step in _taylor_matrix(flat[:len(rows)].view(complex).reshape(-1, d, d),
-                                       self.degree):
+            for o, step in enumerate(_taylor_matrix(
+                    flat[:len(rows)].view(complex).reshape(-1, d, d), self.degree), k):
+                if o in offsets:
+                    kept[o] = u
                 u = step @ u
-        return u
+        return u, kept
 
 
 #: Throughput of a complex d x d matrix product over that of a d x d
@@ -309,7 +319,9 @@ class _PeriodGrid:
 _MATMUL_SPEEDUP = 4.0
 
 #: Columns per state dimension in one Floquet-sampling block, so that the
-#: block never outgrows the five-matrix generator table.
+#: block never outgrows the five-matrix generator table.  Up to this many
+#: distinct sampled grid offsets, U_T keeps its partial products there
+#: instead: as many d x d matrices as the table.
 _BLOCK_WIDTH = 5
 
 
@@ -318,29 +330,45 @@ def _period_ends(periods: np.ndarray) -> np.ndarray:
     return np.append(np.flatnonzero(np.diff(periods)), len(periods) - 1)
 
 
+def _kept_offsets(offsets: np.ndarray) -> set[int]:
+    """The distinct sampled grid offsets if U_T keeps its partial products
+    there, at most _BLOCK_WIDTH of them; none if the block steps to them.
+
+    A Python set: numpy's first integer sort would map about 1 MB more of
+    its sorting code into the process."""
+    distinct = set(offsets.tolist())
+    return distinct if len(distinct) <= _BLOCK_WIDTH else set()
+
+
 def _floquet_pays(dim: int, n: int, degree: int, points: np.ndarray) -> bool:
     """Whether Floquet sampling to the ascending grid `points` (n steps per
     period) costs fewer weighted multiply-adds than plain stepping.
 
     Plain stepping takes points[-1] steps of `degree` matrix-vector
     products.  Floquet sampling builds U_T (n steps of s + r - 1 matrix
-    products, Paterson-Stockmeyer and the accumulation), applies U_T once per
-    period up to the last sample, and steps blocks of at most _BLOCK_WIDTH d columns,
-    one column per sampled period, to each column's last sample.  A block
-    step streams the generator once, a matrix-vector product, and pays the
-    columns after the first at matrix-product speed.  The partial steps of
-    the samples cost the same on both paths and are left out.  The U_T term
-    still prices the unstacked build, one generator at a time; at d = 25
-    stacks make that build about a third cheaper (see _STACK_BYTES), and the
-    rule is left as it was so that no preset changes path.
+    products, Paterson-Stockmeyer and the accumulation) and applies it once
+    per period up to the last sample.  When U_T keeps its partial products
+    at the sampled offsets (`_kept_offsets`), each sample then costs one
+    matrix-vector product.  Otherwise it steps blocks of at most
+    _BLOCK_WIDTH d columns, one column per sampled period, to each column's
+    last sample; a block step streams the generator once, a matrix-vector
+    product, and pays the columns after the first at matrix-product speed.
+    The partial steps of the samples cost the same on both paths and are
+    left out.  The U_T term still prices the unstacked build, one generator
+    at a time; at d = 25 stacks make that build about a third cheaper (see
+    _STACK_BYTES), and that term is left as it was so that no preset
+    changes path.
     """
     periods, offsets = np.divmod(points, n)
-    last = offsets[_period_ends(periods)]
-    width = _BLOCK_WIDTH * dim
-    steps = sum(int(last[i:i + width].max()) for i in range(0, len(last), width))
     s, r = _ps_shape(degree)
-    floquet = (n * (s + r - 1) * dim / _MATMUL_SPEEDUP + int(periods[-1])
-               + degree * (steps + (int(last.sum()) - steps) / _MATMUL_SPEEDUP))
+    floquet = n * (s + r - 1) * dim / _MATMUL_SPEEDUP + int(periods[-1])
+    if _kept_offsets(offsets):
+        floquet += len(points)
+    else:
+        last = offsets[_period_ends(periods)]
+        width = _BLOCK_WIDTH * dim
+        steps = sum(int(last[i:i + width].max()) for i in range(0, len(last), width))
+        floquet += degree * (steps + (int(last.sum()) - steps) / _MATMUL_SPEEDUP)
     return bool(floquet < degree * int(points[-1]))
 
 
@@ -406,8 +434,11 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     propagator U_T, powers psi0 by it to every period that holds a sample,
     and steps those states through one period as the columns of one block;
     otherwise plain stepping runs the same loop with one column through the
-    whole window.  Aborts if the norm drifts beyond 1e-4, naming the
-    earliest sample that drifts.
+    whole window.  With at most _BLOCK_WIDTH distinct offsets o of the
+    samples within their periods, U_T keeps its partial products P_o, and a
+    column reaches offset o as P_o times its state instead of by stepping;
+    a link point, sampled at 0 and t*, takes this path.  Aborts if the norm
+    drifts beyond 1e-4, naming the earliest sample that drifts.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -458,8 +489,8 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
 
     # plain stepping: the whole window is period 0, and U_T is never applied
     floquet = _floquet_pays(hamiltonian.dim, n, m, points)
-    u_period = grid.period_propagator() if floquet else None
     periods, offsets = np.divmod(points, n) if floquet else (np.zeros_like(points), points)
+    u_period, kept = grid.period_propagator(_kept_offsets(offsets)) if floquet else (None, {})
     ends = _period_ends(periods)
     width = _BLOCK_WIDTH * hamiltonian.dim
     phi, power, first, block_steps = psi0.astype(complex), 0, 0, 0
@@ -476,18 +507,20 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
             power = q
             block[:, c] = phi
         last = last[order]
-        # Pass 2: step the block through the period, emitting in offset order;
-        # a column leaves once its last sample is out
+        # Pass 2: bring the block to each offset, emitting in offset order:
+        # a kept P_o takes a column there in one product; otherwise the block
+        # steps through the period, and a column leaves once its last sample is out
         ks = np.arange(first, pass_ends[-1] + 1)
         sample_column = column[np.searchsorted(pass_ends, ks)]
         j = 0
         for i in np.argsort(offsets[ks], kind="stable"):
             o = offsets[ks[i]]
-            if o > j:
+            if o > j and not kept:
                 block = grid.advance(block[:, :np.count_nonzero(last >= o)], j, o - j)
                 block_steps += o - j
                 j = o
-            emit(ks[i], block[:, sample_column[i]])
+            x = block[:, sample_column[i]]
+            emit(ks[i], kept[o] @ x if kept else x)
         first = pass_ends[-1] + 1
     steps = (n if floquet else 0) + block_steps
 

@@ -60,6 +60,14 @@ class TrapArray:
             raise GeometryError("lattice sites must be distinct")
         if self.spacing_x <= 0 or self.spacing_y <= 0:
             raise GeometryError("spacings must be positive")
+        ratio = self.spacing_y / self.spacing_x
+        if not (math.isfinite(ratio) and ratio > 0):
+            raise GeometryError(f"the spacing ratio spacing_y / spacing_x = {ratio} is not "
+                                f"finite and positive (spacing_x = {self.spacing_x}, "
+                                f"spacing_y = {self.spacing_y})")
+        if not math.isfinite(ratio * max(abs(iy) for _, iy in self.lattice)):
+            raise GeometryError(f"the spacing ratio spacing_y / spacing_x = {ratio} puts "
+                                "sites beyond the float range")
         if min(self.frequencies()) <= 0:
             raise ConfigurationError("trap frequencies must stay positive over the array")
         if self.coulomb_beta <= 0:

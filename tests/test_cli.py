@@ -296,9 +296,23 @@ OFF_RESONANT = "drive is off-resonant: r * drive_frequency = 0.06, gradient = 0.
     ("experiment = custom\narray.layout = plaquette\narray.spacing_y = 1e70\n",
      "sites 2 and 0 are 1e+70 x-spacings apart, too far for the dipolar coupling "
      "(|dr|^5 overflows)"),
+    ("experiment = custom\narray.layout = plaquette\narray.spacing_y = 1e-70\n",
+     "sites 2 and 1 are 1e-70 x-spacings apart, too close for the dipolar coupling "
+     "(|dr|^5 underflows)"),
+    ("experiment = custom\narray.layout = plaquette\n"
+     "array.spacing_y = 1e300\narray.spacing_x = 1e-300\n",
+     "the spacing ratio spacing_y / spacing_x = inf is not finite and positive "
+     "(spacing_x = 1e-300, spacing_y = 1e+300)"),
+    ("experiment = custom\narray.layout = plaquette\n"
+     "array.spacing_y = 1e-300\narray.spacing_x = 1e300\n",
+     "the spacing ratio spacing_y / spacing_x = 0.0 is not finite and positive "
+     "(spacing_x = 1e+300, spacing_y = 1e-300)"),
+    ("experiment = custom\narray.layout = square\narray.ny = 3\narray.spacing_y = 1e308\n",
+     "the spacing ratio spacing_y / spacing_x = 1e+308 puts sites beyond the float range"),
 ], ids=["n_max", "ring_bond", "link_off_resonant", "ring_off_resonant", "custom_off_resonant",
         "link_eta_d", "custom_cosine_eta_d", "map_eta_max", "custom_eta_d_overflow",
-        "custom_far_apart"])
+        "custom_far_apart", "custom_too_close", "custom_infinite_ratio", "custom_zero_ratio",
+        "custom_position_overflow"])
 def test_config_and_flag_violations_are_listed_together(tmp_path, capsys, text,
                                                         config_violation):
     code, out = _simulate(tmp_path, text, extra=("--jobs", "0"))

@@ -197,7 +197,9 @@ def _geometry_message(fn, *args):
 @pytest.mark.parametrize("layout, dims", [("plaquette", ()), ("square", (7, 3)),
                                           ("square", (1, 9)), ("rhombic_ladder", (5,))])
 @pytest.mark.parametrize("spacing_x, spacing_y", [(1.0, 1e70), (1e-70, 1.0), (1.0, 3e60),
-                                                  (1.0, 2e61), (0.7, 1e61), (1.0, 1.0)])
+                                                  (1.0, 2e61), (0.7, 1e61), (1.0, 1.0),
+                                                  (1.0, 1e-70), (1e70, 1.0), (1.0, 2e-62),
+                                                  (1.0, 3e-62)])
 @pytest.mark.parametrize("cutoff_range", [1.0, 1.5, 3.0, 1e9])
 def test_dipolar_reach_names_the_pair_of_the_pair_table(layout, dims, spacing_x, spacing_y,
                                                         cutoff_range):
@@ -206,6 +208,10 @@ def test_dipolar_reach_names_the_pair_of_the_pair_table(layout, dims, spacing_x,
     assert _geometry_message(check_dipolar_reach, arr, cutoff_range) == want
     if (layout, spacing_y, cutoff_range) == ("plaquette", 1e70, 3.0):
         assert want.startswith("sites 2 and 0 are 1e+70 x-spacings apart")  # the diagonal
+    if (layout, spacing_y) == ("plaquette", 1e-70):
+        assert want.startswith("sites 2 and 1 are 1e-70 x-spacings apart, too close")
+    if spacing_y == 3e-62:  # |dr|^5 = 2.4e-308, just above the smallest normal float
+        assert want is None
     if spacing_x == spacing_y:
         assert want is None
 

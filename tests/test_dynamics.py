@@ -411,6 +411,20 @@ def test_cost_rule_branches_at_the_ring_shapes():
     assert dynamics._floquet_pays(81, 1050, 14, _grid_points(4060.0, 601, 1050))
 
 
+def test_cost_rule_prices_the_kept_partial_products_at_the_link_shape():
+    # a link point (dim 25, 1465 steps at degree 14) samples at 0 and t*,
+    # two offsets that U_T keeps: the block steps to t*'s offset are gone
+    n = 1465
+    assert dynamics._kept_offsets(np.array([0, 37658]) % n) == {0, 1033}
+    assert dynamics._floquet_pays(25, n, 14, np.array([0, 37658]))  # t* at delta_phi = pi
+    # U_T costs 64094 weighted products, 3.1 periods of plain stepping: the
+    # sample's offset in its period now decides, where it used to cancel out
+    assert dynamics._floquet_pays(25, n, 14, np.array([0, 3 * n + 1000]))
+    assert not dynamics._floquet_pays(25, n, 14, np.array([0, 3 * n + 100]))
+    # six distinct offsets are block-stepped and priced as before
+    assert dynamics._kept_offsets(np.arange(6)) == set()
+
+
 def test_stacked_taylor_matrix_equals_one_matrix_at_a_time():
     rng = np.random.default_rng(7)
     stack = rng.normal(size=(5, 25, 25)) + 1j * rng.normal(size=(5, 25, 25))
@@ -423,12 +437,15 @@ def test_stacked_taylor_matrix_equals_one_matrix_at_a_time():
     assert np.abs(dynamics._taylor_matrix(stack, 18) - exact).max() < 1e-12
 
 
-def _sequential_period_propagator(grid):
-    """Reference U_T: one generator and one Taylor exponential per step."""
-    u = np.eye(grid.table.shape[1], dtype=complex)
-    for row in grid.coefs:
+def _sequential_period_propagator(grid, offsets=()):
+    """Reference U_T and its partial products at `offsets`: one generator and
+    one Taylor exponential per step."""
+    u, kept = np.eye(grid.table.shape[1], dtype=complex), {}
+    for o, row in enumerate(grid.coefs):
+        if o in offsets:
+            kept[o] = u
         u = dynamics._taylor_matrix(grid.omega(row)[None], grid.degree)[0] @ u
-    return u
+    return u, kept
 
 
 def _preset_ring_model():
@@ -448,7 +465,23 @@ def test_stacked_period_propagator_equals_the_sequential_product(pi_link_model, 
         assert (model.dim, grid.n, size, grid.n % size) == (25, 1465, 13, 9)
     else:  # a stack of one
         assert (model.dim, grid.n, size) == (81, 1050, 1)
-    assert grid.period_propagator().tobytes() == _sequential_period_propagator(grid).tobytes()
+    u, kept = grid.period_propagator()
+    assert kept == {}
+    assert u.tobytes() == _sequential_period_propagator(grid)[0].tobytes()
+
+
+def test_kept_partial_products_equal_the_sequential_ones(pi_link_model):
+    model = pi_link_model[0]
+    grid = dynamics._PeriodGrid(model, dynamics.default_time_step(model))
+    # 0 and the ends of the first stack of 13; the ragged last stack of 9 at 1456
+    offsets = (0, 12, 13, 14, 1456, 1464)
+    u, kept = grid.period_propagator(set(offsets))
+    ref_u, ref_kept = _sequential_period_propagator(grid, offsets)
+    assert (model.dim, grid.n) == (25, 1465) and sorted(kept) == list(offsets)
+    assert u.tobytes() == ref_u.tobytes()
+    for o in offsets:
+        assert kept[o].tobytes() == ref_kept[o].tobytes()
+    assert np.array_equal(kept[0], np.eye(25))
 
 
 def test_stack_budget_keeps_the_rings_one_generator_at_a_time():
@@ -527,6 +560,28 @@ def test_link_point_at_pi():
     assert n2_eff == pytest.approx(1.0, abs=1e-9)
     assert n2_exact > 0.9
     assert abs(n2_exact - n2_eff) < 0.1
+
+
+def test_link_point_takes_the_kept_partial_product():
+    # the exact model of link_point at delta_phi = pi, on a coarser grid that
+    # keeps the scipy reference short: 25 periods, then P_o to t*'s offset
+    cfg = parse_config(LINK + "numerics.time_step_divisor = 10\n")
+    array = build_array("link", (2,), gradient=cfg["array.gradient"])
+    drive = dynamics.config_drive(cfg, "laser", math.pi, 0.0)
+    t_star = math.pi / (2 * abs(effective_coupling_matrix(array, drive, "z").matrix[1, 0]))
+    space = build_fock_space(2, cfg["numerics.n_max"])
+    model = driven_model(array, drive, bare_coupling_matrix(array, "z"), space)
+    dt = dynamics.default_time_step(model, cfg["numerics.time_step_divisor"])
+    psi0 = single_phonon_state(space, 0)
+    res = evolve(model, psi0, t_star, dt, space=space, samples=2)
+    h = res.parameters["dt"]
+    n = round(2 * math.pi / abs(model.modulation) / h)
+    off_grid = np.count_nonzero(res.times - np.floor(res.times / h + 1e-9) * h > 0)
+    diag = res.diagnostics
+    assert diag["period_propagator"] and diag["period_powers"] == 25
+    assert diag["magnus_steps"] == n + off_grid  # no block steps
+    ref = _plain_magnus_populations(model, space, psi0, res.times, dt)
+    assert np.abs(res.populations - ref).max() < 1e-9
 
 
 def test_link_point_suppressed():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,17 @@ def test_invalid_spacing_rejected():
         build_array("link", (2,), spacing_x=0.0)
     with pytest.raises(GeometryError):
         build_array("link", (2,), spacing_y=-1.0)
+
+
+@pytest.mark.parametrize("dims, spacing_x, spacing_y, message", [
+    ((2, 2), 1e-300, 1e300, "= inf is not finite and positive"),  # nan positions
+    ((2, 2), 1e300, 1e-300, "= 0.0 is not finite and positive"),  # coincident sites
+    ((2, 2), math.nan, 1.0, "= nan is not finite and positive"),
+    ((2, 3), 1.0, 1e308, "= 1e[+]308 puts sites beyond the float range"),  # 2 * 1e308
+])
+def test_spacing_ratio_beyond_the_float_range_rejected(dims, spacing_x, spacing_y, message):
+    with pytest.raises(GeometryError, match=f"spacing_y / spacing_x {message}"):
+        build_array("square", dims, spacing_x=spacing_x, spacing_y=spacing_y)
 
 
 def test_zero_cell_ladder_rejected():
