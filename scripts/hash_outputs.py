@@ -4,13 +4,14 @@
 Usage: PYTHONPATH=src python scripts/hash_outputs.py [output_root]
 
 The list holds every preset, with the link scan on five phase steps and the
-ring at both fluxes on a 300-unit window, and `custom` in laser and in
-cosine mode.  Each line reads ``sha256  <config>/<file>``, in the format of
-``sha256sum``.  A manifest is hashed without its `duration_seconds`, the one
-entry that differs between reruns.  Run it on two checkouts and diff the
-outputs to see which data files a change moves.  The whole list takes under
-two seconds on one core of a 2-vCPU Xeon; output_root defaults to a
-temporary directory that is removed afterwards.
+ring at both fluxes on a 300-unit window, and `custom` in laser mode, in
+cosine mode, and with x couplings out to 7.5 lattice constants.  Each line
+reads ``sha256  <config>/<file>``, in the format of ``sha256sum``.  A
+manifest is hashed without its `duration_seconds`, the one entry that
+differs between reruns.  Run it on two checkouts and diff the outputs to see
+which data files a change moves.  The whole list takes under two seconds on
+one core of a 2-vCPU Xeon; output_root defaults to a temporary directory
+that is removed afterwards.
 """
 
 import hashlib
@@ -31,6 +32,8 @@ SHORT = {
 CUSTOM = {
     "custom_laser": "array.layout = square\narray.nx = 3\narray.ny = 3\n",
     "custom_cosine": "array.layout = rhombic_ladder\narray.cells = 3\ndrive.mode = cosine\n",
+    "custom_long_range": "array.layout = square\narray.nx = 4\narray.ny = 3\n"
+                         "array.spacing_y = 1.37\ndirection = x\nnumerics.cutoff_range = 7.5\n",
 }
 
 

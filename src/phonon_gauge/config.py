@@ -14,7 +14,8 @@ import re
 from dataclasses import dataclass
 
 from .couplings import DomainError, check_dipolar_reach, dressed_factor
-from .dynamics import config_drive, ring_couplings
+from .dynamics import COUPLING_THRESHOLD, check_exact_grid, config_drive, link_array, \
+    ring_couplings
 from .fock import DENSE_OPERATOR_LIMIT, CapacityError, build_fock_space
 from .model import ConfigurationError, GeometryError, TrapArray, build_array
 
@@ -398,6 +399,9 @@ def parse_config(text: str) -> ExperimentConfig:
             else:
                 dressed_factor(drive.resonance_order, drive.eta_d, 0.0)
             drive.check_resonance(values["array.gradient"])
+            if experiment == "fig2b_link_scan":  # a defined point's t* is at most this window
+                check_exact_grid(values, link_array(values), drive,
+                                 math.pi / (2.0 * COUPLING_THRESHOLD), 2)
         except (ConfigurationError, DomainError, GeometryError) as exc:
             violations.append(str(exc))
 

@@ -1,5 +1,8 @@
 """Dipolar phonon couplings and their Bessel-series dressing under a drive.
 
+One walk over the site pairs, `_pair_table`, gives the bare amplitudes to
+both coupling builders and to the parse-time reach check.
+
 All functions here are pure and operate on immutable inputs, so they can be
 evaluated in parallel across parameter grids.
 """
@@ -159,70 +162,37 @@ class CouplingMatrix:
         return self.matrix.shape[0]
 
 
-def _fifth_power_overflows(dist: float) -> bool:
-    try:
-        dist**5
-    except OverflowError:
-        return True
-    return False
-
-
-def _fifth_power_underflows(dist: float) -> bool:
-    """|dr|^5 below the smallest normal float: zero, or too few digits to divide by."""
-    return dist**5 < sys.float_info.min
-
-
-def _too_far(i, j, dist) -> GeometryError:
-    return GeometryError(f"sites {i} and {j} are {dist:.3g} x-spacings apart, "
-                         "too far for the dipolar coupling (|dr|^5 overflows)")
-
-
-def _too_close(i, j, dist) -> GeometryError:
-    return GeometryError(f"sites {i} and {j} are {dist:.3g} x-spacings apart, "
-                         "too close for the dipolar coupling (|dr|^5 underflows)")
-
-
 def check_dipolar_reach(array: TrapArray, cutoff_range: float) -> None:
     """The GeometryError of `_pair_table` when a retained pair is too far apart
-    or too close for |dr|^5, found without building the pair table.
+    or too close for |dr|^5, in O(n_sites) when no pair can be.
 
-    The lattice extent bounds every distance from above.  Distinct integer
-    sites differ by a whole step in x or in y, so min(1, d_y / d_x) bounds
-    every distance from below.  An array whose bounds stay in range costs
-    O(n_sites).  Beyond them, the retained pairs are walked one site at a
-    time, in `_pair_table`'s order and arithmetic, to name the same farthest
-    or nearest pair.
+    |dr|^5 stays a normal float for 1e-61 <= |dr| <= 1e61.  The lattice
+    extent bounds every distance from above.  Distinct integer sites differ
+    by a whole step in x or in y, so min(1, d_y / d_x) bounds every distance
+    from below.  Only an array whose bounds leave that range builds the pair
+    table, which names the farthest or nearest pair.
     """
-    pos = array.positions
-    bound = float(np.hypot(*np.ptp(pos, axis=0)))
-    least = min(1.0, array.spacing_y / array.spacing_x)
-    if not (_fifth_power_overflows(bound * (1.0 + 1e-12))
-            or _fifth_power_underflows(least * (1.0 - 1e-12))):
-        return
-    lat = np.array(array.lattice, dtype=float)
-    far, far_pair, near, near_pair = 0.0, None, math.inf, None
-    for i in range(1, array.n_sites):
-        dlat = np.hypot(lat[i, 0] - lat[:i, 0], lat[i, 1] - lat[:i, 1])
-        j = np.flatnonzero(dlat <= cutoff_range + 1e-9)
-        dr = pos[i] - pos[j]
-        dist = np.hypot(dr[:, 0], dr[:, 1])
-        if not dist.size:
-            continue
-        k = int(np.argmax(dist))
-        if dist[k] > far:
-            far, far_pair = float(dist[k]), (i, j[k])
-        k = int(np.argmin(dist))
-        if dist[k] < near:
-            near, near_pair = float(dist[k]), (i, j[k])
-    if _fifth_power_overflows(far):
-        raise _too_far(*far_pair, far)
-    if near_pair is not None and _fifth_power_underflows(near):
-        raise _too_close(*near_pair, near)
+    if (np.hypot(*np.ptp(array.positions, axis=0)) > 1e61
+            or array.spacing_y / array.spacing_x < 1e-61):
+        _pair_table(array, "z", cutoff_range, reference_frequencies=True)
 
 
 def _pair_table(array: TrapArray, direction: str, cutoff_range: float,
                 reference_frequencies: bool):
-    """Bare dipolar amplitude for every retained pair i > j, as arrays (i, j, amp)."""
+    """Bare dipolar amplitude for every retained pair i > j, as arrays (i, j, amp).
+
+    The one pair enumeration.  It walks one site i at a time over the sites
+    j < i, in the order of np.tril_indices, so its scratch memory is
+    O(n_sites + retained pairs).  ConfigurationError for an unknown direction
+    or a cutoff below 1.  GeometryError, naming the farthest or the nearest
+    pair, when |dr|^5 overflows (beyond about 1.6e61 x-spacings) or falls
+    below the smallest normal float (below about 2.9e-62), where it is zero
+    or has too few digits to divide by.
+    """
+    if direction not in ("x", "y", "z"):
+        raise ConfigurationError(f"unknown direction {direction!r}")
+    if cutoff_range < 1:
+        raise ConfigurationError("cutoff_range must be >= 1")
     pos = array.positions
     lat = np.array(array.lattice, dtype=float)
     if reference_frequencies:
@@ -230,30 +200,28 @@ def _pair_table(array: TrapArray, direction: str, cutoff_range: float,
     else:
         w = array.frequencies()
     axis = {"x": 0, "y": 1, "z": None}[direction]
-    beta = array.coulomb_beta
-    i, j = np.tril_indices(array.n_sites, -1)
-    dlat = np.hypot(lat[i, 0] - lat[j, 0], lat[i, 1] - lat[j, 1])
-    keep = dlat <= cutoff_range + 1e-9
-    i, j = i[keep], j[keep]
+    retained = [np.flatnonzero(np.hypot(lat[i, 0] - lat[:i, 0], lat[i, 1] - lat[:i, 1])
+                               <= cutoff_range + 1e-9) for i in range(array.n_sites)]
+    i = np.repeat(np.arange(array.n_sites), [len(j) for j in retained])
+    j = np.concatenate(retained)
     dr = pos[i] - pos[j]
     dist = np.hypot(dr[:, 0], dr[:, 1])
-    if np.any(dist == 0.0):
-        k = int(np.argmin(dist))
-        raise GeometryError(f"sites {i[k]} and {j[k]} coincide")
     comp = np.zeros_like(dist) if axis is None else dr[:, axis]
     # |dr|^5 through the C library's pow, once per distinct distance: numpy's
     # vectorised power may round differently in the last bit on some CPUs.
     distinct, which = np.unique(dist, return_inverse=True)
     try:
         dist5 = np.array([d**5 for d in distinct.tolist()])[which]
-    except OverflowError:  # beyond about 1.6e61 spacings
+    except OverflowError:
         k = int(np.argmax(dist))
-        raise _too_far(i[k], j[k], dist[k]) from None
-    if dist.size and _fifth_power_underflows(float(dist.min())):  # below about 2.9e-62 spacings
+        raise GeometryError(f"sites {i[k]} and {j[k]} are {dist[k]:.3g} x-spacings apart, "
+                            "too far for the dipolar coupling (|dr|^5 overflows)") from None
+    if dist.size and dist5.min() < sys.float_info.min:
         k = int(np.argmin(dist))
-        raise _too_close(i[k], j[k], dist[k])
+        raise GeometryError(f"sites {i[k]} and {j[k]} are {dist[k]:.3g} x-spacings apart, "
+                            "too close for the dipolar coupling (|dr|^5 underflows)")
     geom = (3.0 * comp * comp - dist * dist) / dist5
-    return i, j, -(beta / 2.0) * geom / np.sqrt(w[i] * w[j])
+    return i, j, -(array.coulomb_beta / 2.0) * geom / np.sqrt(w[i] * w[j])
 
 
 def bare_coupling_matrix(array: TrapArray, direction: str,
@@ -268,13 +236,8 @@ def bare_coupling_matrix(array: TrapArray, direction: str,
     per-site frequency factor is evaluated at the base frequency, i.e. at
     leading order in the gradient.
     """
-    if direction not in ("x", "y", "z"):
-        raise ConfigurationError(f"unknown direction {direction!r}")
-    if cutoff_range < 1:
-        raise ConfigurationError("cutoff_range must be >= 1")
-    n = array.n_sites
-    m = np.zeros((n, n), dtype=complex)
     i, j, amp = _pair_table(array, direction, cutoff_range, reference_frequencies)
+    m = np.zeros((array.n_sites, array.n_sites), dtype=complex)
     m[i, j] = amp
     m[j, i] = amp
     return CouplingMatrix(matrix=m)
@@ -295,22 +258,24 @@ def effective_coupling_matrix(array: TrapArray, drive: DriveSpec, direction: str
     if array.gradient == 0.0:
         raise ConfigurationError("effective couplings need a frequency gradient along x")
     drive.check_resonance(array.gradient)
-    bare = bare_coupling_matrix(array, direction, cutoff_range,
-                                reference_frequencies=reference_frequencies)
-    phases = drive.site_phases(array)
-    r = drive.resonance_order
+    i, j, bare = _pair_table(array, direction, cutoff_range, reference_frequencies)
     lat = np.array(array.lattice)
-    m = np.zeros(bare.matrix.shape, dtype=complex)  # calloc'd: unwritten pages add no RSS
-    i, j = np.nonzero(bare.matrix)
     dix = lat[i, 0] - lat[j, 0]
-    within = dix == 0
-    m[i[within], j[within]] = bare.matrix[i[within], j[within]]
-    assisted = dix == 1
+    bonded = bare != 0  # a vanishing bare amplitude leaves both entries +0.0
+    m = np.zeros((array.n_sites,) * 2, dtype=complex)  # calloc'd: unwritten pages add no RSS
+    within = bonded & (dix == 0)
+    m[i[within], j[within]] = bare[within]
+    m[j[within], i[within]] = bare[within]
+    assisted = bonded & (np.abs(dix) == 1)
     if not diagonal_bonds:
         assisted &= lat[i, 1] == lat[j, 1]
-    i, j = i[assisted], j[assisted]
+    # the table holds i > j: put the climbing site of each assisted bond first
+    up = dix[assisted] == 1
+    i, j = np.where(up, i[assisted], j[assisted]), np.where(up, j[assisted], i[assisted])
+    phases = drive.site_phases(array)
+    r = drive.resonance_order
     dphi, bond_dphi = np.unique(phases[i] - phases[j], return_inverse=True)
-    scaled = bare.matrix[i, j] * dressed_factor(r, drive.eta_d, dphi)[bond_dphi]
+    scaled = bare[assisted] * dressed_factor(r, drive.eta_d, dphi)[bond_dphi]
     turn = np.exp(-0.5j * r * (phases[i] + phases[j]))
     # The complex product in real arithmetic: numpy's vectorised complex
     # multiply may fuse it (FMA) and round differently from one CPU to another.

@@ -35,8 +35,8 @@ import numpy as np
 from ._text import csv_text, json_text
 from .couplings import DEFAULT_CUTOFF_RANGE, CouplingMatrix, dressed_factor, \
     bare_coupling_matrix, effective_coupling_matrix
-from .fock import FockSpace, add_local, build_fock_space, displacement_exponential, \
-    lowering, single_phonon_state
+from .fock import DENSE_OPERATOR_LIMIT, FockSpace, add_local, build_fock_space, \
+    displacement_exponential, lowering, single_phonon_state
 from .model import ConfigurationError, DriveSpec, TrapArray, build_array, cosine_drive, \
     laser_drive
 
@@ -130,7 +130,6 @@ def driven_model(array: TrapArray, drive: DriveSpec, bare: CouplingMatrix,
     if drive.mode == "cosine":
         phases = drive.site_phases(array)
         v = np.diag((amp / 2.0) * (np.exp(1j * phases) @ occ.astype(complex)))
-        modulation, rabi = drive.drive_frequency, 0.0
     else:
         thetas = drive.optical_phases(array)
         local = displacement_exponential(space.n_max, drive.lamb_dicke)
@@ -138,11 +137,17 @@ def driven_model(array: TrapArray, drive: DriveSpec, bare: CouplingMatrix,
         for i in range(space.n_sites):
             add_local(v, space, (i,), np.exp(1j * thetas[i]) * local)
         v *= drive.rabi_frequency / 2.0
-        modulation, rabi = -drive.drive_frequency, drive.rabi_frequency
-    hop = float(np.abs(bare.matrix).sum(axis=1).max())  # largest row sum of |J|
-    scale = float(array.frequencies().max()) + amp + rabi + hop
+    modulation = drive.drive_frequency if drive.mode == "cosine" else -drive.drive_frequency
     return DrivenHamiltonian(static=static, drive=v, modulation=modulation,
-                             frequency_scale=scale)
+                             frequency_scale=frequency_scale(array, drive, bare))
+
+
+def frequency_scale(array: TrapArray, drive: DriveSpec, bare: CouplingMatrix) -> float:
+    """Largest frequency scale of `driven_model`: the top trap frequency, the
+    drive amplitude, the Rabi frequency and the largest row sum of |J|."""
+    rabi = drive.rabi_frequency if drive.mode == "laser" else 0.0
+    hop = float(np.abs(bare.matrix).sum(axis=1).max())
+    return float(array.frequencies().max()) + drive.eta_d * drive.drive_frequency + rabi + hop
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +226,13 @@ def _stack_size(dim: int) -> int:
     return max(1, _STACK_BYTES // (16 * dim * dim))
 
 
+def _period_steps(modulation: float, dt: float) -> tuple[int, float]:
+    """(n, h): n steps of size h = T / n <= dt fill the period T = 2 pi / |modulation|."""
+    period = 2.0 * math.pi / abs(modulation)
+    n = max(1, math.ceil(period / dt - 1e-12))
+    return n, period / n
+
+
 class _PeriodGrid:
     """Fourth-order Magnus steps of one size h = T / n on the grid t = j h.
 
@@ -237,9 +249,8 @@ class _PeriodGrid:
     """
 
     def __init__(self, model: DrivenHamiltonian, dt: float):
-        period = 2.0 * math.pi / abs(model.modulation)
-        self.n = max(1, math.ceil(period / dt - 1e-12))
-        self.h = h = period / self.n
+        self.n, self.h = _period_steps(model.modulation, dt)
+        h = self.h
         self.mod = model.modulation
         dim = model.dim
         hs = model.static - (np.trace(model.static).real / dim) * np.eye(dim)  # global phase
@@ -372,9 +383,29 @@ def _floquet_pays(dim: int, n: int, degree: int, points: np.ndarray) -> bool:
     return bool(floquet < degree * int(points[-1]))
 
 
-def default_time_step(model: DrivenHamiltonian, time_step_divisor: int = 40) -> float:
-    """Step rule: the shortest period in H(tau) divided by `time_step_divisor`."""
-    return 2.0 * math.pi / (time_step_divisor * model.frequency_scale)
+def default_time_step(scale: float, time_step_divisor: int = 40) -> float:
+    """Step rule: the shortest period 2 pi / `scale` in H(tau) over `time_step_divisor`."""
+    return 2.0 * math.pi / (time_step_divisor * scale)
+
+
+def check_exact_grid(cfg, array: TrapArray, drive: DriveSpec, window: float, samples: int,
+                     cutoff_range: float = DEFAULT_CUTOFF_RANGE) -> None:
+    """ConfigurationError when `evolve` of the exact model of `cfg` would put more than the
+    dense-operator budget, 16 DENSE_OPERATOR_LIMIT^2 bytes, in its table of steps per drive
+    period or of samples (five float64 a row), or index its grid beyond int64."""
+    scale = frequency_scale(array, drive, bare_coupling_matrix(array, cfg["direction"],
+                                                               cutoff_range))
+    divisor, rows = cfg["numerics.time_step_divisor"], 16 * DENSE_OPERATOR_LIMIT ** 2 // 40
+    try:
+        n, h = _period_steps(drive.drive_frequency, default_time_step(scale, divisor))
+    except (OverflowError, ZeroDivisionError):  # a step below the float range
+        n, h = math.inf, math.nan
+    if max(n, samples) > rows or not window / h < 2.0 ** 63:
+        raise ConfigurationError(
+            f"the exact drive takes {n:.3g} Magnus steps per drive period (frequency scale "
+            f"{scale:.3g}, numerics.time_step_divisor = {divisor}), {samples} samples and a "
+            f"grid index of {window / h:.3g} at the window's end: memory holds {rows} steps "
+            "or samples, and int64 indices stay below 9.2e18")
 
 
 @dataclass
@@ -428,9 +459,9 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     scheme; `model.at(tau)` gives its matrix at one instant).  The output
     grid has `samples` points on [0, t_final].  Magnus steps of size
     h = T / ceil(T / dt) fill the drive period T, dt defaulting to
-    `default_time_step(hamiltonian)`; each sample is one partial step from
-    the grid point at or below it.  One block loop steps the states to
-    those grid points.  When `_floquet_pays`, it builds the one-period
+    `default_time_step(hamiltonian.frequency_scale)`; each sample is one
+    partial step from the grid point at or below it.  One block loop steps
+    the states to those grid points.  When `_floquet_pays`, it builds the one-period
     propagator U_T, powers psi0 by it to every period that holds a sample,
     and steps those states through one period as the columns of one block;
     otherwise plain stepping runs the same loop with one column through the
@@ -438,7 +469,7 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     samples within their periods, U_T keeps its partial products P_o, and a
     column reaches offset o as P_o times its state instead of by stepping;
     a link point, sampled at 0 and t*, takes this path.  Aborts if the norm
-    drifts beyond 1e-4, naming the earliest sample that drifts.
+    drifts beyond 1e-4 or is not finite, naming the earliest such sample.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -466,7 +497,7 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     if not isinstance(hamiltonian, DrivenHamiltonian):
         raise TypeError("hamiltonian must be a matrix or a DrivenHamiltonian")
     if dt is None:
-        dt = default_time_step(hamiltonian)
+        dt = default_time_step(hamiltonian.frequency_scale)
     grid = _PeriodGrid(hamiltonian, dt)
     h, n, m = grid.h, grid.n, grid.degree
 
@@ -524,7 +555,7 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         first = pass_ends[-1] + 1
     steps = (n if floquet else 0) + block_steps
 
-    drifted = np.flatnonzero(np.abs(norms - 1.0) > NORM_ABORT)
+    drifted = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_ABORT))  # a nan norm drifts too
     if drifted.size:
         k = drifted[0]
         raise IntegrationError(
@@ -568,7 +599,8 @@ def _effective_and_exact(cfg, array: TrapArray, drive: DriveSpec, eff: CouplingM
     bare = bare_coupling_matrix(array, cfg["direction"], cutoff_range)
     exact = driven_model(array, drive, bare, space)
     res_exact = evolve(exact, psi0, t_final,
-                       default_time_step(exact, cfg["numerics.time_step_divisor"]),
+                       default_time_step(exact.frequency_scale,
+                                         cfg["numerics.time_step_divisor"]),
                        space=space, samples=samples, label="laser_exact", parameters=parameters)
     return res_eff, res_exact
 
@@ -602,10 +634,15 @@ class LinkScanResult:
         })
 
 
+def link_array(cfg) -> TrapArray:
+    """The two-site array of the link config `cfg`."""
+    return build_array("link", (2,), base_frequency=cfg["array.base_frequency"],
+                       gradient=cfg["array.gradient"], coulomb_beta=cfg["array.beta"])
+
+
 def link_point(cfg, delta_phi: float):
     """(t_star, n2_effective, n2_exact, defined) for one phase step of the link config `cfg`."""
-    array = build_array("link", (2,), base_frequency=cfg["array.base_frequency"],
-                        gradient=cfg["array.gradient"], coulomb_beta=cfg["array.beta"])
+    array = link_array(cfg)
     drive = config_drive(cfg, "laser", delta_phi, 0.0)
     eff = effective_coupling_matrix(array, drive, cfg["direction"])
     j_eff = abs(eff.matrix[1, 0])
@@ -640,8 +677,8 @@ def ring_couplings(cfg):
     selects the synthetic plaquette flux through the phase steps
     (phase_x = pi, phase_y = flux).  The automatic window is one full
     ring-transfer cycle, pi / |J|.  ConfigurationError when the bond
-    vanishes, or when it is below COUPLING_THRESHOLD on the automatic
-    window, which would then be too long to integrate.
+    vanishes, when it is below COUPLING_THRESHOLD on the automatic window,
+    which would then be too long to integrate, or by `check_exact_grid`.
     """
     drive = config_drive(cfg, "laser", math.pi, cfg["plaquette.flux"])
     f_mag = abs(dressed_factor(drive.resonance_order, drive.eta_d, math.pi))
@@ -663,6 +700,8 @@ def ring_couplings(cfg):
                 "the automatic window pi / |J| is too long to integrate; set numerics.window "
                 "or strengthen the drive")
         window = math.pi / j_bond
+    check_exact_grid(cfg, array, drive, window, cfg["numerics.samples"],
+                     cfg["numerics.cutoff_range"])
     return drive, array, eff, window
 
 

@@ -1,6 +1,10 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from phonon_gauge import cli, config, dynamics
 from phonon_gauge.config import ConfigError, EXPERIMENTS, PRESETS, ExperimentConfig, \
@@ -342,6 +346,102 @@ def test_distance_beyond_the_float_range_is_a_geometry_error(tmp_path, capsys, t
     code, _ = _simulate(tmp_path, text, extra=("--jobs", "0"))
     assert code == 1
     assert capsys.readouterr().err.splitlines()[1] == "config error: --jobs: must be >= 1, got 0"
+
+
+RING = "experiment = fig2cd_plaquette\n"
+
+#: Exact-drive configs whose Magnus grid does not fit: step tables or per-sample
+#: arrays of GiBs (without the check, a MemoryError or a numpy ValueError, exit 3),
+#: and a window whose grid index leaves int64 (without it, nan data and exit 0).
+OVERSIZED_EXACT_DRIVES = {
+    "samples": (RING + "numerics.samples = 1000000000\n", "1.05e+03 Magnus steps"),
+    "divisor": (RING + "numerics.time_step_divisor = 1000000000\n", "2.62e+10 Magnus steps"),
+    "strong_drive": (RING + "drive.rabi_frequency = 1e6\ndrive.lamb_dicke = 1e-3\n",
+                     "8e+08 Magnus steps"),
+    "overflowing_drive": (RING + "drive.rabi_frequency = 1e300\ndrive.lamb_dicke = 1e-160\n"
+                          "numerics.window = 100\n", "8e+302 Magnus steps"),
+    "window": (RING + "numerics.window = 1e300\nnumerics.samples = 3\n",
+               "3 samples and a grid index of 8.36e+300 at the window's end"),
+    "link_divisor": ("experiment = fig2b_link_scan\nnumerics.time_step_divisor = 1000000000\n",
+                     "3.66e+10 Magnus steps"),
+}
+
+
+@pytest.mark.parametrize("text, problem", OVERSIZED_EXACT_DRIVES.values(),
+                         ids=OVERSIZED_EXACT_DRIVES.keys())
+def test_oversized_exact_drive_grid_is_a_config_error(tmp_path, monkeypatch, capsys, text,
+                                                      problem):
+    def never(*args, **kwargs):
+        raise AssertionError("evolved an exact-drive grid above the memory budget")
+
+    monkeypatch.setattr(dynamics, "evolve", never)
+    code, out = _simulate(tmp_path, text, extra=("--jobs", "0"))
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("config error: ") and problem in err[0]
+    assert err[1:] == ["config error: --jobs: must be >= 1, got 0"]
+    assert not out.exists()
+
+
+#: Spacings log-uniform over the positive floats, from 5e-324 to 1.7e308.
+_SPACINGS = st.floats(math.log10(5e-324), math.log10(1.7e308)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _custom_configs(draw):
+    layout = draw(st.sampled_from(("link", "plaquette", "rhombic_ladder", "square")))
+    lines = ["experiment = custom", f"array.layout = {layout}"]
+    if layout == "square":
+        lines += [f"array.nx = {draw(st.integers(1, 4))}", f"array.ny = {draw(st.integers(1, 4))}"]
+    elif layout == "rhombic_ladder":
+        lines.append(f"array.cells = {draw(st.integers(1, 3))}")
+    lines += [f"array.spacing_x = {draw(_SPACINGS)!r}", f"array.spacing_y = {draw(_SPACINGS)!r}",
+              f"numerics.cutoff_range = {draw(st.floats(1.0, 1e4))!r}",
+              f"direction = {draw(st.sampled_from('xyz'))}"]
+    return "\n".join(lines) + "\n"
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    return [value] if isinstance(value, float) else []
+
+
+def _written_numbers(path):
+    if path.suffix == ".json":
+        return _numbers(json.loads(path.read_text()))
+    rows = path.read_text().splitlines()[1:]  # below the header
+    return [float(x) for row in rows for x in row.split(",")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_custom_configs())
+@example(text=RING + "drive.rabi_frequency = 1e-300\n")
+@example(text="experiment = custom\narray.layout = plaquette\narray.spacing_y = 1e70\n")
+@example(text="experiment = custom\narray.layout = square\narray.spacing_x = 1e-70\n")
+@example(text="experiment = custom\narray.layout = plaquette\narray.spacing_y = 1e-70\n")
+@example(text="experiment = custom\narray.layout = plaquette\n"
+              "array.spacing_y = 1e300\narray.spacing_x = 1e-300\n")
+@example(text="experiment = custom\narray.layout = plaquette\n"
+              "array.spacing_y = 1e-300\narray.spacing_x = 1e300\n")
+@example(text="experiment = custom\narray.layout = square\narray.ny = 3\n"
+              "array.spacing_y = 1e308\n")
+@example(text=OVERSIZED_EXACT_DRIVES["samples"][0])
+@example(text=OVERSIZED_EXACT_DRIVES["divisor"][0])
+@example(text=OVERSIZED_EXACT_DRIVES["strong_drive"][0])
+@example(text=OVERSIZED_EXACT_DRIVES["overflowing_drive"][0])
+@example(text=OVERSIZED_EXACT_DRIVES["window"][0])
+def test_configs_end_in_exit_0_1_or_2(text):
+    with tempfile.TemporaryDirectory() as scratch:
+        code, out = _simulate(Path(scratch), text)
+        assert code in (0, 1, 2), text
+        if code == 1:
+            assert not out.exists()
+        if code == 0:
+            for path in out.iterdir():
+                assert all(map(math.isfinite, _written_numbers(path))), path.name
 
 
 def test_format_violation_is_listed_with_a_rejected_config(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
+from phonon_gauge import couplings
 from phonon_gauge.couplings import (
     BrokenCycleError,
     DomainError,
@@ -15,8 +16,8 @@ from phonon_gauge.couplings import (
     effective_coupling_matrix,
     plaquette_flux,
 )
-from phonon_gauge.model import ConfigurationError, GeometryError, build_array, cosine_drive, \
-    laser_drive
+from phonon_gauge.model import ConfigurationError, GeometryError, TrapArray, build_array, \
+    cosine_drive, laser_drive
 
 # -- Bessel J -----------------------------------------------------------------
 
@@ -347,6 +348,107 @@ def test_effective_matrix_equals_bond_loop(layout, dims, drive, diagonal_bonds):
     ref = _loop_effective_matrix(arr, drive, "z", diagonal_bonds)
     assert np.count_nonzero(ref) > 0
     assert np.array_equal(eff.matrix, ref)
+
+
+def _tril_pair_table(array, direction, cutoff_range, reference_frequencies):
+    """Reference pair table: every pair i > j at once through np.tril_indices,
+    with the arithmetic of the walk in `couplings._pair_table`."""
+    pos, lat = array.positions, np.array(array.lattice, dtype=float)
+    w = np.full(array.n_sites, array.base_frequency) if reference_frequencies \
+        else array.frequencies()
+    axis = {"x": 0, "y": 1, "z": None}[direction]
+    i, j = np.tril_indices(array.n_sites, -1)
+    keep = np.hypot(lat[i, 0] - lat[j, 0], lat[i, 1] - lat[j, 1]) <= cutoff_range + 1e-9
+    i, j = i[keep], j[keep]
+    dr = pos[i] - pos[j]
+    dist = np.hypot(dr[:, 0], dr[:, 1])
+    comp = np.zeros_like(dist) if axis is None else dr[:, axis]
+    distinct, which = np.unique(dist, return_inverse=True)
+    dist5 = np.array([d**5 for d in distinct.tolist()])[which]
+    geom = (3.0 * comp * comp - dist * dist) / dist5
+    return i, j, -(array.coulomb_beta / 2.0) * geom / np.sqrt(w[i] * w[j])
+
+
+def _dense_round_trip_effective(array, drive, direction, cutoff_range, reference_frequencies,
+                                diagonal_bonds):
+    """Reference effective matrix: the bare pairs scattered into a dense
+    matrix and read back with np.nonzero, both orientations of each pair."""
+    n = array.n_sites
+    bare = np.zeros((n, n), dtype=complex)
+    i, j, amp = _tril_pair_table(array, direction, cutoff_range, reference_frequencies)
+    bare[i, j] = amp
+    bare[j, i] = amp
+    phases, r, lat = drive.site_phases(array), drive.resonance_order, np.array(array.lattice)
+    m = np.zeros((n, n), dtype=complex)
+    i, j = np.nonzero(bare)
+    dix = lat[i, 0] - lat[j, 0]
+    within = dix == 0
+    m[i[within], j[within]] = bare[i[within], j[within]]
+    assisted = dix == 1
+    if not diagonal_bonds:
+        assisted &= lat[i, 1] == lat[j, 1]
+    i, j = i[assisted], j[assisted]
+    dphi, bond_dphi = np.unique(phases[i] - phases[j], return_inverse=True)
+    scaled = bare[i, j] * dressed_factor(r, drive.eta_d, dphi)[bond_dphi]
+    turn = np.exp(-0.5j * r * (phases[i] + phases[j]))
+    amp = np.empty(i.size, dtype=complex)
+    amp.real = scaled.real * turn.real - scaled.imag * turn.imag
+    amp.imag = scaled.real * turn.imag + scaled.imag * turn.real
+    m[i, j] = amp
+    m[j, i] = np.conj(amp)
+    return bare, m
+
+
+def _permuted_square(nx, ny, spacing_y):
+    """A square array whose sites are listed in a shuffled order, so that
+    pairs i > j with i_x < j_x occur."""
+    lattice = build_array("square", (nx, ny)).lattice
+    order = np.random.default_rng(7).permutation(len(lattice))
+    return TrapArray(lattice=tuple(lattice[k] for k in order), spacing_y=spacing_y,
+                     gradient=0.05)
+
+
+@pytest.mark.parametrize("layout, dims", [("link", ()), ("plaquette", ()), ("square", (4, 3)),
+                                          ("square", (1, 6)), ("rhombic_ladder", (3,)),
+                                          ("permuted", (4, 4))])
+@pytest.mark.parametrize("spacing_y", [1.0, 0.7, 1.37, 1 / math.sqrt(2)])
+def test_coupling_matrices_are_byte_identical_to_the_dense_round_trip(layout, dims, spacing_y):
+    # spacing_y = 1 / sqrt(2) gives diagonal bonds with a bare amplitude of
+    # exactly -0.0 in direction y, which the dense round trip drops
+    if layout == "permuted":
+        arr = _permuted_square(*dims, spacing_y)
+        i, j = np.tril_indices(arr.n_sites, -1)
+        lat = np.array(arr.lattice)
+        assert np.any(lat[i, 0] < lat[j, 0]) and np.any(lat[i, 0] > lat[j, 0])
+    else:
+        arr = build_array(layout, dims, spacing_y=spacing_y, gradient=0.05)
+    drives = [laser_drive(0.75, 0.05, 0.2, 1, phase_x=px, phase_y=py)
+              for px, py in ((math.pi, math.pi), (1.1, 0.37))]
+    drives.append(cosine_drive(0.025, 1.3, 2, phase_x=2.0, phase_y=-0.7))
+    for direction in "xyz":
+        for cutoff_range in (1.0, 2.0, 3.0, 7.5):
+            for ref in (False, True):
+                want_bare = None
+                for drive in drives:
+                    for diagonal_bonds in (True, False):
+                        want_bare, want = _dense_round_trip_effective(
+                            arr, drive, direction, cutoff_range, ref, diagonal_bonds)
+                        got = effective_coupling_matrix(arr, drive, direction, cutoff_range,
+                                                        reference_frequencies=ref,
+                                                        diagonal_bonds=diagonal_bonds)
+                        assert got.matrix.tobytes() == want.tobytes()
+                got = bare_coupling_matrix(arr, direction, cutoff_range,
+                                           reference_frequencies=ref)
+                assert got.matrix.tobytes() == want_bare.tobytes()
+
+
+def test_reach_check_in_range_builds_no_pair_table(monkeypatch):
+    def never(*args):
+        raise AssertionError("pair table built for an array within the float range")
+
+    monkeypatch.setattr(couplings, "_pair_table", never)
+    arr = build_array("square", (64, 64), spacing_x=1e-50, spacing_y=1e-30)
+    check_dipolar_reach(arr, 1e4)  # distances from 1 to 6.3e21 x-spacings
 
 
 def test_laser_drive_builds_same_effective_matrix_as_cosine():

@@ -22,7 +22,7 @@ from phonon_gauge.dynamics import (
 from phonon_gauge.dynamics import _populations
 from phonon_gauge.fock import build_fock_space, displacement_exponential, lowering, \
     single_phonon_state
-from phonon_gauge.model import build_array, cosine_drive, laser_drive
+from phonon_gauge.model import ConfigurationError, build_array, cosine_drive, laser_drive
 
 
 def _kron_embed(space, site, local):
@@ -459,7 +459,7 @@ def _preset_ring_model():
 @pytest.mark.parametrize("preset", ["link", "ring"])
 def test_stacked_period_propagator_equals_the_sequential_product(pi_link_model, preset):
     model = pi_link_model[0] if preset == "link" else _preset_ring_model()
-    grid = dynamics._PeriodGrid(model, dynamics.default_time_step(model))
+    grid = dynamics._PeriodGrid(model, dynamics.default_time_step(model.frequency_scale))
     size = dynamics._stack_size(model.dim)
     if preset == "link":  # 112 stacks of 13 and a ragged last stack of 9
         assert (model.dim, grid.n, size, grid.n % size) == (25, 1465, 13, 9)
@@ -472,7 +472,7 @@ def test_stacked_period_propagator_equals_the_sequential_product(pi_link_model, 
 
 def test_kept_partial_products_equal_the_sequential_ones(pi_link_model):
     model = pi_link_model[0]
-    grid = dynamics._PeriodGrid(model, dynamics.default_time_step(model))
+    grid = dynamics._PeriodGrid(model, dynamics.default_time_step(model.frequency_scale))
     # 0 and the ends of the first stack of 13; the ragged last stack of 9 at 1456
     offsets = (0, 12, 13, 14, 1456, 1464)
     u, kept = grid.period_propagator(set(offsets))
@@ -504,6 +504,29 @@ def test_norm_abort_names_the_earliest_drifting_sample(pi_link_model, monkeypatc
     monkeypatch.setattr(dynamics, "NORM_ABORT", limit)
     with pytest.raises(IntegrationError, match=f"at t = {res.times[drifting[0]]:.3f};"):
         evolve(model, psi0, t_final, 0.4, space=space, samples=11)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_norm_aborts(pi_link_model):
+    # the grid index of t = 5e299 overflows int64, and the samples there and
+    # at 1e300 come out nan; parse_config rejects such a window
+    model, space = pi_link_model
+    with pytest.raises(IntegrationError, match=f"^norm drifted to nan at t = {5e299:.3f};"):
+        evolve(model, single_phonon_state(space, 0), 1e300, space=space, samples=3)
+
+
+def test_exact_grid_check_bounds_the_tables_and_the_grid_index():
+    # the link preset: 1465 steps of h = 0.0858 per drive period, so the
+    # grid index leaves int64 at t = 2^63 h = 7.91e17
+    cfg = parse_config("experiment = fig2b_link_scan\n")
+    array, drive = dynamics.link_array(cfg), dynamics.config_drive(cfg, "laser", math.pi, 0.0)
+    rows = 16 * dynamics.DENSE_OPERATOR_LIMIT ** 2 // 40
+    dynamics.check_exact_grid(cfg, array, drive, 7.9e17, rows)
+    with pytest.raises(ConfigurationError, match=r"^the exact drive takes 1.46e\+03 Magnus steps "
+                                                 r".*, 6710887 samples and"):
+        dynamics.check_exact_grid(cfg, array, drive, 1e6, rows + 1)
+    with pytest.raises(ConfigurationError, match=r"a grid index of 9.23e\+18 at the window"):
+        dynamics.check_exact_grid(cfg, array, drive, 7.92e17, 2)
 
 
 def test_top_level_population_is_the_truncation_leakage():
@@ -571,7 +594,7 @@ def test_link_point_takes_the_kept_partial_product():
     t_star = math.pi / (2 * abs(effective_coupling_matrix(array, drive, "z").matrix[1, 0]))
     space = build_fock_space(2, cfg["numerics.n_max"])
     model = driven_model(array, drive, bare_coupling_matrix(array, "z"), space)
-    dt = dynamics.default_time_step(model, cfg["numerics.time_step_divisor"])
+    dt = dynamics.default_time_step(model.frequency_scale, cfg["numerics.time_step_divisor"])
     psi0 = single_phonon_state(space, 0)
     res = evolve(model, psi0, t_star, dt, space=space, samples=2)
     h = res.parameters["dt"]
