@@ -141,6 +141,11 @@ def dressed_map(resonance_order: int, eta_grid, delta_phi_grid) -> DressedMapRes
     return DressedMapResult(eta_d=etas, delta_phi=dphis, magnitude=np.array(rows))
 
 
+#: Rows per block of `CouplingMatrix`'s Hermiticity check: 1 MiB of
+#: complex conjugate at 4096 sites.
+_HERMITIAN_ROWS = 16
+
+
 @dataclass(frozen=True)
 class CouplingMatrix:
     """Hermitian matrix of complex hopping amplitudes for one direction."""
@@ -153,7 +158,9 @@ class CouplingMatrix:
             raise ValueError("coupling matrix must be square")
         if np.any(np.diagonal(m) != 0):
             raise ValueError("coupling matrix must have zero diagonal")
-        if not np.array_equal(m, m.conj().T):
+        # a block of rows at a time, so the check never copies the whole matrix
+        if not all(np.array_equal(m[i:i + _HERMITIAN_ROWS], m[:, i:i + _HERMITIAN_ROWS].conj().T)
+                   for i in range(0, len(m), _HERMITIAN_ROWS)):
             raise ValueError("coupling matrix must be exactly Hermitian")
         m.setflags(write=False)
 

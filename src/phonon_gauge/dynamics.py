@@ -15,13 +15,16 @@ psi0: it forms the one-period propagator U_T once, powers psi0 by it to
 every sampled period and steps those columns through one period together.
 When the samples fall on at most five distinct grid offsets, U_T keeps its
 partial products there instead, and each column reaches its sample in one
-matrix-vector product.  U_T takes its step exponentials by
-Paterson-Stockmeyer, a cache-sized stack of step generators at a time.
-Plain stepping, which a flop rule picks when U_T does not pay, is one
-column stepped through the whole window.  Each step is unitary up to
-roundoff, so norm is conserved over arbitrarily long windows.  Evolutions
-are deterministic and single-threaded; independent parameter points of a
-scan may run concurrently.
+matrix-vector product.  U_T needs only a few step exponentials: the
+exponential of a full step is a smooth periodic function of the drive
+phase, so U_T takes it by Paterson-Stockmeyer at 2M + 1 equispaced phases,
+transforms those to harmonics, and sums each step's exponential from them,
+with M fixed before stepping from a norm bound so that the dropped
+harmonics stay below 2^-53.  Plain stepping, which a flop rule picks when
+U_T does not pay, is one column stepped through the whole window.  Each
+step is unitary up to roundoff, so norm is conserved over arbitrarily long
+windows.  Evolutions are deterministic and single-threaded; independent
+parameter points of a scan may run concurrently.
 """
 
 from __future__ import annotations
@@ -206,24 +209,46 @@ def _taylor_matrix(omega: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-#: Bytes of one stack of step generators in `_PeriodGrid.period_propagator`,
-#: which holds K = `_stack_size(d)` complex d x d generators.  A stack spreads
+#: Bytes of one stack of complex d x d matrices in
+#: `_PeriodGrid.period_propagator`, which exponentiates its nodes and forms
+#: its step exponentials K = `_stack_size(d)` at a time.  A stack spreads
 #: numpy's per-call overhead on small matrices over K steps, until the stack
-#: and its powers outgrow the cache.  One U_T in seconds, best of 5, on one
-#: core of a 2-vCPU Xeon (numpy 2.4, OpenBLAS 0.3.31, 1 thread):
-#:   K          1      2      4      8      13     16     32     64   unstacked
-#:   d = 25   0.227  0.159  0.122  0.112  0.109  0.110  0.113  0.124   0.166
-#:   d = 81   1.07   1.00   1.26   1.29   1.43   1.43   1.67   1.63    1.09
-#: (d = 25 is the link's 1465 steps, d = 81 the preset ring's 1050; repeat
-#: runs of K = 1-3 at d = 81 spread over 0.81-1.07 s.)  128 KiB gives K = 13
-#: at d = 25 and K = 1 from d = 81 on, so the preset ring and criterion 8's
-#: d = 625 form one generator at a time.
+#: and its powers outgrow the cache.  One U_T, best of 5, on one core of a
+#: 2-vCPU Xeon (numpy 2.4, OpenBLAS 0.3.31, 1 thread), two runs: at d = 25
+#: (the link) 0.036-0.050 s at K = 1 and 0.020-0.030 s at K = 8 to 64; at
+#: d = 81 (the preset ring) K = 1 to 64 all took 0.16-0.29 s.  128 KiB gives
+#: K = 13 at d = 25 and K = 1 from d = 81 on.
 _STACK_BYTES = 128 * 1024
 
 
 def _stack_size(dim: int) -> int:
-    """Step generators per stack at state dimension `dim`."""
+    """Matrices per stack at state dimension `dim`."""
     return max(1, _STACK_BYTES // (16 * dim * dim))
+
+
+def _node_count(a: float, b: float, c: float, n: int, degree: int) -> int:
+    """Interpolation nodes N = 2M + 1 in the drive phase for the n step
+    exponentials of one period, or n when 2M + 1 >= n (the grid points).
+
+    A step generator is A + z B + C / z with z = exp(i w t) and 1-norms a,
+    b, c of A, B, C.  Majorising its exponential term by term, the harmonic
+    z^m has norm at most e^(a + bc) b^m / m! (c^|m| / |m|! for m < 0), and
+    trigonometric interpolation on N nodes errs by at most twice the
+    harmonics beyond M.  M is the smallest with
+    2 e^(a + bc) sum_{m>M} (b^m + c^m) / m! <= 2^-53, the tails bounded as in
+    `_taylor_degree`; at most `degree`, since the Taylor polynomial of that
+    degree holds no higher harmonic.
+    """
+    terms = [1.0, 1.0]  # x^(M+1) / (M+1)! for x = b, c
+    for m in range(degree):
+        if 2 * m + 1 >= n:
+            return n
+        terms = [t * x / (m + 1) for t, x in zip(terms, (b, c))]
+        tail = sum(t / (1.0 - x / (m + 2)) if x < m + 2 else math.inf
+                   for t, x in zip(terms, (b, c)))
+        if tail == 0 or math.log(2.0 * tail) + a + b * c <= math.log(_TAYLOR_TOL):
+            return 2 * m + 1
+    return min(2 * degree + 1, n)
 
 
 def _period_steps(modulation: float, dt: float) -> tuple[int, float]:
@@ -274,6 +299,15 @@ class _PeriodGrid:
         beta = h * (n0 + math.hypot(n1, n2)) + _GL_COMM * h * h * min(x, 2.0) * math.hypot(n3, n4)
         self.degree = _taylor_degree(beta, h)
         self.coefs = self.coefficients(np.arange(self.n) * h, h)
+        # The row of a full step from t holds Re and Im of z mu and z delta,
+        # z = exp(i w t) and mu, delta their values at t = 0, so its generator
+        # is A + z B + C / z: A = h table[0], and B and C weigh the table by w
+        # and conj(w)
+        f1, f2 = np.exp(1j * self.mod * h * np.array(_GL_NODES))
+        mu, delta = 0.5 * h * (f1 + f2), _GL_COMM * h * h * (f2 - f1)
+        w = np.array([0.0, mu, -1j * mu, delta, -1j * delta]) / 2.0
+        b, c = (np.abs(np.tensordot(x, tab, 1)).sum(axis=0).max() for x in (w, w.conj()))
+        self.nodes = _node_count(h * n0, b, c, self.n, self.degree)
 
     def coefficients(self, t, h) -> np.ndarray:
         """Table coefficients, one row per step of size h starting at t."""
@@ -297,23 +331,36 @@ class _PeriodGrid:
         generator, and the partial product P_o = E_{o-1} ... E_0 kept at each
         grid offset o in `offsets` (0 <= o < n; P_0 is the identity).
 
-        The generators are formed, one row product each, into stacks of at
-        most _STACK_BYTES and exponentiated a stack at a time; the product
-        u = E_k u stays sequential, so U_T and the kept P_o do not depend on
-        the stack size.  Each product is a new matrix, so keeping P_o copies
-        nothing.
+        E(t), the exponential of a full step from t, is periodic and smooth in
+        the drive phase.  Its Taylor exponentials at N = `nodes` equispaced
+        phases t_j = j T / N, a stack of at most _STACK_BYTES at a time, are
+        transformed in place to the harmonics F_m, |m| <= (N - 1) / 2, and
+        each E_k = sum_m F_m exp(2 pi i m k / n) is formed by one product per
+        stack of steps; `_node_count` bounds the error by 2^-53.  With N = n
+        the nodes are the grid points, and E_k is their exponential up to
+        roundoff.  The product u = E_k u stays sequential, and each product
+        is a new matrix, so keeping P_o copies nothing.
         """
-        d = self.table.shape[1]
+        d, n, nodes = self.table.shape[1], self.n, self.nodes
         size = _stack_size(d)
-        flat = np.empty((size, self._flat.shape[1]))
+        m = (np.arange(nodes) + nodes // 2) % nodes - nodes // 2  # 0 .. M, -M .. -1
+        harmonics = np.empty((nodes, d * d), dtype=complex)  # the only nodes x d^2 array
+        rows = self.coefficients(np.arange(nodes) * (n / nodes * self.h), self.h)
+        for j in range(0, nodes, size):
+            omega = (rows[j:j + size] @ self._flat).view(complex).reshape(-1, d, d)
+            harmonics[j:j + size] = _taylor_matrix(omega, self.degree).reshape(-1, d * d)
+        # F_m = sum_j E_j exp(-2 pi i m j / N) / N in place, a stack of columns at
+        # a time: loading numpy.fft raised the ring's peak RSS by 0.15 to 0.6 MB
+        dft = np.exp((-2j * math.pi / nodes) * (np.outer(m, np.arange(nodes)) % nodes)) / nodes
+        cols = _STACK_BYTES // (16 * nodes)
+        for c in range(0, d * d, cols):
+            harmonics[:, c:c + cols] = dft @ harmonics[:, c:c + cols]
         kept = {}
         u = np.eye(d, dtype=complex)
-        for k in range(0, self.n, size):
-            rows = self.coefs[k:k + size]
-            for row, out in zip(rows, flat):
-                np.matmul(row, self._flat, out=out)
-            for o, step in enumerate(_taylor_matrix(
-                    flat[:len(rows)].view(complex).reshape(-1, d, d), self.degree), k):
+        for k in range(0, n, size):
+            turns = np.outer(np.arange(k, min(k + size, n)), m) % n  # exact in integers
+            steps = (np.exp((2j * math.pi / n) * turns) @ harmonics).reshape(-1, d, d)
+            for o, step in enumerate(steps, k):
                 if o in offsets:
                     kept[o] = u
                 u = step @ u
@@ -351,28 +398,31 @@ def _kept_offsets(offsets: np.ndarray) -> set[int]:
     return distinct if len(distinct) <= _BLOCK_WIDTH else set()
 
 
-def _floquet_pays(dim: int, n: int, degree: int, points: np.ndarray) -> bool:
+def _floquet_pays(dim: int, n: int, nodes: int, degree: int, points: np.ndarray) -> bool:
     """Whether Floquet sampling to the ascending grid `points` (n steps per
     period) costs fewer weighted multiply-adds than plain stepping.
 
     Plain stepping takes points[-1] steps of `degree` matrix-vector
-    products.  Floquet sampling builds U_T (n steps of s + r - 1 matrix
-    products, Paterson-Stockmeyer and the accumulation) and applies it once
-    per period up to the last sample.  When U_T keeps its partial products
-    at the sampled offsets (`_kept_offsets`), each sample then costs one
-    matrix-vector product.  Otherwise it steps blocks of at most
-    _BLOCK_WIDTH d columns, one column per sampled period, to each column's
-    last sample; a block step streams the generator once, a matrix-vector
-    product, and pays the columns after the first at matrix-product speed.
-    The partial steps of the samples cost the same on both paths and are
-    left out.  The U_T term still prices the unstacked build, one generator
-    at a time; at d = 25 stacks make that build about a third cheaper (see
-    _STACK_BYTES), and that term is left as it was so that no preset
-    changes path.
+    products.  Floquet sampling builds U_T from `nodes` step exponentials
+    (s + r - 2 matrix products each, Paterson-Stockmeyer), n formation rows
+    of nodes d^2 multiply-adds each, at matrix-vector speed, and n matrix
+    products for the accumulation; it then applies U_T once per period up to
+    the last sample.  When U_T keeps its partial products at the sampled
+    offsets (`_kept_offsets`), each sample then costs one matrix-vector
+    product.  Otherwise it steps blocks of at most _BLOCK_WIDTH d columns,
+    one column per sampled period, to each column's last sample; a block
+    step streams the generator once, a matrix-vector product, and pays the
+    columns after the first at matrix-product speed.  The partial steps of
+    the samples cost the same on both paths and are left out.  U_T is
+    refused when its table of node harmonics would exceed the dense-operator
+    budget of 16 DENSE_OPERATOR_LIMIT^2 bytes.
     """
+    if nodes * dim * dim > DENSE_OPERATOR_LIMIT ** 2:
+        return False
     periods, offsets = np.divmod(points, n)
     s, r = _ps_shape(degree)
-    floquet = n * (s + r - 1) * dim / _MATMUL_SPEEDUP + int(periods[-1])
+    floquet = ((nodes * (s + r - 2) + n) * dim / _MATMUL_SPEEDUP + n * nodes
+               + int(periods[-1]))
     if _kept_offsets(offsets):
         floquet += len(points)
     else:
@@ -461,9 +511,12 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     h = T / ceil(T / dt) fill the drive period T, dt defaulting to
     `default_time_step(hamiltonian.frequency_scale)`; each sample is one
     partial step from the grid point at or below it.  One block loop steps
-    the states to those grid points.  When `_floquet_pays`, it builds the one-period
-    propagator U_T, powers psi0 by it to every period that holds a sample,
-    and steps those states through one period as the columns of one block;
+    the states to those grid points.  When `_floquet_pays`, it builds the
+    one-period propagator U_T from step exponentials interpolated in the
+    drive phase (`_PeriodGrid.period_propagator`; `diagnostics["period_nodes"]`
+    counts the exponentials it takes), powers psi0 by it to every period
+    that holds a sample, and steps those states through one period as the
+    columns of one block;
     otherwise plain stepping runs the same loop with one column through the
     whole window.  With at most _BLOCK_WIDTH distinct offsets o of the
     samples within their periods, U_T keeps its partial products P_o, and a
@@ -519,7 +572,7 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         leakage[k] = weights[top].sum()
 
     # plain stepping: the whole window is period 0, and U_T is never applied
-    floquet = _floquet_pays(hamiltonian.dim, n, m, points)
+    floquet = _floquet_pays(hamiltonian.dim, n, grid.nodes, m, points)
     periods, offsets = np.divmod(points, n) if floquet else (np.zeros_like(points), points)
     u_period, kept = grid.period_propagator(_kept_offsets(offsets)) if floquet else (None, {})
     ends = _period_ends(periods)
@@ -566,6 +619,7 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         "magnus_steps": int(steps + (partial > 0).sum()),
         "taylor_degree": m,
         "period_propagator": floquet,
+        "period_nodes": grid.nodes if floquet else 0,
         "period_powers": int(power),
         "max_norm_drift": float(np.abs(norms - 1.0).max()),
         "max_top_level_population": float(leakage.max()),

@@ -173,10 +173,11 @@ def test_plaquette_manifest_reports_exact_diagnostics(tmp_path):
     code, out = _simulate(tmp_path, text)
     assert code == 0
     diag = json.loads((out / "manifest.json").read_text())["resolved"]["diagnostics"]
-    assert set(diag) == {"magnus_steps", "taylor_degree", "period_propagator",
+    assert set(diag) == {"magnus_steps", "taylor_degree", "period_propagator", "period_nodes",
                          "period_powers", "max_norm_drift", "max_top_level_population"}
     assert diag["magnus_steps"] > 0 and diag["taylor_degree"] > 0
     assert diag["period_propagator"] is False and diag["period_powers"] == 0
+    assert diag["period_nodes"] == 0
     assert 0 <= diag["max_norm_drift"] < 1e-8
     assert 0 < diag["max_top_level_population"] < 1e-2  # n_max = 2 holds the drive's leakage
     assert "diagnostics" not in (out / "plaquette_exact.csv").read_text()
@@ -401,6 +402,34 @@ def _custom_configs(draw):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def _exact_drive_configs(draw):
+    """Link scans and rings small enough to run in milliseconds: n_max <= 2,
+    at most 4 scan points, windows up to 200 and at most 12 samples.  Most
+    drives are resonant; the rest exit 1."""
+    ring = draw(st.booleans())
+    gradient = draw(st.floats(0.02, 0.2))
+    order = draw(st.integers(1, 2))
+    beat = gradient / order if draw(st.integers(0, 4)) else draw(st.floats(0.02, 0.2))
+    lines = [RING.strip() if ring else "experiment = fig2b_link_scan",
+             f"array.gradient = {gradient!r}", f"drive.resonance_order = {order}",
+             f"drive.beat_frequency = {beat!r}",
+             f"array.beta = {draw(st.floats(1e-4, 1e-2))!r}",
+             f"array.base_frequency = {draw(st.floats(0.5, 2.0))!r}",
+             f"drive.rabi_frequency = {draw(st.floats(0.0, 2.0))!r}",
+             f"drive.lamb_dicke = {draw(st.floats(0.0, 1.0))!r}",
+             f"numerics.n_max = {draw(st.integers(1, 2))}",
+             f"numerics.time_step_divisor = {draw(st.integers(1, 8))}",
+             f"direction = {draw(st.sampled_from('xyz'))}"]
+    if ring:
+        lines += [f"plaquette.flux = {draw(st.sampled_from(('0', 'pi')))}",
+                  f"numerics.window = {draw(st.floats(1.0, 200.0))!r}",
+                  f"numerics.samples = {draw(st.integers(2, 12))}"]
+    else:
+        lines.append(f"scan.points = {draw(st.integers(2, 4))}")
+    return "\n".join(lines) + "\n"
+
+
 def _numbers(value):
     if isinstance(value, dict):
         value = list(value.values())
@@ -412,12 +441,17 @@ def _numbers(value):
 def _written_numbers(path):
     if path.suffix == ".json":
         return _numbers(json.loads(path.read_text()))
-    rows = path.read_text().splitlines()[1:]  # below the header
-    return [float(x) for row in rows for x in row.split(",")]
+    header, *rows = path.read_text().splitlines()
+    rows = [[float(x) for x in row.split(",")] for row in rows]
+    if header.endswith(",defined"):  # an undefined link point is nan
+        rows = [row for row in rows if row[-1]]
+    if header.endswith(",norm"):
+        assert all(abs(row[-1] - 1.0) <= 1e-4 for row in rows), path.name
+    return [x for row in rows for x in row]
 
 
-@settings(max_examples=60, deadline=None)
-@given(text=_custom_configs())
+@settings(max_examples=120, deadline=None)
+@given(text=st.one_of(_custom_configs(), _exact_drive_configs()))
 @example(text=RING + "drive.rabi_frequency = 1e-300\n")
 @example(text="experiment = custom\narray.layout = plaquette\narray.spacing_y = 1e70\n")
 @example(text="experiment = custom\narray.layout = square\narray.spacing_x = 1e-70\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.special import jv
 from phonon_gauge import couplings
 from phonon_gauge.couplings import (
     BrokenCycleError,
+    CouplingMatrix,
     DomainError,
     bare_coupling_matrix,
     bessel_first_kind_array,
@@ -222,6 +224,33 @@ def test_bare_matrix_is_hermitian_with_zero_diagonal():
     m = bare_coupling_matrix(arr, "z").matrix
     assert np.array_equal(m, m.conj().T)
     assert np.all(np.diag(m) == 0)
+
+
+def _hermitian(n):
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m += m.conj().T
+    np.fill_diagonal(m, 0)
+    return m
+
+
+def test_hermiticity_check_copies_no_whole_matrix():
+    m = _hermitian(1024)
+    tracemalloc.start()
+    try:
+        CouplingMatrix(matrix=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.nbytes / 4
+
+
+@pytest.mark.parametrize("i, j", [(199, 5), (5, 199), (198, 199)])
+def test_one_entry_off_hermitian_in_the_last_row_block_raises(i, j):
+    m = _hermitian(200)  # 12 blocks of 16 rows and a last block of 8
+    m[i, j] = complex(m[i, j].real, np.nextafter(m[i, j].imag, math.inf))  # one ulp off
+    with pytest.raises(ValueError, match="exactly Hermitian"):
+        CouplingMatrix(matrix=m)
 
 
 def test_single_site_has_no_bonds():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -251,6 +252,20 @@ def test_absurd_step_raises_integration_error(link_setup, monkeypatch):
     with pytest.raises(IntegrationError, match="Taylor degree above 120"):
         evolve(model, psi0, 4000.0, 2000.0, space=space, samples=3)
 
+    # on a grid that builds U_T, the node bound fires once, before the first
+    # exponential and before the cost rule that prices its nodes
+    monkeypatch.undo()
+    calls = []
+    for name in ("_node_count", "_floquet_pays", "_taylor_matrix"):
+        def spy(*args, name=name, real=getattr(dynamics, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(dynamics, name, spy)
+    res = evolve(model, psi0, 4000.0, 0.4, space=space, samples=2)
+    assert res.diagnostics["period_propagator"] and res.diagnostics["period_nodes"] == 31
+    assert calls[:3] == ["_node_count", "_floquet_pays", "_taylor_matrix"]
+    assert calls.count("_node_count") == 1
+
 
 def test_callable_hamiltonian_rejected(link_setup):
     arr, space, bare = link_setup
@@ -345,7 +360,7 @@ def test_period_propagator_matches_straight_evolution(pi_link_model):
 
 
 @pytest.mark.parametrize("periods, samples, uses_propagator",
-                         [(2, 3, False), (3, 4, True), (20, 2, True)])
+                         [(1, 2, False), (3, 4, True), (20, 2, True)])
 def test_samples_at_period_multiples_land_on_the_grid(pi_link_model, periods, samples,
                                                       uses_propagator):
     model, space = pi_link_model
@@ -355,6 +370,7 @@ def test_samples_at_period_multiples_land_on_the_grid(pi_link_model, periods, sa
     n = math.ceil(period / 0.4 - 1e-12)
     diag = res.diagnostics
     assert diag["period_propagator"] is uses_propagator
+    assert diag["period_nodes"] == (25 if uses_propagator else 0)  # 315 steps of degree 23
     # no partial steps: every sample is a grid point
     if uses_propagator:
         assert diag["period_powers"] == periods and diag["magnus_steps"] == n
@@ -405,22 +421,32 @@ def _grid_points(window, samples, n):
 
 def test_cost_rule_branches_at_the_ring_shapes():
     # criterion 8's n_max = 4 ring (dim 625, 263 steps per period at degree 32,
-    # 151 samples over 1500): U_T alone costs about 17 times the stepping
-    assert not dynamics._floquet_pays(625, 263, 32, _grid_points(1500.0, 151, 263))
-    # the pi ring at n_max = 2 (dim 81, 1050 steps at degree 14) on a 4060 window
-    assert dynamics._floquet_pays(81, 1050, 14, _grid_points(4060.0, 601, 1050))
+    # 25 nodes, 151 samples over 1500): U_T and the block steps cost about 1.2
+    # times the plain stepping
+    assert not dynamics._floquet_pays(625, 263, 25, 32, _grid_points(1500.0, 151, 263))
+    # the pi ring at n_max = 2 (dim 81, 1050 steps at degree 14, 15 nodes) on a 4060 window
+    assert dynamics._floquet_pays(81, 1050, 15, 14, _grid_points(4060.0, 601, 1050))
+
+
+def test_cost_rule_refuses_a_node_table_above_the_dense_budget():
+    # 42 nodes of 625 x 625 fit in 16 DENSE_OPERATOR_LIMIT^2 bytes, 43 do not;
+    # a window of a thousand periods otherwise pays for U_T many times over
+    points = np.array([0, 1000 * 263])
+    assert 42 * 625 ** 2 <= dynamics.DENSE_OPERATOR_LIMIT ** 2 < 43 * 625 ** 2
+    assert dynamics._floquet_pays(625, 263, 42, 32, points)
+    assert not dynamics._floquet_pays(625, 263, 43, 32, points)
 
 
 def test_cost_rule_prices_the_kept_partial_products_at_the_link_shape():
-    # a link point (dim 25, 1465 steps at degree 14) samples at 0 and t*,
-    # two offsets that U_T keeps: the block steps to t*'s offset are gone
+    # a link point (dim 25, 1465 steps at degree 14, 17 nodes) samples at 0
+    # and t*, two offsets that U_T keeps: the block steps to t*'s offset are gone
     n = 1465
     assert dynamics._kept_offsets(np.array([0, 37658]) % n) == {0, 1033}
-    assert dynamics._floquet_pays(25, n, 14, np.array([0, 37658]))  # t* at delta_phi = pi
-    # U_T costs 64094 weighted products, 3.1 periods of plain stepping: the
-    # sample's offset in its period now decides, where it used to cancel out
-    assert dynamics._floquet_pays(25, n, 14, np.array([0, 3 * n + 1000]))
-    assert not dynamics._floquet_pays(25, n, 14, np.array([0, 3 * n + 100]))
+    assert dynamics._floquet_pays(25, n, 17, 14, np.array([0, 37658]))  # t* at delta_phi = pi
+    # U_T costs 34699 weighted products, 1.69 periods of plain stepping: the
+    # sample's offset in its period decides
+    assert dynamics._floquet_pays(25, n, 17, 14, np.array([0, n + 1100]))
+    assert not dynamics._floquet_pays(25, n, 17, 14, np.array([0, n + 900]))
     # six distinct offsets are block-stepped and priced as before
     assert dynamics._kept_offsets(np.arange(6)) == set()
 
@@ -439,7 +465,7 @@ def test_stacked_taylor_matrix_equals_one_matrix_at_a_time():
 
 def _sequential_period_propagator(grid, offsets=()):
     """Reference U_T and its partial products at `offsets`: one generator and
-    one Taylor exponential per step."""
+    one Paterson-Stockmeyer exponential per step."""
     u, kept = np.eye(grid.table.shape[1], dtype=complex), {}
     for o, row in enumerate(grid.coefs):
         if o in offsets:
@@ -456,37 +482,64 @@ def _preset_ring_model():
     return driven_model(array, drive, bare, space)
 
 
-@pytest.mark.parametrize("preset", ["link", "ring"])
-def test_stacked_period_propagator_equals_the_sequential_product(pi_link_model, preset):
+def _preset_grid(preset, pi_link_model):
     model = pi_link_model[0] if preset == "link" else _preset_ring_model()
-    grid = dynamics._PeriodGrid(model, dynamics.default_time_step(model.frequency_scale))
-    size = dynamics._stack_size(model.dim)
-    if preset == "link":  # 112 stacks of 13 and a ragged last stack of 9
-        assert (model.dim, grid.n, size, grid.n % size) == (25, 1465, 13, 9)
-    else:  # a stack of one
-        assert (model.dim, grid.n, size) == (81, 1050, 1)
-    u, kept = grid.period_propagator()
-    assert kept == {}
-    assert u.tobytes() == _sequential_period_propagator(grid)[0].tobytes()
+    return dynamics._PeriodGrid(model, dynamics.default_time_step(model.frequency_scale))
 
 
-def test_kept_partial_products_equal_the_sequential_ones(pi_link_model):
-    model = pi_link_model[0]
-    grid = dynamics._PeriodGrid(model, dynamics.default_time_step(model.frequency_scale))
-    # 0 and the ends of the first stack of 13; the ragged last stack of 9 at 1456
-    offsets = (0, 12, 13, 14, 1456, 1464)
+@pytest.mark.parametrize("preset, shape, offsets", [
+    # 0 and the ends of the link's first stack of 13 steps, and its ragged last stack of 9
+    ("link", (25, 1465, 17), (0, 12, 13, 14, 1456, 1464)),
+    ("ring", (81, 1050, 15), (0, 1, 524, 1049)),
+    # a drive 100 times faster, four steps per period: the nodes are the grid points
+    ("few-steps", (25, 4, 4), (0, 1, 3)),
+], ids=["link", "ring", "few-steps"])
+def test_interpolated_period_propagator_matches_the_sequential_product(pi_link_model, preset,
+                                                                       shape, offsets):
+    if preset == "few-steps":
+        model = dataclasses.replace(pi_link_model[0], modulation=-5.0)
+        grid = dynamics._PeriodGrid(model, 2 * math.pi / 5.0 / 4)
+    else:
+        grid = _preset_grid(preset, pi_link_model)
+    assert (grid.table.shape[1], grid.n, grid.nodes) == shape
     u, kept = grid.period_propagator(set(offsets))
     ref_u, ref_kept = _sequential_period_propagator(grid, offsets)
-    assert (model.dim, grid.n) == (25, 1465) and sorted(kept) == list(offsets)
-    assert u.tobytes() == ref_u.tobytes()
+    assert sorted(kept) == list(offsets)
+    # interpolation and the transform round differently from one exponential
+    # per step; the harmonics beyond the nodes are below 2^-53
+    assert np.abs(u - ref_u).max() < 1e-12
     for o in offsets:
-        assert kept[o].tobytes() == ref_kept[o].tobytes()
-    assert np.array_equal(kept[0], np.eye(25))
+        assert np.abs(kept[o] - ref_kept[o]).max() < 1e-12
+    assert np.array_equal(kept[0], np.eye(shape[0]))
+    assert np.abs(u.conj().T @ u - np.eye(shape[0])).max() <= 1e-11
 
 
-def test_stack_budget_keeps_the_rings_one_generator_at_a_time():
+@pytest.mark.parametrize("preset, harmonics", [("ring", 7), ("link", 8)])
+def test_step_exponential_harmonics_stay_within_the_node_bound(pi_link_model, preset, harmonics):
+    grid = _preset_grid(preset, pi_link_model)
+    n, h, d = grid.n, grid.h, grid.table.shape[1]
+
+    def generators(count):  # full steps from the phases 2 pi j / count
+        rows = grid.coefficients(np.arange(count) * (n * h / count), h)
+        return np.stack([grid.omega(row) for row in rows])
+
+    # a full-step generator is A + z B + C / z in z = exp(i w t): three phases
+    # give A, B and C exactly
+    a_b_c = np.fft.fft(generators(3), axis=0) / 3
+    a, b, c = (np.abs(x).sum(axis=0).max() for x in a_b_c[[0, 1, 2]])
+    assert np.abs(generators(1)[0] - a_b_c.sum(axis=0)).max() < 1e-15
+    assert dynamics._node_count(a, b, c, n, grid.degree) == grid.nodes == 2 * harmonics + 1
+    e = dynamics._taylor_matrix(generators(64), grid.degree)
+    f = np.fft.fft(e, axis=0) / 64
+    for m in range(1, harmonics + 2):
+        for x, f_m in ((b, f[m]), (c, f[-m])):
+            bound = math.exp(a + b * c) * x ** m / math.factorial(m)
+            assert np.abs(f_m).sum(axis=0).max() <= bound + 1e-16  # plus the transform's roundoff
+
+
+def test_stack_budget_keeps_the_rings_one_matrix_at_a_time():
     # the link's d = 25 stacks; the preset ring (d = 81) and criterion 8's
-    # ring (d = 625) form one generator per stack
+    # ring (d = 625) exponentiate and form one matrix per stack
     assert [dynamics._stack_size(d) for d in (25, 81, 625)] == [13, 1, 1]
 
 
