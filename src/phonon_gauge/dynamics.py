@@ -8,23 +8,25 @@ nodes per step) on a grid that divides the drive period into equal steps.
 Each step generator is five real coefficients times a table of fixed
 matrices, and its exponential is a Taylor polynomial whose degree is fixed
 before stepping from a bound on the generator's 1-norm, so that the
-truncation stays below 2^-53.  One loop steps every state: a block of
-columns under the Horner form of that polynomial, one column per period
-that holds a sample.  Floquet sampling uses psi(qT + tau) = U(tau) U_T^q
-psi0: it forms the one-period propagator U_T once, powers psi0 by it to
-every sampled period and steps those columns through one period together.
-When the samples fall on at most five distinct grid offsets, U_T keeps its
-partial products there instead, and each column reaches its sample in one
-matrix-vector product.  U_T needs only a few step exponentials: the
-exponential of a full step is a smooth periodic function of the drive
-phase, so U_T takes it by Paterson-Stockmeyer at 2M + 1 equispaced phases,
-transforms those to harmonics, and sums each step's exponential from them,
-with M fixed before stepping from a norm bound so that the dropped
-harmonics stay below 2^-53.  Plain stepping, which a flop rule picks when
-U_T does not pay, is one column stepped through the whole window.  Each
-step is unitary up to roundoff, so norm is conserved over arbitrarily long
-windows.  Evolutions are deterministic and single-threaded; independent
-parameter points of a scan may run concurrently.
+truncation stays below 2^-53.  One loop steps every state, a block of
+columns, one column per period that holds a sample.  Floquet sampling uses
+psi(qT + tau) = U(tau) U_T^q psi0: it forms the one-period propagator U_T
+once, powers psi0 by it to every sampled period and steps those columns
+through one period together.  When the samples fall on at most five
+distinct grid offsets, U_T keeps its partial products there instead, and
+each column reaches its sample in one matrix-vector product.  U_T needs
+only a few step exponentials: the exponential of a full step is a smooth
+periodic function of the drive phase, so U_T takes it by Paterson-Stockmeyer
+at 2M + 1 equispaced phases, transforms those to harmonics, and sums each
+step's exponential E_k from them, with M fixed before stepping from a norm
+bound so that the dropped harmonics stay below 2^-53.  The block crosses
+the period by the same E_k, one product per step.  Plain stepping, which a
+flop rule picks when U_T does not pay, is one column stepped through the
+whole window under the Horner form of the Taylor polynomial, as is each
+sample's partial step beyond its grid point.  Each step is unitary up to
+roundoff, so norm is conserved over arbitrarily long windows.  Evolutions
+are deterministic and single-threaded; independent parameter points of a
+scan may run concurrently.
 """
 
 from __future__ import annotations
@@ -53,8 +55,11 @@ COUPLING_THRESHOLD = 1e-6
 #: Norm drift that aborts an evolution.
 NORM_ABORT = 1e-4
 
-#: A drive V counts as normal when ||[V, V^dag]||_1 <= NORMAL_TOL ||V||_1^2.
-#: Both drive models give a normal V, up to roundoff near 1e-15 relative.
+#: A drive V counts as normal when ||[V, V^dag]||_1 <= NORMAL_TOL ||V||_1 s,
+#: s = max(||Hs||_1, ||V||_1) the Hamiltonian's scale: the dropped Magnus term
+#: [V, V^dag] is measured against the kept commutators [Hs, V].  Both drive
+#: models give a normal V up to the roundoff of its site terms, which may
+#: cancel to a V far smaller than they are (laser phases 0, pi, pi, 0).
 NORMAL_TOL = 1e-12
 
 
@@ -82,7 +87,8 @@ class DrivenHamiltonian:
             raise ValueError("modulation must be nonzero; evolve a constant matrix directly")
         v, vd = self.drive, self.drive.conj().T
         norm = np.abs(v).sum(axis=0).max()  # ||V||_1
-        if np.abs(v @ vd - vd @ v).sum(axis=0).max() > NORMAL_TOL * norm * norm:
+        scale = max(np.abs(self.static).sum(axis=0).max(), norm)
+        if np.abs(v @ vd - vd @ v).sum(axis=0).max() > NORMAL_TOL * norm * scale:
             raise ValueError("drive must be a normal matrix ([V, V^dag] = 0)")
 
     @property
@@ -321,7 +327,8 @@ class _PeriodGrid:
         return (row @ self._flat).view(complex).reshape(self.table.shape[1:])
 
     def advance(self, x: np.ndarray, j: int, count: int) -> np.ndarray:
-        """x moved by `count` grid steps from grid point j."""
+        """x moved by `count` grid steps from grid point j, each a Taylor
+        polynomial applied by Horner's rule (plain stepping)."""
         for i in range(j, j + count):
             x = _taylor_apply(self.omega(self.coefs[i % self.n]), x, self.degree)
         return x
@@ -334,17 +341,17 @@ class _PeriodGrid:
         E(t), the exponential of a full step from t, is periodic and smooth in
         the drive phase.  Its Taylor exponentials at N = `nodes` equispaced
         phases t_j = j T / N, a stack of at most _STACK_BYTES at a time, are
-        transformed in place to the harmonics F_m, |m| <= (N - 1) / 2, and
-        each E_k = sum_m F_m exp(2 pi i m k / n) is formed by one product per
-        stack of steps; `_node_count` bounds the error by 2^-53.  With N = n
-        the nodes are the grid points, and E_k is their exponential up to
-        roundoff.  The product u = E_k u stays sequential, and each product
-        is a new matrix, so keeping P_o copies nothing.
+        transformed in place to the harmonics F_m, |m| <= (N - 1) / 2, which
+        the grid keeps for `step_exponentials`; `_node_count` bounds the error
+        by 2^-53.  With N = n the nodes are the grid points, and E_k is their
+        exponential up to roundoff.  The product u = E_k u stays sequential,
+        and each product is a new matrix, so keeping P_o copies nothing.
         """
         d, n, nodes = self.table.shape[1], self.n, self.nodes
         size = _stack_size(d)
-        m = (np.arange(nodes) + nodes // 2) % nodes - nodes // 2  # 0 .. M, -M .. -1
-        harmonics = np.empty((nodes, d * d), dtype=complex)  # the only nodes x d^2 array
+        self.orders = m = (np.arange(nodes) + nodes // 2) % nodes - nodes // 2  # 0 .. M, -M .. -1
+        # the only nodes x d^2 array, kept for `step_exponentials`
+        self.harmonics = harmonics = np.empty((nodes, d * d), dtype=complex)
         rows = self.coefficients(np.arange(nodes) * (n / nodes * self.h), self.h)
         for j in range(0, nodes, size):
             omega = (rows[j:j + size] @ self._flat).view(complex).reshape(-1, d, d)
@@ -357,14 +364,21 @@ class _PeriodGrid:
             harmonics[:, c:c + cols] = dft @ harmonics[:, c:c + cols]
         kept = {}
         u = np.eye(d, dtype=complex)
-        for k in range(0, n, size):
-            turns = np.outer(np.arange(k, min(k + size, n)), m) % n  # exact in integers
-            steps = (np.exp((2j * math.pi / n) * turns) @ harmonics).reshape(-1, d, d)
-            for o, step in enumerate(steps, k):
-                if o in offsets:
-                    kept[o] = u
-                u = step @ u
+        for o, step in enumerate(self.step_exponentials(0, n)):
+            if o in offsets:
+                kept[o] = u
+            u = step @ u
         return u, kept
+
+    def step_exponentials(self, j: int, o: int):
+        """E_k = sum_m F_m exp(2 pi i m k / n) for the grid offsets k in [j, o),
+        0 <= j <= o <= n, from the harmonics that `period_propagator` kept:
+        one product of a stack of phase rows with them per _stack_size steps."""
+        d, n = self.table.shape[1], self.n
+        size = _stack_size(d)
+        for k in range(j, o, size):
+            turns = np.outer(np.arange(k, min(k + size, o)), self.orders) % n  # exact in integers
+            yield from (np.exp((2j * math.pi / n) * turns) @ self.harmonics).reshape(-1, d, d)
 
 
 #: Throughput of a complex d x d matrix product over that of a d x d
@@ -410,12 +424,14 @@ def _floquet_pays(dim: int, n: int, nodes: int, degree: int, points: np.ndarray)
     the last sample.  When U_T keeps its partial products at the sampled
     offsets (`_kept_offsets`), each sample then costs one matrix-vector
     product.  Otherwise it steps blocks of at most _BLOCK_WIDTH d columns,
-    one column per sampled period, to each column's last sample; a block
-    step streams the generator once, a matrix-vector product, and pays the
-    columns after the first at matrix-product speed.  The partial steps of
-    the samples cost the same on both paths and are left out.  U_T is
-    refused when its table of node harmonics would exceed the dense-operator
-    budget of 16 DENSE_OPERATOR_LIMIT^2 bytes.
+    one column per sampled period, to each column's last sample by the step
+    exponentials E_k of U_T: a block step forms E_k again, one row of nodes
+    d^2 multiply-adds at matrix-vector speed, and multiplies the block by it
+    once, its first column at matrix-vector speed and the others at
+    matrix-product speed.  The partial steps of the samples cost the same on
+    both paths and are left out.  U_T is refused when its table of node
+    harmonics would exceed the dense-operator budget of 16
+    DENSE_OPERATOR_LIMIT^2 bytes.
     """
     if nodes * dim * dim > DENSE_OPERATOR_LIMIT ** 2:
         return False
@@ -429,7 +445,7 @@ def _floquet_pays(dim: int, n: int, nodes: int, degree: int, points: np.ndarray)
         last = offsets[_period_ends(periods)]
         width = _BLOCK_WIDTH * dim
         steps = sum(int(last[i:i + width].max()) for i in range(0, len(last), width))
-        floquet += degree * (steps + (int(last.sum()) - steps) / _MATMUL_SPEEDUP)
+        floquet += steps * (nodes + 1) + (int(last.sum()) - steps) / _MATMUL_SPEEDUP
     return bool(floquet < degree * int(points[-1]))
 
 
@@ -516,13 +532,15 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     drive phase (`_PeriodGrid.period_propagator`; `diagnostics["period_nodes"]`
     counts the exponentials it takes), powers psi0 by it to every period
     that holds a sample, and steps those states through one period as the
-    columns of one block;
-    otherwise plain stepping runs the same loop with one column through the
-    whole window.  With at most _BLOCK_WIDTH distinct offsets o of the
-    samples within their periods, U_T keeps its partial products P_o, and a
-    column reaches offset o as P_o times its state instead of by stepping;
-    a link point, sampled at 0 and t*, takes this path.  Aborts if the norm
-    drifts beyond 1e-4 or is not finite, naming the earliest such sample.
+    columns of one block, block <- E_k block with the step exponentials E_k
+    that built U_T (`_PeriodGrid.step_exponentials`); otherwise plain
+    stepping runs the same loop with one column through the whole window,
+    each step a Taylor polynomial applied by Horner's rule.  With at most
+    _BLOCK_WIDTH distinct offsets o of the samples within their periods, U_T
+    keeps its partial products P_o, and a column reaches offset o as P_o
+    times its state instead of by stepping; a link point, sampled at 0 and
+    t*, takes this path.  Aborts if the norm drifts beyond 1e-4 or is not
+    finite, naming the earliest such sample.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -585,6 +603,7 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         order = np.argsort(-last, kind="stable")
         column = np.argsort(order)  # block column of each sampled period
         block = np.empty((hamiltonian.dim, len(order)), dtype=complex)
+        spare = np.empty_like(block) if floquet else None
         for c, q in zip(column, periods[pass_ends]):
             for _ in range(q - power):
                 phi = u_period @ phi
@@ -600,7 +619,13 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         for i in np.argsort(offsets[ks], kind="stable"):
             o = offsets[ks[i]]
             if o > j and not kept:
-                block = grid.advance(block[:, :np.count_nonzero(last >= o)], j, o - j)
+                live = np.count_nonzero(last >= o)
+                if floquet:  # block <- E_k block, the two buffers taking turns
+                    for step in grid.step_exponentials(j, o):
+                        np.matmul(step, block[:, :live], out=spare[:, :live])
+                        block, spare = spare, block
+                else:
+                    block = grid.advance(block[:, :live], j, o - j)
                 block_steps += o - j
                 j = o
             x = block[:, sample_column[i]]

@@ -430,6 +430,43 @@ def _exact_drive_configs(draw):
     return "\n".join(lines) + "\n"
 
 
+#: Coupling strengths log-uniform from 1e-300 to 1e300.
+_COUPLINGS = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _spectra_configs(draw):
+    """Dressed maps, ladder spectra, flux sweeps and butterflies small enough
+    to run in milliseconds: at most 6 x 6 map points, 4 ladder cells, 6 sweep
+    fluxes and a 4 x 4 butterfly lattice at 6 fluxes."""
+    experiment = draw(st.sampled_from(("fig2a_dressed_map", "fig2e_ladder_spectrum",
+                                       "fig2f_flux_sweep", "butterfly")))
+    lines = [f"experiment = {experiment}"]
+    if experiment == "fig2a_dressed_map":
+        lines += [f"map.eta_max = {draw(st.floats(1e-3, 60.0))!r}",
+                  f"map.eta_points = {draw(st.integers(2, 6))}",
+                  f"map.phase_points = {draw(st.integers(2, 6))}",
+                  f"drive.resonance_order = {draw(st.integers(1, 4))}"]
+    elif experiment == "butterfly":
+        lines += [f"butterfly.size = {draw(st.integers(2, 4))}",
+                  f"butterfly.points = {draw(st.integers(2, 6))}",
+                  f"butterfly.j_x = {draw(_COUPLINGS)!r}", f"butterfly.j_y = {draw(_COUPLINGS)!r}",
+                  f"butterfly.m_max = {draw(st.integers(1, 3))}",
+                  f"butterfly.boundary = {draw(st.sampled_from(('open', 'periodic')))}"]
+    else:
+        j2 = draw(st.one_of(st.just(0.0), _COUPLINGS))
+        lines += [f"ladder.cells = {draw(st.integers(1, 4))}",
+                  f"ladder.j1 = {draw(_COUPLINGS)!r}", f"ladder.j2 = {j2!r}"]
+        boundary = draw(st.sampled_from(("open", "periodic")))
+        if experiment == "fig2e_ladder_spectrum":
+            lines += [f"ladder.flux = {draw(st.floats(-10.0, 10.0))!r}",
+                      f"ladder.boundary = {boundary}"]
+        else:
+            lines += [f"sweep.points = {draw(st.integers(2, 6))}",
+                      f"sweep.boundary = {boundary}"]
+    return "\n".join(lines) + "\n"
+
+
 def _numbers(value):
     if isinstance(value, dict):
         value = list(value.values())
@@ -450,9 +487,11 @@ def _written_numbers(path):
     return [x for row in rows for x in row]
 
 
-@settings(max_examples=120, deadline=None)
-@given(text=st.one_of(_custom_configs(), _exact_drive_configs()))
+@settings(max_examples=180, deadline=None)
+@given(text=st.one_of(_custom_configs(), _exact_drive_configs(), _spectra_configs()))
 @example(text=RING + "drive.rabi_frequency = 1e-300\n")
+@example(text=RING + "plaquette.flux = 0\narray.gradient = 0.125\ndrive.beat_frequency = 0.125\n"
+              "drive.lamb_dicke = 1e-14\nnumerics.window = 1.0\nnumerics.samples = 2\n")
 @example(text="experiment = custom\narray.layout = plaquette\narray.spacing_y = 1e70\n")
 @example(text="experiment = custom\narray.layout = square\narray.spacing_x = 1e-70\n")
 @example(text="experiment = custom\narray.layout = plaquette\narray.spacing_y = 1e-70\n")
