@@ -3,15 +3,17 @@
 
 Usage: PYTHONPATH=src python scripts/hash_outputs.py [output_root]
 
-The list holds every preset, with the link scan on five phase steps and the
-ring at both fluxes on a 300-unit window, and `custom` in laser mode, in
-cosine mode, and with x couplings out to 7.5 lattice constants.  Each line
+The list holds every preset, with the link scan on five phase steps, the
+ring at both fluxes on a 300-unit window (plain stepping) and at flux pi on
+a 600-unit window (Floquet sampling, its block crossing the period by the
+step exponentials of U_T), and `custom` in laser mode, in cosine mode, and
+with x couplings out to 7.5 lattice constants.  Each line
 reads ``sha256  <config>/<file>``, in the format of ``sha256sum``.  A
 manifest is hashed without its `duration_seconds`, the one entry that
 differs between reruns.  Run it on two checkouts and diff the outputs to see
-which data files a change moves.  The whole list takes under two seconds on
-one core of a 2-vCPU Xeon; output_root defaults to a temporary directory
-that is removed afterwards.
+which data files a change moves.  The whole list takes about 1.6 seconds
+on one core of a 2-vCPU Xeon, 0.3 of them in the 600-unit ring; output_root
+defaults to a temporary directory that is removed afterwards.
 """
 
 import hashlib
@@ -29,6 +31,10 @@ SHORT = {
     "fig2cd_plaquette": "numerics.window = 300\nnumerics.samples = 61\n",
 }
 
+#: The pi ring on a window long enough for Floquet sampling with a stepped
+#: block (61 samples at more than five offsets; 4 powers of U_T).
+FLOQUET_RING = "numerics.window = 600\nnumerics.samples = 61\nplaquette.flux = pi\n"
+
 CUSTOM = {
     "custom_laser": "array.layout = square\narray.nx = 3\narray.ny = 3\n",
     "custom_cosine": "array.layout = rhombic_ladder\narray.cells = 3\ndrive.mode = cosine\n",
@@ -44,6 +50,7 @@ def runs():
         if name == "fig2cd_plaquette":
             for flux in ("0", "pi"):
                 yield f"{name}_flux{flux}", text + f"plaquette.flux = {flux}\n"
+            yield f"{name}_fluxpi_floquet", f"experiment = {name}\n" + FLOQUET_RING
         elif name == "custom":
             for label, keys in CUSTOM.items():
                 yield label, text + keys

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import multiprocessing
 import os
 import sys
 import time
@@ -59,6 +58,8 @@ def _fork_map(jobs: int):
         workers = _pool_size(jobs, len(items))
         if workers == 1:
             return list(map(fn, items))
+        import multiprocessing  # only here: a one-worker run never forks
+
         with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
             return pool.map(fn, items)
     return pool_map

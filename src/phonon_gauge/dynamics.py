@@ -216,20 +216,36 @@ def _taylor_matrix(omega: np.ndarray, m: int) -> np.ndarray:
 
 
 #: Bytes of one stack of complex d x d matrices in
-#: `_PeriodGrid.period_propagator`, which exponentiates its nodes and forms
-#: its step exponentials K = `_stack_size(d)` at a time.  A stack spreads
-#: numpy's per-call overhead on small matrices over K steps, until the stack
-#: and its powers outgrow the cache.  One U_T, best of 5, on one core of a
-#: 2-vCPU Xeon (numpy 2.4, OpenBLAS 0.3.31, 1 thread), two runs: at d = 25
-#: (the link) 0.036-0.050 s at K = 1 and 0.020-0.030 s at K = 8 to 64; at
-#: d = 81 (the preset ring) K = 1 to 64 all took 0.16-0.29 s.  128 KiB gives
-#: K = 13 at d = 25 and K = 1 from d = 81 on.
+#: `_PeriodGrid.period_propagator`, which exponentiates its nodes
+#: K = `_stack_size(d)` at a time.  A stack spreads numpy's per-call
+#: overhead on small matrices over K steps, until the stack and its powers
+#: outgrow the cache.  One U_T, best of 5, on one core of a 2-vCPU Xeon
+#: (numpy 2.4, OpenBLAS 0.3.31, 1 thread), two runs: at d = 25 (the link)
+#: 0.036-0.050 s at K = 1 and 0.020-0.030 s at K = 8 to 64; at d = 81 (the
+#: preset ring) K = 1 to 64 all took 0.16-0.29 s.  128 KiB gives K = 13 at
+#: d = 25 and K = 1 from d = 81 on.
 _STACK_BYTES = 128 * 1024
 
+#: Bytes of one stack of step exponentials in `_PeriodGrid.step_exponentials`,
+#: which forms K = `_stack_size(d, _FORMATION_BYTES)` of them by one product
+#: of K phase rows with the N x d^2 harmonic table, into one buffer of
+#: K 16 d^2 bytes that stays resident while the generator runs.  A stack of
+#: one is a matrix-vector product that streams the whole table for each
+#: step; a stack of K streams it once per K steps.  One pass over a period,
+#: per step, best of 5, phase rows included, on one core of a 2-vCPU Xeon
+#: (numpy 2.4, OpenBLAS 0.3.31, 1 thread), three runs: at d = 81 (the preset
+#: ring, N = 15) 80-107 us at K = 1, 35-58 at K = 8-9, 37-44 at 16 and 34-37
+#: at 32; at d = 25 (the link, N = 17) 21-25 us at K = 1, 5.3-7.7 at K = 13
+#: and 4.7-5.0 at K = 64.  1 MiB gives K = 104 at d = 25, 9 at d = 81 and 1
+#: from d = 257 on (criterion 8's d = 625), a buffer below the d = 81 table
+#: itself (1.6 MB).  The node exponentials keep _STACK_BYTES: their stack
+#: also holds its Paterson-Stockmeyer powers, 5.7 MB for K = 9 at d = 81.
+_FORMATION_BYTES = 1024 * 1024
 
-def _stack_size(dim: int) -> int:
-    """Matrices per stack at state dimension `dim`."""
-    return max(1, _STACK_BYTES // (16 * dim * dim))
+
+def _stack_size(dim: int, budget: int = _STACK_BYTES) -> int:
+    """Matrices per stack of `budget` bytes at state dimension `dim`."""
+    return max(1, budget // (16 * dim * dim))
 
 
 def _node_count(a: float, b: float, c: float, n: int, degree: int) -> int:
@@ -345,7 +361,9 @@ class _PeriodGrid:
         the grid keeps for `step_exponentials`; `_node_count` bounds the error
         by 2^-53.  With N = n the nodes are the grid points, and E_k is their
         exponential up to roundoff.  The product u = E_k u stays sequential,
-        and each product is a new matrix, so keeping P_o copies nothing.
+        and each product is a new matrix, so keeping P_o copies nothing: a
+        yielded E_k is valid only until the generator passes its stack, and
+        no P_o shares memory with it.
         """
         d, n, nodes = self.table.shape[1], self.n, self.nodes
         size = _stack_size(d)
@@ -373,12 +391,18 @@ class _PeriodGrid:
     def step_exponentials(self, j: int, o: int):
         """E_k = sum_m F_m exp(2 pi i m k / n) for the grid offsets k in [j, o),
         0 <= j <= o <= n, from the harmonics that `period_propagator` kept:
-        one product of a stack of phase rows with them per _stack_size steps."""
+        one product of a stack of phase rows with them per stack of
+        _FORMATION_BYTES, into one buffer allocated per call.  A yielded E_k
+        is a view of that buffer, valid only until the generator passes its
+        stack: use it, or copy it, before asking for the next."""
         d, n = self.table.shape[1], self.n
-        size = _stack_size(d)
+        size = min(_stack_size(d, _FORMATION_BYTES), max(o - j, 1))
+        buffer = np.empty((size, d * d), dtype=complex)
         for k in range(j, o, size):
-            turns = np.outer(np.arange(k, min(k + size, o)), self.orders) % n  # exact in integers
-            yield from (np.exp((2j * math.pi / n) * turns) @ self.harmonics).reshape(-1, d, d)
+            out = buffer[:min(size, o - k)]
+            turns = np.outer(np.arange(k, k + len(out)), self.orders) % n  # exact in integers
+            np.matmul(np.exp((2j * math.pi / n) * turns), self.harmonics, out=out)
+            yield from out.reshape(-1, d, d)
 
 
 #: Throughput of a complex d x d matrix product over that of a d x d
@@ -428,8 +452,11 @@ def _floquet_pays(dim: int, n: int, nodes: int, degree: int, points: np.ndarray)
     exponentials E_k of U_T: a block step forms E_k again, one row of nodes
     d^2 multiply-adds at matrix-vector speed, and multiplies the block by it
     once, its first column at matrix-vector speed and the others at
-    matrix-product speed.  The partial steps of the samples cost the same on
-    both paths and are left out.  U_T is refused when its table of node
+    matrix-product speed.  Formation is priced at matrix-vector speed, one
+    row a step; `step_exponentials` forms a stack of _FORMATION_BYTES per
+    product (9 steps at d = 81, 104 at d = 25), which runs faster, so that
+    price is an upper bound.  The partial steps of the samples cost the same
+    on both paths and are left out.  U_T is refused when its table of node
     harmonics would exceed the dense-operator budget of 16
     DENSE_OPERATOR_LIMIT^2 bytes.
     """
@@ -624,6 +651,7 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
                     for step in grid.step_exponentials(j, o):
                         np.matmul(step, block[:, :live], out=spare[:, :live])
                         block, spare = spare, block
+                    del step  # a view that would keep the stack's buffer beside the next one
                 else:
                     block = grid.advance(block[:, :live], j, o - j)
                 block_steps += o - j

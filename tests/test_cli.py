@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -62,6 +65,21 @@ def test_jobs_do_not_change_output(tmp_path):
         _, out1 = _simulate(tmp_path, text, f"serial_{data_file}")
         _, out2 = _simulate(tmp_path, text, f"parallel_{data_file}", extra=("--jobs", "2"))
         assert (out1 / data_file).read_bytes() == (out2 / data_file).read_bytes(), data_file
+
+
+def test_a_one_worker_run_never_imports_multiprocessing(tmp_path):
+    # a fresh interpreter, since this one may have forked a pool already
+    script = ("import sys\n"
+              "from phonon_gauge import cli\n"
+              "from phonon_gauge.config import parse_config\n"
+              f"cli.run_experiment(parse_config({JOBS_CASES['link_scan.csv']!r}), "
+              f"{str(tmp_path / 'out')!r}, jobs=1)\n"
+              "print(sorted({'multiprocessing', 'socket', 'selectors'} & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert run.stdout == "[]\n"
+    assert (tmp_path / "out" / "link_scan.csv").exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

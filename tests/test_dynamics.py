@@ -511,9 +511,10 @@ def _preset_grid(preset, pi_link_model):
 
 
 @pytest.mark.parametrize("preset, shape, offsets", [
-    # 0 and the ends of the link's first stack of 13 steps, and its ragged last stack of 9
-    ("link", (25, 1465, 17), (0, 12, 13, 14, 1456, 1464)),
-    ("ring", (81, 1050, 15), (0, 1, 524, 1049)),
+    # 0, both sides of the boundary between the first two stacks of step
+    # exponentials (104 steps at d = 25, 9 at d = 81) and the ragged last stack
+    ("link", (25, 1465, 17), (0, 103, 104, 105, 1456, 1464)),
+    ("ring", (81, 1050, 15), (0, 8, 9, 10, 524, 1044, 1049)),
     # a drive 100 times faster, four steps per period: the nodes are the grid points
     ("few-steps", (25, 4, 4), (0, 1, 3)),
 ], ids=["link", "ring", "few-steps"])
@@ -533,12 +534,13 @@ def test_interpolated_period_propagator_matches_the_sequential_product(pi_link_m
     assert np.abs(u - ref_u).max() < 1e-12
     for o in offsets:
         assert np.abs(kept[o] - ref_kept[o]).max() < 1e-12
+        assert not np.shares_memory(kept[o], u)
     assert np.array_equal(kept[0], np.eye(shape[0]))
     assert np.abs(u.conj().T @ u - np.eye(shape[0])).max() <= 1e-11
 
 
 @pytest.mark.parametrize("preset, start, stop", [
-    ("ring", 3, 1047),  # d = 81: one E_k per stack, across most of the period
+    ("ring", 3, 1047),  # d = 81: stacks of nine E_k, across most of the period
     ("few-steps", 1, 4),  # four steps per period: the nodes are the grid points
 ], ids=["ring", "few-steps"])
 def test_block_crossed_by_the_step_exponentials_equals_taylor_stepping(pi_link_model, preset,
@@ -602,10 +604,39 @@ def test_step_exponential_harmonics_stay_within_the_node_bound(pi_link_model, pr
             assert np.abs(f_m).sum(axis=0).max() <= bound + 1e-16  # plus the transform's roundoff
 
 
-def test_stack_budget_keeps_the_rings_one_matrix_at_a_time():
-    # the link's d = 25 stacks; the preset ring (d = 81) and criterion 8's
-    # ring (d = 625) exponentiate and form one matrix per stack
+def test_stack_budgets_at_the_link_and_ring_dimensions():
+    # node exponentials: the link's d = 25 stacks, while the preset ring
+    # (d = 81) and criterion 8's ring (d = 625) take one matrix per stack
     assert [dynamics._stack_size(d) for d in (25, 81, 625)] == [13, 1, 1]
+    # step exponentials: 104 at the link and 9 at the preset ring per product;
+    # criterion 8's ring still forms one per product
+    budget = dynamics._FORMATION_BYTES
+    assert [dynamics._stack_size(d, budget) for d in (25, 81, 625)] == [104, 9, 1]
+
+
+def _one_step_exponential(grid, k):
+    """E_k = sum_m F_m exp(2 pi i m k / n) formed on its own, one phase row."""
+    phases = np.exp((2j * math.pi / grid.n) * ((k * grid.orders) % grid.n))
+    return (phases @ grid.harmonics).reshape(grid.table.shape[1:])
+
+
+@pytest.mark.parametrize("preset, ranges", [
+    # stacks of 104: three stacks with a ragged last one, one step short of a
+    # stack, and an empty range
+    ("link", [(50, 300), (7, 110), (700, 700)]),
+    # stacks of 9: three stacks with a ragged last one, one step short of a
+    # stack, the period's ragged last stack of 6, and an empty range
+    ("ring", [(5, 30), (1, 9), (1044, 1050), (12, 12)]),
+])
+def test_stacked_step_exponentials_match_one_at_a_time_formation(pi_link_model, preset, ranges):
+    grid = _preset_grid(preset, pi_link_model)
+    grid.period_propagator()
+    for j, o in ranges:
+        # copy each E_k as it comes: it is a view of the stack's buffer
+        stacked = [step.copy() for step in grid.step_exponentials(j, o)]
+        assert len(stacked) == o - j
+        for k, step in zip(range(j, o), stacked):
+            assert np.abs(step - _one_step_exponential(grid, k)).max() < 1e-14
 
 
 def test_norm_abort_names_the_earliest_drifting_sample(pi_link_model, monkeypatch):
