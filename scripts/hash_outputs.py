@@ -6,14 +6,16 @@ Usage: PYTHONPATH=src python scripts/hash_outputs.py [output_root]
 The list holds every preset, with the link scan on five phase steps, the
 ring at both fluxes on a 300-unit window (plain stepping) and at flux pi on
 a 600-unit window (Floquet sampling, its block crossing the period by the
-step exponentials of U_T), and `custom` in laser mode, in cosine mode, and
-with x couplings out to 7.5 lattice constants.  Each line
+step exponentials of U_T), a periodic butterfly on an even flux grid (the
+mirror's other branch: the preset grid is odd), and `custom` in laser mode,
+in cosine mode, and with x couplings out to 7.5 lattice constants.  Each line
 reads ``sha256  <config>/<file>``, in the format of ``sha256sum``.  A
 manifest is hashed without its `duration_seconds`, the one entry that
 differs between reruns.  Run it on two checkouts and diff the outputs to see
-which data files a change moves.  The whole list takes about 1.6 seconds
-on one core of a 2-vCPU Xeon, 0.3 of them in the 600-unit ring; output_root
-defaults to a temporary directory that is removed afterwards.
+which data files a change moves.  The whole list takes 1.3 to 1.8 seconds
+on one core of a 2-vCPU Xeon, 0.2 of them in the 600-unit ring and 0.16 in
+the preset butterfly; output_root defaults to a temporary directory that is
+removed afterwards.
 """
 
 import hashlib
@@ -35,6 +37,11 @@ SHORT = {
 #: block (61 samples at more than five offsets; 4 powers of U_T).
 FLOQUET_RING = "numerics.window = 600\nnumerics.samples = 61\nplaquette.flux = pi\n"
 
+#: A periodic butterfly on an even flux grid, where no row is its own
+#: mirror: rows 5-3 repeat rows 0-2.
+EVEN_BUTTERFLY = ("butterfly.size = 4\nbutterfly.points = 6\nbutterfly.boundary = periodic\n"
+                  "butterfly.m_max = 2\n")
+
 CUSTOM = {
     "custom_laser": "array.layout = square\narray.nx = 3\narray.ny = 3\n",
     "custom_cosine": "array.layout = rhombic_ladder\narray.cells = 3\ndrive.mode = cosine\n",
@@ -51,6 +58,9 @@ def runs():
             for flux in ("0", "pi"):
                 yield f"{name}_flux{flux}", text + f"plaquette.flux = {flux}\n"
             yield f"{name}_fluxpi_floquet", f"experiment = {name}\n" + FLOQUET_RING
+        elif name == "butterfly":
+            yield name, text
+            yield f"{name}_periodic_even", text + EVEN_BUTTERFLY
         elif name == "custom":
             for label, keys in CUSTOM.items():
                 yield label, text + keys

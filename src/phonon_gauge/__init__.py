@@ -56,6 +56,7 @@ from .spectra import (
     LadderSpectrumResult,
     NonHermitianError,
     SpectrumResult,
+    butterfly_spectrum,
     dressed_ladder_couplings,
     edge_state_report,
     eigensystem,

@@ -34,8 +34,8 @@ from .dynamics import EvolutionResult, IntegrationError, LinkScanResult, config_
 from .fock import CapacityError
 from .model import ConfigurationError, GeometryError
 from .spectra import ButterflyResult, CustomSpectrumResult, FluxSweepResult, \
-    LadderSpectrumResult, eigensystem, flux_sweep, ladder_spectrum, rhombic_ladder_matrix, \
-    square_lattice_matrix
+    LadderSpectrumResult, butterfly_spectrum, eigensystem, flux_sweep, ladder_spectrum, \
+    rhombic_ladder_matrix
 
 ENV_OUT = "PHONON_GAUGE_OUT"
 
@@ -107,13 +107,11 @@ def _run_flux_sweep(cfg: ExperimentConfig, map_fn):
 
 
 def _run_butterfly(cfg: ExperimentConfig, map_fn):
-    size = cfg["butterfly.size"]
-    builder = partial(square_lattice_matrix, size, size, j_x=cfg["butterfly.j_x"],
-                      j_y=cfg["butterfly.j_y"], m_max=cfg["butterfly.m_max"],
-                      boundary=cfg["butterfly.boundary"])
-    sweep = flux_sweep(builder, np.linspace(0.0, 2.0 * math.pi, cfg["butterfly.points"]),
-                       map_fn=map_fn)
-    return {"butterfly": ButterflyResult(alphas=sweep.fluxes, eigenvalues=sweep.eigenvalues)}, {}
+    result = butterfly_spectrum(cfg["butterfly.size"], cfg["butterfly.points"],
+                                cfg["butterfly.j_x"], cfg["butterfly.j_y"],
+                                cfg["butterfly.m_max"], cfg["butterfly.boundary"],
+                                map_fn=map_fn)
+    return {"butterfly": result}, {}
 
 
 def _run_custom(cfg: ExperimentConfig, map_fn):

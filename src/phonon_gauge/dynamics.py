@@ -642,16 +642,17 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         # steps through the period, and a column leaves once its last sample is out
         ks = np.arange(first, pass_ends[-1] + 1)
         sample_column = column[np.searchsorted(pass_ends, ks)]
+        # one generator over the pass, so that every stack of E_k is formed full
+        steps = grid.step_exponentials(0, int(last[0])) if floquet and not kept else None
         j = 0
         for i in np.argsort(offsets[ks], kind="stable"):
             o = offsets[ks[i]]
             if o > j and not kept:
                 live = np.count_nonzero(last >= o)
                 if floquet:  # block <- E_k block, the two buffers taking turns
-                    for step in grid.step_exponentials(j, o):
-                        np.matmul(step, block[:, :live], out=spare[:, :live])
+                    for _ in range(o - j):
+                        np.matmul(next(steps), block[:, :live], out=spare[:, :live])
                         block, spare = spare, block
-                    del step  # a view that would keep the stack's buffer beside the next one
                 else:
                     block = grid.advance(block[:, :live], j, o - j)
                 block_steps += o - j

@@ -2,7 +2,10 @@
 dense Hermitian eigensystems with localisation metrics, and flux sweeps.
 
 Diagonalisations at different flux values are independent; a sweep may be
-mapped over workers with no shared mutable state.
+mapped over workers with no shared mutable state.  The square lattice's
+spectrum is mirror-symmetric in the flux, alpha against 2 pi - alpha (its
+Landau-gauge matrices are complex conjugates), so `butterfly_spectrum`
+diagonalises only the first half of its grid and mirrors the rest.
 """
 
 from __future__ import annotations
@@ -96,6 +99,10 @@ def square_lattice_matrix(l_x: int, l_y: int, alpha: float, j_x: float, j_y: flo
     x bonds carry j_x * exp(-i alpha i_y); y bonds at range m carry the
     dipolar tail j_y / m^3 for m <= m_max.  Periodic boundaries require
     alpha * l_y to be a multiple of 2 pi for a consistent flux pattern.
+    Periodic bonds that wrap onto the same pair add up.  With i_y an integer,
+    the matrix at 2 pi - alpha is the complex conjugate of the one at alpha,
+    for either boundary and every m_max, so both have one spectrum;
+    `butterfly_spectrum` diagonalises half its flux grid by this mirror.
     """
     if l_x < 1 or l_y < 1:
         raise ValueError("lattice sizes must be >= 1")
@@ -105,21 +112,25 @@ def square_lattice_matrix(l_x: int, l_y: int, alpha: float, j_x: float, j_y: flo
         raise ValueError(f"unknown boundary {boundary!r}")
     periodic = boundary == "periodic"
     n = l_x * l_y
-    idx = lambda ix, iy: ix * l_y + iy
+    ix, iy = np.divmod(np.arange(n), l_y)  # site i = ix * l_y + iy
+    starts, ends, values = [], [], []
+    if l_x > 1:
+        i = np.flatnonzero(periodic | (ix + 1 < l_x))
+        starts.append(i)
+        ends.append((ix[i] + 1) % l_x * l_y + iy[i])
+        values.append(j_x * np.exp(-1j * alpha * iy[i]))
+    for step in range(1, min(m_max, l_y - 1) + 1):
+        i = np.flatnonzero(periodic | (iy + step < l_y))
+        starts.append(i)
+        ends.append(ix[i] * l_y + (iy[i] + step) % l_y)
+        values.append(np.full(i.size, j_y / step**3))
     m = np.zeros((n, n), dtype=complex)
-
-    def add(i, k, v):
-        m[i, k] += v
-        m[k, i] += np.conj(v)
-
-    for ix in range(l_x):
-        for iy in range(l_y):
-            i = idx(ix, iy)
-            if ix + 1 < l_x or (periodic and l_x > 1):
-                add(i, idx((ix + 1) % l_x, iy), j_x * np.exp(-1j * alpha * iy))
-            for step in range(1, m_max + 1):
-                if iy + step < l_y or (periodic and l_y > step):
-                    add(i, idx(ix, (iy + step) % l_y), j_y / step**3)
+    if starts:
+        i, k, v = (np.concatenate(a) for a in (starts, ends, values))
+        # unbuffered sums, as the bond-by-bond build: on a periodic lattice two
+        # wrapped bonds may join one pair (l = 2, or m_max >= l_y / 2)
+        np.add.at(m, (i, k), v)
+        np.add.at(m, (k, i), np.conj(v))
     return m
 
 
@@ -359,6 +370,26 @@ class ButterflyResult:
 
 def _eigenvalues_at(model_builder, phi: float) -> np.ndarray:
     return np.linalg.eigvalsh(model_builder(phi))
+
+
+def butterfly_spectrum(size: int, points: int, j_x: float, j_y: float, m_max: int,
+                       boundary: str, *, map_fn=map) -> ButterflyResult:
+    """Spectra of the size x size square lattice at `points` fluxes alpha
+    evenly spaced over [0, 2 pi], ends included.
+
+    `map_fn` maps the diagonalisation over the first points - points // 2
+    fluxes only: the spectrum at 2 pi - alpha equals the one at alpha (see
+    `square_lattice_matrix`), so row points - 1 - k repeats row k.  A
+    process-pool `map_fn` receives a picklable partial.
+    """
+    alphas = np.linspace(0.0, 2.0 * math.pi, points)
+    builder = partial(square_lattice_matrix, size, size, j_x=j_x, j_y=j_y, m_max=m_max,
+                      boundary=boundary)
+    half = points - points // 2
+    table = np.empty((points, size * size))
+    table[:half] = list(map_fn(partial(_eigenvalues_at, builder), alphas[:half]))
+    table[half:] = table[:points // 2][::-1]
+    return ButterflyResult(alphas=alphas, eigenvalues=table)
 
 
 def flux_sweep(model_builder, phi_grid, *, map_fn=map) -> FluxSweepResult:

@@ -52,19 +52,25 @@ def test_rerun_is_bit_identical(tmp_path):
     assert (out1 / "dressed_map.csv").read_bytes() == (out2 / "dressed_map.csv").read_bytes()
 
 
-JOBS_CASES = {
-    "dressed_map.csv": SMALL_MAP,
-    "flux_sweep.csv": "experiment = fig2f_flux_sweep\nsweep.points = 5\nladder.cells = 3\n",
-    "butterfly.csv": "experiment = butterfly\nbutterfly.size = 4\nbutterfly.points = 5\n",
-    "link_scan.csv": "experiment = fig2b_link_scan\nscan.points = 2\n",
-}
+LINK_TWO_POINTS = "experiment = fig2b_link_scan\nscan.points = 2\n"
+
+#: (data file, config): the butterflies map three fluxes each, mirroring the
+#: rest of an odd and of an even grid
+JOBS_CASES = [
+    ("dressed_map.csv", SMALL_MAP),
+    ("flux_sweep.csv", "experiment = fig2f_flux_sweep\nsweep.points = 5\nladder.cells = 3\n"),
+    ("butterfly.csv", "experiment = butterfly\nbutterfly.size = 4\nbutterfly.points = 5\n"),
+    ("butterfly.csv", "experiment = butterfly\nbutterfly.size = 4\nbutterfly.points = 6\n"
+                      "butterfly.boundary = periodic\nbutterfly.m_max = 2\n"),
+    ("link_scan.csv", LINK_TWO_POINTS),
+]
 
 
 def test_jobs_do_not_change_output(tmp_path):
-    for data_file, text in JOBS_CASES.items():
-        _, out1 = _simulate(tmp_path, text, f"serial_{data_file}")
-        _, out2 = _simulate(tmp_path, text, f"parallel_{data_file}", extra=("--jobs", "2"))
-        assert (out1 / data_file).read_bytes() == (out2 / data_file).read_bytes(), data_file
+    for k, (data_file, text) in enumerate(JOBS_CASES):
+        _, out1 = _simulate(tmp_path, text, f"serial_{k}")
+        _, out2 = _simulate(tmp_path, text, f"parallel_{k}", extra=("--jobs", "2"))
+        assert (out1 / data_file).read_bytes() == (out2 / data_file).read_bytes(), text
 
 
 def test_a_one_worker_run_never_imports_multiprocessing(tmp_path):
@@ -72,7 +78,7 @@ def test_a_one_worker_run_never_imports_multiprocessing(tmp_path):
     script = ("import sys\n"
               "from phonon_gauge import cli\n"
               "from phonon_gauge.config import parse_config\n"
-              f"cli.run_experiment(parse_config({JOBS_CASES['link_scan.csv']!r}), "
+              f"cli.run_experiment(parse_config({LINK_TWO_POINTS!r}), "
               f"{str(tmp_path / 'out')!r}, jobs=1)\n"
               "print(sorted({'multiprocessing', 'socket', 'selectors'} & set(sys.modules)))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}

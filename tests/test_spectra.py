@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from phonon_gauge.model import laser_drive
 from phonon_gauge.spectra import (
     NonHermitianError,
+    butterfly_spectrum,
     dressed_ladder_couplings,
     edge_state_report,
     eigensystem,
@@ -217,6 +219,58 @@ def test_rational_flux_band_count():
     ))
     big_gaps = (np.diff(vals) > 0.6).sum()
     assert big_gaps == 2
+
+
+def _loop_square_lattice(l_x, l_y, alpha, j_x, j_y, m_max=1, boundary="open"):
+    """The bond-by-bond reference build of square_lattice_matrix."""
+    periodic = boundary == "periodic"
+    n = l_x * l_y
+    idx = lambda ix, iy: ix * l_y + iy
+    m = np.zeros((n, n), dtype=complex)
+
+    def add(i, k, v):
+        m[i, k] += v
+        m[k, i] += np.conj(v)
+
+    for ix in range(l_x):
+        for iy in range(l_y):
+            i = idx(ix, iy)
+            if ix + 1 < l_x or (periodic and l_x > 1):
+                add(i, idx((ix + 1) % l_x, iy), j_x * np.exp(-1j * alpha * iy))
+            for step in range(1, m_max + 1):
+                if iy + step < l_y or (periodic and l_y > step):
+                    add(i, idx(ix, (iy + step) % l_y), j_y / step**3)
+    return m
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("m_max", [1, 2, 3, 4])
+def test_square_lattice_equals_the_loop_build_byte_for_byte(boundary, m_max):
+    # l = 2 and m_max >= l_y make periodic wraps land twice on one pair
+    sizes = (1, 2, 3, 5, 12)
+    for l_x, l_y, alpha in itertools.product(sizes, sizes, (0.0, 0.7, math.pi, 5.1)):
+        fast = square_lattice_matrix(l_x, l_y, alpha, 1.3, 0.6, m_max, boundary)
+        loop = _loop_square_lattice(l_x, l_y, alpha, 1.3, 0.6, m_max, boundary)
+        assert fast.tobytes() == loop.tobytes(), (l_x, l_y, alpha)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("points", [2, 5, 6])
+def test_butterfly_mirrors_half_the_flux_grid(monkeypatch, boundary, points):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    alphas = np.linspace(0.0, 2 * math.pi, points)
+    for size, m_max in itertools.product(range(2, 8), (1, 2, 3)):
+        calls.clear()
+        res = butterfly_spectrum(size, points, 1.0, 0.8, m_max, boundary)
+        assert len(calls) == points - points // 2
+        assert np.array_equal(res.alphas, alphas)
+        assert np.array_equal(res.eigenvalues[::-1][:points // 2],
+                              res.eigenvalues[:points // 2])
+        for alpha, row in zip(alphas, res.eigenvalues):
+            direct = eigvalsh(square_lattice_matrix(size, size, alpha, 1.0, 0.8, m_max, boundary))
+            assert np.abs(row - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 # -- flux sweep ---------------------------------------------------------------
