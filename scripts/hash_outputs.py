@@ -6,10 +6,11 @@ Usage: PYTHONPATH=src python scripts/hash_outputs.py [output_root]
 The list holds every preset, with the link scan on five phase steps, the
 ring at both fluxes on a 300-unit window (plain stepping) and at flux pi on
 a 600-unit window (Floquet sampling, its block crossing the period by the
-step exponentials of U_T), a periodic butterfly on an even flux grid (the
-mirror's other branch: the preset grid is odd), and `custom` in laser mode,
-in cosine mode, and with x couplings out to 7.5 lattice constants.  Each line
-reads ``sha256  <config>/<file>``, in the format of ``sha256sum``.  A
+step exponentials of U_T), an open ladder sweep and a periodic butterfly on
+even flux grids (the mirror's other branch: the preset grids are odd), and
+`custom` in laser mode, in cosine mode, and with x couplings out to 7.5
+lattice constants.  Each line reads ``sha256  <config>/<file>``, in the
+format of ``sha256sum``.  A
 manifest is hashed without its `duration_seconds`, the one entry that
 differs between reruns.  Run it on two checkouts and diff the outputs to see
 which data files a change moves.  The whole list takes 1.3 to 1.8 seconds
@@ -42,6 +43,9 @@ FLOQUET_RING = "numerics.window = 600\nnumerics.samples = 61\nplaquette.flux = p
 EVEN_BUTTERFLY = ("butterfly.size = 4\nbutterfly.points = 6\nbutterfly.boundary = periodic\n"
                   "butterfly.m_max = 2\n")
 
+#: An open ladder sweep on an even flux grid: rows 5-3 repeat rows 0-2.
+EVEN_SWEEP = "sweep.points = 6\nsweep.boundary = open\n"
+
 CUSTOM = {
     "custom_laser": "array.layout = square\narray.nx = 3\narray.ny = 3\n",
     "custom_cosine": "array.layout = rhombic_ladder\narray.cells = 3\ndrive.mode = cosine\n",
@@ -58,6 +62,9 @@ def runs():
             for flux in ("0", "pi"):
                 yield f"{name}_flux{flux}", text + f"plaquette.flux = {flux}\n"
             yield f"{name}_fluxpi_floquet", f"experiment = {name}\n" + FLOQUET_RING
+        elif name == "fig2f_flux_sweep":
+            yield name, text
+            yield f"{name}_open_even", text + EVEN_SWEEP
         elif name == "butterfly":
             yield name, text
             yield f"{name}_periodic_even", text + EVEN_BUTTERFLY

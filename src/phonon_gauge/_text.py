@@ -17,4 +17,9 @@ def csv_text(header, rows) -> str:
 
 
 def json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """`payload` as JSON; FloatingPointError when it holds a nan or an infinity,
+    which JSON has no number for."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # the only ValueError of a payload without cycles
+        raise FloatingPointError(f"a JSON number is not finite ({exc})") from None

@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +33,7 @@ from .dynamics import EvolutionResult, IntegrationError, LinkScanResult, config_
 from .fock import CapacityError
 from .model import ConfigurationError, GeometryError
 from .spectra import ButterflyResult, CustomSpectrumResult, FluxSweepResult, \
-    LadderSpectrumResult, butterfly_spectrum, eigensystem, flux_sweep, ladder_spectrum, \
-    rhombic_ladder_matrix
+    LadderSpectrumResult, butterfly_spectrum, eigensystem, flux_sweep, ladder_spectrum
 
 ENV_OUT = "PHONON_GAUGE_OUT"
 
@@ -99,10 +97,8 @@ def _run_ladder_spectrum(cfg: ExperimentConfig, map_fn):
 
 
 def _run_flux_sweep(cfg: ExperimentConfig, map_fn):
-    builder = partial(rhombic_ladder_matrix, cfg["ladder.cells"], cfg["ladder.j1"],
-                      cfg["ladder.j2"], boundary=cfg["sweep.boundary"])
-    result = flux_sweep(builder, np.linspace(-math.pi, math.pi, cfg["sweep.points"]),
-                        map_fn=map_fn)
+    result = flux_sweep(cfg["ladder.cells"], cfg["ladder.j1"], cfg["ladder.j2"],
+                        cfg["sweep.points"], cfg["sweep.boundary"], map_fn=map_fn)
     return {"flux_sweep": result}, {}
 
 

@@ -13,10 +13,11 @@ import math
 import re
 from dataclasses import dataclass
 
-from .couplings import DomainError, check_dipolar_reach, dressed_factor
+from .couplings import BESSEL_MAX_ARGUMENT, DomainError, check_dipolar_reach, \
+    dressed_factor, dressed_series_cutoff
 from .dynamics import COUPLING_THRESHOLD, check_exact_grid, config_drive, link_array, \
     ring_couplings
-from .fock import DENSE_OPERATOR_LIMIT, CapacityError, build_fock_space
+from .fock import DENSE_BYTE_BUDGET, DENSE_OPERATOR_LIMIT, CapacityError, build_fock_space
 from .model import ConfigurationError, GeometryError, TrapArray, build_array
 
 EXPERIMENT_SUMMARIES = {
@@ -306,6 +307,46 @@ def _lattice_size(experiment: str, values: dict):
     return None
 
 
+def _sweep_arrays(experiment: str, values: dict):
+    """(keys, name, shape, bytes an entry) of each array that grows with the
+    points of a sweep: its result table, points x columns of float64, and, for
+    the dressed map, one dressed_factor call's complex phase matrix, phase steps
+    x series terms.  That matrix is priced only for a map.eta_max inside
+    dressed_factor's domain, whose own check reports any other."""
+    if experiment == "fig2a_dressed_map":
+        arrays = [("map.eta_points, map.phase_points", "result table",
+                   (values["map.eta_points"], values["map.phase_points"]), 8)]
+        if values["map.eta_max"] <= BESSEL_MAX_ARGUMENT:
+            terms = 2 * dressed_series_cutoff(values["map.eta_max"]) + 1
+            arrays.append(("map.phase_points, map.eta_max", "phase matrix",
+                           (values["map.phase_points"], terms), 16))
+        return arrays
+    if experiment == "fig2b_link_scan":  # delta_phi, t_star, two n2 and defined
+        return [("scan.points", "result table", (values["scan.points"], 5), 8)]
+    if experiment == "fig2f_flux_sweep":  # phi, at most 3 cells + 1 energies, the gap
+        return [("sweep.points, ladder.cells", "result table",
+                 (values["sweep.points"], 3 * values["ladder.cells"] + 3), 8)]
+    if experiment == "butterfly":  # alpha and size ** 2 energies
+        return [("butterfly.points, butterfly.size", "result table",
+                 (values["butterfly.points"], values["butterfly.size"] ** 2 + 1), 8)]
+    return []
+
+
+def _count(n: int) -> str:
+    """The int n >= 0 for a message: in full below 1e15, else rounded to three
+    digits in `.3g`'s form, also beyond the float range and int's string-length
+    limit."""
+    if n < 10 ** 15:
+        return str(n)
+    exponent = int(math.log10(n))  # within one of the decimal exponent
+    exponent += (n >= 10 ** (exponent + 1)) - (n < 10 ** exponent)
+    scale = 10 ** (exponent - 2)
+    lead = (n + scale // 2) // scale  # rounded to three digits
+    if lead == 1000:
+        exponent, lead = exponent + 1, 100
+    return f"{lead / 100:g}e+{exponent}"
+
+
 def custom_array(cfg) -> TrapArray:
     """The array of the `custom` config `cfg` (a parsed config or its value dict)."""
     layout = cfg["array.layout"]
@@ -371,13 +412,19 @@ def parse_config(text: str) -> ExperimentConfig:
 
     size = _lattice_size(experiment, values)
     if size is not None and size[1] > DENSE_OPERATOR_LIMIT:
-        violations.append(f"{size[0]}: the lattice has {size[1]} sites, above the dense "
+        violations.append(f"{size[0]}: the lattice has {_count(size[1])} sites, above the dense "
                           f"limit of {DENSE_OPERATOR_LIMIT}")
     elif experiment == "custom" and values["array.layout"] is not None:  # a small lattice
         try:
             check_dipolar_reach(custom_array(values), values["numerics.cutoff_range"])
         except (ConfigurationError, GeometryError) as exc:
             violations.append(str(exc))
+    else:  # no lattice, or one within the dense limit
+        for keys, name, (rows, columns), entry in _sweep_arrays(experiment, values):
+            if rows * columns * entry > DENSE_BYTE_BUDGET:
+                violations.append(f"{keys}: the {name} takes {_count(rows * columns * entry)}"
+                                  f" bytes ({_count(rows)} x {_count(columns)} x {entry}), "
+                                  f"above the dense budget of {DENSE_BYTE_BUDGET} bytes")
     if experiment in _EXACT_DRIVE_SITES:
         try:
             build_fock_space(_EXACT_DRIVE_SITES[experiment], values["numerics.n_max"])

@@ -40,8 +40,8 @@ import numpy as np
 from ._text import csv_text, json_text
 from .couplings import DEFAULT_CUTOFF_RANGE, CouplingMatrix, dressed_factor, \
     bare_coupling_matrix, effective_coupling_matrix
-from .fock import DENSE_OPERATOR_LIMIT, FockSpace, add_local, build_fock_space, \
-    displacement_exponential, lowering, single_phonon_state
+from .fock import DENSE_BYTE_BUDGET, DENSE_OPERATOR_LIMIT, FockSpace, add_local, \
+    build_fock_space, displacement_exponential, lowering, single_phonon_state
 from .model import ConfigurationError, DriveSpec, TrapArray, build_array, cosine_drive, \
     laser_drive
 
@@ -484,11 +484,11 @@ def default_time_step(scale: float, time_step_divisor: int = 40) -> float:
 def check_exact_grid(cfg, array: TrapArray, drive: DriveSpec, window: float, samples: int,
                      cutoff_range: float = DEFAULT_CUTOFF_RANGE) -> None:
     """ConfigurationError when `evolve` of the exact model of `cfg` would put more than the
-    dense-operator budget, 16 DENSE_OPERATOR_LIMIT^2 bytes, in its table of steps per drive
-    period or of samples (five float64 a row), or index its grid beyond int64."""
+    dense byte budget, DENSE_BYTE_BUDGET, in its table of steps per drive period or of
+    samples (five float64 a row), or index its grid beyond int64."""
     scale = frequency_scale(array, drive, bare_coupling_matrix(array, cfg["direction"],
                                                                cutoff_range))
-    divisor, rows = cfg["numerics.time_step_divisor"], 16 * DENSE_OPERATOR_LIMIT ** 2 // 40
+    divisor, rows = cfg["numerics.time_step_divisor"], DENSE_BYTE_BUDGET // 40
     try:
         n, h = _period_steps(drive.drive_frequency, default_time_step(scale, divisor))
     except (OverflowError, ZeroDivisionError):  # a step below the float range

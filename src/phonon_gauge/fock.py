@@ -17,6 +17,8 @@ import numpy as np
 
 #: Largest Fock dimension a space may have; every operator on it is dense.
 DENSE_OPERATOR_LIMIT = 4096
+#: Bytes one dense array may take: a complex operator at that limit.
+DENSE_BYTE_BUDGET = 16 * DENSE_OPERATOR_LIMIT ** 2
 
 
 class CapacityError(ValueError):

@@ -2,10 +2,10 @@
 dense Hermitian eigensystems with localisation metrics, and flux sweeps.
 
 Diagonalisations at different flux values are independent; a sweep may be
-mapped over workers with no shared mutable state.  The square lattice's
-spectrum is mirror-symmetric in the flux, alpha against 2 pi - alpha (its
-Landau-gauge matrices are complex conjugates), so `butterfly_spectrum`
-diagonalises only the first half of its grid and mirrors the rest.
+mapped over workers with no shared mutable state.  Both flux sweeps mirror:
+the ladder's matrix at -phi and the square lattice's at 2 pi - alpha (Landau
+gauge) are the complex conjugates of those at phi and alpha, so
+`_mirrored_spectra` diagonalises half of each grid and mirrors the rest.
 """
 
 from __future__ import annotations
@@ -39,6 +39,17 @@ class NonHermitianError(ValueError):
     """Input matrix is not Hermitian within tolerance."""
 
 
+def _bond_matrix(n: int, starts, ends, values) -> np.ndarray:
+    """n x n matrix with values[b] at (starts[b], ends[b]) and its conjugate at the
+    transposed entry, from lists of per-kind bond arrays.  The sums are unbuffered,
+    as bond by bond: periodic wraps may put two bonds on one pair."""
+    i, k, v = (np.concatenate(a) for a in (starts, ends, values))
+    m = np.zeros((n, n), dtype=complex)
+    np.add.at(m, (i, k), v)
+    np.add.at(m, (k, i), np.conj(v))
+    return m
+
+
 def rhombic_ladder_matrix(n_cells: int, j1: float, j2: float, phi: float,
                           boundary: str = "open") -> np.ndarray:
     """Three-leg rhombic ladder with one flux-carrying bond per plaquette.
@@ -54,22 +65,12 @@ def rhombic_ladder_matrix(n_cells: int, j1: float, j2: float, phi: float,
         raise ValueError("couplings must be positive (j2 may be zero)")
     if boundary not in ("open", "periodic"):
         raise ValueError(f"unknown boundary {boundary!r}")
-    p = n_cells
-    n = 3 * p + 1 if boundary == "open" else 3 * p
-    hub = lambda j: 3 * (j % p) if boundary == "periodic" else 3 * j
-    m = np.zeros((n, n), dtype=complex)
-
-    def add(i, k, v):
-        m[i, k] += v
-        m[k, i] += np.conj(v)
-
-    for j in range(p):
-        up, low = 3 * j + 1, 3 * j + 2
-        add(hub(j), up, j1)
-        add(hub(j), low, j2)
-        add(low, hub(j + 1), j1)
-        add(up, hub(j + 1), j2 * np.exp(1j * phi))
-    return m
+    cells = np.arange(n_cells)
+    hub, up, low = 3 * cells, 3 * cells + 1, 3 * cells + 2
+    next_hub = 3 * ((cells + 1) % n_cells) if boundary == "periodic" else hub + 3
+    return _bond_matrix(3 * n_cells + (boundary == "open"),
+                        [hub, hub, low, up], [up, low, next_hub, next_hub],
+                        [np.full(n_cells, v) for v in (j1, j2, j1, j2 * np.exp(1j * phi))])
 
 
 def rhombic_ladder_cells(n_cells: int, boundary: str = "open") -> np.ndarray:
@@ -113,25 +114,15 @@ def square_lattice_matrix(l_x: int, l_y: int, alpha: float, j_x: float, j_y: flo
     periodic = boundary == "periodic"
     n = l_x * l_y
     ix, iy = np.divmod(np.arange(n), l_y)  # site i = ix * l_y + iy
-    starts, ends, values = [], [], []
-    if l_x > 1:
-        i = np.flatnonzero(periodic | (ix + 1 < l_x))
-        starts.append(i)
-        ends.append((ix[i] + 1) % l_x * l_y + iy[i])
-        values.append(j_x * np.exp(-1j * alpha * iy[i]))
+    i = np.flatnonzero((periodic and l_x > 1) | (ix + 1 < l_x))
+    starts, ends = [i], [(ix[i] + 1) % l_x * l_y + iy[i]]
+    values = [j_x * np.exp(-1j * alpha * iy[i])]
     for step in range(1, min(m_max, l_y - 1) + 1):
         i = np.flatnonzero(periodic | (iy + step < l_y))
         starts.append(i)
         ends.append(ix[i] * l_y + (iy[i] + step) % l_y)
         values.append(np.full(i.size, j_y / step**3))
-    m = np.zeros((n, n), dtype=complex)
-    if starts:
-        i, k, v = (np.concatenate(a) for a in (starts, ends, values))
-        # unbuffered sums, as the bond-by-bond build: on a periodic lattice two
-        # wrapped bonds may join one pair (l = 2, or m_max >= l_y / 2)
-        np.add.at(m, (i, k), v)
-        np.add.at(m, (k, i), np.conj(v))
-    return m
+    return _bond_matrix(n, starts, ends, values)
 
 
 @dataclass(frozen=True)
@@ -372,38 +363,44 @@ def _eigenvalues_at(model_builder, phi: float) -> np.ndarray:
     return np.linalg.eigvalsh(model_builder(phi))
 
 
+def _mirrored_spectra(builder, grid: np.ndarray, map_fn) -> np.ndarray:
+    """Eigenvalues of builder(x) per flux x of `grid`, whose point points - 1 - k has
+    the complex conjugate matrix of point k: `map_fn` diagonalises the first
+    points - points // 2 points (a process pool gets a picklable partial when
+    `builder` is one), and row points - 1 - k repeats row k.  FloatingPointError
+    names the first flux whose spectrum is not finite."""
+    points = grid.size
+    rows = list(map_fn(partial(_eigenvalues_at, builder), grid[:points - points // 2]))
+    for x, row in zip(grid, rows):
+        if not np.isfinite(row).all():
+            raise FloatingPointError(f"the spectrum at flux {x:.17g} is not finite")
+    return np.array(rows + rows[:points // 2][::-1])
+
+
 def butterfly_spectrum(size: int, points: int, j_x: float, j_y: float, m_max: int,
                        boundary: str, *, map_fn=map) -> ButterflyResult:
-    """Spectra of the size x size square lattice at `points` fluxes alpha
-    evenly spaced over [0, 2 pi], ends included.
-
-    `map_fn` maps the diagonalisation over the first points - points // 2
-    fluxes only: the spectrum at 2 pi - alpha equals the one at alpha (see
-    `square_lattice_matrix`), so row points - 1 - k repeats row k.  A
-    process-pool `map_fn` receives a picklable partial.
-    """
+    """Spectra of the size x size square lattice at `points` fluxes alpha evenly
+    spaced over [0, 2 pi], ends included, mirrored about pi (`square_lattice_matrix`)."""
     alphas = np.linspace(0.0, 2.0 * math.pi, points)
     builder = partial(square_lattice_matrix, size, size, j_x=j_x, j_y=j_y, m_max=m_max,
                       boundary=boundary)
-    half = points - points // 2
-    table = np.empty((points, size * size))
-    table[:half] = list(map_fn(partial(_eigenvalues_at, builder), alphas[:half]))
-    table[half:] = table[:points // 2][::-1]
-    return ButterflyResult(alphas=alphas, eigenvalues=table)
+    return ButterflyResult(alphas=alphas, eigenvalues=_mirrored_spectra(builder, alphas, map_fn))
 
 
-def flux_sweep(model_builder, phi_grid, *, map_fn=map) -> FluxSweepResult:
-    """Spectra over a grid of flux values plus the minimal inter-band gap.
+def flux_sweep(n_cells: int, j1: float, j2: float, points: int, boundary: str, *,
+               map_fn=map) -> FluxSweepResult:
+    """Rhombic-ladder spectra at `points` fluxes phi evenly spaced over [-pi, pi],
+    ends included, plus the minimal inter-band gap.
 
-    The gap at each flux is the smallest |E| outside the geometry-protected
-    zero band; the zero-band size is the minimal count of eigenvalues below
-    ZERO_BAND_TOL max |E| across the sweep.  It closes where a
-    dispersive band touches the zero band.  `map_fn` maps the per-flux
-    diagonalisation over the grid; a process-pool map needs a picklable
-    `model_builder`, such as a functools.partial of a module-level function.
+    Only the flux bond is complex, so the matrix at -phi is the conjugate of the
+    one at phi, and `_mirrored_spectra` diagonalises half the grid.  The gap at
+    each flux is the smallest |E| outside the geometry-protected zero band; the
+    zero-band size is the minimal count of eigenvalues below ZERO_BAND_TOL max |E|
+    across the sweep.  It closes where a dispersive band touches the zero band.
     """
-    phis = np.asarray(list(phi_grid), dtype=float)
-    table = np.array(list(map_fn(partial(_eigenvalues_at, model_builder), phis)))
+    phis = np.linspace(-math.pi, math.pi, points)
+    builder = partial(rhombic_ladder_matrix, n_cells, j1, j2, boundary=boundary)
+    table = _mirrored_spectra(builder, phis, map_fn)
     absvals = np.sort(np.abs(table), axis=1)
     scale = max(np.abs(table).max(), 1e-300)
     n_zero = int(min((row < ZERO_BAND_TOL * scale).sum() for row in absvals))

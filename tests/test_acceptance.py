@@ -137,10 +137,7 @@ def test_criterion_6_ladder_spectrum():
 
 
 def test_criterion_7_flux_sweep_gap():
-    sweep = flux_sweep(
-        lambda phi: rhombic_ladder_matrix(10, 1.0, 1.0, phi, "periodic"),
-        np.linspace(-math.pi, math.pi, 41),
-    )
+    sweep = flux_sweep(10, 1.0, 1.0, 41, "periodic")
     g = sweep.gaps
     zero_idx = 20
     closes = g[zero_idx] < 1e-6

@@ -408,8 +408,96 @@ def test_oversized_exact_drive_grid_is_a_config_error(tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
-#: Spacings log-uniform over the positive floats, from 5e-324 to 1.7e308.
-_SPACINGS = st.floats(math.log10(5e-324), math.log10(1.7e308)).map(lambda e: 10.0 ** e)
+#: Sweeps whose arrays exceed the 16 * 4096 ** 2 byte budget, as (config, the
+#: start of each violation): 1e12 points, then 83887 phase steps, then sizes
+#: whose products pass the float range and, for butterfly.size, int's
+#: 4300-digit string limit; the last is one violation of dressed_factor's
+#: domain, with no phase matrix priced for it.
+OVERSIZED_SWEEPS = {
+    "butterfly": ("experiment = butterfly\nbutterfly.points = 1000000000000\n",
+                  ["butterfly.points, butterfly.size: the result table takes 1.16e+15 bytes"]),
+    "flux_sweep": ("experiment = fig2f_flux_sweep\nsweep.points = 1000000000000\n",
+                   ["sweep.points, ladder.cells: the result table takes 264000000000000 bytes"]),
+    "dressed_map": ("experiment = fig2a_dressed_map\nmap.eta_points = 1000000000000\n",
+                    ["map.eta_points, map.phase_points: the result table takes "
+                     "648000000000000 bytes"]),
+    "dressed_map_phases": ("experiment = fig2a_dressed_map\nmap.phase_points = 1000000000000\n",
+                           ["map.eta_points, map.phase_points: the result table takes "
+                            "648000000000000",
+                            "map.phase_points, map.eta_max: the phase matrix takes 1.01e+15"]),
+    "link_scan": ("experiment = fig2b_link_scan\nscan.points = 1000000000000\n",
+                  ["scan.points: the result table takes 40000000000000 bytes"]),
+    # 83887 phase steps x 201 series terms x 16 B; the result table takes 5.4e7 bytes
+    "phase_matrix": ("experiment = fig2a_dressed_map\nmap.phase_points = 83887\n"
+                     "map.eta_max = 25\n",
+                     ["map.phase_points, map.eta_max: the phase matrix takes 269780592 bytes "
+                      "(83887 x 201 x 16)"]),
+    "butterfly_400_digits": (f"experiment = butterfly\nbutterfly.points = {10 ** 399}\n",
+                             ["butterfly.points, butterfly.size: the result table takes "
+                              "1.16e+402 bytes (1e+399 x 145 x 8)"]),
+    "flux_sweep_310_digits": (f"experiment = fig2f_flux_sweep\nsweep.points = {10 ** 310}\n",
+                              ["sweep.points, ladder.cells: the result table takes 2.64e+312 "
+                               "bytes (1e+310 x 33 x 8)"]),
+    "butterfly_size": (f"experiment = butterfly\nbutterfly.size = {10 ** 160}\n",
+                       ["butterfly.size: the lattice has 1e+320 sites, above the dense limit"]),
+    "butterfly_size_2200_digits": (f"experiment = butterfly\nbutterfly.size = {10 ** 2200}\n",
+                                   ["butterfly.size: the lattice has 1e+4400 sites"]),
+    "ladder_cells": (f"experiment = fig2f_flux_sweep\nladder.cells = {10 ** 306}\n",
+                     ["ladder.cells: the lattice has 3e+306 sites, above the dense limit"]),
+    "eta_max": ("experiment = fig2a_dressed_map\nmap.eta_max = 1e308\n",
+                ["drive.resonance_order, map.eta_max: eta_d must be in [0, 50.0], got 1e+308"]),
+}
+
+
+@pytest.mark.parametrize("text, problems", OVERSIZED_SWEEPS.values(), ids=OVERSIZED_SWEEPS.keys())
+def test_oversized_sweep_is_a_config_error(tmp_path, capsys, text, problems):
+    code, out = _simulate(tmp_path, text, extra=("--jobs", "0"))
+    assert code == 1
+    *err, last = capsys.readouterr().err.splitlines()
+    assert len(err) == len(problems)
+    assert all(line.startswith(f"config error: {p}") for line, p in zip(err, problems)), err
+    assert last == "config error: --jobs: must be >= 1, got 0"
+    assert not out.exists()
+
+
+#: Small runs of each sweep that parse_config prices, with the file of its result table.
+SMALL_SWEEPS = {
+    "dressed_map": (SMALL_MAP, "dressed_map.csv"),
+    "link_scan": ("experiment = fig2b_link_scan\nscan.points = 3\n", "link_scan.csv"),
+    "flux_sweep": ("experiment = fig2f_flux_sweep\nsweep.points = 3\nladder.cells = 2\n"
+                   "sweep.boundary = open\n", "flux_sweep.csv"),
+    "butterfly": ("experiment = butterfly\nbutterfly.points = 3\nbutterfly.size = 3\n",
+                  "butterfly.csv"),
+}
+
+
+@pytest.mark.parametrize("text, name", SMALL_SWEEPS.values(), ids=SMALL_SWEEPS.keys())
+def test_priced_result_table_is_the_written_table(tmp_path, text, name):
+    cfg = parse_config(text)
+    (_, table, (rows, columns), _), *_ = config._sweep_arrays(cfg.experiment, dict(cfg.values))
+    assert table == "result table"
+    assert _simulate(tmp_path, text)[0] == 0
+    written = [line.split(",") for line in (tmp_path / "out" / name).read_text().splitlines()[1:]]
+    if cfg.experiment == "fig2a_dressed_map":  # one row per (eta_d, delta_phi) entry
+        assert len(written) == rows * columns
+    else:
+        assert len(written) == rows and {len(row) for row in written} == {columns}
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("experiment = butterfly\nbutterfly.j_x = 1e308\n",
+     "the spectrum at flux 0 is not finite"),
+    ("experiment = fig2e_ladder_spectrum\nladder.j1 = 1e308\n",
+     "a JSON number is not finite (Out of range float values are not JSON compliant"),
+], ids=["butterfly", "ladder_spectrum"])
+def test_non_finite_spectrum_is_a_numerical_failure(tmp_path, capsys, text, problem):
+    code, _ = _simulate(tmp_path, text)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"numerical failure: {problem}")
+
+
+#: Log-uniform over the positive floats, from 5e-324 to 1.7e308.
+_POSITIVE_FLOATS = st.floats(math.log10(5e-324), math.log10(1.7e308)).map(lambda e: 10.0 ** e)
 
 
 @st.composite
@@ -420,7 +508,8 @@ def _custom_configs(draw):
         lines += [f"array.nx = {draw(st.integers(1, 4))}", f"array.ny = {draw(st.integers(1, 4))}"]
     elif layout == "rhombic_ladder":
         lines.append(f"array.cells = {draw(st.integers(1, 3))}")
-    lines += [f"array.spacing_x = {draw(_SPACINGS)!r}", f"array.spacing_y = {draw(_SPACINGS)!r}",
+    lines += [f"array.spacing_x = {draw(_POSITIVE_FLOATS)!r}",
+              f"array.spacing_y = {draw(_POSITIVE_FLOATS)!r}",
               f"numerics.cutoff_range = {draw(st.floats(1.0, 1e4))!r}",
               f"direction = {draw(st.sampled_from('xyz'))}"]
     return "\n".join(lines) + "\n"
@@ -454,10 +543,6 @@ def _exact_drive_configs(draw):
     return "\n".join(lines) + "\n"
 
 
-#: Coupling strengths log-uniform from 1e-300 to 1e300.
-_COUPLINGS = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
-
-
 @st.composite
 def _spectra_configs(draw):
     """Dressed maps, ladder spectra, flux sweeps and butterflies small enough
@@ -467,20 +552,22 @@ def _spectra_configs(draw):
                                        "fig2f_flux_sweep", "butterfly")))
     lines = [f"experiment = {experiment}"]
     if experiment == "fig2a_dressed_map":
-        lines += [f"map.eta_max = {draw(st.floats(1e-3, 60.0))!r}",
+        eta_max = draw(st.one_of(st.floats(1e-3, 60.0), _POSITIVE_FLOATS))
+        lines += [f"map.eta_max = {eta_max!r}",
                   f"map.eta_points = {draw(st.integers(2, 6))}",
                   f"map.phase_points = {draw(st.integers(2, 6))}",
                   f"drive.resonance_order = {draw(st.integers(1, 4))}"]
     elif experiment == "butterfly":
         lines += [f"butterfly.size = {draw(st.integers(2, 4))}",
                   f"butterfly.points = {draw(st.integers(2, 6))}",
-                  f"butterfly.j_x = {draw(_COUPLINGS)!r}", f"butterfly.j_y = {draw(_COUPLINGS)!r}",
+                  f"butterfly.j_x = {draw(_POSITIVE_FLOATS)!r}",
+                  f"butterfly.j_y = {draw(_POSITIVE_FLOATS)!r}",
                   f"butterfly.m_max = {draw(st.integers(1, 3))}",
                   f"butterfly.boundary = {draw(st.sampled_from(('open', 'periodic')))}"]
     else:
-        j2 = draw(st.one_of(st.just(0.0), _COUPLINGS))
+        j2 = draw(st.one_of(st.just(0.0), _POSITIVE_FLOATS))
         lines += [f"ladder.cells = {draw(st.integers(1, 4))}",
-                  f"ladder.j1 = {draw(_COUPLINGS)!r}", f"ladder.j2 = {j2!r}"]
+                  f"ladder.j1 = {draw(_POSITIVE_FLOATS)!r}", f"ladder.j2 = {j2!r}"]
         boundary = draw(st.sampled_from(("open", "periodic")))
         if experiment == "fig2e_ladder_spectrum":
             lines += [f"ladder.flux = {draw(st.floats(-10.0, 10.0))!r}",
@@ -530,6 +617,17 @@ def _written_numbers(path):
 @example(text=OVERSIZED_EXACT_DRIVES["strong_drive"][0])
 @example(text=OVERSIZED_EXACT_DRIVES["overflowing_drive"][0])
 @example(text=OVERSIZED_EXACT_DRIVES["window"][0])
+@example(text=OVERSIZED_SWEEPS["butterfly"][0])
+@example(text=OVERSIZED_SWEEPS["flux_sweep"][0])
+@example(text=OVERSIZED_SWEEPS["dressed_map"][0])
+@example(text=OVERSIZED_SWEEPS["link_scan"][0])
+@example(text=OVERSIZED_SWEEPS["butterfly_400_digits"][0])
+@example(text=OVERSIZED_SWEEPS["flux_sweep_310_digits"][0])
+@example(text=OVERSIZED_SWEEPS["butterfly_size"][0])
+@example(text=OVERSIZED_SWEEPS["ladder_cells"][0])
+@example(text=OVERSIZED_SWEEPS["eta_max"][0])
+@example(text="experiment = butterfly\nbutterfly.j_x = 1e308\n")
+@example(text="experiment = fig2e_ladder_spectrum\nladder.j1 = 1e308\n")
 def test_configs_end_in_exit_0_1_or_2(text):
     with tempfile.TemporaryDirectory() as scratch:
         code, out = _simulate(Path(scratch), text)

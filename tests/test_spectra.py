@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from phonon_gauge.cli import run_experiment
+from phonon_gauge.config import parse_config
 from phonon_gauge.model import laser_drive
 from phonon_gauge.spectra import (
     NonHermitianError,
@@ -67,6 +69,36 @@ def test_zero_energy_cluster_exists_for_all_fluxes():
         m = rhombic_ladder_matrix(6, 1.0, 1.0, phi)
         clusters = flat_band_report(eigensystem(m))
         assert any(abs(c.energy) < 1e-9 and c.count >= 3 for c in clusters)
+
+
+def _loop_rhombic_ladder(n_cells, j1, j2, phi, boundary="open"):
+    """The cell-by-cell reference build of rhombic_ladder_matrix."""
+    p = n_cells
+    n = 3 * p + 1 if boundary == "open" else 3 * p
+    hub = lambda j: 3 * (j % p) if boundary == "periodic" else 3 * j
+    m = np.zeros((n, n), dtype=complex)
+
+    def add(i, k, v):
+        m[i, k] += v
+        m[k, i] += np.conj(v)
+
+    for j in range(p):
+        up, low = 3 * j + 1, 3 * j + 2
+        add(hub(j), up, j1)
+        add(hub(j), low, j2)
+        add(low, hub(j + 1), j1)
+        add(up, hub(j + 1), j2 * np.exp(1j * phi))
+    return m
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_ladder_equals_the_loop_build_byte_for_byte(boundary):
+    # one periodic cell joins its hub to itself: two bonds land on each hub pair
+    for cells, j1, j2, phi in itertools.product((1, 2, 3, 10), (1, 0.7), (0.0, 1.3, 2),
+                                                (0.0, -0.4, 1.1, math.pi, -math.pi, 7.9)):
+        fast = rhombic_ladder_matrix(cells, j1, j2, phi, boundary)
+        loop = _loop_rhombic_ladder(cells, j1, j2, phi, boundary)
+        assert fast.tobytes() == loop.tobytes(), (cells, j1, j2, phi)
 
 
 def test_dressed_ladder_couplings_match_at_pi():
@@ -254,12 +286,18 @@ def test_square_lattice_equals_the_loop_build_byte_for_byte(boundary, m_max):
         assert fast.tobytes() == loop.tobytes(), (l_x, l_y, alpha)
 
 
-@pytest.mark.parametrize("boundary", ["open", "periodic"])
-@pytest.mark.parametrize("points", [2, 5, 6])
-def test_butterfly_mirrors_half_the_flux_grid(monkeypatch, boundary, points):
+def _counted_eigvalsh(monkeypatch):
+    """The real eigvalsh and the list that each patched call appends to."""
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    return eigvalsh, calls
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("points", [2, 5, 6])
+def test_butterfly_mirrors_half_the_flux_grid(monkeypatch, boundary, points):
+    eigvalsh, calls = _counted_eigvalsh(monkeypatch)
     alphas = np.linspace(0.0, 2 * math.pi, points)
     for size, m_max in itertools.product(range(2, 8), (1, 2, 3)):
         calls.clear()
@@ -276,10 +314,32 @@ def test_butterfly_mirrors_half_the_flux_grid(monkeypatch, boundary, points):
 # -- flux sweep ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("points", [2, 5, 6, 41])
+def test_flux_sweep_mirrors_half_the_flux_grid(monkeypatch, boundary, points):
+    eigvalsh, calls = _counted_eigvalsh(monkeypatch)
+    phis = np.linspace(-math.pi, math.pi, points)
+    for cells, j2 in itertools.product((1, 2, 3, 10), (0.0, 0.6, 1.0)):
+        calls.clear()
+        res = flux_sweep(cells, 1.0, j2, points, boundary)
+        assert len(calls) == points - points // 2
+        assert np.array_equal(res.fluxes, phis)
+        assert np.array_equal(res.eigenvalues[::-1][:points // 2],
+                              res.eigenvalues[:points // 2])
+        for phi, row in zip(phis, res.eigenvalues):
+            direct = eigvalsh(rhombic_ladder_matrix(cells, 1.0, j2, phi, boundary))
+            assert np.abs(row - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+def test_preset_sweep_diagonalises_21_of_its_41_fluxes(monkeypatch, tmp_path):
+    _, calls = _counted_eigvalsh(monkeypatch)
+    run_experiment(parse_config("experiment = fig2f_flux_sweep\n"), tmp_path)
+    assert len(calls) == 21
+
+
 @pytest.fixture(scope="module")
 def ladder_sweep():
-    builder = lambda phi: rhombic_ladder_matrix(10, 1.0, 1.0, phi, "periodic")
-    return flux_sweep(builder, np.linspace(-math.pi, math.pi, 41))
+    return flux_sweep(10, 1.0, 1.0, 41, "periodic")
 
 
 def test_sweep_gap_closes_at_zero_flux(ladder_sweep):
