@@ -135,10 +135,12 @@ def dressed_map(resonance_order: int, eta_grid, delta_phi_grid) -> DressedMapRes
     """Dressed-coupling magnitude on a grid, one dressed_factor call per strength."""
     etas = np.asarray(eta_grid, dtype=float)
     dphis = np.asarray(delta_phi_grid, dtype=float)
-    # Python's complex abs per value, as numpy's vectorised abs may round differently
-    rows = [[abs(v) for v in dressed_factor(resonance_order, eta, dphis).tolist()]
-            for eta in etas]
-    return DressedMapResult(eta_d=etas, delta_phi=dphis, magnitude=np.array(rows))
+    magnitude = np.empty((etas.size, dphis.size))
+    for row, eta in zip(magnitude, etas):
+        # Python's complex abs per value, as numpy's vectorised abs may round differently
+        values = dressed_factor(resonance_order, eta, dphis).tolist()
+        row[:] = np.fromiter(map(abs, values), float, dphis.size)
+    return DressedMapResult(eta_d=etas, delta_phi=dphis, magnitude=magnitude)
 
 
 #: Rows per block of `CouplingMatrix`'s Hermiticity check: 1 MiB of

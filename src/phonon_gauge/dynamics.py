@@ -18,12 +18,15 @@ each column reaches its sample in one matrix-vector product.  U_T needs
 only a few step exponentials: the exponential of a full step is a smooth
 periodic function of the drive phase, so U_T takes it by Paterson-Stockmeyer
 at 2M + 1 equispaced phases, transforms those to harmonics, and sums each
-step's exponential E_k from them, with M fixed before stepping from a norm
-bound so that the dropped harmonics stay below 2^-53.  The block crosses
-the period by the same E_k, one product per step.  Plain stepping, which a
-flop rule picks when U_T does not pay, is one column stepped through the
-whole window under the Horner form of the Taylor polynomial, as is each
-sample's partial step beyond its grid point.  Each step is unitary up to
+step's exponential E_k from them, a cache-sized stack per product, with M
+fixed before stepping from a norm bound so that the dropped harmonics stay
+below 2^-53.  U_T multiplies each stack of E_k pairwise, one stacked product
+per level, before it takes the stack's product in.  The block crosses the
+period by the same E_k, one product per step.  Plain stepping, which a flop
+rule picks when U_T does not pay, is one column stepped through the whole
+window under the Horner form of the Taylor polynomial.  Each sample's partial
+step beyond its grid point is that Horner form too, applied to a queue of
+sampled states a cache-sized stack at a time.  Each step is unitary up to
 roundoff, so norm is conserved over arbitrarily long windows.  Evolutions
 are deterministic and single-threaded; independent parameter points of a
 scan may run concurrently.
@@ -182,13 +185,29 @@ def _taylor_degree(beta: float, h: float) -> int:
 
 
 def _taylor_apply(omega: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
-    """sum_{k<=m} omega^k x / k! by Horner's rule (m products with x)."""
+    """sum_{k<=m} omega^k x / k! by Horner's rule (m products with x), for one
+    matrix omega or a stack (K, d, d) of them, each applied to its x (K, d, 1)."""
     y = x
     for k in range(m, 0, -1):
         y = omega @ y
         y *= 1.0 / k
         y += x
     return y
+
+
+def _chain(stack: np.ndarray) -> np.ndarray:
+    """stack[K-1] ... stack[1] stack[0] for a stack (K, d, d), K >= 1, reduced
+    pairwise: one stacked product per level, an odd last matrix folded onto
+    the product before it.  The levels take turns between a scratch of K // 2
+    matrices and `stack` itself, which this overwrites; a stack of one is its
+    own result, a view of `stack`."""
+    src, dst = stack, np.empty((len(stack) // 2,) + stack.shape[1:], dtype=stack.dtype)
+    while len(src) > 1:
+        pairs = np.matmul(src[1::2], src[:len(src) - 1:2], out=dst[:len(src) // 2])
+        if len(src) % 2:
+            pairs[-1] = src[-1] @ pairs[-1]
+        src, dst = pairs, src
+    return src[0]
 
 
 def _ps_shape(m: int) -> tuple[int, int]:
@@ -226,7 +245,7 @@ def _taylor_matrix(omega: np.ndarray, m: int) -> np.ndarray:
 #: d = 25 and K = 1 from d = 81 on.
 _STACK_BYTES = 128 * 1024
 
-#: Bytes of one stack of step exponentials in `_PeriodGrid.step_exponentials`,
+#: Bytes of one stack of step exponentials in `_PeriodGrid.exponential_stacks`,
 #: which forms K = `_stack_size(d, _FORMATION_BYTES)` of them by one product
 #: of K phase rows with the N x d^2 harmonic table, into one buffer of
 #: K 16 d^2 bytes that stays resident while the generator runs.  A stack of
@@ -241,6 +260,19 @@ _STACK_BYTES = 128 * 1024
 #: itself (1.6 MB).  The node exponentials keep _STACK_BYTES: their stack
 #: also holds its Paterson-Stockmeyer powers, 5.7 MB for K = 9 at d = 81.
 _FORMATION_BYTES = 1024 * 1024
+
+#: Bytes of one stack of partial-step generators in `evolve`'s sample
+#: read-out, which forms K = `_stack_size(d, _READOUT_BYTES)` of them by one
+#: product and applies them to the K queued states by one stacked Horner.
+#: One sample at a time is 14 one-column products at degree 14, each a numpy
+#: call.  The read-out of 601 random states at d = 81 (the preset ring), median
+#: of 15 on one core of a 2-vCPU Xeon (numpy 2.4, OpenBLAS 0.3.31, 1 thread):
+#: 69 ms one sample at a time, 79 at K = 1, 39 at K = 4, 35 at K = 6 to 9,
+#: 37 at K = 12, and 55-67 at K = 16 to 32, whose stacks outgrow the cache.
+#: 512 KiB gives K = 4 at d = 81, 52 at d = 25 and 1 from d = 129 on: the
+#: ring's tracemalloc peak stays that of U_T's build, which K = 9 would
+#: raise by 0.4 MiB.
+_READOUT_BYTES = 512 * 1024
 
 
 def _stack_size(dim: int, budget: int = _STACK_BYTES) -> int:
@@ -339,8 +371,9 @@ class _PeriodGrid:
         fm, df, ch2 = 0.5 * (f1 + f2), f2 - f1, _GL_COMM * h * h
         return np.stack((h, h * fm.real, h * fm.imag, ch2 * df.real, ch2 * df.imag), axis=-1)
 
-    def omega(self, row: np.ndarray) -> np.ndarray:
-        return (row @ self._flat).view(complex).reshape(self.table.shape[1:])
+    def omega(self, rows: np.ndarray) -> np.ndarray:
+        """Step generators of the coefficient rows `rows` (..., 5): (..., d, d)."""
+        return (rows @ self._flat).view(complex).reshape(rows.shape[:-1] + self.table.shape[1:])
 
     def advance(self, x: np.ndarray, j: int, count: int) -> np.ndarray:
         """x moved by `count` grid steps from grid point j, each a Taylor
@@ -358,21 +391,25 @@ class _PeriodGrid:
         the drive phase.  Its Taylor exponentials at N = `nodes` equispaced
         phases t_j = j T / N, a stack of at most _STACK_BYTES at a time, are
         transformed in place to the harmonics F_m, |m| <= (N - 1) / 2, which
-        the grid keeps for `step_exponentials`; `_node_count` bounds the error
+        the grid keeps for `exponential_stacks`; `_node_count` bounds the error
         by 2^-53.  With N = n the nodes are the grid points, and E_k is their
-        exponential up to roundoff.  The product u = E_k u stays sequential,
-        and each product is a new matrix, so keeping P_o copies nothing: a
-        yielded E_k is valid only until the generator passes its stack, and
-        no P_o shares memory with it.
+        exponential up to roundoff.  Each stack of E_k that
+        `exponential_stacks` forms is cut at the kept offsets within it, and
+        each segment is multiplied out pairwise by `_chain` (one stacked
+        product per level) and then taken into u = segment u, so that every
+        kept offset ends a segment and P_o is the u reached there.  Each u is
+        a new matrix, so keeping P_o copies nothing, and no P_o shares memory
+        with the formation buffer, which the next stack overwrites.  At
+        d = 625 a stack holds one E_k, and u = E_k u is one product a step.
         """
         d, n, nodes = self.table.shape[1], self.n, self.nodes
         size = _stack_size(d)
         self.orders = m = (np.arange(nodes) + nodes // 2) % nodes - nodes // 2  # 0 .. M, -M .. -1
-        # the only nodes x d^2 array, kept for `step_exponentials`
+        # the only nodes x d^2 array, kept for `exponential_stacks`
         self.harmonics = harmonics = np.empty((nodes, d * d), dtype=complex)
         rows = self.coefficients(np.arange(nodes) * (n / nodes * self.h), self.h)
         for j in range(0, nodes, size):
-            omega = (rows[j:j + size] @ self._flat).view(complex).reshape(-1, d, d)
+            omega = self.omega(rows[j:j + size])
             harmonics[j:j + size] = _taylor_matrix(omega, self.degree).reshape(-1, d * d)
         # F_m = sum_j E_j exp(-2 pi i m j / N) / N in place, a stack of columns at
         # a time: loading numpy.fft raised the ring's peak RSS by 0.15 to 0.6 MB
@@ -380,21 +417,26 @@ class _PeriodGrid:
         cols = _STACK_BYTES // (16 * nodes)
         for c in range(0, d * d, cols):
             harmonics[:, c:c + cols] = dft @ harmonics[:, c:c + cols]
-        kept = {}
+        kept, cuts = {}, sorted(offsets)  # a Python sort, as in `_kept_offsets`
         u = np.eye(d, dtype=complex)
-        for o, step in enumerate(self.step_exponentials(0, n)):
-            if o in offsets:
-                kept[o] = u
-            u = step @ u
+        for k, stack in self.exponential_stacks(0, n):
+            start = 0  # the stack's segments end at the kept offsets within it
+            for cut in [o - k for o in cuts if k <= o < k + len(stack)]:
+                if cut > start:
+                    u = _chain(stack[start:cut]) @ u
+                kept[k + cut], start = u, cut
+            if start < len(stack):
+                u = _chain(stack[start:]) @ u
         return u, kept
 
-    def step_exponentials(self, j: int, o: int):
-        """E_k = sum_m F_m exp(2 pi i m k / n) for the grid offsets k in [j, o),
-        0 <= j <= o <= n, from the harmonics that `period_propagator` kept:
-        one product of a stack of phase rows with them per stack of
-        _FORMATION_BYTES, into one buffer allocated per call.  A yielded E_k
-        is a view of that buffer, valid only until the generator passes its
-        stack: use it, or copy it, before asking for the next."""
+    def exponential_stacks(self, j: int, o: int):
+        """(k, stack): the step exponentials E_k ... E_{k+K-1} of the grid
+        offsets in [j, o), 0 <= j <= o <= n, a stack (K, d, d) at a time, with
+        E_k = sum_m F_m exp(2 pi i m k / n) from the harmonics that
+        `period_propagator` kept: one product of K phase rows with them per
+        stack of _FORMATION_BYTES, into one buffer allocated per call.  A
+        yielded stack is a view of that buffer, valid only until the generator
+        moves on: use it, or copy it, before asking for the next."""
         d, n = self.table.shape[1], self.n
         size = min(_stack_size(d, _FORMATION_BYTES), max(o - j, 1))
         buffer = np.empty((size, d * d), dtype=complex)
@@ -402,7 +444,7 @@ class _PeriodGrid:
             out = buffer[:min(size, o - k)]
             turns = np.outer(np.arange(k, k + len(out)), self.orders) % n  # exact in integers
             np.matmul(np.exp((2j * math.pi / n) * turns), self.harmonics, out=out)
-            yield from out.reshape(-1, d, d)
+            yield k, out.reshape(-1, d, d)
 
 
 #: Throughput of a complex d x d matrix product over that of a d x d
@@ -453,10 +495,15 @@ def _floquet_pays(dim: int, n: int, nodes: int, degree: int, points: np.ndarray)
     d^2 multiply-adds at matrix-vector speed, and multiplies the block by it
     once, its first column at matrix-vector speed and the others at
     matrix-product speed.  Formation is priced at matrix-vector speed, one
-    row a step; `step_exponentials` forms a stack of _FORMATION_BYTES per
+    row a step; `exponential_stacks` forms a stack of _FORMATION_BYTES per
     product (9 steps at d = 81, 104 at d = 25), which runs faster, so that
-    price is an upper bound.  The partial steps of the samples cost the same
-    on both paths and are left out.  U_T is refused when its table of node
+    price is an upper bound.  So is the accumulation's, n matrix products at
+    _MATMUL_SPEEDUP: `period_propagator` multiplies each formation stack
+    pairwise, one stacked product per level, which spreads numpy's per-call
+    overhead over a stack (104 at d = 25; 9 at d = 81, where it measured
+    neutral) and changes nothing at d = 625, where a stack holds one E_k.
+    The partial steps of the samples cost the same on both paths and are
+    left out.  U_T is refused when its table of node
     harmonics would exceed the dense-operator budget of 16
     DENSE_OPERATOR_LIMIT^2 bytes.
     """
@@ -537,9 +584,12 @@ class EvolutionResult:
         })
 
 
-def _populations(space: FockSpace, psi: np.ndarray) -> np.ndarray:
-    occ = space.occupation_table()
-    return occ @ np.abs(psi) ** 2
+def _observables(occ: np.ndarray, top: np.ndarray, states: np.ndarray):
+    """(populations, norms, top-level populations) of the rows of `states`
+    (K, dim), with `occ` the space's occupation table and `top` the mask of
+    its Fock states with some site at n_max."""
+    weights = np.abs(states) ** 2
+    return weights @ occ.T, np.sqrt(weights.sum(axis=1)), weights[:, top].sum(axis=1)
 
 
 def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = None, *,
@@ -560,14 +610,18 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     counts the exponentials it takes), powers psi0 by it to every period
     that holds a sample, and steps those states through one period as the
     columns of one block, block <- E_k block with the step exponentials E_k
-    that built U_T (`_PeriodGrid.step_exponentials`); otherwise plain
+    that built U_T (`_PeriodGrid.exponential_stacks`); otherwise plain
     stepping runs the same loop with one column through the whole window,
     each step a Taylor polynomial applied by Horner's rule.  With at most
     _BLOCK_WIDTH distinct offsets o of the samples within their periods, U_T
     keeps its partial products P_o, and a column reaches offset o as P_o
     times its state instead of by stepping; a link point, sampled at 0 and
-    t*, takes this path.  Aborts if the norm drifts beyond 1e-4 or is not
-    finite, naming the earliest such sample.
+    t*, takes this path.  Each sample's state at its grid point is queued,
+    and a stack of _READOUT_BYTES of them takes its partial steps by one
+    stacked Horner (a state on the grid comes out an exact copy); the
+    eigendecomposition reads a block of _STACK_BYTES of times out per
+    product.  Aborts if the norm drifts beyond 1e-4 or is not finite, naming
+    the earliest such sample.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -579,18 +633,22 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         raise ValueError("psi0 must be normalised")
     times = np.linspace(0.0, t_final, samples)
     params = dict(parameters or {})
+    occ = space.occupation_table()
+    top = (occ == space.n_max).any(axis=0)  # Fock states with some n_i = n_max
+    pops = np.empty((samples, space.n_sites))
+    norms, leakage = np.empty(samples), np.empty(samples)
 
     if isinstance(hamiltonian, np.ndarray):
         vals, vecs = np.linalg.eigh(hamiltonian)
         coeff = vecs.conj().T @ psi0
-        pops, norms = [], []
-        for t in times:
-            psi = vecs @ (np.exp(-1j * vals * t) * coeff)
-            pops.append(_populations(space, psi))
-            norms.append(np.linalg.norm(psi))
+        # psi(t) = vecs exp(-i vals t) coeff, a block of _STACK_BYTES of times per product
+        size = max(1, _STACK_BYTES // (16 * len(vals)))
+        for i in range(0, samples, size):
+            phases = np.exp(np.multiply.outer(times[i:i + size], -1j * vals)) * coeff
+            pops[i:i + size], norms[i:i + size], _ = _observables(occ, top, phases @ vecs.T)
         params.update({"integrator": "eigendecomposition", "dt": 0.0})
-        return EvolutionResult(times=times, populations=np.array(pops),
-                               norms=np.array(norms), model=label, parameters=params)
+        return EvolutionResult(times=times, populations=pops, norms=norms, model=label,
+                               parameters=params)
 
     if not isinstance(hamiltonian, DrivenHamiltonian):
         raise TypeError("hamiltonian must be a matrix or a DrivenHamiltonian")
@@ -604,17 +662,23 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     partial = np.maximum(times - points * h, 0.0)
     partial_coefs = grid.coefficients((points % n) * h, partial)
 
-    occ = space.occupation_table()
-    top = (occ == space.n_max).any(axis=0)  # Fock states with some n_i = n_max
-    pops = np.empty((samples, space.n_sites))
-    norms, leakage = np.empty(samples), np.empty(samples)
+    # the samples' grid-point states, queued a stack of _READOUT_BYTES of
+    # partial-step generators at a time
+    queue, queued = np.empty((min(_stack_size(hamiltonian.dim, _READOUT_BYTES), samples),
+                              hamiltonian.dim, 1), dtype=complex), []
+
+    def read_out():
+        """The queued samples, each its partial step from its grid point: one
+        stacked Horner over the queue (an exact copy of a state on the grid)."""
+        out = _taylor_apply(grid.omega(partial_coefs[queued]), queue[:len(queued)], m)
+        pops[queued], norms[queued], leakage[queued] = _observables(occ, top, out[..., 0])
+        queued.clear()
 
     def emit(k, x):
-        out = _taylor_apply(grid.omega(partial_coefs[k]), x, m)  # exact copy if on grid
-        weights = np.abs(out) ** 2
-        pops[k] = occ @ weights
-        norms[k] = np.linalg.norm(out)
-        leakage[k] = weights[top].sum()
+        queue[len(queued), :, 0] = x
+        queued.append(k)
+        if len(queued) == len(queue):
+            read_out()
 
     # plain stepping: the whole window is period 0, and U_T is never applied
     floquet = _floquet_pays(hamiltonian.dim, n, grid.nodes, m, points)
@@ -643,7 +707,8 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         ks = np.arange(first, pass_ends[-1] + 1)
         sample_column = column[np.searchsorted(pass_ends, ks)]
         # one generator over the pass, so that every stack of E_k is formed full
-        steps = grid.step_exponentials(0, int(last[0])) if floquet and not kept else None
+        steps = (step for _, stack in grid.exponential_stacks(0, int(last[0]))
+                 for step in stack) if floquet and not kept else None
         j = 0
         for i in np.argsort(offsets[ks], kind="stable"):
             o = offsets[ks[i]]
@@ -660,6 +725,8 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
             x = block[:, sample_column[i]]
             emit(ks[i], kept[o] @ x if kept else x)
         first = pass_ends[-1] + 1
+    if queued:
+        read_out()
     steps = (n if floquet else 0) + block_steps
 
     drifted = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_ABORT))  # a nan norm drifts too

@@ -183,6 +183,8 @@ def eigensystem(matrix: np.ndarray, *, cells: np.ndarray | None = None,
     ratio sum |v_i|^4 and the probability weight on the outermost cell at
     each end (sites are their own cells unless `cells` is given).  Band
     labels number the clusters of eigenvalues closer than CLUSTER_TOL max |E|.
+    FloatingPointError when a sum over the spectrum may leave the float
+    range: n max |E| is not finite (a nan or an infinity included).
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -191,6 +193,11 @@ def eigensystem(matrix: np.ndarray, *, cells: np.ndarray | None = None,
     if np.abs(m - m.conj().T).max() > HERMITICITY_TOL * scale:
         raise NonHermitianError("matrix is not Hermitian within 1e-12")
     vals, vecs = np.linalg.eigh(m)
+    top = float(np.abs(vals).max())
+    if not math.isfinite(len(vals) * top):  # a Python product: inf, not a warning
+        at = "" if flux is None else f" at flux {flux:.17g}"
+        raise FloatingPointError(f"the spectrum{at} is too large to sum: {len(vals)} "
+                                 f"eigenvalues up to |E| = {top:.3g}")
     vecs = _deterministic_phases(vecs)
     prob = np.abs(vecs) ** 2
     ipr = (prob**2).sum(axis=0)

@@ -20,7 +20,6 @@ from phonon_gauge.dynamics import (
     link_transfer_scan,
     plaquette_experiment,
 )
-from phonon_gauge.dynamics import _populations
 from phonon_gauge.fock import build_fock_space, displacement_exponential, lowering, \
     single_phonon_state
 from phonon_gauge.model import ConfigurationError, build_array, cosine_drive, laser_drive
@@ -352,6 +351,11 @@ def _plain_magnus_states(model, psi0, times, dt):
     return out
 
 
+def _populations(space, psi):
+    """Reference site populations of one state."""
+    return space.occupation_table() @ np.abs(psi) ** 2
+
+
 def _plain_magnus_populations(model, space, psi0, times, dt):
     return np.array([_populations(space, psi)
                      for psi in _plain_magnus_states(model, psi0, times, dt)])
@@ -486,6 +490,20 @@ def test_stacked_taylor_matrix_equals_one_matrix_at_a_time():
     assert np.abs(dynamics._taylor_matrix(stack, 18) - exact).max() < 1e-12
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 9, 104])
+def test_pairwise_chain_equals_the_sequential_product(count):
+    rng = np.random.default_rng(count)
+    gen = rng.normal(size=(count, 25, 25)) + 1j * rng.normal(size=(count, 25, 25))
+    stack = np.stack([expm(0.1 * (x - x.conj().T)) for x in gen])  # unitary, as E_k
+    ref = np.eye(25, dtype=complex)
+    for step in stack:
+        ref = step @ ref
+    chained = dynamics._chain(stack.copy())
+    if count == 1:  # no product: the matrix itself
+        assert chained.tobytes() == stack[0].tobytes()
+    assert np.abs(chained - ref).max() < 1e-13
+
+
 def _sequential_period_propagator(grid, offsets=()):
     """Reference U_T and its partial products at `offsets`: one generator and
     one Paterson-Stockmeyer exponential per step."""
@@ -512,9 +530,11 @@ def _preset_grid(preset, pi_link_model):
 
 @pytest.mark.parametrize("preset, shape, offsets", [
     # 0, both sides of the boundary between the first two stacks of step
-    # exponentials (104 steps at d = 25, 9 at d = 81) and the ragged last stack
-    ("link", (25, 1465, 17), (0, 103, 104, 105, 1456, 1464)),
-    ("ring", (81, 1050, 15), (0, 8, 9, 10, 524, 1044, 1049)),
+    # exponentials (104 steps at d = 25, 9 at d = 81), the ragged last stack,
+    # and an offset that cuts a stack into two odd segments (211: 3 and 101
+    # steps; 30: 3 and 6, after 27's segment of 3)
+    ("link", (25, 1465, 17), (0, 103, 104, 105, 211, 1456, 1464)),
+    ("ring", (81, 1050, 15), (0, 8, 9, 10, 30, 524, 1044, 1049)),
     # a drive 100 times faster, four steps per period: the nodes are the grid points
     ("few-steps", (25, 4, 4), (0, 1, 3)),
 ], ids=["link", "ring", "few-steps"])
@@ -557,8 +577,9 @@ def test_block_crossed_by_the_step_exponentials_equals_taylor_stepping(pi_link_m
     block = rng.normal(size=(d, 7)) + 1j * rng.normal(size=(d, 7))
     block /= np.linalg.norm(block, axis=0)
     crossed = block
-    for step in grid.step_exponentials(start, stop):
-        crossed = step @ crossed
+    for _, stack in grid.exponential_stacks(start, stop):
+        for step in stack:
+            crossed = step @ crossed
     assert np.abs(crossed - grid.advance(block, start, stop - start)).max() < 1e-12
 
 
@@ -631,12 +652,76 @@ def _one_step_exponential(grid, k):
 def test_stacked_step_exponentials_match_one_at_a_time_formation(pi_link_model, preset, ranges):
     grid = _preset_grid(preset, pi_link_model)
     grid.period_propagator()
+    size = dynamics._stack_size(grid.table.shape[1], dynamics._FORMATION_BYTES)
     for j, o in ranges:
-        # copy each E_k as it comes: it is a view of the stack's buffer
-        stacked = [step.copy() for step in grid.step_exponentials(j, o)]
+        # copy each stack as it comes: it is a view of the formation buffer
+        stacks = [(k, stack.copy()) for k, stack in grid.exponential_stacks(j, o)]
+        assert [k for k, _ in stacks] == list(range(j, o, size))
+        stacked = [step for _, stack in stacks for step in stack]
         assert len(stacked) == o - j
         for k, step in zip(range(j, o), stacked):
             assert np.abs(step - _one_step_exponential(grid, k)).max() < 1e-14
+
+
+@pytest.mark.parametrize("preset, size", [("link", 52), ("ring", 4)])
+def test_stacked_read_out_matches_one_sample_at_a_time(pi_link_model, preset, size):
+    grid = _preset_grid(preset, pi_link_model)
+    d, m = grid.table.shape[1], grid.degree
+    assert dynamics._stack_size(d, dynamics._READOUT_BYTES) == size
+    rng = np.random.default_rng(5)
+    count = 2 * size + 3  # two full stacks and a ragged one of three
+    states = rng.normal(size=(count, d, 1)) + 1j * rng.normal(size=(count, d, 1))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    partial = rng.random(count) * grid.h
+    partial[::4] = 0.0  # samples on the grid
+    rows = grid.coefficients(rng.integers(0, grid.n, count) * grid.h, partial)
+    for start in range(0, count, size):
+        # evolve's read-out: one stacked generator product, one stacked Horner
+        out = dynamics._taylor_apply(grid.omega(rows[start:start + size]),
+                                     states[start:start + size], m)
+        for k, x in zip(range(start, count), out):
+            if partial[k] == 0:  # an exact copy of the state at its grid point
+                assert x.tobytes() == states[k].tobytes()
+            ref = dynamics._taylor_apply(grid.omega(rows[k]), states[k, :, 0], m)
+            assert np.abs(x[:, 0] - ref).max() < 1e-14
+
+
+@pytest.mark.parametrize("model_fixture, periods, samples", [
+    ("pi_link_model", 9.7, 11),  # d = 25: one ragged stack of 11
+    ("ring", 6.5, 23),  # d = 81: five stacks of 4, in offset order, and a ragged one of 3
+])
+def test_read_out_stacks_give_the_samples_of_one_at_a_time(request, monkeypatch,
+                                                            model_fixture, periods, samples):
+    if model_fixture == "ring":
+        model, space = _preset_ring_model(), build_fock_space(4, 2)
+    else:
+        model, space = request.getfixturevalue(model_fixture)
+    psi0 = single_phonon_state(space, 0)
+    t_final = periods * 2 * math.pi / abs(model.modulation)
+    res = evolve(model, psi0, t_final, space=space, samples=samples)
+    assert res.diagnostics["period_propagator"]
+    monkeypatch.setattr(dynamics, "_READOUT_BYTES", 1)  # one sample per stack
+    one = evolve(model, psi0, t_final, space=space, samples=samples)
+    assert np.abs(res.populations - one.populations).max() < 1e-14
+    assert np.abs(res.norms - one.norms).max() < 1e-14
+    assert res.diagnostics["max_top_level_population"] == pytest.approx(
+        one.diagnostics["max_top_level_population"], abs=1e-16)
+
+
+@pytest.mark.parametrize("samples", [2, 601, 102])  # 102: one block of 101 times and one more
+def test_chunked_effective_sampling_matches_one_time_at_a_time(samples):
+    cfg = parse_config("experiment = fig2cd_plaquette\n")
+    _, _, eff, window = dynamics.ring_couplings(cfg)
+    space = build_fock_space(4, cfg["numerics.n_max"])
+    assert dynamics._STACK_BYTES // (16 * space.dim) == 101
+    hamiltonian, psi0 = effective_hamiltonian(eff, space), single_phonon_state(space, 0)
+    res = evolve(hamiltonian, psi0, window, space=space, samples=samples)
+    vals, vecs = np.linalg.eigh(hamiltonian)
+    coeff = vecs.conj().T @ psi0
+    for t, pops, norm in zip(res.times, res.populations, res.norms):
+        psi = vecs @ (np.exp(-1j * vals * t) * coeff)
+        assert np.abs(pops - _populations(space, psi)).max() < 1e-14
+        assert abs(norm - np.linalg.norm(psi)) < 1e-14
 
 
 def test_norm_abort_names_the_earliest_drifting_sample(pi_link_model, monkeypatch):
