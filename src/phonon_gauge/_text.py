@@ -1,7 +1,7 @@
 """The one text format of every data file and the manifest.
 
-CSV numbers carry 17 significant digits, so every float64 round-trips
-exactly; JSON has sorted keys and two-space indent.  Both end in a newline.
+CSV comes a line at a time, with 17 significant digits so that every float64
+round-trips exactly; JSON has sorted keys and two-space indent.  Both end in a newline.
 """
 
 from __future__ import annotations
@@ -9,11 +9,11 @@ from __future__ import annotations
 import json
 
 
-def csv_text(header, rows) -> str:
-    """Comma-separated `header` names, then one line per row of numbers."""
-    lines = [",".join(header)]
-    lines += [",".join(format(v, ".17g") for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def csv_text(header, rows):
+    """Comma-separated `header` names, then one line per row of numbers, yielded as read."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(format(v, ".17g") for v in row) + "\n"
 
 
 def json_text(payload) -> str:

@@ -30,7 +30,6 @@ from .couplings import BrokenCycleError, DomainError, DressedMapResult, dressed_
     effective_coupling_matrix
 from .dynamics import EvolutionResult, IntegrationError, LinkScanResult, config_drive, \
     link_transfer_scan, plaquette_experiment
-from .fock import CapacityError
 from .model import ConfigurationError, GeometryError
 from .spectra import ButterflyResult, CustomSpectrumResult, FluxSweepResult, \
     LadderSpectrumResult, butterfly_spectrum, eigensystem, flux_sweep, ladder_spectrum
@@ -39,8 +38,8 @@ ENV_OUT = "PHONON_GAUGE_OUT"
 
 #: Config violations, and the library errors that a valid config can still
 #: trigger; any error outside these and _NUMERIC_ERRORS is internal.
-_CONFIG_ERRORS = (ConfigError, ConfigurationError, GeometryError, CapacityError,
-                  BrokenCycleError, DomainError)
+_CONFIG_ERRORS = (ConfigError, ConfigurationError, GeometryError, BrokenCycleError,
+                  DomainError)
 _NUMERIC_ERRORS = (IntegrationError, np.linalg.LinAlgError, FloatingPointError)
 
 
@@ -63,8 +62,9 @@ def _fork_map(jobs: int):
     return pool_map
 
 
-def _write(path: Path, text: str) -> str:
-    path.write_text(text, encoding="utf-8", newline="")
+def _write(path: Path, text) -> str:
+    with path.open("w", encoding="utf-8", newline="") as out:
+        out.writelines([text] if isinstance(text, str) else text)
     return path.name
 
 

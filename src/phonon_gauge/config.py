@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 
-from .couplings import BESSEL_MAX_ARGUMENT, DomainError, check_dipolar_reach, \
-    dressed_factor, dressed_series_cutoff
-from .dynamics import COUPLING_THRESHOLD, check_exact_grid, config_drive, link_array, \
-    ring_couplings
-from .fock import DENSE_BYTE_BUDGET, DENSE_OPERATOR_LIMIT, CapacityError, build_fock_space
+from .couplings import BESSEL_MAX_ARGUMENT, DEFAULT_CUTOFF_RANGE, DomainError, \
+    bare_coupling_matrix, check_dipolar_reach, dressed_factor, dressed_series_cutoff
+from .dynamics import COUPLING_THRESHOLD, config_drive, default_time_step, frequency_scale, \
+    link_array, period_steps, ring_couplings
+from .fock import DENSE_BYTE_BUDGET
 from .model import ConfigurationError, GeometryError, TrapArray, build_array
 
 EXPERIMENT_SUMMARIES = {
@@ -110,8 +111,6 @@ class FieldSpec:
     parse: object
     check: object = None
 
-
-_LADDERS = ("fig2e_ladder_spectrum", "fig2f_flux_sweep")
 
 #: Sites of the exact-drive Fock space, per experiment.
 _EXACT_DRIVE_SITES = {"fig2b_link_scan": 2, "fig2cd_plaquette": 4}
@@ -294,49 +293,85 @@ def _split_lines(text: str):
         yield lineno, key.strip(), value.strip()
 
 
-def _lattice_size(experiment: str, values: dict):
-    """(keys, site count) of the single-particle lattice an experiment builds."""
-    if experiment == "custom" and values["array.layout"] == "square":
-        return "array.nx * array.ny", values["array.nx"] * values["array.ny"]
-    if experiment == "custom" and values["array.layout"] == "rhombic_ladder":
-        return "array.cells", 3 * values["array.cells"] + 1
-    if experiment == "butterfly":
-        return "butterfly.size", values["butterfly.size"] ** 2
-    if experiment in _LADDERS:
-        return "ladder.cells", 3 * values["ladder.cells"] + 1  # open; periodic has 3p
-    return None
+#: Complex multiply-adds one run may take, as `run_price` counts them: an hour at
+#: 1.1e9 a second, the rate of a complex 625 x 625 matrix-vector product (347 us)
+#: and a 1024 x 1024 `eigvalsh` (0.73 s for 2 n^3 / 3) on one core of a 2-vCPU Xeon
+#: (numpy 2.4, OpenBLAS 0.3.31, 1 thread); 4e12 / 16 periods of 6.7e6 steps fit int64.
+WORK_BUDGET = 4 * 10 ** 12
 
 
-def _sweep_arrays(experiment: str, values: dict):
-    """(keys, name, shape, bytes an entry) of each array that grows with the
-    points of a sweep: its result table, points x columns of float64, and, for
-    the dressed map, one dressed_factor call's complex phase matrix, phase steps
-    x series terms.  That matrix is priced only for a map.eta_max inside
-    dressed_factor's domain, whose own check reports any other."""
+def run_price(experiment: str, values: dict):
+    """(arrays, work) of a run before it starts: each dense array that grows
+    with the config as (keys, name, shape, bytes an entry), and None or (keys,
+    complex multiply-adds) counted from below, 2 n^3 / 3 a lattice spectrum
+    (the reduction in `eigh`; points - points // 2 spectra in a mirrored sweep,
+    a ladder at its open size) and one dim^2 matrix-vector product a step on
+    the exact drive's cheaper path: plain stepping to the window's end, or
+    Floquet sampling, n steps and one product a period.  The phase matrix is
+    priced only in dressed_factor's domain and the drive's grid only for a
+    drive that can run: parse_config reports any other."""
+    arrays, work, lattice = [], None, None  # lattice: keys, sites, points key, other columns
     if experiment == "fig2a_dressed_map":
-        arrays = [("map.eta_points, map.phase_points", "result table",
-                   (values["map.eta_points"], values["map.phase_points"]), 8)]
+        arrays.append(("map.eta_points, map.phase_points", "result table",
+                       (values["map.eta_points"], values["map.phase_points"]), 8))
         if values["map.eta_max"] <= BESSEL_MAX_ARGUMENT:
             terms = 2 * dressed_series_cutoff(values["map.eta_max"]) + 1
             arrays.append(("map.phase_points, map.eta_max", "phase matrix",
                            (values["map.phase_points"], terms), 16))
-        return arrays
-    if experiment == "fig2b_link_scan":  # delta_phi, t_star, two n2 and defined
-        return [("scan.points", "result table", (values["scan.points"], 5), 8)]
-    if experiment == "fig2f_flux_sweep":  # phi, at most 3 cells + 1 energies, the gap
-        return [("sweep.points, ladder.cells", "result table",
-                 (values["sweep.points"], 3 * values["ladder.cells"] + 3), 8)]
-    if experiment == "butterfly":  # alpha and size ** 2 energies
-        return [("butterfly.points, butterfly.size", "result table",
-                 (values["butterfly.points"], values["butterfly.size"] ** 2 + 1), 8)]
-    return []
+    elif experiment == "butterfly":  # alpha and the energies
+        lattice = "butterfly.size", values["butterfly.size"] ** 2, "butterfly.points", 1
+    elif experiment in ("fig2e_ladder_spectrum", "fig2f_flux_sweep"):  # phi, energies, gap
+        lattice = ("ladder.cells", 3 * values["ladder.cells"] + 1,  # periodic: one site less
+                   "sweep.points" if experiment == "fig2f_flux_sweep" else None, 2)
+    elif experiment == "custom" and values["array.layout"] in ("square", "rhombic_ladder"):
+        lattice = (("array.nx, array.ny", values["array.nx"] * values["array.ny"])
+                   if values["array.layout"] == "square"
+                   else ("array.cells", 3 * values["array.cells"] + 1)) + (None, 0)
+    elif experiment in _EXACT_DRIVE_SITES:
+        ring = experiment == "fig2cd_plaquette"
+        if not ring:  # delta_phi, t_star, two n2 and defined
+            arrays.append(("scan.points", "result table", (values["scan.points"], 5), 8))
+        dim = (values["numerics.n_max"] + 1) ** _EXACT_DRIVE_SITES[experiment]
+        arrays.append(("numerics.n_max", "step-generator table", (5, dim, dim), 16))
+        try:  # the grid of `_effective_and_exact`
+            if ring:
+                drive, array, _, window = ring_couplings(values)
+            else:  # to the longest transfer time of a defined point
+                drive, array = config_drive(values, "laser", math.pi, 0.0), link_array(values)
+                window = math.pi / (2.0 * COUPLING_THRESHOLD)
+            scale = frequency_scale(array, drive, bare_coupling_matrix(
+                array, values["direction"],
+                values["numerics.cutoff_range"] if ring else DEFAULT_CUTOFF_RANGE))
+        except (ConfigurationError, DomainError, GeometryError):  # parse_config lists it
+            return arrays, None
+        n = adds = math.inf  # beyond the float range
+        with suppress(OverflowError, ZeroDivisionError):
+            n, h = period_steps(drive.drive_frequency,
+                                default_time_step(scale, values["numerics.time_step_divisor"]))
+            end = math.floor(window / h + 1e-9)  # the grid index of the window's end
+            adds = (1 if ring else values["scan.points"]) * min(end, n + end // n) * dim * dim
+        arrays.append(("numerics.time_step_divisor",
+                       f"step table at frequency scale {scale:.3g}", (n, 5), 8))
+        if ring:
+            arrays.append(("numerics.samples", "sample table", (values["numerics.samples"], 5), 8))
+        work = ("numerics.window, numerics.n_max" if ring else "scan.points, numerics.n_max", adds)
+    if lattice is not None:
+        keys, n, points, columns = lattice
+        spectra = 1
+        if points is not None:
+            points, keys = values[points], f"{points}, {keys}"
+            arrays.append((keys, "result table", (points, n + columns), 8))
+            spectra = points - points // 2
+        arrays.append((lattice[0], "lattice matrix", (n, n), 16))
+        work = keys, spectra * 2 * n ** 3 // 3
+    return arrays, work
 
 
-def _count(n: int) -> str:
-    """The int n >= 0 for a message: in full below 1e15, else rounded to three
-    digits in `.3g`'s form, also beyond the float range and int's string-length
-    limit."""
-    if n < 10 ** 15:
+def _count(n) -> str:
+    """The int n >= 0, or inf, for a message: in full below 1e15, else rounded
+    to three digits in `.3g`'s form, also beyond the float range and int's
+    string-length limit."""
+    if n == math.inf or n < 10 ** 15:
         return str(n)
     exponent = int(math.log10(n))  # within one of the decimal exponent
     exponent += (n >= 10 ** (exponent + 1)) - (n < 10 ** exponent)
@@ -410,29 +445,26 @@ def parse_config(text: str) -> ExperimentConfig:
                 violations.append(f"{key}: not consumed by experiment custom with "
                                   f"{switch} = {values[switch]}")
 
-    size = _lattice_size(experiment, values)
-    if size is not None and size[1] > DENSE_OPERATOR_LIMIT:
-        violations.append(f"{size[0]}: the lattice has {_count(size[1])} sites, above the dense "
-                          f"limit of {DENSE_OPERATOR_LIMIT}")
-    elif experiment == "custom" and values["array.layout"] is not None:  # a small lattice
+    if experiment == "fig2cd_plaquette" and values["drive.rabi_frequency"] is None:
+        values["drive.rabi_frequency"] = _PLAQUETTE_RABI[values["plaquette.flux"]]
+    arrays, work = run_price(experiment, values)
+    unpriced = len(violations)
+    for keys, name, shape, entry in arrays:
+        size = math.prod(shape) * entry
+        if size > DENSE_BYTE_BUDGET:
+            violations.append(f"{keys}: the {name} takes {_count(size)} bytes ("
+                              + " x ".join(map(_count, (*shape, entry)))
+                              + f"), above the dense budget of {DENSE_BYTE_BUDGET} bytes")
+    if work is not None and work[1] > WORK_BUDGET:
+        violations.append(f"{work[0]}: the run takes at least {_count(work[1])} complex "
+                          f"multiply-adds, above the work budget of {WORK_BUDGET}")
+    if experiment == "custom" and values["array.layout"] is not None \
+            and len(violations) == unpriced:  # a lattice that fits
         try:
             check_dipolar_reach(custom_array(values), values["numerics.cutoff_range"])
         except (ConfigurationError, GeometryError) as exc:
             violations.append(str(exc))
-    else:  # no lattice, or one within the dense limit
-        for keys, name, (rows, columns), entry in _sweep_arrays(experiment, values):
-            if rows * columns * entry > DENSE_BYTE_BUDGET:
-                violations.append(f"{keys}: the {name} takes {_count(rows * columns * entry)}"
-                                  f" bytes ({_count(rows)} x {_count(columns)} x {entry}), "
-                                  f"above the dense budget of {DENSE_BYTE_BUDGET} bytes")
-    if experiment in _EXACT_DRIVE_SITES:
-        try:
-            build_fock_space(_EXACT_DRIVE_SITES[experiment], values["numerics.n_max"])
-        except CapacityError as exc:
-            violations.append(str(exc))
 
-    if experiment == "fig2cd_plaquette" and values["drive.rabi_frequency"] is None:
-        values["drive.rabi_frequency"] = _PLAQUETTE_RABI[values["plaquette.flux"]]
     if experiment == "fig2a_dressed_map":
         try:
             dressed_factor(values["drive.resonance_order"], values["map.eta_max"], 0.0)
@@ -446,9 +478,6 @@ def parse_config(text: str) -> ExperimentConfig:
             else:
                 dressed_factor(drive.resonance_order, drive.eta_d, 0.0)
             drive.check_resonance(values["array.gradient"])
-            if experiment == "fig2b_link_scan":  # a defined point's t* is at most this window
-                check_exact_grid(values, link_array(values), drive,
-                                 math.pi / (2.0 * COUPLING_THRESHOLD), 2)
         except (ConfigurationError, DomainError, GeometryError) as exc:
             violations.append(str(exc))
 

@@ -121,7 +121,7 @@ class DressedMapResult:
     delta_phi: np.ndarray
     magnitude: np.ndarray
 
-    def to_csv(self) -> str:
+    def to_csv(self):
         return csv_text(("eta_d", "delta_phi", "magnitude"),
                         ((eta, dp, mag) for eta, row in zip(self.eta_d, self.magnitude)
                          for dp, mag in zip(self.delta_phi, row)))

@@ -43,8 +43,8 @@ import numpy as np
 from ._text import csv_text, json_text
 from .couplings import DEFAULT_CUTOFF_RANGE, CouplingMatrix, dressed_factor, \
     bare_coupling_matrix, effective_coupling_matrix
-from .fock import DENSE_BYTE_BUDGET, DENSE_OPERATOR_LIMIT, FockSpace, add_local, \
-    build_fock_space, displacement_exponential, lowering, single_phonon_state
+from .fock import DENSE_BYTE_BUDGET, FockSpace, add_local, build_fock_space, \
+    displacement_exponential, lowering, single_phonon_state
 from .model import ConfigurationError, DriveSpec, TrapArray, build_array, cosine_drive, \
     laser_drive
 
@@ -305,7 +305,7 @@ def _node_count(a: float, b: float, c: float, n: int, degree: int) -> int:
     return min(2 * degree + 1, n)
 
 
-def _period_steps(modulation: float, dt: float) -> tuple[int, float]:
+def period_steps(modulation: float, dt: float) -> tuple[int, float]:
     """(n, h): n steps of size h = T / n <= dt fill the period T = 2 pi / |modulation|."""
     period = 2.0 * math.pi / abs(modulation)
     n = max(1, math.ceil(period / dt - 1e-12))
@@ -328,7 +328,7 @@ class _PeriodGrid:
     """
 
     def __init__(self, model: DrivenHamiltonian, dt: float):
-        self.n, self.h = _period_steps(model.modulation, dt)
+        self.n, self.h = period_steps(model.modulation, dt)
         h = self.h
         self.mod = model.modulation
         dim = model.dim
@@ -494,20 +494,14 @@ def _floquet_pays(dim: int, n: int, nodes: int, degree: int, points: np.ndarray)
     exponentials E_k of U_T: a block step forms E_k again, one row of nodes
     d^2 multiply-adds at matrix-vector speed, and multiplies the block by it
     once, its first column at matrix-vector speed and the others at
-    matrix-product speed.  Formation is priced at matrix-vector speed, one
-    row a step; `exponential_stacks` forms a stack of _FORMATION_BYTES per
-    product (9 steps at d = 81, 104 at d = 25), which runs faster, so that
-    price is an upper bound.  So is the accumulation's, n matrix products at
-    _MATMUL_SPEEDUP: `period_propagator` multiplies each formation stack
-    pairwise, one stacked product per level, which spreads numpy's per-call
-    overhead over a stack (104 at d = 25; 9 at d = 81, where it measured
-    neutral) and changes nothing at d = 625, where a stack holds one E_k.
-    The partial steps of the samples cost the same on both paths and are
-    left out.  U_T is refused when its table of node
-    harmonics would exceed the dense-operator budget of 16
-    DENSE_OPERATOR_LIMIT^2 bytes.
+    matrix-product speed.  Formation, one row a step, and the accumulation, n
+    products, are upper bounds: `exponential_stacks` forms and `_chain`
+    multiplies a stack of E_k per call (104 at d = 25, 9 at d = 81, 1 at
+    d = 625).  The samples' partial steps cost the same on both paths and are
+    left out.  U_T is refused when its node harmonics, nodes complex d x d
+    matrices, would exceed DENSE_BYTE_BUDGET.
     """
-    if nodes * dim * dim > DENSE_OPERATOR_LIMIT ** 2:
+    if 16 * nodes * dim * dim > DENSE_BYTE_BUDGET:
         return False
     periods, offsets = np.divmod(points, n)
     s, r = _ps_shape(degree)
@@ -526,26 +520,6 @@ def _floquet_pays(dim: int, n: int, nodes: int, degree: int, points: np.ndarray)
 def default_time_step(scale: float, time_step_divisor: int = 40) -> float:
     """Step rule: the shortest period 2 pi / `scale` in H(tau) over `time_step_divisor`."""
     return 2.0 * math.pi / (time_step_divisor * scale)
-
-
-def check_exact_grid(cfg, array: TrapArray, drive: DriveSpec, window: float, samples: int,
-                     cutoff_range: float = DEFAULT_CUTOFF_RANGE) -> None:
-    """ConfigurationError when `evolve` of the exact model of `cfg` would put more than the
-    dense byte budget, DENSE_BYTE_BUDGET, in its table of steps per drive period or of
-    samples (five float64 a row), or index its grid beyond int64."""
-    scale = frequency_scale(array, drive, bare_coupling_matrix(array, cfg["direction"],
-                                                               cutoff_range))
-    divisor, rows = cfg["numerics.time_step_divisor"], DENSE_BYTE_BUDGET // 40
-    try:
-        n, h = _period_steps(drive.drive_frequency, default_time_step(scale, divisor))
-    except (OverflowError, ZeroDivisionError):  # a step below the float range
-        n, h = math.inf, math.nan
-    if max(n, samples) > rows or not window / h < 2.0 ** 63:
-        raise ConfigurationError(
-            f"the exact drive takes {n:.3g} Magnus steps per drive period (frequency scale "
-            f"{scale:.3g}, numerics.time_step_divisor = {divisor}), {samples} samples and a "
-            f"grid index of {window / h:.3g} at the window's end: memory holds {rows} steps "
-            "or samples, and int64 indices stay below 9.2e18")
 
 
 @dataclass
@@ -569,10 +543,9 @@ class EvolutionResult:
     def total_number(self) -> np.ndarray:
         return self.populations.sum(axis=1)
 
-    def to_csv(self) -> str:
+    def to_csv(self):
         header = ["time"] + [f"n_{k+1}" for k in range(self.n_sites)] + ["norm"]
-        return csv_text(header, ((t, *row, nrm) for t, row, nrm
-                                 in zip(self.times, self.populations, self.norms)))
+        return csv_text(header, zip(self.times, *self.populations.T, self.norms))
 
     def to_json(self) -> str:
         return json_text({
@@ -790,7 +763,7 @@ class LinkScanResult:
     n2_exact: np.ndarray
     defined: np.ndarray
 
-    def to_csv(self) -> str:
+    def to_csv(self):
         return csv_text(("delta_phi", "t_star", "n2_effective", "n2_exact", "defined"),
                         zip(self.delta_phi, self.t_star, self.n2_effective, self.n2_exact,
                             self.defined.astype(int).tolist()))
@@ -851,9 +824,9 @@ def ring_couplings(cfg):
     same magnitude: d_x = d_y |F_r(eta_d, pi)|^(1/3).  `plaquette.flux`
     selects the synthetic plaquette flux through the phase steps
     (phase_x = pi, phase_y = flux).  The automatic window is one full
-    ring-transfer cycle, pi / |J|.  ConfigurationError when the bond
-    vanishes, when it is below COUPLING_THRESHOLD on the automatic window,
-    which would then be too long to integrate, or by `check_exact_grid`.
+    ring-transfer cycle, pi / |J|.  ConfigurationError when the bond vanishes,
+    or is below COUPLING_THRESHOLD on the automatic window, which would then be
+    too long to integrate; `config.run_price` prices the window's grid.
     """
     drive = config_drive(cfg, "laser", math.pi, cfg["plaquette.flux"])
     f_mag = abs(dressed_factor(drive.resonance_order, drive.eta_d, math.pi))
@@ -875,8 +848,6 @@ def ring_couplings(cfg):
                 "the automatic window pi / |J| is too long to integrate; set numerics.window "
                 "or strengthen the drive")
         window = math.pi / j_bond
-    check_exact_grid(cfg, array, drive, window, cfg["numerics.samples"],
-                     cfg["numerics.cutoff_range"])
     return drive, array, eff, window
 
 

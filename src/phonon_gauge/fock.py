@@ -5,7 +5,8 @@ Basis ordering is lexicographic with site 0 slowest, so the flat index of an
 occupation vector (n_0, ..., n_{N-1}) is its base-(n_max+1) value; the
 occupation table lists every basis state in that order.  Operators here are
 local: d x d matrices on one site, d = n_max + 1.  `add_local` adds one to a
-many-body matrix on the sites it acts on.  Spaces are immutable.
+many-body matrix on the sites it acts on.  Spaces are immutable, and
+`build_fock_space` refuses one whose dense operators exceed DENSE_BYTE_BUDGET.
 """
 
 from __future__ import annotations
@@ -15,14 +16,12 @@ from functools import lru_cache
 
 import numpy as np
 
-#: Largest Fock dimension a space may have; every operator on it is dense.
-DENSE_OPERATOR_LIMIT = 4096
-#: Bytes one dense array may take: a complex operator at that limit.
-DENSE_BYTE_BUDGET = 16 * DENSE_OPERATOR_LIMIT ** 2
+#: Bytes one dense array may take: a complex 4096 x 4096 matrix.
+DENSE_BYTE_BUDGET = 16 * 4096 ** 2
 
 
 class CapacityError(ValueError):
-    """Requested space exceeds the dense-operator limit."""
+    """A dense operator on the requested space would exceed DENSE_BYTE_BUDGET."""
 
 
 @dataclass(frozen=True)
@@ -61,9 +60,9 @@ def build_fock_space(n_sites: int, n_max: int) -> FockSpace:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     dim = (n_max + 1) ** n_sites
-    if dim > DENSE_OPERATOR_LIMIT:
-        raise CapacityError(f"Fock dimension {dim} ({n_sites} sites, n_max = {n_max}) "
-                            f"exceeds the dense-operator limit {DENSE_OPERATOR_LIMIT}")
+    if 16 * dim * dim > DENSE_BYTE_BUDGET:
+        raise CapacityError(f"Fock dimension {dim} ({n_sites} sites, n_max = {n_max}): its "
+                            f"operators take {16 * dim * dim} bytes, above {DENSE_BYTE_BUDGET}")
     return FockSpace(n_sites=n_sites, n_max=n_max)
 
 

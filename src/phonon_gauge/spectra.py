@@ -348,10 +348,9 @@ class FluxSweepResult:
     eigenvalues: np.ndarray  # shape (n_flux, n_states)
     gaps: np.ndarray
 
-    def to_csv(self) -> str:
+    def to_csv(self):
         header = ["phi"] + [f"E_{k+1}" for k in range(self.eigenvalues.shape[1])] + ["min_gap"]
-        return csv_text(header, ((phi, *row, gap) for phi, row, gap
-                                 in zip(self.fluxes, self.eigenvalues, self.gaps)))
+        return csv_text(header, zip(self.fluxes, *self.eigenvalues.T, self.gaps))
 
 
 @dataclass(frozen=True)
@@ -361,9 +360,9 @@ class ButterflyResult:
     alphas: np.ndarray
     eigenvalues: np.ndarray  # shape (n_alpha, n_states)
 
-    def to_csv(self) -> str:
+    def to_csv(self):
         return csv_text(["alpha"] + [f"E_{k+1}" for k in range(self.eigenvalues.shape[1])],
-                        ((alpha, *row) for alpha, row in zip(self.alphas, self.eigenvalues)))
+                        zip(self.alphas, *self.eigenvalues.T))
 
 
 def _eigenvalues_at(model_builder, phi: float) -> np.ndarray:

@@ -7,6 +7,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from phonon_gauge import cli, config, dynamics
 from phonon_gauge.config import ConfigError, EXPERIMENTS, PRESETS, ExperimentConfig, \
     parse_config
 from phonon_gauge.dynamics import IntegrationError
+from phonon_gauge.fock import DENSE_BYTE_BUDGET
 
 
 def _simulate(tmp_path, text, out_name="out", extra=()):
@@ -24,6 +26,9 @@ def _simulate(tmp_path, text, out_name="out", extra=()):
 
 
 SMALL_MAP = "experiment = fig2a_dressed_map\nmap.eta_points = 9\nmap.phase_points = 11\n"
+
+_BYTES = "above the dense budget of 268435456 bytes"
+_WORK = "above the work budget of 4000000000000"
 
 
 def test_preset_list(capsys):
@@ -210,7 +215,7 @@ def test_plaquette_manifest_reports_exact_diagnostics(tmp_path):
 
 @pytest.mark.parametrize("text, key", [
     ("experiment = custom\narray.layout = square\narray.nx = 100000\narray.ny = 100000\n",
-     "array.nx * array.ny"),
+     "array.nx, array.ny"),
     ("experiment = custom\narray.layout = rhombic_ladder\narray.cells = 1366\n", "array.cells"),
     ("experiment = butterfly\nbutterfly.size = 65\n", "butterfly.size"),
     ("experiment = fig2e_ladder_spectrum\nladder.cells = 1366\n", "ladder.cells"),
@@ -224,7 +229,7 @@ def test_oversized_lattice_is_a_config_error(tmp_path, monkeypatch, capsys, text
     code, out = _simulate(tmp_path, text + "output.format = xml\n")
     assert code == 1
     err = capsys.readouterr().err
-    assert f"config error: {key}: the lattice has" in err
+    assert f"config error: {key}: the lattice matrix takes" in err
     assert "output.format" in err  # every violation is listed
     assert not out.exists()
 
@@ -256,8 +261,8 @@ def test_ring_above_the_fock_limit_is_a_config_error(tmp_path, monkeypatch, caps
     code, _ = _simulate(tmp_path, "experiment = fig2cd_plaquette\nnumerics.n_max = 8\n")
     assert code == 1
     assert capsys.readouterr().err == (
-        "config error: Fock dimension 6561 (4 sites, n_max = 8) exceeds the "
-        "dense-operator limit 4096\n")
+        "config error: numerics.n_max: the step-generator table takes 3443737680 bytes "
+        f"(5 x 6561 x 6561 x 16), {_BYTES}\n")
 
 
 def test_weak_ring_drive_on_the_automatic_window_is_a_config_error(tmp_path, monkeypatch,
@@ -279,17 +284,20 @@ def test_weak_ring_drive_on_the_automatic_window_is_a_config_error(tmp_path, mon
 
 @pytest.mark.parametrize("text, capacity", [
     ("experiment = fig2cd_plaquette\nnumerics.n_max = 8\n",
-     "Fock dimension 6561 (4 sites, n_max = 8)"),
+     ["numerics.n_max: the step-generator table takes 3443737680 bytes "
+      f"(5 x 6561 x 6561 x 16), {_BYTES}"]),
     ("experiment = fig2b_link_scan\nnumerics.n_max = 64\n",
-     "Fock dimension 4225 (2 sites, n_max = 64)"),
+     ["numerics.n_max: the step-generator table takes 1428050000 bytes "
+      f"(5 x 4225 x 4225 x 16), {_BYTES}",
+      f"scan.points, numerics.n_max: the run takes at least 5234963540625 complex "
+      f"multiply-adds, {_WORK}"]),
 ], ids=["fig2cd_plaquette", "fig2b_link_scan"])
 def test_fock_limit_is_listed_with_the_other_violations(tmp_path, capsys, text, capacity):
     code, out = _simulate(tmp_path, text + "output.format = xml\n")
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("config error: output.format: ")
-    assert err[1] == f"config error: {capacity} exceeds the dense-operator limit 4096"
-    assert len(err) == 2
+    assert err[1:] == [f"config error: {v}" for v in capacity]
     assert not out.exists()
 
 
@@ -376,49 +384,67 @@ def test_distance_beyond_the_float_range_is_a_geometry_error(tmp_path, capsys, t
 
 RING = "experiment = fig2cd_plaquette\n"
 
-#: Exact-drive configs whose Magnus grid does not fit: step tables or per-sample
-#: arrays of GiBs (without the check, a MemoryError or a numpy ValueError, exit 3),
-#: and a window whose grid index leaves int64 (without it, nan data and exit 0).
+_STEPS = "numerics.time_step_divisor: the step table at frequency scale"
+_RING_WORK = "numerics.window, numerics.n_max: the run takes at least"
+
+#: Exact-drive configs whose Magnus grid does not fit, as (config, the start of
+#: each violation): step tables or per-sample arrays of GiBs (without the check,
+#: a MemoryError or a numpy ValueError, exit 3), and a window whose grid index
+#: leaves int64 (without it, nan data and exit 0), now priced as work.
 OVERSIZED_EXACT_DRIVES = {
-    "samples": (RING + "numerics.samples = 1000000000\n", "1.05e+03 Magnus steps"),
-    "divisor": (RING + "numerics.time_step_divisor = 1000000000\n", "2.62e+10 Magnus steps"),
+    "samples": (RING + "numerics.samples = 1000000000\n",
+                ["numerics.samples: the sample table takes 40000000000 bytes "
+                 "(1000000000 x 5 x 8)"]),
+    "divisor": (RING + "numerics.time_step_divisor = 1000000000\n",
+                [f"{_STEPS} 1.31 takes 1049036486320 bytes (26225912158 x 5 x 8)",
+                 f"{_RING_WORK} 172068210501885 complex multiply-adds"]),
     "strong_drive": (RING + "drive.rabi_frequency = 1e6\ndrive.lamb_dicke = 1e-3\n",
-                     "8e+08 Magnus steps"),
+                     [f"{_STEPS} 1e+06 takes 32000065640 bytes (800001641 x 5 x 8)",
+                      f"{_RING_WORK} 5248812065679 complex multiply-adds"]),
     "overflowing_drive": (RING + "drive.rabi_frequency = 1e300\ndrive.lamb_dicke = 1e-160\n"
-                          "numerics.window = 100\n", "8e+302 Magnus steps"),
+                          "numerics.window = 100\n",
+                          [f"{_STEPS} 1e+300 takes 3.2e+304 bytes (8e+302 x 5 x 8)",
+                           f"{_RING_WORK} 4.18e+306 complex multiply-adds"]),
     "window": (RING + "numerics.window = 1e300\nnumerics.samples = 3\n",
-               "3 samples and a grid index of 8.36e+300 at the window's end"),
+               [f"{_RING_WORK} 5.22e+301 complex multiply-adds"]),
     "link_divisor": ("experiment = fig2b_link_scan\nnumerics.time_step_divisor = 1000000000\n",
-                     "3.66e+10 Magnus steps"),
+                     ["numerics.time_step_divisor: the step table at frequency scale 1.83 takes "
+                      "1464780720080 bytes (36619518002 x 5 x 8)",
+                      "scan.points, numerics.n_max: the run takes at least 480631337838750"]),
 }
 
 
-@pytest.mark.parametrize("text, problem", OVERSIZED_EXACT_DRIVES.values(),
+@pytest.mark.parametrize("text, problems", OVERSIZED_EXACT_DRIVES.values(),
                          ids=OVERSIZED_EXACT_DRIVES.keys())
 def test_oversized_exact_drive_grid_is_a_config_error(tmp_path, monkeypatch, capsys, text,
-                                                      problem):
+                                                      problems):
     def never(*args, **kwargs):
         raise AssertionError("evolved an exact-drive grid above the memory budget")
 
     monkeypatch.setattr(dynamics, "evolve", never)
     code, out = _simulate(tmp_path, text, extra=("--jobs", "0"))
     assert code == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith("config error: ") and problem in err[0]
-    assert err[1:] == ["config error: --jobs: must be >= 1, got 0"]
+    *err, last = capsys.readouterr().err.splitlines()
+    assert len(err) == len(problems)
+    assert all(line.startswith(f"config error: {p}") for line, p in zip(err, problems)), err
+    assert last == "config error: --jobs: must be >= 1, got 0"
     assert not out.exists()
 
 
 #: Sweeps whose arrays exceed the 16 * 4096 ** 2 byte budget, as (config, the
-#: start of each violation): 1e12 points, then 83887 phase steps, then sizes
-#: whose products pass the float range and, for butterfly.size, int's
-#: 4300-digit string limit; the last is one violation of dressed_factor's
-#: domain, with no phase matrix priced for it.
+#: start of each violation, the work of a sweep among them): 1e12 points, then
+#: 83887 phase steps, then sizes whose products pass the float range and, for
+#: butterfly.size, int's 4300-digit string limit; the last is one violation of
+#: dressed_factor's domain, with no phase matrix priced for it.
 OVERSIZED_SWEEPS = {
     "butterfly": ("experiment = butterfly\nbutterfly.points = 1000000000000\n",
-                  ["butterfly.points, butterfly.size: the result table takes 1.16e+15 bytes"]),
+                  ["butterfly.points, butterfly.size: the result table takes 1.16e+15 bytes",
+                   "butterfly.points, butterfly.size: the run takes at least 9.95e+17 complex "
+                   "multiply-adds"]),
     "flux_sweep": ("experiment = fig2f_flux_sweep\nsweep.points = 1000000000000\n",
-                   ["sweep.points, ladder.cells: the result table takes 264000000000000 bytes"]),
+                   ["sweep.points, ladder.cells: the result table takes 264000000000000 bytes",
+                    "sweep.points, ladder.cells: the run takes at least 9.93e+15 complex "
+                    "multiply-adds"]),
     "dressed_map": ("experiment = fig2a_dressed_map\nmap.eta_points = 1000000000000\n",
                     ["map.eta_points, map.phase_points: the result table takes "
                      "648000000000000 bytes"]),
@@ -427,7 +453,9 @@ OVERSIZED_SWEEPS = {
                             "648000000000000",
                             "map.phase_points, map.eta_max: the phase matrix takes 1.01e+15"]),
     "link_scan": ("experiment = fig2b_link_scan\nscan.points = 1000000000000\n",
-                  ["scan.points: the result table takes 40000000000000 bytes"]),
+                  ["scan.points: the result table takes 40000000000000 bytes",
+                   "scan.points, numerics.n_max: the run takes at least 8.73e+18 complex "
+                   "multiply-adds"]),
     # 83887 phase steps x 201 series terms x 16 B; the result table takes 5.4e7 bytes
     "phase_matrix": ("experiment = fig2a_dressed_map\nmap.phase_points = 83887\n"
                      "map.eta_max = 25\n",
@@ -435,16 +463,30 @@ OVERSIZED_SWEEPS = {
                       "(83887 x 201 x 16)"]),
     "butterfly_400_digits": (f"experiment = butterfly\nbutterfly.points = {10 ** 399}\n",
                              ["butterfly.points, butterfly.size: the result table takes "
-                              "1.16e+402 bytes (1e+399 x 145 x 8)"]),
+                              "1.16e+402 bytes (1e+399 x 145 x 8)",
+                              "butterfly.points, butterfly.size: the run takes at least "
+                              "9.95e+404 complex multiply-adds"]),
     "flux_sweep_310_digits": (f"experiment = fig2f_flux_sweep\nsweep.points = {10 ** 310}\n",
                               ["sweep.points, ladder.cells: the result table takes 2.64e+312 "
-                               "bytes (1e+310 x 33 x 8)"]),
+                               "bytes (1e+310 x 33 x 8)",
+                               "sweep.points, ladder.cells: the run takes at least 9.93e+313"]),
     "butterfly_size": (f"experiment = butterfly\nbutterfly.size = {10 ** 160}\n",
-                       ["butterfly.size: the lattice has 1e+320 sites, above the dense limit"]),
+                       ["butterfly.points, butterfly.size: the result table takes 9.68e+322 "
+                        "bytes (121 x 1e+320 x 8)",
+                        "butterfly.size: the lattice matrix takes 1.6e+641 bytes "
+                        "(1e+320 x 1e+320 x 16)",
+                        "butterfly.points, butterfly.size: the run takes at least 4.07e+961"]),
     "butterfly_size_2200_digits": (f"experiment = butterfly\nbutterfly.size = {10 ** 2200}\n",
-                                   ["butterfly.size: the lattice has 1e+4400 sites"]),
+                                   ["butterfly.points, butterfly.size: the result table takes "
+                                    "9.68e+4402 bytes",
+                                    "butterfly.size: the lattice matrix takes 1.6e+8801 bytes",
+                                    "butterfly.points, butterfly.size: the run takes at least "
+                                    "4.07e+13201"]),
     "ladder_cells": (f"experiment = fig2f_flux_sweep\nladder.cells = {10 ** 306}\n",
-                     ["ladder.cells: the lattice has 3e+306 sites, above the dense limit"]),
+                     ["sweep.points, ladder.cells: the result table takes 9.84e+308 bytes",
+                      "ladder.cells: the lattice matrix takes 1.44e+614 bytes "
+                      "(3e+306 x 3e+306 x 16)",
+                      "sweep.points, ladder.cells: the run takes at least 3.78e+920"]),
     "eta_max": ("experiment = fig2a_dressed_map\nmap.eta_max = 1e308\n",
                 ["drive.resonance_order, map.eta_max: eta_d must be in [0, 50.0], got 1e+308"]),
 }
@@ -461,6 +503,81 @@ def test_oversized_sweep_is_a_config_error(tmp_path, capsys, text, problems):
     assert not out.exists()
 
 
+#: Runs that fit neither the byte budget nor the work budget, though each part of
+#: them would fit the other rules: the ring's and the link's step-generator table
+#: (0.46 and 1.34 GB at n_max = 6 and 7; the link's limit is n_max = 41), Floquet
+#: sampling over 8e14 drive periods, and 4095 and 500 diagonalisations of a
+#: 4096 x 4096 lattice.
+OVERSIZED_RUNS = {
+    "ring_n_max_6": (RING + "numerics.n_max = 6\n",
+                     "numerics.n_max: the step-generator table takes 461184080 bytes "
+                     f"(5 x 2401 x 2401 x 16), {_BYTES}"),
+    "ring_n_max_7": (RING + "numerics.n_max = 7\n",
+                     "numerics.n_max: the step-generator table takes 1342177280 bytes "
+                     f"(5 x 4096 x 4096 x 16), {_BYTES}"),
+    "link_n_max_42": ("experiment = fig2b_link_scan\nnumerics.n_max = 42\n",
+                      "numerics.n_max: the step-generator table takes 273504080 bytes "
+                      f"(5 x 1849 x 1849 x 16), {_BYTES}"),
+    "ring_window": (RING + "numerics.window = 1e17\n",
+                    "numerics.window, numerics.n_max: the run takes at least 5.22e+18 complex "
+                    f"multiply-adds, {_WORK}"),
+    "butterfly_64_8190": ("experiment = butterfly\nbutterfly.size = 64\n"
+                          "butterfly.points = 8190\n",
+                          "butterfly.points, butterfly.size: the run takes at least "
+                          f"187604171489280 complex multiply-adds, {_WORK}"),
+    "ladder_1365_1000": ("experiment = fig2f_flux_sweep\nladder.cells = 1365\n"
+                         "sweep.points = 1000\n",
+                         "sweep.points, ladder.cells: the run takes at least 22906492245333 "
+                         f"complex multiply-adds, {_WORK}"),
+}
+
+
+@pytest.mark.parametrize("text, problem", OVERSIZED_RUNS.values(), ids=OVERSIZED_RUNS.keys())
+def test_run_beyond_the_budget_is_a_config_error(tmp_path, monkeypatch, capsys, text, problem):
+    def never(*args, **kwargs):
+        raise AssertionError("started a run beyond the budget")
+
+    for owner, name in ((dynamics, "driven_model"), (dynamics, "evolve"),
+                        (np.linalg, "eigvalsh")):
+        monkeypatch.setattr(owner, name, never)
+    code, out = _simulate(tmp_path, text, extra=("--jobs", "0"))
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {problem}", "config error: --jobs: must be >= 1, got 0"]
+    assert not out.exists()
+
+
+#: Runs the budget admits: the presets, criterion 8's ring, the benchmark's
+#: seed-0 jobs (as bench/workloads.py writes them), the largest ring and link
+#: whose step-generator table fits, and the largest custom lattice.
+ADMITTED = {
+    **{name: f"experiment = {name}\n" for name in EXPERIMENTS if name != "custom"},
+    **{f"custom_{layout}": f"experiment = custom\narray.layout = {layout}\n"
+       for layout in ("link", "plaquette", "square", "rhombic_ladder")},
+    "criterion_8_ring": RING + "numerics.n_max = 4\nnumerics.time_step_divisor = 10\n"
+                               "numerics.window = 1500\nnumerics.samples = 151\n",
+    "bench_ring_pi": RING + "plaquette.flux = pi\nnumerics.n_max = 2\nnumerics.samples = 601\n"
+                            "numerics.window = 4060.0\n",
+    "bench_link_scan": "experiment = fig2b_link_scan\nscan.points = 21\nnumerics.n_max = 4\n",
+    "bench_custom_square": "experiment = custom\narray.layout = square\narray.nx = 30\n"
+                           "array.ny = 30\n",
+    "ring_n_max_5": RING + "numerics.n_max = 5\n",
+    "link_n_max_41": "experiment = fig2b_link_scan\nnumerics.n_max = 41\n",
+    "custom_square_64": "experiment = custom\narray.layout = square\narray.nx = 64\n"
+                        "array.ny = 64\n",
+}
+
+
+@pytest.mark.parametrize("text", ADMITTED.values(), ids=ADMITTED.keys())
+def test_normal_runs_fit_the_budget(text):
+    cfg = parse_config(text)
+    arrays, work = config.run_price(cfg.experiment, dict(cfg.values))
+    assert all(math.prod(shape) * entry <= DENSE_BYTE_BUDGET for _, _, shape, entry in arrays)
+    if cfg.experiment in ("fig2b_link_scan", "fig2cd_plaquette"):
+        assert work is not None  # the grid of the drive is priced
+    assert work is None or work[1] <= config.WORK_BUDGET
+
+
 #: Small runs of each sweep that parse_config prices, with the file of its result table.
 SMALL_SWEEPS = {
     "dressed_map": (SMALL_MAP, "dressed_map.csv"),
@@ -475,7 +592,7 @@ SMALL_SWEEPS = {
 @pytest.mark.parametrize("text, name", SMALL_SWEEPS.values(), ids=SMALL_SWEEPS.keys())
 def test_priced_result_table_is_the_written_table(tmp_path, text, name):
     cfg = parse_config(text)
-    (_, table, (rows, columns), _), *_ = config._sweep_arrays(cfg.experiment, dict(cfg.values))
+    (_, table, (rows, columns), _), *_ = config.run_price(cfg.experiment, dict(cfg.values))[0]
     assert table == "result table"
     assert _simulate(tmp_path, text)[0] == 0
     written = [line.split(",") for line in (tmp_path / "out" / name).read_text().splitlines()[1:]]

@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phonon_gauge.config import ConfigError, EXPERIMENTS, SCHEMA, parse_config
+from phonon_gauge.config import ConfigError, EXPERIMENTS, SCHEMA, WORK_BUDGET, parse_config
+from phonon_gauge.fock import DENSE_BYTE_BUDGET
 
 
 def test_preset_only_config_fills_reference_defaults():
@@ -119,6 +120,12 @@ def test_non_finite_numbers_rejected(key, token):
 ])
 def test_lattice_at_the_dense_limit_is_accepted(text):
     parse_config(text)  # 4096 sites, the largest dense lattice
+
+
+def test_the_work_budget_keeps_the_grid_index_in_int64():
+    # an admitted exact drive steps at most WORK_BUDGET / 16 periods (dim >= 4,
+    # two sites at n_max = 1), each of at most DENSE_BYTE_BUDGET / 40 steps
+    assert (WORK_BUDGET // 16 + 1) * (DENSE_BYTE_BUDGET // 40) < 2 ** 63
 
 
 @pytest.mark.parametrize("lines, violations", [

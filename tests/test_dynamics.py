@@ -7,8 +7,8 @@ import pytest
 from scipy.linalg import expm
 
 from phonon_gauge import dynamics
-from phonon_gauge.config import parse_config
-from phonon_gauge.couplings import CouplingMatrix, bare_coupling_matrix, \
+from phonon_gauge.config import parse_config, run_price
+from phonon_gauge.couplings import DEFAULT_CUTOFF_RANGE, CouplingMatrix, bare_coupling_matrix, \
     effective_coupling_matrix
 from phonon_gauge.dynamics import (
     DrivenHamiltonian,
@@ -22,7 +22,7 @@ from phonon_gauge.dynamics import (
 )
 from phonon_gauge.fock import build_fock_space, displacement_exponential, lowering, \
     single_phonon_state
-from phonon_gauge.model import ConfigurationError, build_array, cosine_drive, laser_drive
+from phonon_gauge.model import build_array, cosine_drive, laser_drive
 
 
 def _kron_embed(space, site, local):
@@ -310,7 +310,7 @@ def test_evolution_result_serialisation(link_setup):
     arr, space, bare = link_setup
     psi0 = single_phonon_state(space, 0)
     res = evolve(effective_hamiltonian(bare, space), psi0, 5.0, space=space, samples=3)
-    csv = res.to_csv()
+    csv = "".join(res.to_csv())
     lines = csv.splitlines()
     assert lines[0] == "time,n_1,n_2,norm"
     assert len(lines) == 4
@@ -456,10 +456,10 @@ def test_cost_rule_branches_at_the_ring_shapes():
 
 
 def test_cost_rule_refuses_a_node_table_above_the_dense_budget():
-    # 42 nodes of 625 x 625 fit in 16 DENSE_OPERATOR_LIMIT^2 bytes, 43 do not;
-    # a window of a thousand periods otherwise pays for U_T many times over
+    # 42 complex nodes of 625 x 625 fit in DENSE_BYTE_BUDGET, 43 do not; a
+    # window of a thousand periods otherwise pays for U_T many times over
     points = np.array([0, 1000 * 263])
-    assert 42 * 625 ** 2 <= dynamics.DENSE_OPERATOR_LIMIT ** 2 < 43 * 625 ** 2
+    assert 16 * 42 * 625 ** 2 <= dynamics.DENSE_BYTE_BUDGET < 16 * 43 * 625 ** 2
     assert dynamics._floquet_pays(625, 263, 42, 32, points)
     assert not dynamics._floquet_pays(625, 263, 43, 32, points)
 
@@ -749,18 +749,26 @@ def test_a_nan_norm_aborts(pi_link_model):
         evolve(model, single_phonon_state(space, 0), 1e300, space=space, samples=3)
 
 
-def test_exact_grid_check_bounds_the_tables_and_the_grid_index():
-    # the link preset: 1465 steps of h = 0.0858 per drive period, so the
-    # grid index leaves int64 at t = 2^63 h = 7.91e17
-    cfg = parse_config("experiment = fig2b_link_scan\n")
-    array, drive = dynamics.link_array(cfg), dynamics.config_drive(cfg, "laser", math.pi, 0.0)
-    rows = 16 * dynamics.DENSE_OPERATOR_LIMIT ** 2 // 40
-    dynamics.check_exact_grid(cfg, array, drive, 7.9e17, rows)
-    with pytest.raises(ConfigurationError, match=r"^the exact drive takes 1.46e\+03 Magnus steps "
-                                                 r".*, 6710887 samples and"):
-        dynamics.check_exact_grid(cfg, array, drive, 1e6, rows + 1)
-    with pytest.raises(ConfigurationError, match=r"a grid index of 9.23e\+18 at the window"):
-        dynamics.check_exact_grid(cfg, array, drive, 7.92e17, 2)
+@pytest.mark.parametrize("text, sites", [("experiment = fig2b_link_scan\n", 2),
+                                         ("experiment = fig2cd_plaquette\n", 4)],
+                         ids=["link", "ring"])
+def test_the_price_of_the_exact_drive_is_its_grid(text, sites):
+    # run_price sizes the generator table and the steps per period as the run makes them
+    cfg = parse_config(text)
+    arrays, _ = run_price(cfg.experiment, dict(cfg.values))
+    shapes = {name.split(" at ")[0]: shape for _, name, shape, _ in arrays}
+    ring = sites == 4
+    if ring:
+        drive, array, _, _ = dynamics.ring_couplings(cfg)
+    else:
+        drive, array = dynamics.config_drive(cfg, "laser", math.pi, 0.0), dynamics.link_array(cfg)
+    bare = bare_coupling_matrix(array, cfg["direction"],
+                                cfg["numerics.cutoff_range"] if ring else DEFAULT_CUTOFF_RANGE)
+    model = driven_model(array, drive, bare, build_fock_space(sites, cfg["numerics.n_max"]))
+    grid = dynamics._PeriodGrid(model, dynamics.default_time_step(
+        model.frequency_scale, cfg["numerics.time_step_divisor"]))
+    assert 16 * math.prod(shapes["step-generator table"]) == grid.table.nbytes
+    assert shapes["step table"] == grid.coefs.shape == (grid.n, 5)
 
 
 def test_top_level_population_is_the_truncation_leakage():
@@ -849,7 +857,7 @@ def test_link_point_suppressed():
 
 def test_link_scan_csv():
     res = link_transfer_scan(parse_config(LINK + "scan.points = 3\n"))  # 0, pi, 2 pi
-    csv = res.to_csv().splitlines()
+    csv = "".join(res.to_csv()).splitlines()
     assert csv[0] == "delta_phi,t_star,n2_effective,n2_exact,defined"
     assert csv[1].endswith(",0")
     assert csv[2].endswith(",1")

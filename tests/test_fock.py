@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from phonon_gauge.fock import (
-    DENSE_OPERATOR_LIMIT,
+    DENSE_BYTE_BUDGET,
     CapacityError,
     add_local,
     build_fock_space,
@@ -55,8 +55,8 @@ def test_capacity_error():
 
 
 def test_dense_operator_limit():
-    assert build_fock_space(6, 3).dim == DENSE_OPERATOR_LIMIT == 4096
-    with pytest.raises(CapacityError, match="dense-operator limit 4096"):
+    assert build_fock_space(6, 3).dim == 4096 and 16 * 4096 ** 2 == DENSE_BYTE_BUDGET
+    with pytest.raises(CapacityError, match="operators take 3906250000 bytes, above 268435456$"):
         build_fock_space(6, 4)  # dim 15625
 
 

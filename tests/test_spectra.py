@@ -365,7 +365,7 @@ def test_sweep_spectrum_even_in_flux(ladder_sweep):
 
 
 def test_sweep_csv_shape(ladder_sweep):
-    lines = ladder_sweep.to_csv().splitlines()
+    lines = "".join(ladder_sweep.to_csv()).splitlines()
     assert lines[0].startswith("phi,E_1")
     assert lines[0].endswith("min_gap")
     assert len(lines) == 42
