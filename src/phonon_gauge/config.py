@@ -300,16 +300,19 @@ def _split_lines(text: str):
 WORK_BUDGET = 4 * 10 ** 12
 
 
-def run_price(experiment: str, values: dict):
+def run_price(experiment: str, values: dict, couplings=None):
     """(arrays, work) of a run before it starts: each dense array that grows
     with the config as (keys, name, shape, bytes an entry), and None or (keys,
     complex multiply-adds) counted from below, 2 n^3 / 3 a lattice spectrum
     (the reduction in `eigh`; points - points // 2 spectra in a mirrored sweep,
     a ladder at its open size) and one dim^2 matrix-vector product a step on
     the exact drive's cheaper path: plain stepping to the window's end, or
-    Floquet sampling, n steps and one product a period.  The phase matrix is
-    priced only in dressed_factor's domain and the drive's grid only for a
-    drive that can run: parse_config reports any other."""
+    Floquet sampling, n steps and one product a period plus n dim^3 for the
+    products that build U_T, once per link point.  `couplings` is the ring's
+    `ring_couplings(values)` or the error it raised, evaluated here if None.
+    The phase matrix is priced only in dressed_factor's domain and the
+    drive's grid only for a drive that can run: parse_config reports any
+    other."""
     arrays, work, lattice = [], None, None  # lattice: keys, sites, points key, other columns
     if experiment == "fig2a_dressed_map":
         arrays.append(("map.eta_points, map.phase_points", "result table",
@@ -334,8 +337,10 @@ def run_price(experiment: str, values: dict):
         dim = (values["numerics.n_max"] + 1) ** _EXACT_DRIVE_SITES[experiment]
         arrays.append(("numerics.n_max", "step-generator table", (5, dim, dim), 16))
         try:  # the grid of `_effective_and_exact`
+            if isinstance(couplings, Exception):
+                raise couplings
             if ring:
-                drive, array, _, window = ring_couplings(values)
+                drive, array, _, window = couplings or ring_couplings(values)
             else:  # to the longest transfer time of a defined point
                 drive, array = config_drive(values, "laser", math.pi, 0.0), link_array(values)
                 window = math.pi / (2.0 * COUPLING_THRESHOLD)
@@ -349,7 +354,8 @@ def run_price(experiment: str, values: dict):
             n, h = period_steps(drive.drive_frequency,
                                 default_time_step(scale, values["numerics.time_step_divisor"]))
             end = math.floor(window / h + 1e-9)  # the grid index of the window's end
-            adds = (1 if ring else values["scan.points"]) * min(end, n + end // n) * dim * dim
+            adds = ((1 if ring else values["scan.points"]) * dim * dim
+                    * min(end, n + end // n + n * dim))
         arrays.append(("numerics.time_step_divisor",
                        f"step table at frequency scale {scale:.3g}", (n, 5), 8))
         if ring:
@@ -447,7 +453,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if experiment == "fig2cd_plaquette" and values["drive.rabi_frequency"] is None:
         values["drive.rabi_frequency"] = _PLAQUETTE_RABI[values["plaquette.flux"]]
-    arrays, work = run_price(experiment, values)
+    couplings = None  # the ring's, shared by the price and the drive rules
+    if experiment == "fig2cd_plaquette":
+        try:
+            couplings = ring_couplings(values)
+        except (ConfigurationError, DomainError, GeometryError) as exc:
+            couplings = exc
+    arrays, work = run_price(experiment, values, couplings)
     unpriced = len(violations)
     for keys, name, shape, entry in arrays:
         size = math.prod(shape) * entry
@@ -473,9 +485,9 @@ def parse_config(text: str) -> ExperimentConfig:
     elif experiment in _EXACT_DRIVE_SITES or experiment == "custom":
         try:  # stops at the first rule broken: one message per cause
             drive = config_drive(values, values.get("drive.mode", "laser"), 0.0, 0.0)
-            if experiment == "fig2cd_plaquette":
-                ring_couplings(values)
-            else:
+            if isinstance(couplings, Exception):
+                raise couplings
+            if couplings is None:
                 dressed_factor(drive.resonance_order, drive.eta_d, 0.0)
             drive.check_resonance(values["array.gradient"])
         except (ConfigurationError, DomainError, GeometryError) as exc:

@@ -1,4 +1,4 @@
-"""Driven Hamiltonians and unitary time evolution on the truncated Fock space.
+"""Driven Hamiltonians and unitary time evolution on a truncated Fock space.
 
 `driven_model` builds the exact lab-frame Hamiltonian, trap diagonal plus
 hopping plus the periodic drive, for both drive modes of `DriveSpec`: the
@@ -559,20 +559,24 @@ class EvolutionResult:
 
 def _observables(occ: np.ndarray, top: np.ndarray, states: np.ndarray):
     """(populations, norms, top-level populations) of the rows of `states`
-    (K, dim), with `occ` the space's occupation table and `top` the mask of
-    its Fock states with some site at n_max."""
+    (K, dim), with `occ` the (sites, dim) occupation table and `top` the mask
+    of its states with some site at the table's largest entry."""
     weights = np.abs(states) ** 2
     return weights @ occ.T, np.sqrt(weights.sum(axis=1)), weights[:, top].sum(axis=1)
 
 
 def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = None, *,
-           space: FockSpace, samples: int = 401, label: str = "evolution",
+           occupation: np.ndarray, samples: int = 401, label: str = "evolution",
            parameters: dict | None = None) -> EvolutionResult:
     """Integrate i dpsi/dtau = H(tau) psi and record site populations.
 
     `hamiltonian` is either a constant matrix (propagated exactly through
     its eigensystem) or a DrivenHamiltonian (structured fixed-step Magnus
-    scheme; `model.at(tau)` gives its matrix at one instant).  The output
+    scheme; `model.at(tau)` gives its matrix at one instant).  `occupation`
+    holds each site's phonon number in each basis state, (sites, dim):
+    `space.occupation_table()` on a Fock space, or `np.eye(n_sites)` in the
+    one-phonon sector, whose constant H is the coupling matrix.  The top
+    level is the table's largest entry (n_max on a Fock space).  The output
     grid has `samples` points on [0, t_final].  Magnus steps of size
     h = T / ceil(T / dt) fill the drive period T, dt defaulting to
     `default_time_step(hamiltonian.frequency_scale)`; each sample is one
@@ -602,13 +606,19 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         raise ValueError("samples must be >= 2")
     if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not isinstance(hamiltonian, (np.ndarray, DrivenHamiltonian)):
+        raise TypeError("hamiltonian must be a matrix or a DrivenHamiltonian")
+    occ = np.asarray(occupation)
+    dim, matrix = occ.shape[1], getattr(hamiltonian, "static", hamiltonian)
+    for name, value, shape in (("psi0", psi0, (dim,)), ("hamiltonian", matrix, (dim, dim))):
+        if np.shape(value) != shape:
+            raise ValueError(f"{name} has shape {np.shape(value)}, occupation {occ.shape}")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalised")
     times = np.linspace(0.0, t_final, samples)
     params = dict(parameters or {})
-    occ = space.occupation_table()
-    top = (occ == space.n_max).any(axis=0)  # Fock states with some n_i = n_max
-    pops = np.empty((samples, space.n_sites))
+    top = (occ == occ.max()).any(axis=0)  # states with some site at the top level
+    pops = np.empty((samples, len(occ)))
     norms, leakage = np.empty(samples), np.empty(samples)
 
     if isinstance(hamiltonian, np.ndarray):
@@ -623,8 +633,6 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         return EvolutionResult(times=times, populations=pops, norms=norms, model=label,
                                parameters=params)
 
-    if not isinstance(hamiltonian, DrivenHamiltonian):
-        raise TypeError("hamiltonian must be a matrix or a DrivenHamiltonian")
     if dt is None:
         dt = default_time_step(hamiltonian.frequency_scale)
     grid = _PeriodGrid(hamiltonian, dt)
@@ -637,8 +645,8 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
 
     # the samples' grid-point states, queued a stack of _READOUT_BYTES of
     # partial-step generators at a time
-    queue, queued = np.empty((min(_stack_size(hamiltonian.dim, _READOUT_BYTES), samples),
-                              hamiltonian.dim, 1), dtype=complex), []
+    queue, queued = np.empty((min(_stack_size(dim, _READOUT_BYTES), samples), dim, 1),
+                             dtype=complex), []
 
     def read_out():
         """The queued samples, each its partial step from its grid point: one
@@ -654,11 +662,11 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
             read_out()
 
     # plain stepping: the whole window is period 0, and U_T is never applied
-    floquet = _floquet_pays(hamiltonian.dim, n, grid.nodes, m, points)
+    floquet = _floquet_pays(dim, n, grid.nodes, m, points)
     periods, offsets = np.divmod(points, n) if floquet else (np.zeros_like(points), points)
     u_period, kept = grid.period_propagator(_kept_offsets(offsets)) if floquet else (None, {})
     ends = _period_ends(periods)
-    width = _BLOCK_WIDTH * hamiltonian.dim
+    width = _BLOCK_WIDTH * dim
     phi, power, first, block_steps = psi0.astype(complex), 0, 0, 0
     for pass_ends in (ends[i:i + width] for i in range(0, len(ends), width)):
         # Pass 1: U_T^q psi0 for each sampled period q, in columns ordered
@@ -666,7 +674,7 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         last = offsets[pass_ends]
         order = np.argsort(-last, kind="stable")
         column = np.argsort(order)  # block column of each sampled period
-        block = np.empty((hamiltonian.dim, len(order)), dtype=complex)
+        block = np.empty((dim, len(order)), dtype=complex)
         spare = np.empty_like(block) if floquet else None
         for c, q in zip(column, periods[pass_ends]):
             for _ in range(q - power):
@@ -739,17 +747,22 @@ def config_drive(cfg, mode: str, phase_x: float, phase_y: float) -> DriveSpec:
 def _effective_and_exact(cfg, array: TrapArray, drive: DriveSpec, eff: CouplingMatrix,
                          t_final: float, samples: int, cutoff_range: float,
                          parameters: dict | None):
-    """Evolve one phonon from site 0 under `eff` and under the exact model of `drive`."""
+    """Evolve one phonon from site 0 under `eff` and under the exact model of `drive`.
+
+    sum_ij J_ij a_i^dag a_j conserves the phonon number, so the effective run
+    is e^{-iJt} e_0 in the one-phonon sector, on J itself; only the exact run
+    takes the Fock space of `numerics.n_max`."""
+    sector = np.eye(array.n_sites)
+    res_eff = evolve(eff.matrix, sector[0], t_final, occupation=sector, samples=samples,
+                     label="effective", parameters=parameters)
     space = build_fock_space(array.n_sites, cfg["numerics.n_max"])
-    psi0 = single_phonon_state(space, 0)
-    res_eff = evolve(effective_hamiltonian(eff, space), psi0, t_final, space=space,
-                     samples=samples, label="effective", parameters=parameters)
     bare = bare_coupling_matrix(array, cfg["direction"], cutoff_range)
     exact = driven_model(array, drive, bare, space)
-    res_exact = evolve(exact, psi0, t_final,
+    res_exact = evolve(exact, single_phonon_state(space, 0), t_final,
                        default_time_step(exact.frequency_scale,
                                          cfg["numerics.time_step_divisor"]),
-                       space=space, samples=samples, label="laser_exact", parameters=parameters)
+                       occupation=space.occupation_table(), samples=samples,
+                       label="laser_exact", parameters=parameters)
     return res_eff, res_exact
 
 

@@ -45,11 +45,8 @@ class FockSpace:
 @lru_cache(maxsize=32)
 def _occupation_table(n_sites: int, n_max: int) -> np.ndarray:
     d = n_max + 1
-    idx = np.arange(d**n_sites)
-    table = np.empty((n_sites, idx.size), dtype=np.int64)
-    for site in range(n_sites):
-        stride = d ** (n_sites - 1 - site)
-        table[site] = (idx // stride) % d
+    strides = d ** np.arange(n_sites - 1, -1, -1, dtype=np.int64)  # site 0 slowest
+    table = np.arange(d**n_sites, dtype=np.int64) // strides[:, None] % d
     table.setflags(write=False)
     return table
 

@@ -156,30 +156,17 @@ class SpectrumResult:
         }
 
 
-def _deterministic_phases(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for k in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, k])))  # ties resolve to the lowest index
-        pivot = out[i, k]
-        if pivot != 0:
-            out[:, k] *= np.conj(pivot) / abs(pivot)
-    return out
-
-
 def _greedy_clusters(values: np.ndarray, tol: float) -> np.ndarray:
     """Chain clustering of sorted values: a gap above tol starts a new cluster."""
-    labels = np.zeros(values.size, dtype=int)
-    for k in range(1, values.size):
-        labels[k] = labels[k - 1] + (1 if values[k] - values[k - 1] > tol else 0)
-    return labels
+    return np.concatenate(([0], np.cumsum(np.diff(values) > tol)))
 
 
 def eigensystem(matrix: np.ndarray, *, cells: np.ndarray | None = None,
                 flux: float | None = None) -> SpectrumResult:
-    """Full spectrum of a Hermitian matrix with deterministic conventions.
+    """Full spectrum of a Hermitian matrix.
 
-    Eigenvalues ascend; each eigenvector is rotated so its largest-magnitude
-    component is real positive.  Per-state metrics: inverse participation
+    Eigenvalues ascend; eigenvectors are `eigh`'s, and every metric reads
+    only their weights |v_i|^2.  Per-state metrics: inverse participation
     ratio sum |v_i|^4 and the probability weight on the outermost cell at
     each end (sites are their own cells unless `cells` is given).  Band
     labels number the clusters of eigenvalues closer than CLUSTER_TOL max |E|.
@@ -198,25 +185,13 @@ def eigensystem(matrix: np.ndarray, *, cells: np.ndarray | None = None,
         at = "" if flux is None else f" at flux {flux:.17g}"
         raise FloatingPointError(f"the spectrum{at} is too large to sum: {len(vals)} "
                                  f"eigenvalues up to |E| = {top:.3g}")
-    vecs = _deterministic_phases(vecs)
     prob = np.abs(vecs) ** 2
-    ipr = (prob**2).sum(axis=0)
-    if cells is None:
-        cells = np.arange(m.shape[0])
-    cells = np.asarray(cells)
-    first, last = cells.min(), cells.max()
-    edge_mask = (cells == first) | (cells == last)
-    boundary_weight = prob[edge_mask].sum(axis=0)
-    labels = _greedy_clusters(vals, CLUSTER_TOL * max(np.abs(vals).max(), 1e-300))
-    return SpectrumResult(
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        ipr=ipr,
-        boundary_weight=boundary_weight,
-        band_labels=labels,
-        cells=cells,
-        flux=flux,
-    )
+    cells = np.arange(m.shape[0]) if cells is None else np.asarray(cells)
+    edge_mask = (cells == cells.min()) | (cells == cells.max())
+    return SpectrumResult(eigenvalues=vals, eigenvectors=vecs, ipr=(prob**2).sum(axis=0),
+                          boundary_weight=prob[edge_mask].sum(axis=0),
+                          band_labels=_greedy_clusters(vals, CLUSTER_TOL * max(top, 1e-300)),
+                          cells=cells, flux=flux)
 
 
 @dataclass(frozen=True)

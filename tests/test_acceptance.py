@@ -191,7 +191,7 @@ def test_criterion_8_property_suite(link_scan, plaquette_pi, plaquette_zero):
                               bare_coupling_matrix(link_arr, "z"), link_space)
     t_star = link_scan.t_star[10]
     link_run = evolve(link_model, single_phonon_state(link_space, 0), t_star,
-                      space=link_space, samples=9)
+                      occupation=link_space.occupation_table(), samples=9)
     drift = max(drift, float(np.abs(link_run.norms - 1.0).max()))
     checks.append(("norm drift", drift < 1e-8, f"max drift {drift:.1e} < 1e-8"))
 

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -262,7 +263,9 @@ def test_ring_above_the_fock_limit_is_a_config_error(tmp_path, monkeypatch, caps
     assert code == 1
     assert capsys.readouterr().err == (
         "config error: numerics.n_max: the step-generator table takes 3443737680 bytes "
-        f"(5 x 6561 x 6561 x 16), {_BYTES}\n")
+        f"(5 x 6561 x 6561 x 16), {_BYTES}\n"
+        "config error: numerics.window, numerics.n_max: the run takes at least 5764386409110 "
+        f"complex multiply-adds, {_WORK}\n")
 
 
 def test_weak_ring_drive_on_the_automatic_window_is_a_config_error(tmp_path, monkeypatch,
@@ -285,11 +288,13 @@ def test_weak_ring_drive_on_the_automatic_window_is_a_config_error(tmp_path, mon
 @pytest.mark.parametrize("text, capacity", [
     ("experiment = fig2cd_plaquette\nnumerics.n_max = 8\n",
      ["numerics.n_max: the step-generator table takes 3443737680 bytes "
-      f"(5 x 6561 x 6561 x 16), {_BYTES}"]),
+      f"(5 x 6561 x 6561 x 16), {_BYTES}",
+      "numerics.window, numerics.n_max: the run takes at least 5764386409110 complex "
+      f"multiply-adds, {_WORK}"]),
     ("experiment = fig2b_link_scan\nnumerics.n_max = 64\n",
      ["numerics.n_max: the step-generator table takes 1428050000 bytes "
       f"(5 x 4225 x 4225 x 16), {_BYTES}",
-      f"scan.points, numerics.n_max: the run takes at least 5234963540625 complex "
+      f"scan.points, numerics.n_max: the run takes at least 2.33e+15 complex "
       f"multiply-adds, {_WORK}"]),
 ], ids=["fig2cd_plaquette", "fig2b_link_scan"])
 def test_fock_limit_is_listed_with_the_other_violations(tmp_path, capsys, text, capacity):
@@ -397,10 +402,10 @@ OVERSIZED_EXACT_DRIVES = {
                  "(1000000000 x 5 x 8)"]),
     "divisor": (RING + "numerics.time_step_divisor = 1000000000\n",
                 [f"{_STEPS} 1.31 takes 1049036486320 bytes (26225912158 x 5 x 8)",
-                 f"{_RING_WORK} 172068210501885 complex multiply-adds"]),
+                 f"{_RING_WORK} 1.41e+16 complex multiply-adds"]),
     "strong_drive": (RING + "drive.rabi_frequency = 1e6\ndrive.lamb_dicke = 1e-3\n",
                      [f"{_STEPS} 1e+06 takes 32000065640 bytes (800001641 x 5 x 8)",
-                      f"{_RING_WORK} 5248812065679 complex multiply-adds"]),
+                      f"{_RING_WORK} 430402484160360 complex multiply-adds"]),
     "overflowing_drive": (RING + "drive.rabi_frequency = 1e300\ndrive.lamb_dicke = 1e-160\n"
                           "numerics.window = 100\n",
                           [f"{_STEPS} 1e+300 takes 3.2e+304 bytes (8e+302 x 5 x 8)",
@@ -410,7 +415,7 @@ OVERSIZED_EXACT_DRIVES = {
     "link_divisor": ("experiment = fig2b_link_scan\nnumerics.time_step_divisor = 1000000000\n",
                      ["numerics.time_step_divisor: the step table at frequency scale 1.83 takes "
                       "1464780720080 bytes (36619518002 x 5 x 8)",
-                      "scan.points, numerics.n_max: the run takes at least 480631337838750"]),
+                      "scan.points, numerics.n_max: the run takes at least 1.25e+16"]),
 }
 
 
@@ -454,7 +459,7 @@ OVERSIZED_SWEEPS = {
                             "map.phase_points, map.eta_max: the phase matrix takes 1.01e+15"]),
     "link_scan": ("experiment = fig2b_link_scan\nscan.points = 1000000000000\n",
                   ["scan.points: the result table takes 40000000000000 bytes",
-                   "scan.points, numerics.n_max: the run takes at least 8.73e+18 complex "
+                   "scan.points, numerics.n_max: the run takes at least 3.16e+19 complex "
                    "multiply-adds"]),
     # 83887 phase steps x 201 series terms x 16 B; the result table takes 5.4e7 bytes
     "phase_matrix": ("experiment = fig2a_dressed_map\nmap.phase_points = 83887\n"
@@ -505,35 +510,40 @@ def test_oversized_sweep_is_a_config_error(tmp_path, capsys, text, problems):
 
 #: Runs that fit neither the byte budget nor the work budget, though each part of
 #: them would fit the other rules: the ring's and the link's step-generator table
-#: (0.46 and 1.34 GB at n_max = 6 and 7; the link's limit is n_max = 41), Floquet
-#: sampling over 8e14 drive periods, and 4095 and 500 diagonalisations of a
-#: 4096 x 4096 lattice.
+#: (0.46 and 1.34 GB at n_max = 6 and 7, 0.27 GB for the link at 42), the
+#: link's 21 U_T builds at n_max = 22 (its limit is 21), Floquet sampling over
+#: 8e14 drive periods, and 4095 and 500 diagonalisations of a 4096 x 4096 lattice.
 OVERSIZED_RUNS = {
     "ring_n_max_6": (RING + "numerics.n_max = 6\n",
-                     "numerics.n_max: the step-generator table takes 461184080 bytes "
-                     f"(5 x 2401 x 2401 x 16), {_BYTES}"),
+                     ["numerics.n_max: the step-generator table takes 461184080 bytes "
+                      f"(5 x 2401 x 2401 x 16), {_BYTES}"]),
     "ring_n_max_7": (RING + "numerics.n_max = 7\n",
-                     "numerics.n_max: the step-generator table takes 1342177280 bytes "
-                     f"(5 x 4096 x 4096 x 16), {_BYTES}"),
+                     ["numerics.n_max: the step-generator table takes 1342177280 bytes "
+                      f"(5 x 4096 x 4096 x 16), {_BYTES}"]),
+    "link_n_max_22": ("experiment = fig2b_link_scan\nnumerics.n_max = 22\n",
+                      ["scan.points, numerics.n_max: the run takes at least 4636391695950 "
+                       f"complex multiply-adds, {_WORK}"]),
     "link_n_max_42": ("experiment = fig2b_link_scan\nnumerics.n_max = 42\n",
-                      "numerics.n_max: the step-generator table takes 273504080 bytes "
-                      f"(5 x 1849 x 1849 x 16), {_BYTES}"),
+                      ["numerics.n_max: the step-generator table takes 273504080 bytes "
+                       f"(5 x 1849 x 1849 x 16), {_BYTES}",
+                       "scan.points, numerics.n_max: the run takes at least 195479348877750 "
+                       f"complex multiply-adds, {_WORK}"]),
     "ring_window": (RING + "numerics.window = 1e17\n",
-                    "numerics.window, numerics.n_max: the run takes at least 5.22e+18 complex "
-                    f"multiply-adds, {_WORK}"),
+                    ["numerics.window, numerics.n_max: the run takes at least 5.22e+18 complex "
+                     f"multiply-adds, {_WORK}"]),
     "butterfly_64_8190": ("experiment = butterfly\nbutterfly.size = 64\n"
                           "butterfly.points = 8190\n",
-                          "butterfly.points, butterfly.size: the run takes at least "
-                          f"187604171489280 complex multiply-adds, {_WORK}"),
+                          ["butterfly.points, butterfly.size: the run takes at least "
+                           f"187604171489280 complex multiply-adds, {_WORK}"]),
     "ladder_1365_1000": ("experiment = fig2f_flux_sweep\nladder.cells = 1365\n"
                          "sweep.points = 1000\n",
-                         "sweep.points, ladder.cells: the run takes at least 22906492245333 "
-                         f"complex multiply-adds, {_WORK}"),
+                         ["sweep.points, ladder.cells: the run takes at least 22906492245333 "
+                          f"complex multiply-adds, {_WORK}"]),
 }
 
 
-@pytest.mark.parametrize("text, problem", OVERSIZED_RUNS.values(), ids=OVERSIZED_RUNS.keys())
-def test_run_beyond_the_budget_is_a_config_error(tmp_path, monkeypatch, capsys, text, problem):
+@pytest.mark.parametrize("text, problems", OVERSIZED_RUNS.values(), ids=OVERSIZED_RUNS.keys())
+def test_run_beyond_the_budget_is_a_config_error(tmp_path, monkeypatch, capsys, text, problems):
     def never(*args, **kwargs):
         raise AssertionError("started a run beyond the budget")
 
@@ -543,13 +553,15 @@ def test_run_beyond_the_budget_is_a_config_error(tmp_path, monkeypatch, capsys, 
     code, out = _simulate(tmp_path, text, extra=("--jobs", "0"))
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"config error: {problem}", "config error: --jobs: must be >= 1, got 0"]
+        *(f"config error: {problem}" for problem in problems),
+        "config error: --jobs: must be >= 1, got 0"]
     assert not out.exists()
 
 
 #: Runs the budget admits: the presets, criterion 8's ring, the benchmark's
-#: seed-0 jobs (as bench/workloads.py writes them), the largest ring and link
-#: whose step-generator table fits, and the largest custom lattice.
+#: seed-0 jobs (as bench/workloads.py writes them), the largest ring whose
+#: step-generator table fits, the largest link whose U_T builds fit the work
+#: budget, and the largest custom lattice.
 ADMITTED = {
     **{name: f"experiment = {name}\n" for name in EXPERIMENTS if name != "custom"},
     **{f"custom_{layout}": f"experiment = custom\narray.layout = {layout}\n"
@@ -562,7 +574,7 @@ ADMITTED = {
     "bench_custom_square": "experiment = custom\narray.layout = square\narray.nx = 30\n"
                            "array.ny = 30\n",
     "ring_n_max_5": RING + "numerics.n_max = 5\n",
-    "link_n_max_41": "experiment = fig2b_link_scan\nnumerics.n_max = 41\n",
+    "link_n_max_21": "experiment = fig2b_link_scan\nnumerics.n_max = 21\n",
     "custom_square_64": "experiment = custom\narray.layout = square\narray.nx = 64\n"
                         "array.ny = 64\n",
 }
@@ -576,6 +588,23 @@ def test_normal_runs_fit_the_budget(text):
     if cfg.experiment in ("fig2b_link_scan", "fig2cd_plaquette"):
         assert work is not None  # the grid of the drive is priced
     assert work is None or work[1] <= config.WORK_BUDGET
+
+
+@pytest.mark.parametrize("text", [RING, RING + "numerics.n_max = 6\n",
+                                  RING + "drive.rabi_frequency = 0\n",
+                                  RING + "drive.resonance_order = 151\n"],
+                         ids=["preset", "oversized", "vanishing-bond", "beyond-the-domain"])
+def test_a_ring_parse_evaluates_its_couplings_once(monkeypatch, text):
+    calls = []
+
+    def spy(values):
+        calls.append(values)
+        return dynamics.ring_couplings(values)
+
+    monkeypatch.setattr(config, "ring_couplings", spy)
+    with contextlib.suppress(ConfigError):
+        parse_config(text)
+    assert len(calls) == 1
 
 
 #: Small runs of each sweep that parse_config prices, with the file of its result table.

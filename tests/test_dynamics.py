@@ -120,6 +120,87 @@ def test_cancelling_laser_site_terms_leave_a_normal_drive():
     assert np.abs(model.drive).sum(axis=0).max() < 1e-12
 
 
+def _link_couplings(delta_phi):
+    """(array, effective couplings) of the preset link at phase step `delta_phi`."""
+    cfg = parse_config("experiment = fig2b_link_scan\n")
+    array = dynamics.link_array(cfg)
+    drive = dynamics.config_drive(cfg, "laser", delta_phi, 0.0)
+    return array, effective_coupling_matrix(array, drive, cfg["direction"])
+
+
+@pytest.mark.parametrize("setup, n_max", [
+    (lambda: dynamics.ring_couplings(parse_config("experiment = fig2cd_plaquette\n"))[2], 2),
+    (lambda: dynamics.ring_couplings(parse_config("experiment = fig2cd_plaquette\n"))[2], 3),
+    (lambda: _link_couplings(math.pi / 3)[1], 4),
+], ids=["ring-n_max-2", "ring-n_max-3", "link-n_max-4"])
+def test_effective_hamiltonian_conserves_the_phonon_number(setup, n_max):
+    # what lets the effective run leave the Fock space for the one-phonon sector
+    eff = setup()
+    space = build_fock_space(eff.n, n_max)
+    h = effective_hamiltonian(eff, space)
+    number = np.diag(space.occupation_table().sum(axis=0)).astype(float)
+    assert np.abs(h).max() > 0
+    assert np.abs(h @ number - number @ h).max() == 0
+
+
+def _sector_and_fock_runs(eff, n_max, t_final, samples):
+    """The effective run in the one-phonon sector, and on the Fock space of n_max."""
+    sector = np.eye(eff.n)
+    small = evolve(eff.matrix, sector[0], t_final, occupation=sector, samples=samples)
+    space = build_fock_space(eff.n, n_max)
+    full = evolve(effective_hamiltonian(eff, space), single_phonon_state(space, 0), t_final,
+                  occupation=space.occupation_table(), samples=samples)
+    return small, full
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 4])
+def test_the_sector_run_is_the_fock_space_run_on_the_ring(n_max):
+    cfg = parse_config("experiment = fig2cd_plaquette\n")
+    _, _, eff, window = dynamics.ring_couplings(cfg)
+    small, full = _sector_and_fock_runs(eff, n_max, window, cfg["numerics.samples"])
+    assert small.populations.shape == full.populations.shape == (601, 4)
+    assert np.abs(small.populations - full.populations).max() < 1e-14
+    assert np.abs(small.norms - full.norms).max() < 1e-14
+    assert np.abs(small.populations - small.populations[0]).max() > 0.5  # the phonon moves
+
+
+def test_the_sector_run_is_the_fock_space_run_on_the_link():
+    _, eff = _link_couplings(math.pi / 3)
+    t_star = math.pi / (2.0 * abs(eff.matrix[1, 0]))
+    small, full = _sector_and_fock_runs(eff, 4, t_star, 2)
+    assert np.abs(small.populations - full.populations).max() < 1e-14
+    assert np.abs(small.norms - full.norms).max() < 1e-14
+    assert small.populations[-1, 1] == pytest.approx(1.0, abs=1e-12)  # full transfer
+
+
+class _ExactRun(Exception):
+    """Stops an experiment at its exact-drive run."""
+
+
+@pytest.mark.parametrize("run", [
+    lambda: plaquette_experiment(parse_config(
+        "experiment = fig2cd_plaquette\nnumerics.n_max = 4\nnumerics.window = 10\n")),
+    lambda: link_point(parse_config("experiment = fig2b_link_scan\nnumerics.n_max = 4\n"),
+                       math.pi),
+], ids=["ring", "link"])
+def test_the_effective_run_takes_the_coupling_matrix(monkeypatch, run):
+    calls = []
+
+    def spy(hamiltonian, psi0, *args, occupation, **kwargs):
+        calls.append((hamiltonian, occupation))
+        if isinstance(hamiltonian, DrivenHamiltonian):
+            raise _ExactRun
+        return evolve(hamiltonian, psi0, *args, occupation=occupation, **kwargs)
+
+    monkeypatch.setattr(dynamics, "evolve", spy)
+    with pytest.raises(_ExactRun):
+        run()
+    (effective, sector), (exact, table) = calls
+    sites = len(sector)
+    assert effective.shape == (sites, sites) and np.array_equal(sector, np.eye(sites))
+    assert exact.dim == table.shape[1] == 5 ** sites
+
+
 def test_effective_hamiltonian_dimension_mismatch(link_setup):
     arr, space, bare = link_setup
     with pytest.raises(ValueError):
@@ -205,7 +286,8 @@ def test_laser_drive_matches_kron_embedded_displacements(layout, dims, n_max):
 def test_zero_hamiltonian_keeps_populations(link_setup):
     arr, space, bare = link_setup
     psi0 = single_phonon_state(space, 0)
-    res = evolve(np.zeros((space.dim, space.dim)), psi0, 10.0, space=space, samples=5)
+    res = evolve(np.zeros((space.dim, space.dim)), psi0, 10.0,
+                 occupation=space.occupation_table(), samples=5)
     assert np.allclose(res.populations, res.populations[0])
     assert np.allclose(res.norms, 1.0)
 
@@ -215,7 +297,7 @@ def test_two_level_full_transfer(link_setup):
     psi0 = single_phonon_state(space, 0)
     h = effective_hamiltonian(bare, space)
     j = abs(bare.matrix[1, 0])
-    res = evolve(h, psi0, math.pi / (2 * j), space=space, samples=9)
+    res = evolve(h, psi0, math.pi / (2 * j), occupation=space.occupation_table(), samples=9)
     assert res.populations[-1, 1] == pytest.approx(1.0, abs=1e-6)
     # two-level Rabi law along the way
     for t, row in zip(res.times, res.populations):
@@ -228,8 +310,8 @@ def test_stepping_matches_exact_for_constant_h(link_setup):
     model = driven_model(arr, laser_drive(0.0, 0.05, 0.2), bare, space)
     assert not model.drive.any()
     t_final = 200.0
-    exact = evolve(model.static, psi0, t_final, space=space, samples=5)
-    stepped = evolve(model, psi0, t_final, space=space, samples=5)
+    exact = evolve(model.static, psi0, t_final, occupation=space.occupation_table(), samples=5)
+    stepped = evolve(model, psi0, t_final, occupation=space.occupation_table(), samples=5)
     assert np.abs(exact.populations - stepped.populations).max() < 1e-9
 
 
@@ -239,8 +321,8 @@ def test_step_halving_changes_little(link_setup):
     model = driven_model(arr, drv, bare, space)
     psi0 = single_phonon_state(space, 0)
     dt = 0.08
-    a = evolve(model, psi0, 400.0, dt, space=space, samples=5)
-    b = evolve(model, psi0, 400.0, dt / 2, space=space, samples=5)
+    a = evolve(model, psi0, 400.0, dt, occupation=space.occupation_table(), samples=5)
+    b = evolve(model, psi0, 400.0, dt / 2, occupation=space.occupation_table(), samples=5)
     assert np.abs(a.populations - b.populations).max() < 1e-6
 
 
@@ -249,7 +331,7 @@ def test_norm_conservation_and_number_injection_bound(link_setup):
     drv = laser_drive(0.75, 0.05, 0.2, phase_x=math.pi)
     model = driven_model(arr, drv, bare, space)
     psi0 = single_phonon_state(space, 0)
-    res = evolve(model, psi0, 500.0, space=space, samples=11)
+    res = evolve(model, psi0, 500.0, occupation=space.occupation_table(), samples=11)
     assert np.abs(res.norms - 1.0).max() < 1e-8
     assert np.abs(res.total_number() - 1.0).max() < 0.1
 
@@ -267,7 +349,7 @@ def test_absurd_step_raises_integration_error(link_setup, monkeypatch):
     monkeypatch.setattr(dynamics, "_taylor_apply", no_stepping)
     monkeypatch.setattr(dynamics, "_taylor_matrix", no_stepping)
     with pytest.raises(IntegrationError, match="Taylor degree above 120"):
-        evolve(model, psi0, 4000.0, 2000.0, space=space, samples=3)
+        evolve(model, psi0, 4000.0, 2000.0, occupation=space.occupation_table(), samples=3)
 
     # on a grid that builds U_T, the node bound fires once, before the first
     # exponential and before the cost rule that prices its nodes
@@ -278,7 +360,7 @@ def test_absurd_step_raises_integration_error(link_setup, monkeypatch):
             calls.append(name)
             return real(*args)
         monkeypatch.setattr(dynamics, name, spy)
-    res = evolve(model, psi0, 4000.0, 0.4, space=space, samples=2)
+    res = evolve(model, psi0, 4000.0, 0.4, occupation=space.occupation_table(), samples=2)
     assert res.diagnostics["period_propagator"] and res.diagnostics["period_nodes"] == 31
     assert calls[:3] == ["_node_count", "_floquet_pays", "_taylor_matrix"]
     assert calls.count("_node_count") == 1
@@ -288,7 +370,8 @@ def test_callable_hamiltonian_rejected(link_setup):
     arr, space, bare = link_setup
     model = driven_model(arr, laser_drive(0.75, 0.05, 0.2), bare, space)
     with pytest.raises(TypeError):
-        evolve(model.at, single_phonon_state(space, 0), 1.0, 0.08, space=space)
+        evolve(model.at, single_phonon_state(space, 0), 1.0, 0.08,
+               occupation=space.occupation_table())
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
@@ -296,20 +379,26 @@ def test_step_that_is_not_finite_and_positive_rejected(link_setup, dt):
     arr, space, bare = link_setup
     model = driven_model(arr, laser_drive(0.75, 0.05, 0.2), bare, space)
     with pytest.raises(ValueError, match="dt"):
-        evolve(model, single_phonon_state(space, 0), 10.0, dt, space=space)
+        evolve(model, single_phonon_state(space, 0), 10.0, dt, occupation=space.occupation_table())
 
 
-def test_unnormalised_state_rejected(link_setup):
+@pytest.mark.parametrize("state, size, problem", [
+    (lambda psi: 2.0 * psi, 25, "psi0 must be normalised"),
+    (lambda psi: psi[:-1], 25, r"psi0 has shape \(24,\), occupation \(2, 25\)"),
+    (lambda psi: psi, 24, r"hamiltonian has shape \(24, 24\), occupation \(2, 25\)"),
+], ids=["unnormalised", "state-length", "hamiltonian-size"])
+def test_state_or_hamiltonian_that_does_not_fit_rejected(link_setup, state, size, problem):
     arr, space, bare = link_setup
-    with pytest.raises(ValueError):
-        evolve(np.zeros((space.dim, space.dim)), 2.0 * single_phonon_state(space, 0),
-               1.0, space=space)
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        evolve(np.zeros((size, size)), state(single_phonon_state(space, 0)),
+               1.0, occupation=space.occupation_table())
 
 
 def test_evolution_result_serialisation(link_setup):
     arr, space, bare = link_setup
     psi0 = single_phonon_state(space, 0)
-    res = evolve(effective_hamiltonian(bare, space), psi0, 5.0, space=space, samples=3)
+    res = evolve(effective_hamiltonian(bare, space), psi0, 5.0,
+                 occupation=space.occupation_table(), samples=3)
     csv = "".join(res.to_csv())
     lines = csv.splitlines()
     assert lines[0] == "time,n_1,n_2,norm"
@@ -374,7 +463,7 @@ def test_period_propagator_matches_straight_evolution(pi_link_model):
     period = 2 * math.pi / abs(model.modulation)
     # samples at 0, 12.35 T and 24.7 T: U_T takes psi0 to period 24 in 24
     # products, and the block carries periods 12 and 24 to their partial steps
-    res = evolve(model, psi0, 24.7 * period, 0.4, space=space, samples=3)
+    res = evolve(model, psi0, 24.7 * period, 0.4, occupation=space.occupation_table(), samples=3)
     assert res.diagnostics["period_propagator"]
     assert res.diagnostics["period_powers"] == 24
     ref = _plain_magnus_populations(model, space, psi0, res.times, 0.4)
@@ -388,7 +477,8 @@ def test_samples_at_period_multiples_land_on_the_grid(pi_link_model, periods, sa
     model, space = pi_link_model
     psi0 = single_phonon_state(space, 0)
     period = 2 * math.pi / abs(model.modulation)
-    res = evolve(model, psi0, periods * period, 0.4, space=space, samples=samples)
+    res = evolve(model, psi0, periods * period, 0.4, occupation=space.occupation_table(),
+                 samples=samples)
     n = math.ceil(period / 0.4 - 1e-12)
     diag = res.diagnostics
     assert diag["period_propagator"] is uses_propagator
@@ -422,7 +512,8 @@ def test_floquet_sampling_matches_plain_stepping(request, model_fixture, periods
     model, space = request.getfixturevalue(model_fixture)
     psi0 = single_phonon_state(space, 0)
     period = 2 * math.pi / abs(model.modulation)
-    res = evolve(model, psi0, periods * period, 0.4, space=space, samples=samples)
+    res = evolve(model, psi0, periods * period, 0.4, occupation=space.occupation_table(),
+                 samples=samples)
     diag = res.diagnostics
     assert diag["period_propagator"] is uses_propagator
     assert diag["period_powers"] == (int(periods) if uses_propagator else 0)
@@ -591,13 +682,13 @@ def test_floquet_block_steps_keep_the_step_and_power_counts(monkeypatch):
     space = build_fock_space(4, 2)
     psi0 = single_phonon_state(space, 0)
     t_final = 6.5 * 2 * math.pi / abs(model.modulation)
-    res = evolve(model, psi0, t_final, space=space, samples=12)
+    res = evolve(model, psi0, t_final, occupation=space.occupation_table(), samples=12)
     assert len(set((np.floor(res.times / res.parameters["dt"] + 1e-9) % 1050).tolist())) == 12
     diag = res.diagnostics
     assert diag["period_propagator"] and diag["period_nodes"] == 15
     assert diag["magnus_steps"] == 2062 and diag["period_powers"] == 6
     monkeypatch.setattr(dynamics, "_floquet_pays", lambda *args: False)
-    plain = evolve(model, psi0, t_final, space=space, samples=12)
+    plain = evolve(model, psi0, t_final, occupation=space.occupation_table(), samples=12)
     assert plain.diagnostics["magnus_steps"] == 6825 + 10  # 6.5 T itself is a grid point
     assert np.abs(res.populations - plain.populations).max() < 1e-10
 
@@ -698,10 +789,10 @@ def test_read_out_stacks_give_the_samples_of_one_at_a_time(request, monkeypatch,
         model, space = request.getfixturevalue(model_fixture)
     psi0 = single_phonon_state(space, 0)
     t_final = periods * 2 * math.pi / abs(model.modulation)
-    res = evolve(model, psi0, t_final, space=space, samples=samples)
+    res = evolve(model, psi0, t_final, occupation=space.occupation_table(), samples=samples)
     assert res.diagnostics["period_propagator"]
     monkeypatch.setattr(dynamics, "_READOUT_BYTES", 1)  # one sample per stack
-    one = evolve(model, psi0, t_final, space=space, samples=samples)
+    one = evolve(model, psi0, t_final, occupation=space.occupation_table(), samples=samples)
     assert np.abs(res.populations - one.populations).max() < 1e-14
     assert np.abs(res.norms - one.norms).max() < 1e-14
     assert res.diagnostics["max_top_level_population"] == pytest.approx(
@@ -715,7 +806,7 @@ def test_chunked_effective_sampling_matches_one_time_at_a_time(samples):
     space = build_fock_space(4, cfg["numerics.n_max"])
     assert dynamics._STACK_BYTES // (16 * space.dim) == 101
     hamiltonian, psi0 = effective_hamiltonian(eff, space), single_phonon_state(space, 0)
-    res = evolve(hamiltonian, psi0, window, space=space, samples=samples)
+    res = evolve(hamiltonian, psi0, window, occupation=space.occupation_table(), samples=samples)
     vals, vecs = np.linalg.eigh(hamiltonian)
     coeff = vecs.conj().T @ psi0
     for t, pops, norm in zip(res.times, res.populations, res.norms):
@@ -728,7 +819,7 @@ def test_norm_abort_names_the_earliest_drifting_sample(pi_link_model, monkeypatc
     model, space = pi_link_model
     psi0 = single_phonon_state(space, 0)
     t_final = 9.7 * 2 * math.pi / abs(model.modulation)
-    res = evolve(model, psi0, t_final, 0.4, space=space, samples=11)
+    res = evolve(model, psi0, t_final, 0.4, occupation=space.occupation_table(), samples=11)
     # Floquet sampling emits these samples latest first after t = 0
     assert res.diagnostics["period_propagator"]
     drift = np.abs(res.norms - 1.0)
@@ -737,7 +828,7 @@ def test_norm_abort_names_the_earliest_drifting_sample(pi_link_model, monkeypatc
     assert len(drifting) >= 2
     monkeypatch.setattr(dynamics, "NORM_ABORT", limit)
     with pytest.raises(IntegrationError, match=f"at t = {res.times[drifting[0]]:.3f};"):
-        evolve(model, psi0, t_final, 0.4, space=space, samples=11)
+        evolve(model, psi0, t_final, 0.4, occupation=space.occupation_table(), samples=11)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -746,7 +837,8 @@ def test_a_nan_norm_aborts(pi_link_model):
     # at 1e300 come out nan; parse_config rejects such a window
     model, space = pi_link_model
     with pytest.raises(IntegrationError, match=f"^norm drifted to nan at t = {5e299:.3f};"):
-        evolve(model, single_phonon_state(space, 0), 1e300, space=space, samples=3)
+        evolve(model, single_phonon_state(space, 0), 1e300,
+               occupation=space.occupation_table(), samples=3)
 
 
 @pytest.mark.parametrize("text, sites", [("experiment = fig2b_link_scan\n", 2),
@@ -794,8 +886,8 @@ def test_top_level_population_is_the_truncation_leakage():
 def test_reruns_are_bit_identical(pi_link_model, t_final, samples):
     model, space = pi_link_model
     psi0 = single_phonon_state(space, 0)
-    a = evolve(model, psi0, t_final, space=space, samples=samples)
-    b = evolve(model, psi0, t_final, space=space, samples=samples)
+    a = evolve(model, psi0, t_final, occupation=space.occupation_table(), samples=samples)
+    b = evolve(model, psi0, t_final, occupation=space.occupation_table(), samples=samples)
     assert a.diagnostics["period_propagator"] is (samples == 2)
     assert np.array_equal(a.populations, b.populations)
     assert np.array_equal(a.norms, b.norms)
@@ -806,7 +898,8 @@ def test_taylor_degree_close_to_adaptive_term_count(link_setup):
     # fell below 1e-16) at the preset step sizes: 13, 14 and 18.
     arr, space, bare = link_setup
     model = driven_model(arr, laser_drive(0.75, 0.05, 0.2, phase_x=math.pi), bare, space)
-    link = evolve(model, single_phonon_state(space, 0), 1.0, space=space, samples=2)
+    link = evolve(model, single_phonon_state(space, 0), 1.0,
+                  occupation=space.occupation_table(), samples=2)
     assert model.dim == 25 and link.diagnostics["taylor_degree"] <= 13 + 2
     for n_max, dim, adaptive in ((2, 81, 14), (4, 625, 18)):
         _, ring = plaquette_experiment(parse_config(
@@ -838,7 +931,7 @@ def test_link_point_takes_the_kept_partial_product():
     model = driven_model(array, drive, bare_coupling_matrix(array, "z"), space)
     dt = dynamics.default_time_step(model.frequency_scale, cfg["numerics.time_step_divisor"])
     psi0 = single_phonon_state(space, 0)
-    res = evolve(model, psi0, t_star, dt, space=space, samples=2)
+    res = evolve(model, psi0, t_star, dt, occupation=space.occupation_table(), samples=2)
     h = res.parameters["dt"]
     n = round(2 * math.pi / abs(model.modulation) / h)
     off_grid = np.count_nonzero(res.times - np.floor(res.times / h + 1e-9) * h > 0)

@@ -1,8 +1,16 @@
+import hashlib
+import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-DIFF_OUTPUTS = Path(__file__).resolve().parents[1] / "scripts" / "diff_outputs.py"
+from phonon_gauge.config import EXPERIMENTS
+
+ROOT = Path(__file__).resolve().parents[1]
+DIFF_OUTPUTS = ROOT / "scripts" / "diff_outputs.py"
+HASH_OUTPUTS = ROOT / "scripts" / "hash_outputs.py"
 
 
 def test_diff_outputs_names_each_data_file_and_its_largest_difference(tmp_path):
@@ -28,3 +36,22 @@ def test_diff_outputs_names_each_data_file_and_its_largest_difference(tmp_path):
         "identical  a/same.csv",
         f"only in {tmp_path / 'A'}  lone.csv",
     ]
+
+
+def test_hash_outputs_prints_one_line_per_written_file(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, str(HASH_OUTPUTS), str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    lines = [re.fullmatch(r"([0-9a-f]{64})  ([^/]+)/([^/]+)", line)
+             for line in out.stdout.splitlines()]
+    assert all(lines), out.stdout
+    hashed = {(m[2], m[3]): m[1] for m in lines}
+    assert len(hashed) == len(lines)  # no file twice
+    assert set(hashed) == {(p.parent.name, p.name) for p in tmp_path.glob("*/*")}
+    manifests = [json.loads((tmp_path / name / "manifest.json").read_text())
+                 for name in {name for name, _ in hashed}]
+    assert {m["experiment"] for m in manifests} == set(EXPERIMENTS)
+    for (name, file), digest in hashed.items():
+        if file != "manifest.json":  # a manifest is hashed without its wall clock
+            assert hashlib.sha256((tmp_path / name / file).read_bytes()).hexdigest() == digest

@@ -136,8 +136,6 @@ def test_eigensystem_conventions_and_residuals():
         v = s.eigenvectors[:, k]
         res = np.linalg.norm(m @ v - s.eigenvalues[k] * v)
         assert res < 1e-9 * scale
-        pivot = v[np.argmax(np.abs(v))]
-        assert pivot.real > 0 and abs(pivot.imag) < 1e-12
 
 
 def test_eigenvalue_gauge_invariance():
