@@ -7,8 +7,9 @@ The list holds every preset, with the link scan on five phase steps, the
 ring at both fluxes on a 300-unit window (plain stepping) and at flux pi on
 a 600-unit window (Floquet sampling, its block crossing the period by the
 step exponentials of U_T), an open ladder sweep and a periodic butterfly on
-even flux grids (the mirror's other branch: the preset grids are odd), and
-`custom` in laser mode, in cosine mode, and with x couplings out to 7.5
+even flux grids (the mirror's other branch: the preset grids are odd), a
+dressed map up to the largest drive strength (Bessel arguments up to 100),
+and `custom` in laser mode, in cosine mode, and with x couplings out to 7.5
 lattice constants.  Each line reads ``sha256  <config>/<file>``, in the
 format of ``sha256sum``.  A
 manifest is hashed without its `duration_seconds`, the one entry that
@@ -46,6 +47,9 @@ EVEN_BUTTERFLY = ("butterfly.size = 4\nbutterfly.points = 6\nbutterfly.boundary 
 #: An open ladder sweep on an even flux grid: rows 5-3 repeat rows 0-2.
 EVEN_SWEEP = "sweep.points = 6\nsweep.boundary = open\n"
 
+#: A dressed map out to eta_d = 50, the domain's edge.
+HIGH_ETA_MAP = "map.eta_max = 50\nmap.eta_points = 6\nmap.phase_points = 9\n"
+
 CUSTOM = {
     "custom_laser": "array.layout = square\narray.nx = 3\narray.ny = 3\n",
     "custom_cosine": "array.layout = rhombic_ladder\narray.cells = 3\ndrive.mode = cosine\n",
@@ -68,6 +72,9 @@ def runs():
         elif name == "butterfly":
             yield name, text
             yield f"{name}_periodic_even", text + EVEN_BUTTERFLY
+        elif name == "fig2a_dressed_map":
+            yield name, text
+            yield f"{name}_eta50", text + HIGH_ETA_MAP
         elif name == "custom":
             for label, keys in CUSTOM.items():
                 yield label, text + keys

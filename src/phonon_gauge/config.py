@@ -14,8 +14,8 @@ import re
 from contextlib import suppress
 from dataclasses import dataclass
 
-from .couplings import BESSEL_MAX_ARGUMENT, DEFAULT_CUTOFF_RANGE, DomainError, \
-    bare_coupling_matrix, check_dipolar_reach, dressed_factor, dressed_series_cutoff
+from .couplings import DEFAULT_CUTOFF_RANGE, DomainError, bare_coupling_matrix, \
+    check_dipolar_reach, dressed_factor
 from .dynamics import COUPLING_THRESHOLD, config_drive, default_time_step, frequency_scale, \
     link_array, period_steps, ring_couplings
 from .fock import DENSE_BYTE_BUDGET
@@ -310,17 +310,12 @@ def run_price(experiment: str, values: dict, couplings=None):
     Floquet sampling, n steps and one product a period plus n dim^3 for the
     products that build U_T, once per link point.  `couplings` is the ring's
     `ring_couplings(values)` or the error it raised, evaluated here if None.
-    The phase matrix is priced only in dressed_factor's domain and the
-    drive's grid only for a drive that can run: parse_config reports any
-    other."""
+    The drive's grid is priced only for a drive that can run: parse_config
+    reports any other."""
     arrays, work, lattice = [], None, None  # lattice: keys, sites, points key, other columns
     if experiment == "fig2a_dressed_map":
         arrays.append(("map.eta_points, map.phase_points", "result table",
                        (values["map.eta_points"], values["map.phase_points"]), 8))
-        if values["map.eta_max"] <= BESSEL_MAX_ARGUMENT:
-            terms = 2 * dressed_series_cutoff(values["map.eta_max"]) + 1
-            arrays.append(("map.phase_points, map.eta_max", "phase matrix",
-                           (values["map.phase_points"], terms), 16))
     elif experiment == "butterfly":  # alpha and the energies
         lattice = "butterfly.size", values["butterfly.size"] ** 2, "butterfly.points", 1
     elif experiment in ("fig2e_ladder_spectrum", "fig2f_flux_sweep"):  # phi, energies, gap

@@ -1,7 +1,8 @@
-"""Dipolar phonon couplings and their Bessel-series dressing under a drive.
+"""Dipolar phonon couplings and their dressing by a drive, i^r J_r(2 eta sin(dphi / 2)).
 
 One walk over the site pairs, `_pair_table`, gives the bare amplitudes to
-both coupling builders and to the parse-time reach check.
+both coupling builders and to the parse-time reach check.  One Bessel
+recurrence, `_bessel_j`, gives the dressed factor and the public J table.
 
 All functions here are pure and operate on immutable inputs, so they can be
 evaluated in parallel across parameter grids.
@@ -21,8 +22,7 @@ from .model import ConfigurationError, DriveSpec, GeometryError, TrapArray
 #: Largest argument accepted by bessel_first_kind_array and dressed_factor.
 BESSEL_MAX_ARGUMENT = 50.0
 
-#: Orders above this are indistinguishable from zero at the supported
-#: arguments (|J_s(x)| < 1e-50 for s >= 150, |x| <= 50).
+#: Largest resonance order of dressed_factor (|J_s(x)| < 3e-16, s >= 150, |x| <= 100).
 _BESSEL_ZERO_ORDER = 150
 
 #: Default dipolar cutoff, in lattice constants (Euclidean lattice distance).
@@ -37,33 +37,31 @@ class BrokenCycleError(ValueError):
     """A plaquette cycle crosses a missing (zero) bond."""
 
 
-def _bessel_series(order: int, x: float) -> float:
-    # Ascending power series; stable for small |x| where no cancellation occurs.
-    half = x / 2.0
-    if half == 0.0:  # includes subnormal x whose half underflows
-        return 1.0 if order == 0 else 0.0
-    term = math.exp(order * math.log(half) - math.lgamma(order + 1))
-    total = term
-    q = (x / 2.0) ** 2
-    for k in range(1, 200):
-        term *= -q / (k * (k + order))
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)):
-            break
-    return total
-
-
-def _bessel_array_miller(n_top: int, x: float) -> np.ndarray:
-    """J_0..J_{n_top} at x > 0 by backward (Miller) recurrence."""
-    start = max(n_top, int(x)) + 36
-    out = np.zeros(start + 2)
-    out[start] = 1e-30  # arbitrary seed; normalisation fixes the scale
-    for k in range(start, 0, -1):
-        out[k - 1] = (2.0 * k / x) * out[k] - out[k + 1]
-        if abs(out[k - 1]) > 1e250:  # rescale to dodge overflow
-            out[k - 1:] *= 1e-250
-    norm = out[0] + 2.0 * out[2:start + 1:2].sum()
-    return out[: n_top + 1] / norm
+def _bessel_j(orders: range, x: np.ndarray, reach: float) -> np.ndarray:
+    """J_s(x) for s in `orders` (rows) at each x in [0, reach]: Miller's
+    backward recurrence J_{k-1} = (2k / x) J_k - J_{k+1} from order
+    max(top + 1, reach) + 16 + sqrt(40 reach), normalised by J_0 + 2 (J_2 + J_4
+    + ...) = 1 summed step by step, so each value depends on its own x alone.
+    Below x = 1e-8, where 2k / x overflows, the leading term (x/2)^s / s!."""
+    lo, small = orders.start, x < 1e-8
+    two_over_x = 2.0 / np.where(small, 1.0, x)
+    out = np.empty((len(orders),) + x.shape)
+    prev, cur, norm = np.zeros(x.shape), np.full(x.shape, 1e-300), np.zeros(x.shape)
+    for k in range(int(max(orders.stop, reach) + 16 + math.sqrt(40.0 * reach)), 0, -1):
+        prev, cur = cur, (k * two_over_x) * cur - prev  # cur holds order k - 1
+        # four steps grow a value by less than 1e100: rescale every fourth
+        if k % 4 == 0 and (big := np.maximum(np.abs(cur), np.abs(prev)) > 1e200).any():
+            scale = np.where(big, 1e-200, 1.0)
+            prev, cur, norm = prev * scale, cur * scale, norm * scale
+            out[max(k - lo, 0):] *= scale  # the orders >= k stored so far
+        if k - 1 in orders:
+            out[k - 1 - lo] = cur
+        if k % 2 and k > 1:
+            norm += cur
+    out /= 2.0 * norm + cur
+    half = x[small] / 2.0
+    out[:, small] = [half ** s * math.exp(-math.lgamma(s + 1)) for s in orders]
+    return out
 
 
 def bessel_first_kind_array(n_top: int, x: float) -> np.ndarray:
@@ -72,45 +70,29 @@ def bessel_first_kind_array(n_top: int, x: float) -> np.ndarray:
         raise DomainError("bessel_first_kind_array expects x >= 0")
     if x > BESSEL_MAX_ARGUMENT:
         raise DomainError(f"argument {x} outside supported range |x| <= {BESSEL_MAX_ARGUMENT}")
-    if x == 0.0:
-        out = np.zeros(n_top + 1)
-        out[0] = 1.0
-        return out
-    if x <= 8.0:
-        return np.array([_bessel_series(s, x) for s in range(n_top + 1)])
-    return _bessel_array_miller(n_top, x)
-
-
-def dressed_series_cutoff(eta_d: float) -> int:
-    # The Bessel tail decays super-exponentially once the order exceeds the
-    # argument; this margin keeps the truncated tail below 1e-14.
-    return 25 + math.ceil(3.0 * eta_d)
+    return _bessel_j(range(n_top + 1), np.asarray(float(x)), x)
 
 
 def dressed_factor(resonance_order: int, eta_d: float, delta_phi):
-    """Drive-dressed renormalisation of a hopping bridged by r drive quanta.
-
-    Sums J_s(eta_d) J_{s+r}(eta_d) exp(i (s + r/2) delta_phi) over integer s,
-    truncated where the tail is below 1e-14.  Satisfies
-    |value| = |J_r(2 eta_d sin(delta_phi / 2))|.  A scalar delta_phi gives a
-    complex; an array gives a complex array of the same shape.
-    """
+    """Drive-dressed renormalisation of a hopping bridged by r drive quanta:
+    the sum over s of J_s(eta_d) J_{s+r}(eta_d) exp(i (s + r/2) delta_phi),
+    which is i^r J_r(2 eta_d sin(delta_phi / 2)) by Graf's addition theorem
+    (DLMF 10.23.7), real or imaginary, so its abs is exact.  A scalar
+    delta_phi gives a complex, an array a complex array of its shape."""
     r = int(resonance_order)
     if not 0 <= r <= _BESSEL_ZERO_ORDER:
         raise DomainError(f"resonance_order must be in [0, {_BESSEL_ZERO_ORDER}], got {r}")
     if not 0 <= eta_d <= BESSEL_MAX_ARGUMENT:  # also rejects nan and inf
         raise DomainError(f"eta_d must be in [0, {BESSEL_MAX_ARGUMENT}], got {eta_d}")
-    cut = dressed_series_cutoff(eta_d)
-    table = bessel_first_kind_array(cut + r, eta_d)
-    orders = np.arange(-cut, cut + r + 1)
-    # J_{-k} = (-1)^k J_k
-    signed = np.where((orders < 0) & (orders % 2 == 1), -1.0, 1.0) * table[np.abs(orders)]
-    s_vals = orders[: 2 * cut + 1]
-    weights = signed[: 2 * cut + 1] * signed[r:]
-    phases = np.exp(1j * np.multiply.outer(np.asarray(delta_phi, dtype=float),
-                                           s_vals + r / 2.0))
-    total = np.sum(weights * phases, axis=-1)
-    return complex(total) if total.ndim == 0 else total
+    z = 2.0 * eta_d * np.sin(np.asarray(delta_phi, dtype=float) / 2.0)
+    j = _bessel_j(range(r, r + 1), np.abs(z), 2.0 * eta_d)[0]
+    out = np.where(z < 0, (-1j) ** (r % 4), 1j ** (r % 4)) * j  # J_r(-z) = (-1)^r J_r(z)
+    return complex(out) if out.ndim == 0 else out
+
+
+#: Phase steps per dressed_factor call of dressed_map: its recurrence holds
+#: about ten float64 arrays of this length, 1.3 MiB.
+_PHASE_BLOCK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -132,14 +114,16 @@ class DressedMapResult:
 
 
 def dressed_map(resonance_order: int, eta_grid, delta_phi_grid) -> DressedMapResult:
-    """Dressed-coupling magnitude on a grid, one dressed_factor call per strength."""
+    """Dressed-coupling magnitude on a grid, one dressed_factor call per
+    strength and block of phase steps, so the recurrence holds no whole row."""
     etas = np.asarray(eta_grid, dtype=float)
     dphis = np.asarray(delta_phi_grid, dtype=float)
     magnitude = np.empty((etas.size, dphis.size))
     for row, eta in zip(magnitude, etas):
-        # Python's complex abs per value, as numpy's vectorised abs may round differently
-        values = dressed_factor(resonance_order, eta, dphis).tolist()
-        row[:] = np.fromiter(map(abs, values), float, dphis.size)
+        # one call at least, so that an empty phase grid still checks eta
+        for lo in range(0, max(dphis.size, 1), _PHASE_BLOCK):
+            block = slice(lo, lo + _PHASE_BLOCK)
+            row[block] = np.abs(dressed_factor(resonance_order, eta, dphis[block]))
     return DressedMapResult(eta_d=etas, delta_phi=dphis, magnitude=magnitude)
 
 

@@ -76,7 +76,7 @@ class TrapArray:
             warnings.warn(
                 f"coulomb_beta = {self.coulomb_beta} is not << 1; the dipolar "
                 "phonon-hopping description degrades",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to its caller
             )
 
     @property

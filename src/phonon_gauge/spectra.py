@@ -234,7 +234,7 @@ def _localization_length(cell_prob: np.ndarray) -> float:
     """Decay length (in cells) from an exponential fit of the cell profile.
 
     The profile is read away from the dominant edge; compactly localised
-    states with no resolvable tail report 0.
+    states with no resolvable tail report 0, and a flat profile inf.
     """
     p = cell_prob
     if p[-1] > p[0]:
@@ -244,7 +244,7 @@ def _localization_length(cell_prob: np.ndarray) -> float:
     if cut < 2:
         return 0.0
     slope = np.polyfit(np.arange(cut), np.log(p[:cut]), 1)[0]
-    if slope >= 0:
+    if slope > -1e-12:  # flat within the fit's rounding: no decay
         return math.inf
     return float(-1.0 / slope)
 

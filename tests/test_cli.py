@@ -438,9 +438,9 @@ def test_oversized_exact_drive_grid_is_a_config_error(tmp_path, monkeypatch, cap
 
 #: Sweeps whose arrays exceed the 16 * 4096 ** 2 byte budget, as (config, the
 #: start of each violation, the work of a sweep among them): 1e12 points, then
-#: 83887 phase steps, then sizes whose products pass the float range and, for
-#: butterfly.size, int's 4300-digit string limit; the last is one violation of
-#: dressed_factor's domain, with no phase matrix priced for it.
+#: sizes whose products pass the float range and, for butterfly.size, int's
+#: 4300-digit string limit; the last is the one violation of dressed_factor's
+#: domain.
 OVERSIZED_SWEEPS = {
     "butterfly": ("experiment = butterfly\nbutterfly.points = 1000000000000\n",
                   ["butterfly.points, butterfly.size: the result table takes 1.16e+15 bytes",
@@ -455,17 +455,11 @@ OVERSIZED_SWEEPS = {
                      "648000000000000 bytes"]),
     "dressed_map_phases": ("experiment = fig2a_dressed_map\nmap.phase_points = 1000000000000\n",
                            ["map.eta_points, map.phase_points: the result table takes "
-                            "648000000000000",
-                            "map.phase_points, map.eta_max: the phase matrix takes 1.01e+15"]),
+                            "648000000000000"]),
     "link_scan": ("experiment = fig2b_link_scan\nscan.points = 1000000000000\n",
                   ["scan.points: the result table takes 40000000000000 bytes",
                    "scan.points, numerics.n_max: the run takes at least 3.16e+19 complex "
                    "multiply-adds"]),
-    # 83887 phase steps x 201 series terms x 16 B; the result table takes 5.4e7 bytes
-    "phase_matrix": ("experiment = fig2a_dressed_map\nmap.phase_points = 83887\n"
-                     "map.eta_max = 25\n",
-                     ["map.phase_points, map.eta_max: the phase matrix takes 269780592 bytes "
-                      "(83887 x 201 x 16)"]),
     "butterfly_400_digits": (f"experiment = butterfly\nbutterfly.points = {10 ** 399}\n",
                              ["butterfly.points, butterfly.size: the result table takes "
                               "1.16e+402 bytes (1e+399 x 145 x 8)",
@@ -561,7 +555,8 @@ def test_run_beyond_the_budget_is_a_config_error(tmp_path, monkeypatch, capsys, 
 #: Runs the budget admits: the presets, criterion 8's ring, the benchmark's
 #: seed-0 jobs (as bench/workloads.py writes them), the largest ring whose
 #: step-generator table fits, the largest link whose U_T builds fit the work
-#: budget, and the largest custom lattice.
+#: budget, the largest custom lattice, and a dressed map of 83887 phase steps
+#: (its result table takes 5.4e7 bytes; it holds no phase matrix).
 ADMITTED = {
     **{name: f"experiment = {name}\n" for name in EXPERIMENTS if name != "custom"},
     **{f"custom_{layout}": f"experiment = custom\narray.layout = {layout}\n"
@@ -577,6 +572,8 @@ ADMITTED = {
     "link_n_max_21": "experiment = fig2b_link_scan\nnumerics.n_max = 21\n",
     "custom_square_64": "experiment = custom\narray.layout = square\narray.nx = 64\n"
                         "array.ny = 64\n",
+    "phase_matrix": "experiment = fig2a_dressed_map\nmap.phase_points = 83887\n"
+                    "map.eta_max = 25\n",
 }
 
 

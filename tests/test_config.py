@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phonon_gauge import config
 from phonon_gauge.config import ConfigError, EXPERIMENTS, SCHEMA, WORK_BUDGET, parse_config
 from phonon_gauge.fock import DENSE_BYTE_BUDGET
 
@@ -65,6 +66,18 @@ def test_pi_tokens_parse():
     assert cfg["ladder.flux"] == pytest.approx(-0.5 * math.pi)
     cfg = parse_config("experiment = fig2e_ladder_spectrum\nladder.flux = pi\n")
     assert cfg["ladder.flux"] == math.pi
+
+
+@pytest.mark.parametrize("text, multiple", [("-pi", -1.0), ("+pi", 1.0), ("2pi", 2.0),
+                                            ("-0.5 pi", -0.5), (".5pi", 0.5)])
+def test_angle_tokens_are_multiples_of_pi(text, multiple):
+    assert config._parse_angle(text) == multiple * math.pi
+
+
+@pytest.mark.parametrize("n, text", [(10 ** 15, "1e+15"), (999 * 10 ** 15, "9.99e+17"),
+                                     (9995 * 10 ** 14, "1e+18")])
+def test_large_counts_round_to_three_digits_and_carry(n, text):
+    assert config._count(n) == text
 
 
 def test_plaquette_flux_token_is_strict():

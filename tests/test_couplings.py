@@ -59,6 +59,19 @@ def test_bessel_against_scipy_over_supported_range():
     assert worst < 1e-12
 
 
+def test_bessel_recurrence_against_scipy_up_to_twice_the_drive_strength():
+    """The dressed factor's arguments reach 2 * 50; near and below the
+    leading-term switch at 1e-8 the recurrence rescales its steps."""
+    x = np.concatenate([np.linspace(0.0, 100.0, 801), [1e-9, 9.99e-9, 1e-8, 1.01e-8, 1e-7]])
+    orders = np.arange(152)
+    table = couplings._bessel_j(range(152), x, 100.0)
+    assert np.abs(table - jv(orders[:, None], x)).max() < 1e-14
+    for top in (0, 3, 151):  # each x on its own reach, as bessel_first_kind_array does
+        worst = max(np.abs(couplings._bessel_j(range(top + 1), np.asarray(v), v)
+                           - jv(orders[:top + 1], v)).max() for v in x[::8])
+        assert worst < 1e-14
+
+
 def test_bessel_domain_error():
     with pytest.raises(DomainError):
         bessel_first_kind_array(0, 50.1)
@@ -116,6 +129,19 @@ def test_dressed_factor_truncation_converged():
     assert a == pytest.approx(brute, abs=1e-14)
 
 
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 7, 150])
+@pytest.mark.parametrize("eta", [0.0, 1e-9, 0.6, 2.0, 7.9, 8.1, 25.0, 50.0])
+def test_dressed_factor_matches_the_brute_force_series(r, eta):
+    """The closed form against sum_s J_s J_{s+r} exp(i (s + r/2) dphi) from scipy's jv."""
+    dphis = np.linspace(-7.0, 13.0, 61)
+    s = np.arange(-int(eta) - 60 - r, int(eta) + 61)
+    brute = np.exp(1j * np.multiply.outer(dphis, s + r / 2.0)) @ (jv(s, eta) * jv(s + r, eta))
+    values = dressed_factor(r, eta, dphis)
+    assert np.abs(values - brute).max() < 1e-12
+    # i^r times a real number: the other part is exactly zero
+    assert not np.any(values.imag if r % 2 == 0 else values.real)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     r=st.integers(min_value=0, max_value=3),
@@ -139,6 +165,29 @@ def test_dressed_factor_array_matches_scalar_calls_exactly(r):
     grid = dressed_factor(r, 0.7, dphis.reshape(9, 9))
     assert grid.shape == (9, 9)
     assert grid.ravel().tolist() == dressed_factor(r, 0.7, dphis).tolist()
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dressed_map_memory_is_its_table_and_a_block():
+    dphis = np.linspace(0.0, 2 * math.pi, 20000)
+    assert _traced_peak(couplings.dressed_map, 1, np.linspace(0.0, 25.0, 2), dphis) < 8e6
+    dphis = np.linspace(0.0, 2 * math.pi, 2_000_000)
+    table = 2 * dphis.size * 8  # 32 MB
+    assert _traced_peak(couplings.dressed_map, 1, [0.0, 2.0], dphis) < table + 16e6
+
+
+def test_dressed_map_blocks_match_one_call():
+    dphis = np.linspace(-1.0, 7.0, couplings._PHASE_BLOCK + 5)
+    row = couplings.dressed_map(2, [1.3], dphis).magnitude[0]
+    assert row.tolist() == np.abs(dressed_factor(2, 1.3, dphis)).tolist()
 
 
 def test_dressed_map_shape():
@@ -236,13 +285,7 @@ def _hermitian(n):
 
 def test_hermiticity_check_copies_no_whole_matrix():
     m = _hermitian(1024)
-    tracemalloc.start()
-    try:
-        CouplingMatrix(matrix=m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < m.nbytes / 4
+    assert _traced_peak(CouplingMatrix, m) < m.nbytes / 4
 
 
 @pytest.mark.parametrize("i, j", [(199, 5), (5, 199), (198, 199)])

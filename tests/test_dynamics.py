@@ -674,6 +674,12 @@ def test_block_crossed_by_the_step_exponentials_equals_taylor_stepping(pi_link_m
     assert np.abs(crossed - grid.advance(block, start, stop - start)).max() < 1e-12
 
 
+@pytest.mark.parametrize("n, nodes", [(10 ** 6, 7), (6, 6), (5, 5)])
+def test_node_count_stops_at_the_taylor_degree_and_the_grid(n, nodes):
+    # b = c = 50: no harmonic up to degree 3 meets the bound, so N = min(2 * 3 + 1, n)
+    assert dynamics._node_count(0.0, 50.0, 50.0, n, 3) == nodes
+
+
 def test_floquet_block_steps_keep_the_step_and_power_counts(monkeypatch):
     # the preset ring over 6.5 periods, 12 samples at 12 distinct offsets: the
     # block crosses the period by E_k, with the counters it had under Taylor

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from phonon_gauge import model
 from phonon_gauge.model import (
     ConfigurationError,
     GeometryError,
@@ -100,6 +101,15 @@ def test_negative_frequency_over_array_rejected():
 def test_large_beta_warns():
     with pytest.warns(UserWarning):
         build_array("link", (2,), coulomb_beta=0.2)
+
+
+def test_large_beta_warning_names_the_caller_not_the_dataclass_init():
+    with pytest.warns(UserWarning, match="coulomb_beta") as direct:
+        TrapArray(lattice=((0, 0), (1, 0)), coulomb_beta=0.5)
+    with pytest.warns(UserWarning, match="coulomb_beta") as built:
+        build_array("link", (2,), coulomb_beta=0.5)
+    assert direct[0].filename == __file__
+    assert built[0].filename == model.__file__
 
 
 def test_laser_identifications():

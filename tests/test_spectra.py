@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,10 @@ from phonon_gauge.cli import run_experiment
 from phonon_gauge.config import parse_config
 from phonon_gauge.model import laser_drive
 from phonon_gauge.spectra import (
+    EdgeState,
+    LadderSpectrumResult,
     NonHermitianError,
+    _localization_length,
     butterfly_spectrum,
     dressed_ladder_couplings,
     edge_state_report,
@@ -187,6 +191,25 @@ def test_bulk_flat_band_states_are_not_edge_states(open_pi_ladder):
     sel = np.abs(s.eigenvalues - 2.0) < 1e-9
     # the +2J band holds 9 states; at most 2 of them can hug the ends
     assert (s.boundary_weight[sel] > 0.9).sum() <= 2
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["left", "right"])
+def test_localization_length_fits_an_exponential_tail(reverse):
+    profile = np.exp(-np.arange(12) / 2.5)
+    assert _localization_length(profile[::-1] if reverse else profile) == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("cells", [5, 7, 12])
+def test_localization_length_of_a_flat_profile_is_infinite(cells):
+    assert _localization_length(np.full(cells, 0.1)) == math.inf
+
+
+def test_ladder_json_writes_null_for_an_infinite_localization_length(open_pi_ladder):
+    result = LadderSpectrumResult(spectrum=open_pi_ladder, flat_bands=[], gap_windows=[],
+                                  edge_states=[EdgeState(0.5, 0.9, math.inf),
+                                               EdgeState(-0.5, 0.8, 2.5)])
+    edges = json.loads(result.to_json())["edge_states"]
+    assert [e["localization_length"] for e in edges] == [None, 2.5]
 
 
 def test_cage_projector_locality(open_pi_ladder):
