@@ -14,6 +14,7 @@ additionally records the wall-clock duration.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -48,17 +49,17 @@ def _pool_size(jobs: int, n_items: int) -> int:
 
 
 def _fork_map(jobs: int):
-    """A map over a fork pool of at most `jobs` workers (never more workers
-    than items or CPUs); one worker maps in-process."""
-    def pool_map(fn, items):
-        items = list(items)
+    """A map, called as the builtin map, over a fork pool of at most `jobs`
+    workers (never more workers than items or CPUs); one worker maps in-process."""
+    def pool_map(fn, *iterables):
+        items = list(zip(*iterables))
         workers = _pool_size(jobs, len(items))
         if workers == 1:
-            return list(map(fn, items))
+            return list(itertools.starmap(fn, items))
         import multiprocessing  # only here: a one-worker run never forks
 
         with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
-            return pool.map(fn, items)
+            return pool.starmap(fn, items)
     return pool_map
 
 

@@ -308,8 +308,10 @@ def run_price(experiment: str, values: dict, couplings=None):
     a ladder at its open size) and one dim^2 matrix-vector product a step on
     the exact drive's cheaper path: plain stepping to the window's end, or
     Floquet sampling, n steps and one product a period plus n dim^3 for the
-    products that build U_T, once per link point.  `couplings` is the ring's
-    `ring_couplings(values)` or the error it raised, evaluated here if None.
+    products that build U_T, once on the ring and once per mirrored pair of
+    link points, points - points // 2 of them (`link_transfer_scan`).
+    `couplings` is the ring's `ring_couplings(values)` or the error it
+    raised, evaluated here if None.
     The drive's grid is priced only for a drive that can run: parse_config
     reports any other."""
     arrays, work, lattice = [], None, None  # lattice: keys, sites, points key, other columns
@@ -331,7 +333,7 @@ def run_price(experiment: str, values: dict, couplings=None):
             arrays.append(("scan.points", "result table", (values["scan.points"], 5), 8))
         dim = (values["numerics.n_max"] + 1) ** _EXACT_DRIVE_SITES[experiment]
         arrays.append(("numerics.n_max", "step-generator table", (5, dim, dim), 16))
-        try:  # the grid of `_effective_and_exact`
+        try:  # the grid of `dynamics._exact_run`
             if isinstance(couplings, Exception):
                 raise couplings
             if ring:
@@ -349,8 +351,8 @@ def run_price(experiment: str, values: dict, couplings=None):
             n, h = period_steps(drive.drive_frequency,
                                 default_time_step(scale, values["numerics.time_step_divisor"]))
             end = math.floor(window / h + 1e-9)  # the grid index of the window's end
-            adds = ((1 if ring else values["scan.points"]) * dim * dim
-                    * min(end, n + end // n + n * dim))
+            runs = 1 if ring else values["scan.points"] - values["scan.points"] // 2
+            adds = runs * dim * dim * min(end, n + end // n + n * dim)
         arrays.append(("numerics.time_step_divisor",
                        f"step table at frequency scale {scale:.3g}", (n, 5), 8))
         if ring:

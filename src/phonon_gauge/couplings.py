@@ -66,6 +66,8 @@ def _bessel_j(orders: range, x: np.ndarray, reach: float) -> np.ndarray:
 
 def bessel_first_kind_array(n_top: int, x: float) -> np.ndarray:
     """Array [J_0(x), ..., J_{n_top}(x)] for 0 <= x <= 50."""
+    if not math.isfinite(x):
+        raise DomainError(f"bessel_first_kind_array expects a finite x, got {x}")
     if x < 0:
         raise DomainError("bessel_first_kind_array expects x >= 0")
     if x > BESSEL_MAX_ARGUMENT:

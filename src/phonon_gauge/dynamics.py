@@ -22,19 +22,27 @@ step's exponential E_k from them, a cache-sized stack per product, with M
 fixed before stepping from a norm bound so that the dropped harmonics stay
 below 2^-53.  U_T multiplies each stack of E_k pairwise, one stacked product
 per level, before it takes the stack's product in.  The block crosses the
-period by the same E_k, one product per step.  Plain stepping, which a flop
-rule picks when U_T does not pay, is one column stepped through the whole
-window under the Horner form of the Taylor polynomial.  Each sample's partial
-step beyond its grid point is that Horner form too, applied to a queue of
-sampled states a cache-sized stack at a time.  Each step is unitary up to
-roundoff, so norm is conserved over arbitrarily long windows.  Evolutions
-are deterministic and single-threaded; independent parameter points of a
-scan may run concurrently.
+period by the same E_k, one product per step.  The Hamiltonian is real up
+to its drive phases, so the Fock parity Pi and complex conjugation map the
+drive with phases theta to the one with -theta, and the symmetric Magnus
+grid keeps this exactly: E_{n-1-k} of one is Pi E_k^T Pi of the other.  A
+drive whose phases are all 0 or pi is its own reverse, and U_T forms and
+multiplies only the first half period of E_k.  Samples may also lie before
+t = 0, reached by U_T^dag; the link scan runs one exact drive per pair of
+mirrored phase steps delta and 2 pi - delta this way.  Plain stepping,
+which a flop rule picks when U_T does not pay, is one column stepped through
+the whole window under the Horner form of the Taylor polynomial.  Each
+sample's partial step beyond its grid point is that Horner form too, applied
+to a queue of sampled states a cache-sized stack at a time.  Each step is
+unitary up to roundoff, so norm is conserved over arbitrarily long windows.
+Evolutions are deterministic and single-threaded; independent parameter
+points of a scan may run concurrently.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -65,9 +73,21 @@ NORM_ABORT = 1e-4
 #: cancel to a V far smaller than they are (laser phases 0, pi, pi, 0).
 NORMAL_TOL = 1e-12
 
+#: A drive counts as its own time reverse when ||Pi conj(M) Pi - M||_1 <=
+#: REVERSAL_TOL s for M = Hs and V, Pi the Fock-parity diagonal and s the
+#: scale of NORMAL_TOL: a few roundoffs of the unit phases exp(i theta) and of
+#: the displacement exponentials.  Measured over s: at most 1.6e-16 on the
+#: preset rings (n_max = 2 and 4) and the link at phase steps pi and 2 pi,
+#: against 0.046 and more on the link's other steps.
+REVERSAL_TOL = 8 * 2.0 ** -52
+
 
 class IntegrationError(RuntimeError):
     """Time integration failed (norm drift or non-convergent step)."""
+
+
+class PastSampleError(ValueError):
+    """A sample before t = 0 needs U_T, whose node table exceeds DENSE_BYTE_BUDGET."""
 
 
 @dataclass(frozen=True)
@@ -327,7 +347,7 @@ class _PeriodGrid:
     DrivenHamiltonian requires.
     """
 
-    def __init__(self, model: DrivenHamiltonian, dt: float):
+    def __init__(self, model: DrivenHamiltonian, dt: float, parity: np.ndarray | None = None):
         self.n, self.h = period_steps(model.modulation, dt)
         h = self.h
         self.mod = model.modulation
@@ -362,6 +382,15 @@ class _PeriodGrid:
         w = np.array([0.0, mu, -1j * mu, delta, -1j * delta]) / 2.0
         b, c = (np.abs(np.tensordot(x, tab, 1)).sum(axis=0).max() for x in (w, w.conj()))
         self.nodes = _node_count(h * n0, b, c, self.n, self.degree)
+        # Pi K, Pi = diag(`parity`) and K complex conjugation, maps the drive
+        # with phases theta to the one with -theta: Hs is real and commutes with
+        # Pi, and Pi conj(D_i) Pi = D_i.  A drive that it maps to itself is reversed.
+        self.reversed, self.flip = False, None
+        if parity is not None:
+            self.flip = np.outer(parity, parity)  # Pi M Pi = flip * M
+            scale = max(np.abs(mat).sum(axis=0).max() for mat in (model.static, v))
+            self.reversed = all(np.abs(mat.conj() * self.flip - mat).sum(axis=0).max()
+                                <= REVERSAL_TOL * scale for mat in (model.static, v))
 
     def coefficients(self, t, h) -> np.ndarray:
         """Table coefficients, one row per step of size h starting at t."""
@@ -401,6 +430,13 @@ class _PeriodGrid:
         a new matrix, so keeping P_o copies nothing, and no P_o shares memory
         with the formation buffer, which the next stack overwrites.  At
         d = 625 a stack holds one E_k, and u = E_k u is one product a step.
+
+        A reversed drive (`reversed`, checked in the constructor) has
+        E_{n-1-k} = Pi E_k^T Pi: the symmetric Magnus step is its own time
+        reverse.  Then only E_0 ... E_{c-1}, c = ceil(n / 2), are formed and
+        multiplied, and U_T = Pi P_{n//2}^T Pi P_c (for odd n, P_c = E_{n//2}
+        P_{n//2}).  A kept offset o > c is P_o = Pi conj(P_{n-o}) Pi U_T, one
+        more product, since E_{n-1} ... E_o = Pi P_{n-o}^T Pi is unitary.
         """
         d, n, nodes = self.table.shape[1], self.n, self.nodes
         size = _stack_size(d)
@@ -417,17 +453,25 @@ class _PeriodGrid:
         cols = _STACK_BYTES // (16 * nodes)
         for c in range(0, d * d, cols):
             harmonics[:, c:c + cols] = dft @ harmonics[:, c:c + cols]
-        kept, cuts = {}, sorted(offsets)  # a Python sort, as in `_kept_offsets`
+        half = n - n // 2 if self.reversed else n  # the steps formed
+        cuts = {o if o <= half else n - o for o in offsets}
+        if self.reversed:
+            cuts.add(n // 2)
+        part, cuts = {}, sorted(cuts)  # a Python sort, as in `_kept_offsets`
         u = np.eye(d, dtype=complex)
-        for k, stack in self.exponential_stacks(0, n):
+        for k, stack in self.exponential_stacks(0, half):
             start = 0  # the stack's segments end at the kept offsets within it
             for cut in [o - k for o in cuts if k <= o < k + len(stack)]:
                 if cut > start:
                     u = _chain(stack[start:cut]) @ u
-                kept[k + cut], start = u, cut
+                part[k + cut], start = u, cut
             if start < len(stack):
                 u = _chain(stack[start:]) @ u
-        return u, kept
+        part[half] = u
+        if self.reversed:
+            u = (self.flip * part[n // 2].T) @ u
+        return u, {o: part[o] if o <= half else (self.flip * part[n - o].conj()) @ u
+                   for o in offsets}
 
     def exponential_stacks(self, j: int, o: int):
         """(k, stack): the step exponentials E_k ... E_{k+K-1} of the grid
@@ -478,35 +522,42 @@ def _kept_offsets(offsets: np.ndarray) -> set[int]:
     return distinct if len(distinct) <= _BLOCK_WIDTH else set()
 
 
-def _floquet_pays(dim: int, n: int, nodes: int, degree: int, points: np.ndarray) -> bool:
+def _floquet_pays(dim: int, n: int, nodes: int, degree: int, points: np.ndarray,
+                  reversed_drive: bool = False) -> bool:
     """Whether Floquet sampling to the ascending grid `points` (n steps per
     period) costs fewer weighted multiply-adds than plain stepping.
 
     Plain stepping takes points[-1] steps of `degree` matrix-vector
-    products.  Floquet sampling builds U_T from `nodes` step exponentials
-    (s + r - 2 matrix products each, Paterson-Stockmeyer), n formation rows
-    of nodes d^2 multiply-adds each, at matrix-vector speed, and n matrix
-    products for the accumulation; it then applies U_T once per period up to
-    the last sample.  When U_T keeps its partial products at the sampled
-    offsets (`_kept_offsets`), each sample then costs one matrix-vector
-    product.  Otherwise it steps blocks of at most _BLOCK_WIDTH d columns,
-    one column per sampled period, to each column's last sample by the step
-    exponentials E_k of U_T: a block step forms E_k again, one row of nodes
-    d^2 multiply-adds at matrix-vector speed, and multiplies the block by it
-    once, its first column at matrix-vector speed and the others at
-    matrix-product speed.  Formation, one row a step, and the accumulation, n
-    products, are upper bounds: `exponential_stacks` forms and `_chain`
-    multiplies a stack of E_k per call (104 at d = 25, 9 at d = 81, 1 at
-    d = 625).  The samples' partial steps cost the same on both paths and are
-    left out.  U_T is refused when its node harmonics, nodes complex d x d
-    matrices, would exceed DENSE_BYTE_BUDGET.
+    products, and cannot reach a point below zero.  Floquet sampling builds
+    U_T from `nodes` step exponentials (s + r - 2 matrix products each,
+    Paterson-Stockmeyer), n formation rows of nodes d^2 multiply-adds each,
+    at matrix-vector speed, and n matrix products for the accumulation, or
+    ceil(n / 2) rows and ceil(n / 2) + 1 products for a `reversed_drive`
+    (`_PeriodGrid.period_propagator`; the products that mirror kept offsets
+    past the middle, at most _BLOCK_WIDTH, are left out).  It then powers
+    psi0 to every sampled period: by U_T^dag down to the lowest, q_0 < 0, by
+    U_T up through the other negative ones (at most |q_0| more products), and
+    by U_T from psi0 up to the last.  When U_T keeps its partial products
+    at the sampled offsets (`_kept_offsets`), each sample then costs one
+    matrix-vector product.  Otherwise it steps blocks of at most _BLOCK_WIDTH
+    d columns, one column per sampled period, to each column's last sample by
+    the step exponentials E_k of U_T: a block step forms E_k again, one row of
+    nodes d^2 multiply-adds at matrix-vector speed, and multiplies the block
+    by it once, its first column at matrix-vector speed and the others at
+    matrix-product speed.  Formation, one row a step, and the accumulation
+    are upper bounds: `exponential_stacks` forms and `_chain` multiplies a
+    stack of E_k per call (104 at d = 25, 9 at d = 81, 1 at d = 625).  The
+    samples' partial steps cost the same on both paths and are left out.
+    U_T is refused when its node harmonics, nodes complex d x d matrices,
+    would exceed DENSE_BYTE_BUDGET.
     """
     if 16 * nodes * dim * dim > DENSE_BYTE_BUDGET:
         return False
     periods, offsets = np.divmod(points, n)
     s, r = _ps_shape(degree)
-    floquet = ((nodes * (s + r - 2) + n) * dim / _MATMUL_SPEEDUP + n * nodes
-               + int(periods[-1]))
+    formed = n - n // 2 if reversed_drive else n
+    floquet = ((nodes * (s + r - 2) + formed + reversed_drive) * dim / _MATMUL_SPEEDUP
+               + formed * nodes + int(periods[-1]) - 2 * min(int(periods[0]), 0))
     if _kept_offsets(offsets):
         floquet += len(points)
     else:
@@ -514,7 +565,7 @@ def _floquet_pays(dim: int, n: int, nodes: int, degree: int, points: np.ndarray)
         width = _BLOCK_WIDTH * dim
         steps = sum(int(last[i:i + width].max()) for i in range(0, len(last), width))
         floquet += steps * (nodes + 1) + (int(last.sum()) - steps) / _MATMUL_SPEEDUP
-    return bool(floquet < degree * int(points[-1]))
+    return bool(floquet < (degree * int(points[-1]) if points[0] >= 0 else math.inf))
 
 
 def default_time_step(scale: float, time_step_divisor: int = 40) -> float:
@@ -567,7 +618,7 @@ def _observables(occ: np.ndarray, top: np.ndarray, states: np.ndarray):
 
 def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = None, *,
            occupation: np.ndarray, samples: int = 401, label: str = "evolution",
-           parameters: dict | None = None) -> EvolutionResult:
+           parameters: dict | None = None, t_start: float = 0.0) -> EvolutionResult:
     """Integrate i dpsi/dtau = H(tau) psi and record site populations.
 
     `hamiltonian` is either a constant matrix (propagated exactly through
@@ -577,7 +628,8 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     `space.occupation_table()` on a Fock space, or `np.eye(n_sites)` in the
     one-phonon sector, whose constant H is the coupling matrix.  The top
     level is the table's largest entry (n_max on a Fock space).  The output
-    grid has `samples` points on [0, t_final].  Magnus steps of size
+    grid has `samples` points on [t_start, t_final], psi0 being the state at
+    t = 0; a t_start below 0 samples the past.  Magnus steps of size
     h = T / ceil(T / dt) fill the drive period T, dt defaulting to
     `default_time_step(hamiltonian.frequency_scale)`; each sample is one
     partial step from the grid point at or below it.  One block loop steps
@@ -589,7 +641,19 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     columns of one block, block <- E_k block with the step exponentials E_k
     that built U_T (`_PeriodGrid.exponential_stacks`); otherwise plain
     stepping runs the same loop with one column through the whole window,
-    each step a Taylor polynomial applied by Horner's rule.  With at most
+    each step a Taylor polynomial applied by Horner's rule.  The lowest
+    sampled period q < 0 is (U_T^dag)^|q| psi0, each later one is reached
+    by U_T from the one before it, and the periods from 0 on start again
+    from psi0 (`diagnostics["period_powers"]` counts these products).  Plain
+    stepping cannot reach a sample below 0, so such a run takes U_T at any
+    cost, or raises PastSampleError, a ValueError, when U_T's node table
+    would exceed DENSE_BYTE_BUDGET.  The Fock parity Pi = (-1)^(n_1 + ...),
+    read from `occupation`, and complex conjugation map the drive with
+    phases theta to the one with -theta, so psi_{-theta}(t) =
+    Pi conj(psi_theta(-t)) for a real psi0 of one parity; a drive that this
+    maps to itself (every exp(i theta_i) real, checked on the matrices to
+    REVERSAL_TOL) builds U_T from half a period
+    (`diagnostics["period_reversed"]`).  With at most
     _BLOCK_WIDTH distinct offsets o of the samples within their periods, U_T
     keeps its partial products P_o, and a column reaches offset o as P_o
     times its state instead of by stepping; a link point, sampled at 0 and
@@ -602,6 +666,8 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
+    if not (math.isfinite(t_start) and t_start < t_final):
+        raise ValueError(f"t_start must be finite and below t_final, got {t_start}")
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if dt is not None and not (math.isfinite(dt) and dt > 0):
@@ -615,7 +681,7 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
             raise ValueError(f"{name} has shape {np.shape(value)}, occupation {occ.shape}")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalised")
-    times = np.linspace(0.0, t_final, samples)
+    times = np.linspace(t_start, t_final, samples)
     params = dict(parameters or {})
     top = (occ == occ.max()).any(axis=0)  # states with some site at the top level
     pops = np.empty((samples, len(occ)))
@@ -635,7 +701,7 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
 
     if dt is None:
         dt = default_time_step(hamiltonian.frequency_scale)
-    grid = _PeriodGrid(hamiltonian, dt)
+    grid = _PeriodGrid(hamiltonian, dt, np.where(occ.sum(axis=0) % 2, -1.0, 1.0))
     h, n, m = grid.h, grid.n, grid.degree
 
     # grid point at or below each sample, and the partial step beyond it
@@ -662,12 +728,17 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
             read_out()
 
     # plain stepping: the whole window is period 0, and U_T is never applied
-    floquet = _floquet_pays(dim, n, grid.nodes, m, points)
+    floquet = _floquet_pays(dim, n, grid.nodes, m, points, grid.reversed)
+    if points[0] < 0 and not floquet:
+        raise PastSampleError(f"a sample before t = 0 needs the one-period propagator, whose "
+                              f"{grid.nodes} node exponentials of {dim} x {dim} would exceed "
+                              f"DENSE_BYTE_BUDGET ({DENSE_BYTE_BUDGET} bytes)")
     periods, offsets = np.divmod(points, n) if floquet else (np.zeros_like(points), points)
     u_period, kept = grid.period_propagator(_kept_offsets(offsets)) if floquet else (None, {})
     ends = _period_ends(periods)
     width = _BLOCK_WIDTH * dim
-    phi, power, first, block_steps = psi0.astype(complex), 0, 0, 0
+    back = u_period.conj().T if points[0] < 0 else None  # U_T^dag = U_T^-1
+    phi, power, powers, first, block_steps = psi0.astype(complex), 0, 0, 0, 0
     for pass_ends in (ends[i:i + width] for i in range(0, len(ends), width)):
         # Pass 1: U_T^q psi0 for each sampled period q, in columns ordered
         # by their last sample's offset, latest first
@@ -677,9 +748,11 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         block = np.empty((dim, len(order)), dtype=complex)
         spare = np.empty_like(block) if floquet else None
         for c, q in zip(column, periods[pass_ends]):
-            for _ in range(q - power):
-                phi = u_period @ phi
-            power = q
+            if power < 0 <= q:  # the periods from 0 on start again from psi0
+                phi, power = psi0.astype(complex), 0
+            for _ in range(abs(q - power)):  # down only from 0 to the lowest period
+                phi = (u_period if q > power else back) @ phi
+            powers, power = powers + abs(q - power), q
             block[:, c] = phi
         last = last[order]
         # Pass 2: bring the block to each offset, emitting in offset order:
@@ -722,7 +795,8 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         "taylor_degree": m,
         "period_propagator": floquet,
         "period_nodes": grid.nodes if floquet else 0,
-        "period_powers": int(power),
+        "period_reversed": floquet and grid.reversed,
+        "period_powers": int(powers),
         "max_norm_drift": float(np.abs(norms - 1.0).max()),
         "max_top_level_population": float(leakage.max()),
     }
@@ -744,26 +818,25 @@ def config_drive(cfg, mode: str, phase_x: float, phase_y: float) -> DriveSpec:
                        phase_x=phase_x, phase_y=phase_y)
 
 
-def _effective_and_exact(cfg, array: TrapArray, drive: DriveSpec, eff: CouplingMatrix,
-                         t_final: float, samples: int, cutoff_range: float,
-                         parameters: dict | None):
-    """Evolve one phonon from site 0 under `eff` and under the exact model of `drive`.
+def _effective_run(eff: CouplingMatrix, t_final: float, samples: int, parameters: dict | None):
+    """One phonon from site 0 under `eff`: sum_ij J_ij a_i^dag a_j conserves the
+    phonon number, so this is e^{-iJt} e_0 in the one-phonon sector, on J itself."""
+    sector = np.eye(eff.n)
+    return evolve(eff.matrix, sector[0], t_final, occupation=sector, samples=samples,
+                  label="effective", parameters=parameters)
 
-    sum_ij J_ij a_i^dag a_j conserves the phonon number, so the effective run
-    is e^{-iJt} e_0 in the one-phonon sector, on J itself; only the exact run
-    takes the Fock space of `numerics.n_max`."""
-    sector = np.eye(array.n_sites)
-    res_eff = evolve(eff.matrix, sector[0], t_final, occupation=sector, samples=samples,
-                     label="effective", parameters=parameters)
+
+def _exact_run(cfg, array: TrapArray, drive: DriveSpec, t_final: float, samples: int,
+               cutoff_range: float, parameters: dict | None, t_start: float = 0.0):
+    """One phonon from site 0 under the exact model of `drive`, on the Fock
+    space of `numerics.n_max`, sampled on [t_start, t_final]."""
     space = build_fock_space(array.n_sites, cfg["numerics.n_max"])
     bare = bare_coupling_matrix(array, cfg["direction"], cutoff_range)
     exact = driven_model(array, drive, bare, space)
-    res_exact = evolve(exact, single_phonon_state(space, 0), t_final,
-                       default_time_step(exact.frequency_scale,
-                                         cfg["numerics.time_step_divisor"]),
-                       occupation=space.occupation_table(), samples=samples,
-                       label="laser_exact", parameters=parameters)
-    return res_eff, res_exact
+    return evolve(exact, single_phonon_state(space, 0), t_final,
+                  default_time_step(exact.frequency_scale, cfg["numerics.time_step_divisor"]),
+                  occupation=space.occupation_table(), samples=samples, label="laser_exact",
+                  parameters=parameters, t_start=t_start)
 
 
 @dataclass
@@ -801,18 +874,43 @@ def link_array(cfg) -> TrapArray:
                        gradient=cfg["array.gradient"], coulomb_beta=cfg["array.beta"])
 
 
-def link_point(cfg, delta_phi: float):
-    """(t_star, n2_effective, n2_exact, defined) for one phase step of the link config `cfg`."""
+def link_point(cfg, delta_phi: float, mirror: float | None = None) -> list[tuple]:
+    """[(t_star, n2_effective, n2_exact, defined)] for the phase step
+    `delta_phi` of the link config `cfg`, and a second row for `mirror`, the
+    step 2 pi - delta_phi, if given.
+
+    Each step runs the effective model to its own full-transfer time
+    t* = pi / (2 |J|), or is undefined when its dressed coupling falls below
+    COUPLING_THRESHOLD.  The exact drive at 2 pi - delta is the time reverse
+    of the one at delta, and psi0 is a real one-phonon state (see `evolve`),
+    so the mirror's n2 at its t* is that of delta_phi's drive at -t*: when
+    both steps are defined, one exact run of delta_phi's drive on
+    [-t*(mirror), t*(delta_phi)] gives both, unless that run cannot get its
+    U_T (PastSampleError); then each step runs on its own."""
     array = link_array(cfg)
-    drive = config_drive(cfg, "laser", delta_phi, 0.0)
-    eff = effective_coupling_matrix(array, drive, cfg["direction"])
-    j_eff = abs(eff.matrix[1, 0])
-    if j_eff < COUPLING_THRESHOLD:
-        return math.nan, math.nan, math.nan, False
-    t_star = math.pi / (2.0 * j_eff)
-    res_eff, res_exact = _effective_and_exact(cfg, array, drive, eff, t_star, 2,
-                                              DEFAULT_CUTOFF_RANGE, None)
-    return t_star, float(res_eff.populations[-1, 1]), float(res_exact.populations[-1, 1]), True
+    rows, runs = [], []  # runs: (drive, t_star) of each step, None if undefined
+    for phi in (delta_phi,) if mirror is None else (delta_phi, mirror):
+        drive = config_drive(cfg, "laser", phi, 0.0)
+        eff = effective_coupling_matrix(array, drive, cfg["direction"])
+        j_eff = abs(eff.matrix[1, 0])
+        if j_eff < COUPLING_THRESHOLD:
+            rows.append((math.nan, math.nan, math.nan, False))
+            runs.append(None)
+            continue
+        t_star = math.pi / (2.0 * j_eff)
+        rows.append((t_star, float(_effective_run(eff, t_star, 2, None).populations[-1, 1])))
+        runs.append((drive, t_star))
+    if all(runs) and len(runs) == 2:  # the mirror's sample at -t*, before delta_phi's at t*
+        (drive, t_star), (_, t_back) = runs
+        with suppress(PastSampleError):  # else one run per step, plain stepping allowed
+            pops = _exact_run(cfg, array, drive, t_star, 2, DEFAULT_CUTOFF_RANGE, None,
+                              t_start=-t_back).populations
+            return [rows[0] + (float(pops[1, 1]), True), rows[1] + (float(pops[0, 1]), True)]
+    for i, run in enumerate(runs):
+        if run:
+            pops = _exact_run(cfg, array, *run, 2, DEFAULT_CUTOFF_RANGE, None).populations
+            rows[i] += (float(pops[1, 1]), True)
+    return rows
 
 
 def link_transfer_scan(cfg, *, map_fn=map) -> LinkScanResult:
@@ -820,11 +918,19 @@ def link_transfer_scan(cfg, *, map_fn=map) -> LinkScanResult:
 
     Each point runs to its own full-transfer time pi / (2 |J|); points whose
     dressed coupling falls below the threshold are marked undefined instead
-    of integrating to an unbounded window.  `map_fn` maps link_point over the
-    grid; the points are independent, so a process-pool map may run them.
+    of integrating to an unbounded window.  Point points - 1 - k of the grid
+    is 2 pi minus point k, whose exact drive is its time reverse, so
+    `map_fn` (called as the builtin map with two iterables) maps link_point
+    over the first points - points // 2 points, each with its mirror: one
+    exact run per pair, sampled at -t* of the mirror and at t* of the point.
+    The effective runs and t* stay per point.  The pairs are independent, so
+    a process-pool map may run them.
     """
     grid = np.linspace(0.0, 2.0 * math.pi, cfg["scan.points"])
-    rows = list(map_fn(partial(link_point, cfg), grid))
+    half = len(grid) - len(grid) // 2
+    mirrors = [grid[-1 - k] if k < len(grid) // 2 else None for k in range(half)]
+    pairs = list(map_fn(partial(link_point, cfg), grid[:half], mirrors))
+    rows = [pair[0] for pair in pairs] + [pair[1] for pair in pairs[::-1] if len(pair) == 2]
     t_star, n2_eff, n2_exact, defined = (np.array(x) for x in zip(*rows))
     return LinkScanResult(delta_phi=grid, t_star=t_star, n2_effective=n2_eff,
                           n2_exact=n2_exact, defined=defined.astype(bool))
@@ -883,5 +989,6 @@ def plaquette_experiment(cfg):
         "spacing_y": array.spacing_y,
         "bond_magnitude": abs(eff.matrix[1, 0]),
     }
-    return _effective_and_exact(cfg, array, drive, eff, window, cfg["numerics.samples"],
-                                cfg["numerics.cutoff_range"], common)
+    samples = cfg["numerics.samples"]
+    return (_effective_run(eff, window, samples, common),
+            _exact_run(cfg, array, drive, window, samples, cfg["numerics.cutoff_range"], common))

@@ -196,8 +196,8 @@ def test_criterion_8_property_suite(link_scan, plaquette_pi, plaquette_zero):
     checks.append(("norm drift", drift < 1e-8, f"max drift {drift:.1e} < 1e-8"))
 
     # step halving on the link preset (full window, exact model)
-    base = link_point(parse_config(LINK + "numerics.time_step_divisor = 40\n"), math.pi)
-    halved = link_point(parse_config(LINK + "numerics.time_step_divisor = 80\n"), math.pi)
+    [base] = link_point(parse_config(LINK + "numerics.time_step_divisor = 40\n"), math.pi)
+    [halved] = link_point(parse_config(LINK + "numerics.time_step_divisor = 80\n"), math.pi)
     dt_change = abs(base[2] - halved[2])
     checks.append(("step halving", dt_change < 1e-6, f"n2* change {dt_change:.1e} < 1e-6"))
 
@@ -211,7 +211,7 @@ def test_criterion_8_property_suite(link_scan, plaquette_pi, plaquette_zero):
                    f"population change {pl_change:.1e} < 1e-6"))
 
     # truncation: doubling n_max moves populations by < 1e-3
-    deeper = link_point(parse_config(LINK + "numerics.n_max = 8\n"), math.pi)
+    [deeper] = link_point(parse_config(LINK + "numerics.n_max = 8\n"), math.pi)
     link_nmax = abs(base[2] - deeper[2])
     _, pl_n2 = plaquette_experiment(parse_config(
         SHORT_RING_PI + "numerics.n_max = 2\nnumerics.time_step_divisor = 10\n"))

@@ -205,10 +205,11 @@ def test_plaquette_manifest_reports_exact_diagnostics(tmp_path):
     assert code == 0
     diag = json.loads((out / "manifest.json").read_text())["resolved"]["diagnostics"]
     assert set(diag) == {"magnus_steps", "taylor_degree", "period_propagator", "period_nodes",
-                         "period_powers", "max_norm_drift", "max_top_level_population"}
+                         "period_reversed", "period_powers", "max_norm_drift",
+                         "max_top_level_population"}
     assert diag["magnus_steps"] > 0 and diag["taylor_degree"] > 0
     assert diag["period_propagator"] is False and diag["period_powers"] == 0
-    assert diag["period_nodes"] == 0
+    assert diag["period_nodes"] == 0 and diag["period_reversed"] is False
     assert 0 <= diag["max_norm_drift"] < 1e-8
     assert 0 < diag["max_top_level_population"] < 1e-2  # n_max = 2 holds the drive's leakage
     assert "diagnostics" not in (out / "plaquette_exact.csv").read_text()
@@ -294,7 +295,7 @@ def test_weak_ring_drive_on_the_automatic_window_is_a_config_error(tmp_path, mon
     ("experiment = fig2b_link_scan\nnumerics.n_max = 64\n",
      ["numerics.n_max: the step-generator table takes 1428050000 bytes "
       f"(5 x 4225 x 4225 x 16), {_BYTES}",
-      f"scan.points, numerics.n_max: the run takes at least 2.33e+15 complex "
+      f"scan.points, numerics.n_max: the run takes at least 1.22e+15 complex "
       f"multiply-adds, {_WORK}"]),
 ], ids=["fig2cd_plaquette", "fig2b_link_scan"])
 def test_fock_limit_is_listed_with_the_other_violations(tmp_path, capsys, text, capacity):
@@ -415,7 +416,7 @@ OVERSIZED_EXACT_DRIVES = {
     "link_divisor": ("experiment = fig2b_link_scan\nnumerics.time_step_divisor = 1000000000\n",
                      ["numerics.time_step_divisor: the step table at frequency scale 1.83 takes "
                       "1464780720080 bytes (36619518002 x 5 x 8)",
-                      "scan.points, numerics.n_max: the run takes at least 1.25e+16"]),
+                      "scan.points, numerics.n_max: the run takes at least 6.55e+15"]),
 }
 
 
@@ -458,7 +459,7 @@ OVERSIZED_SWEEPS = {
                             "648000000000000"]),
     "link_scan": ("experiment = fig2b_link_scan\nscan.points = 1000000000000\n",
                   ["scan.points: the result table takes 40000000000000 bytes",
-                   "scan.points, numerics.n_max: the run takes at least 3.16e+19 complex "
+                   "scan.points, numerics.n_max: the run takes at least 1.58e+19 complex "
                    "multiply-adds"]),
     "butterfly_400_digits": (f"experiment = butterfly\nbutterfly.points = {10 ** 399}\n",
                              ["butterfly.points, butterfly.size: the result table takes "
@@ -505,8 +506,9 @@ def test_oversized_sweep_is_a_config_error(tmp_path, capsys, text, problems):
 #: Runs that fit neither the byte budget nor the work budget, though each part of
 #: them would fit the other rules: the ring's and the link's step-generator table
 #: (0.46 and 1.34 GB at n_max = 6 and 7, 0.27 GB for the link at 42), the
-#: link's 21 U_T builds at n_max = 22 (its limit is 21), Floquet sampling over
-#: 8e14 drive periods, and 4095 and 500 diagonalisations of a 4096 x 4096 lattice.
+#: link's 11 U_T builds, one per mirrored pair of points, at n_max = 25 (its
+#: limit is 24), Floquet sampling over 8e14 drive periods, and 4095 and 500
+#: diagonalisations of a 4096 x 4096 lattice.
 OVERSIZED_RUNS = {
     "ring_n_max_6": (RING + "numerics.n_max = 6\n",
                      ["numerics.n_max: the step-generator table takes 461184080 bytes "
@@ -514,13 +516,13 @@ OVERSIZED_RUNS = {
     "ring_n_max_7": (RING + "numerics.n_max = 7\n",
                      ["numerics.n_max: the step-generator table takes 1342177280 bytes "
                       f"(5 x 4096 x 4096 x 16), {_BYTES}"]),
-    "link_n_max_22": ("experiment = fig2b_link_scan\nnumerics.n_max = 22\n",
-                      ["scan.points, numerics.n_max: the run takes at least 4636391695950 "
+    "link_n_max_25": ("experiment = fig2b_link_scan\nnumerics.n_max = 25\n",
+                      ["scan.points, numerics.n_max: the run takes at least 5048376098480 "
                        f"complex multiply-adds, {_WORK}"]),
     "link_n_max_42": ("experiment = fig2b_link_scan\nnumerics.n_max = 42\n",
                       ["numerics.n_max: the step-generator table takes 273504080 bytes "
                        f"(5 x 1849 x 1849 x 16), {_BYTES}",
-                       "scan.points, numerics.n_max: the run takes at least 195479348877750 "
+                       "scan.points, numerics.n_max: the run takes at least 102393944650250 "
                        f"complex multiply-adds, {_WORK}"]),
     "ring_window": (RING + "numerics.window = 1e17\n",
                     ["numerics.window, numerics.n_max: the run takes at least 5.22e+18 complex "
@@ -569,7 +571,7 @@ ADMITTED = {
     "bench_custom_square": "experiment = custom\narray.layout = square\narray.nx = 30\n"
                            "array.ny = 30\n",
     "ring_n_max_5": RING + "numerics.n_max = 5\n",
-    "link_n_max_21": "experiment = fig2b_link_scan\nnumerics.n_max = 21\n",
+    "link_n_max_24": "experiment = fig2b_link_scan\nnumerics.n_max = 24\n",
     "custom_square_64": "experiment = custom\narray.layout = square\narray.nx = 64\n"
                         "array.ny = 64\n",
     "phase_matrix": "experiment = fig2a_dressed_map\nmap.phase_points = 83887\n"

@@ -79,6 +79,13 @@ def test_bessel_domain_error():
         bessel_first_kind_array(2, -1.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_bessel_table_rejects_a_non_finite_argument(x):
+    # nan passes both range comparisons and would reach the recurrence's start order
+    with pytest.raises(DomainError, match="finite"):
+        bessel_first_kind_array(3, x)
+
+
 # -- dressed factor -----------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from phonon_gauge.couplings import DEFAULT_CUTOFF_RANGE, CouplingMatrix, bare_co
 from phonon_gauge.dynamics import (
     DrivenHamiltonian,
     IntegrationError,
+    PastSampleError,
     driven_model,
     effective_hamiltonian,
     evolve,
@@ -382,6 +384,15 @@ def test_step_that_is_not_finite_and_positive_rejected(link_setup, dt):
         evolve(model, single_phonon_state(space, 0), 10.0, dt, occupation=space.occupation_table())
 
 
+@pytest.mark.parametrize("t_start", [10.0, 11.0, -math.inf, math.nan])
+def test_start_that_is_not_finite_and_before_the_end_rejected(link_setup, t_start):
+    arr, space, bare = link_setup
+    model = driven_model(arr, laser_drive(0.75, 0.05, 0.2), bare, space)
+    with pytest.raises(ValueError, match="t_start"):
+        evolve(model, single_phonon_state(space, 0), 10.0, occupation=space.occupation_table(),
+               t_start=t_start)
+
+
 @pytest.mark.parametrize("state, size, problem", [
     (lambda psi: 2.0 * psi, 25, "psi0 must be normalised"),
     (lambda psi: psi[:-1], 25, r"psi0 has shape \(24,\), occupation \(2, 25\)"),
@@ -470,11 +481,21 @@ def test_period_propagator_matches_straight_evolution(pi_link_model):
     assert np.abs(res.populations - ref).max() < 1e-9
 
 
-@pytest.mark.parametrize("periods, samples, uses_propagator",
-                         [(1, 2, False), (3, 4, True), (20, 2, True)])
-def test_samples_at_period_multiples_land_on_the_grid(pi_link_model, periods, samples,
+@pytest.fixture
+def skew_link_model(link_setup):
+    """The link at phase step pi / 2: a drive that is not its own time reverse."""
+    arr, space, bare = link_setup
+    drv = laser_drive(0.75, 0.05, 0.2, phase_x=math.pi / 2)
+    return driven_model(arr, drv, bare, space), space
+
+
+@pytest.mark.parametrize("model_fixture, periods, samples, uses_propagator", [
+    # one period: the full U_T costs more than plain stepping, half of it less
+    ("skew_link_model", 1, 2, False), ("pi_link_model", 1, 2, True),
+    ("pi_link_model", 3, 4, True), ("pi_link_model", 20, 2, True)])
+def test_samples_at_period_multiples_land_on_the_grid(request, model_fixture, periods, samples,
                                                       uses_propagator):
-    model, space = pi_link_model
+    model, space = request.getfixturevalue(model_fixture)
     psi0 = single_phonon_state(space, 0)
     period = 2 * math.pi / abs(model.modulation)
     res = evolve(model, psi0, periods * period, 0.4, occupation=space.occupation_table(),
@@ -544,6 +565,12 @@ def test_cost_rule_branches_at_the_ring_shapes():
     assert not dynamics._floquet_pays(625, 263, 25, 32, _grid_points(100.0, 11, 263))
     # the pi ring at n_max = 2 (dim 81, 1050 steps at degree 14, 15 nodes) on a 4060 window
     assert dynamics._floquet_pays(81, 1050, 15, 14, _grid_points(4060.0, 601, 1050))
+    # both rings are their own time reverse: half a period of E_k builds U_T,
+    # at 0.70, 10.3 and 0.095 times the stepping (0.94, 13.8 and 0.13 in full)
+    reversed_ring = partial(dynamics._floquet_pays, reversed_drive=True)
+    assert reversed_ring(625, 263, 25, 32, _grid_points(1500.0, 151, 263))
+    assert not reversed_ring(625, 263, 25, 32, _grid_points(100.0, 11, 263))
+    assert reversed_ring(81, 1050, 15, 14, _grid_points(4060.0, 601, 1050))
 
 
 def test_cost_rule_refuses_a_node_table_above_the_dense_budget():
@@ -565,6 +592,13 @@ def test_cost_rule_prices_the_kept_partial_products_at_the_link_shape():
     # sample's offset in its period decides
     assert dynamics._floquet_pays(25, n, 17, 14, np.array([0, n + 1100]))
     assert not dynamics._floquet_pays(25, n, 17, 14, np.array([0, n + 900]))
+    # the link at delta_phi = pi is its own time reverse: half of U_T costs
+    # 17689, 0.53 times the plain stepping
+    assert dynamics._floquet_pays(25, n, 17, 14, np.array([0, n + 900]), reversed_drive=True)
+    # plain stepping cannot reach a sample below zero: U_T runs at any price
+    # that fits, powered down to the lowest period by U_T^dag
+    assert dynamics._floquet_pays(25, n, 17, 14, np.array([-n * 10 ** 6, 0]))
+    assert not dynamics._floquet_pays(25, n, 10 ** 5, 14, np.array([-1, 0]))
     # six distinct offsets are block-stepped and priced as before
     assert dynamics._kept_offsets(np.arange(6)) == set()
 
@@ -619,6 +653,23 @@ def _preset_grid(preset, pi_link_model):
     return dynamics._PeriodGrid(model, dynamics.default_time_step(model.frequency_scale))
 
 
+def _parity(space):
+    """The Fock-parity diagonal (-1)^(sum_i n_i), as evolve builds it."""
+    return np.where(space.occupation_table().sum(axis=0) % 2, -1.0, 1.0)
+
+
+def _formed_ranges(grid):
+    """Record the (j, o) of every `exponential_stacks` call on `grid`."""
+    calls, stacks = [], grid.exponential_stacks
+
+    def spy(j, o):
+        calls.append((j, o))
+        return stacks(j, o)
+
+    grid.exponential_stacks = spy
+    return calls
+
+
 @pytest.mark.parametrize("preset, shape, offsets", [
     # 0, both sides of the boundary between the first two stacks of step
     # exponentials (104 steps at d = 25, 9 at d = 81), the ragged last stack,
@@ -648,6 +699,127 @@ def test_interpolated_period_propagator_matches_the_sequential_product(pi_link_m
         assert not np.shares_memory(kept[o], u)
     assert np.array_equal(kept[0], np.eye(shape[0]))
     assert np.abs(u.conj().T @ u - np.eye(shape[0])).max() <= 1e-11
+
+
+@pytest.mark.parametrize("preset, n, offsets", [
+    # odd n: the middle step E_732 is its own mirror, and U_T forms E_0 ... E_732;
+    # offsets on both sides of the middle, the largest P_o mirrored from P_1
+    ("link", 1465, (0, 100, 731, 732, 733, 734, 1000, 1464)),
+    # even n: E_0 ... E_524, U_T = Pi P_525^T Pi P_525
+    ("ring", 1050, (0, 9, 524, 525, 526, 1040, 1049)),
+    # a drive 100 times faster, four and five steps a period: the nodes are the grid points
+    ("four-steps", 4, (0, 1, 2, 3)),
+    ("five-steps", 5, (0, 2, 3, 4)),
+])
+def test_reversed_drive_builds_u_t_from_half_a_period(pi_link_model, preset, n, offsets):
+    model, space = pi_link_model
+    if preset.endswith("-steps"):
+        grid = dynamics._PeriodGrid(dataclasses.replace(model, modulation=-5.0),
+                                    2 * math.pi / 5.0 / n, _parity(space))
+    else:
+        if preset == "ring":
+            model, space = _preset_ring_model(), build_fock_space(4, 2)
+        grid = dynamics._PeriodGrid(model, dynamics.default_time_step(model.frequency_scale),
+                                    _parity(space))
+    assert grid.reversed and grid.n == n
+    formed = _formed_ranges(grid)
+    u, kept = grid.period_propagator(set(offsets))
+    assert formed == [(0, n - n // 2)]
+    ref_u, ref_kept = _sequential_period_propagator(grid, offsets)
+    assert sorted(kept) == list(offsets)
+    assert np.abs(u - ref_u).max() < 1e-12
+    for o in offsets:
+        assert np.abs(kept[o] - ref_kept[o]).max() < 1e-12
+        assert not np.shares_memory(kept[o], u)
+
+
+def test_a_drive_that_is_not_its_own_reverse_takes_the_full_build():
+    # the preset ring's geometry at flux pi / 2: exp(i pi / 2) is not real
+    cfg = parse_config("experiment = fig2cd_plaquette\n")
+    _, array, _, _ = dynamics.ring_couplings(cfg)
+    space = build_fock_space(4, 2)
+    model = driven_model(array, dynamics.config_drive(cfg, "laser", math.pi, math.pi / 2),
+                         bare_coupling_matrix(array, "z", cfg["numerics.cutoff_range"]), space)
+    grid = dynamics._PeriodGrid(model, dynamics.default_time_step(model.frequency_scale),
+                                _parity(space))
+    assert not grid.reversed
+    formed = _formed_ranges(grid)
+    u, _ = grid.period_propagator()
+    assert formed == [(0, 1050)]
+    assert np.abs(u.conj().T @ u - np.eye(81)).max() <= 1e-11
+
+
+@pytest.mark.parametrize("steps", [9 * 1465, 9 * 1465 + 333])  # on a period, and past one
+def test_samples_before_zero_are_the_time_reverse(pi_link_model, skew_link_model, steps):
+    # on grid points, so that no partial step differs between -t and t
+    model, space = pi_link_model
+    psi0, occ = single_phonon_state(space, 0), space.occupation_table()
+    t = steps * (2 * math.pi / abs(model.modulation) / 1465)
+    res = evolve(model, psi0, t, occupation=occ, samples=3, t_start=-t)
+    diag = res.diagnostics
+    assert res.times.tolist() == [-t, 0.0, t]
+    assert diag["period_propagator"] and diag["period_reversed"]
+    # psi0 to period -9 (or -10) by U_T^dag, and again psi0 to period 9 by U_T
+    assert diag["period_powers"] == 9 + -(-steps // 1465)
+    assert np.abs(res.populations[0] - res.populations[2]).max() < 1e-12
+    assert res.populations[1].tolist() == [1.0, 0.0]
+    # a drive that is not its own reverse: its past is the future of the drive at -theta
+    skew, _ = skew_link_model
+    back = evolve(skew, psi0, t, occupation=occ, samples=3, t_start=-t)
+    assert back.diagnostics["period_propagator"] and not back.diagnostics["period_reversed"]
+    arr = build_array("link", (2,), gradient=0.05)
+    mirror = driven_model(arr, laser_drive(0.75, 0.05, 0.2, phase_x=-math.pi / 2),
+                          bare_coupling_matrix(arr, "z"), space)
+    ahead = evolve(mirror, psi0, t, occupation=occ, samples=2)
+    # two U_T builds that round differently, each powered nine or ten times
+    assert np.abs(back.populations[0] - ahead.populations[-1]).max() < 1e-11
+    assert np.abs(back.populations[0] - back.populations[2]).max() > 1e-5  # 3.2e-4 at 9 T
+
+
+def test_a_past_sample_without_room_for_u_t_is_refused(pi_link_model, monkeypatch):
+    model, space = pi_link_model
+    psi0, occ = single_phonon_state(space, 0), space.occupation_table()
+    # one byte short of the link's 17 node exponentials of 25 x 25
+    monkeypatch.setattr(dynamics, "DENSE_BYTE_BUDGET", 16 * 17 * 25 ** 2 - 1)
+    with pytest.raises(PastSampleError, match=r"17 node exponentials of 25 x 25 would exceed "
+                                              r"DENSE_BYTE_BUDGET \(169999 bytes\)"):
+        evolve(model, psi0, 50.0, occupation=occ, samples=2, t_start=-50.0)
+    # later samples step there
+    assert not evolve(model, psi0, 50.0, occupation=occ, samples=2).diagnostics[
+        "period_propagator"]
+    # a mirrored pair of link points then runs each point on its own
+    monkeypatch.setattr(dynamics, "DENSE_BYTE_BUDGET", 0)
+    cfg = parse_config(LINK + "numerics.n_max = 1\nnumerics.time_step_divisor = 4\n")
+    pair = link_point(cfg, math.pi / 2, 3 * math.pi / 2)
+    assert [row[3] for row in pair] == [True, True]
+    assert pair == link_point(cfg, math.pi / 2) + link_point(cfg, 3 * math.pi / 2)
+
+
+@pytest.mark.parametrize("points", [5, 6])
+def test_mirrored_link_scan_rows_match_direct_runs(monkeypatch, points):
+    # the mirrored rows differ from the direct ones by the partial steps to
+    # -t* and t*, which span the two ends of one grid step: 2.5e-11 here
+    cfg = parse_config(LINK + f"scan.points = {points}\nnumerics.n_max = 2\n")
+    exact_runs = []
+
+    def spy(hamiltonian, *args, **kwargs):
+        exact_runs.extend([kwargs.get("t_start", 0.0)] * isinstance(hamiltonian,
+                                                                    DrivenHamiltonian))
+        return evolve(hamiltonian, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "evolve", spy)
+    res = link_transfer_scan(cfg)
+    # 0 and 2 pi are undefined; one exact run per pair, and one for pi (points = 5)
+    assert len(exact_runs) == 2 and min(exact_runs) < 0
+    assert (max(exact_runs) == 0) == (points == 5)
+    monkeypatch.undo()
+    for k, phi in enumerate(res.delta_phi):
+        [(t_star, n2_eff, n2_exact, defined)] = link_point(cfg, phi)
+        assert res.defined[k] == defined == (0 < k < points - 1)
+        if defined:
+            assert res.t_star[k].tobytes() == np.float64(t_star).tobytes()
+            assert res.n2_effective[k].tobytes() == np.float64(n2_eff).tobytes()
+            assert abs(res.n2_exact[k] - n2_exact) < 1e-10
 
 
 @pytest.mark.parametrize("preset, start, stop", [
@@ -888,7 +1060,7 @@ def test_top_level_population_is_the_truncation_leakage():
     assert deeper.diagnostics["max_top_level_population"] < leakage
 
 
-@pytest.mark.parametrize("t_final, samples", [(2000.0, 2), (300.0, 7)])
+@pytest.mark.parametrize("t_final, samples", [(2000.0, 2), (100.0, 7)])
 def test_reruns_are_bit_identical(pi_link_model, t_final, samples):
     model, space = pi_link_model
     psi0 = single_phonon_state(space, 0)
@@ -919,7 +1091,7 @@ LINK = "experiment = fig2b_link_scan\n"
 
 
 def test_link_point_at_pi():
-    t_star, n2_eff, n2_exact, defined = link_point(parse_config(LINK), math.pi)
+    [(t_star, n2_eff, n2_exact, defined)] = link_point(parse_config(LINK), math.pi)
     assert defined
     assert n2_eff == pytest.approx(1.0, abs=1e-9)
     assert n2_exact > 0.9
@@ -949,7 +1121,7 @@ def test_link_point_takes_the_kept_partial_product():
 
 
 def test_link_point_suppressed():
-    t_star, n2_eff, n2_exact, defined = link_point(parse_config(LINK), 0.0)
+    [(t_star, n2_eff, n2_exact, defined)] = link_point(parse_config(LINK), 0.0)
     assert not defined
     assert math.isnan(t_star)
 
