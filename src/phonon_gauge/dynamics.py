@@ -27,22 +27,21 @@ to its drive phases, so the Fock parity Pi and complex conjugation map the
 drive with phases theta to the one with -theta, and the symmetric Magnus
 grid keeps this exactly: E_{n-1-k} of one is Pi E_k^T Pi of the other.  A
 drive whose phases are all 0 or pi is its own reverse, and U_T forms and
-multiplies only the first half period of E_k.  Samples may also lie before
-t = 0, reached by U_T^dag; the link scan runs one exact drive per pair of
-mirrored phase steps delta and 2 pi - delta this way.  Plain stepping,
-which a flop rule picks when U_T does not pay, is one column stepped through
-the whole window under the Horner form of the Taylor polynomial.  Each
-sample's partial step beyond its grid point is that Horner form too, applied
-to a queue of sampled states a cache-sized stack at a time.  Each step is
-unitary up to roundoff, so norm is conserved over arbitrarily long windows.
-Evolutions are deterministic and single-threaded; independent parameter
-points of a scan may run concurrently.
+multiplies only the first half period of E_k.  Plain stepping, which a flop
+rule picks when U_T does not pay, is one column stepped through the whole
+window under the Horner form of the Taylor polynomial.  Samples may also lie
+before t = 0, reached by U_T^dag or by stepping back by -Omega; the link scan
+runs one exact drive per pair of mirrored phase steps delta and 2 pi - delta
+this way.  Each sample's partial step beyond its grid point is that Horner
+form too, applied to a queue of sampled states a cache-sized stack at a time.
+Each step is unitary up to roundoff, so norm is conserved over arbitrarily
+long windows.  Evolutions are deterministic and single-threaded; independent
+parameter points of a scan may run concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -84,10 +83,6 @@ REVERSAL_TOL = 8 * 2.0 ** -52
 
 class IntegrationError(RuntimeError):
     """Time integration failed (norm drift or non-convergent step)."""
-
-
-class PastSampleError(ValueError):
-    """A sample before t = 0 needs U_T, whose node table exceeds DENSE_BYTE_BUDGET."""
 
 
 @dataclass(frozen=True)
@@ -391,6 +386,7 @@ class _PeriodGrid:
             scale = max(np.abs(mat).sum(axis=0).max() for mat in (model.static, v))
             self.reversed = all(np.abs(mat.conj() * self.flip - mat).sum(axis=0).max()
                                 <= REVERSAL_TOL * scale for mat in (model.static, v))
+        self.formed = self.n - self.n // 2 if self.reversed else self.n  # E_k that U_T forms
 
     def coefficients(self, t, h) -> np.ndarray:
         """Table coefficients, one row per step of size h starting at t."""
@@ -406,9 +402,13 @@ class _PeriodGrid:
 
     def advance(self, x: np.ndarray, j: int, count: int) -> np.ndarray:
         """x moved by `count` grid steps from grid point j, each a Taylor
-        polynomial applied by Horner's rule (plain stepping)."""
-        for i in range(j, j + count):
-            x = _taylor_apply(self.omega(self.coefs[i % self.n]), x, self.degree)
+        polynomial applied by Horner's rule (plain stepping).  A negative count
+        steps back, from i to i - 1 by -Omega of the step from i - 1 to i (the
+        symmetric Magnus step is its own time reverse; ||-Omega|| = ||Omega||)."""
+        step = 1 if count >= 0 else -1
+        for i in range(j, j + count, step):
+            row = self.coefs[min(i, i + step) % self.n]  # the step between i and i + step
+            x = _taylor_apply(self.omega(step * row), x, self.degree)
         return x
 
     def period_propagator(self, offsets=frozenset()) -> tuple[np.ndarray, dict]:
@@ -438,7 +438,7 @@ class _PeriodGrid:
         P_{n//2}).  A kept offset o > c is P_o = Pi conj(P_{n-o}) Pi U_T, one
         more product, since E_{n-1} ... E_o = Pi P_{n-o}^T Pi is unitary.
         """
-        d, n, nodes = self.table.shape[1], self.n, self.nodes
+        d, n, nodes, half = self.table.shape[1], self.n, self.nodes, self.formed
         size = _stack_size(d)
         self.orders = m = (np.arange(nodes) + nodes // 2) % nodes - nodes // 2  # 0 .. M, -M .. -1
         # the only nodes x d^2 array, kept for `exponential_stacks`
@@ -453,7 +453,6 @@ class _PeriodGrid:
         cols = _STACK_BYTES // (16 * nodes)
         for c in range(0, d * d, cols):
             harmonics[:, c:c + cols] = dft @ harmonics[:, c:c + cols]
-        half = n - n // 2 if self.reversed else n  # the steps formed
         cuts = {o if o <= half else n - o for o in offsets}
         if self.reversed:
             cuts.add(n // 2)
@@ -528,7 +527,7 @@ def _floquet_pays(dim: int, n: int, nodes: int, degree: int, points: np.ndarray,
     period) costs fewer weighted multiply-adds than plain stepping.
 
     Plain stepping takes points[-1] steps of `degree` matrix-vector
-    products, and cannot reach a point below zero.  Floquet sampling builds
+    products, and |points[0]| more back below zero.  Floquet sampling builds
     U_T from `nodes` step exponentials (s + r - 2 matrix products each,
     Paterson-Stockmeyer), n formation rows of nodes d^2 multiply-adds each,
     at matrix-vector speed, and n matrix products for the accumulation, or
@@ -565,7 +564,7 @@ def _floquet_pays(dim: int, n: int, nodes: int, degree: int, points: np.ndarray,
         width = _BLOCK_WIDTH * dim
         steps = sum(int(last[i:i + width].max()) for i in range(0, len(last), width))
         floquet += steps * (nodes + 1) + (int(last.sum()) - steps) / _MATMUL_SPEEDUP
-    return bool(floquet < (degree * int(points[-1]) if points[0] >= 0 else math.inf))
+    return bool(floquet < degree * (int(points[-1]) - min(int(points[0]), 0)))
 
 
 def default_time_step(scale: float, time_step_divisor: int = 40) -> float:
@@ -645,9 +644,10 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     sampled period q < 0 is (U_T^dag)^|q| psi0, each later one is reached
     by U_T from the one before it, and the periods from 0 on start again
     from psi0 (`diagnostics["period_powers"]` counts these products).  Plain
-    stepping cannot reach a sample below 0, so such a run takes U_T at any
-    cost, or raises PastSampleError, a ValueError, when U_T's node table
-    would exceed DENSE_BYTE_BUDGET.  The Fock parity Pi = (-1)^(n_1 + ...),
+    stepping steps back from psi0 to the samples below 0 by exp(-Omega) of
+    each step behind (`_PeriodGrid.advance`), then starts again from psi0.
+    `diagnostics["magnus_steps"]` counts the E_k that U_T forms, the steps
+    either way and the partial steps.  The Fock parity Pi = (-1)^(n_1 + ...),
     read from `occupation`, and complex conjugation map the drive with
     phases theta to the one with -theta, so psi_{-theta}(t) =
     Pi conj(psi_theta(-t)) for a real psi0 of one parity; a drive that this
@@ -705,7 +705,8 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     h, n, m = grid.h, grid.n, grid.degree
 
     # grid point at or below each sample, and the partial step beyond it
-    points = np.floor(times / h + 1e-9).astype(np.int64)
+    index = times / h + 1e-9  # beyond int64 the point is 0, and all of t reads out nan
+    points = np.floor(np.where(np.abs(index) < 2.0 ** 62, index, 0.0)).astype(np.int64)
     partial = np.maximum(times - points * h, 0.0)
     partial_coefs = grid.coefficients((points % n) * h, partial)
 
@@ -729,15 +730,11 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
 
     # plain stepping: the whole window is period 0, and U_T is never applied
     floquet = _floquet_pays(dim, n, grid.nodes, m, points, grid.reversed)
-    if points[0] < 0 and not floquet:
-        raise PastSampleError(f"a sample before t = 0 needs the one-period propagator, whose "
-                              f"{grid.nodes} node exponentials of {dim} x {dim} would exceed "
-                              f"DENSE_BYTE_BUDGET ({DENSE_BYTE_BUDGET} bytes)")
     periods, offsets = np.divmod(points, n) if floquet else (np.zeros_like(points), points)
     u_period, kept = grid.period_propagator(_kept_offsets(offsets)) if floquet else (None, {})
     ends = _period_ends(periods)
     width = _BLOCK_WIDTH * dim
-    back = u_period.conj().T if points[0] < 0 else None  # U_T^dag = U_T^-1
+    back = u_period.conj().T if periods[0] < 0 else None  # U_T^dag = U_T^-1
     phi, power, powers, first, block_steps = psi0.astype(complex), 0, 0, 0, 0
     for pass_ends in (ends[i:i + width] for i in range(0, len(ends), width)):
         # Pass 1: U_T^q psi0 for each sampled period q, in columns ordered
@@ -757,16 +754,21 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         last = last[order]
         # Pass 2: bring the block to each offset, emitting in offset order:
         # a kept P_o takes a column there in one product; otherwise the block
-        # steps through the period, and a column leaves once its last sample is out
+        # steps through the period, and a column leaves once its last sample is
+        # out.  Plain stepping first takes the offsets below 0, from 0 down
         ks = np.arange(first, pass_ends[-1] + 1)
+        sampled = offsets[ks]
         sample_column = column[np.searchsorted(pass_ends, ks)]
         # one generator over the pass, so that every stack of E_k is formed full
         steps = (step for _, stack in grid.exponential_stacks(0, int(last[0]))
                  for step in stack) if floquet and not kept else None
         j = 0
-        for i in np.argsort(offsets[ks], kind="stable"):
-            o = offsets[ks[i]]
-            if o > j and not kept:
+        for i in np.argsort(np.where(sampled < 0, sampled.min() - 1 - sampled, sampled),
+                            kind="stable"):
+            o = sampled[i]
+            if o >= 0 > j:  # back from the past: the offsets from 0 on start again from psi0
+                block, j = psi0.astype(complex)[:, None], 0
+            if o != j and not kept:
                 live = np.count_nonzero(last >= o)
                 if floquet:  # block <- E_k block, the two buffers taking turns
                     for _ in range(o - j):
@@ -774,14 +776,14 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
                         block, spare = spare, block
                 else:
                     block = grid.advance(block[:, :live], j, o - j)
-                block_steps += o - j
+                block_steps += abs(o - j)
                 j = o
             x = block[:, sample_column[i]]
             emit(ks[i], kept[o] @ x if kept else x)
         first = pass_ends[-1] + 1
     if queued:
         read_out()
-    steps = (n if floquet else 0) + block_steps
+    steps = (grid.formed if floquet else 0) + block_steps
 
     drifted = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_ABORT))  # a nan norm drifts too
     if drifted.size:
@@ -883,33 +885,28 @@ def link_point(cfg, delta_phi: float, mirror: float | None = None) -> list[tuple
     t* = pi / (2 |J|), or is undefined when its dressed coupling falls below
     COUPLING_THRESHOLD.  The exact drive at 2 pi - delta is the time reverse
     of the one at delta, and psi0 is a real one-phonon state (see `evolve`),
-    so the mirror's n2 at its t* is that of delta_phi's drive at -t*: when
-    both steps are defined, one exact run of delta_phi's drive on
-    [-t*(mirror), t*(delta_phi)] gives both, unless that run cannot get its
-    U_T (PastSampleError); then each step runs on its own."""
+    so the mirror's n2 at its t* is that of delta_phi's drive at -t*.  One
+    exact run serves both steps: delta_phi's drive on [-t*(mirror),
+    t*(delta_phi)] when both are defined, else the defined step's own drive
+    on [0, t*], by Floquet sampling or plain stepping as `evolve` prices them."""
     array = link_array(cfg)
-    rows, runs = [], []  # runs: (drive, t_star) of each step, None if undefined
+    rows, runs = [], []  # runs: (row, drive, t_star) of each defined step
     for phi in (delta_phi,) if mirror is None else (delta_phi, mirror):
         drive = config_drive(cfg, "laser", phi, 0.0)
         eff = effective_coupling_matrix(array, drive, cfg["direction"])
         j_eff = abs(eff.matrix[1, 0])
         if j_eff < COUPLING_THRESHOLD:
             rows.append((math.nan, math.nan, math.nan, False))
-            runs.append(None)
             continue
         t_star = math.pi / (2.0 * j_eff)
+        runs.append((len(rows), drive, t_star))
         rows.append((t_star, float(_effective_run(eff, t_star, 2, None).populations[-1, 1])))
-        runs.append((drive, t_star))
-    if all(runs) and len(runs) == 2:  # the mirror's sample at -t*, before delta_phi's at t*
-        (drive, t_star), (_, t_back) = runs
-        with suppress(PastSampleError):  # else one run per step, plain stepping allowed
-            pops = _exact_run(cfg, array, drive, t_star, 2, DEFAULT_CUTOFF_RANGE, None,
-                              t_start=-t_back).populations
-            return [rows[0] + (float(pops[1, 1]), True), rows[1] + (float(pops[0, 1]), True)]
-    for i, run in enumerate(runs):
-        if run:
-            pops = _exact_run(cfg, array, *run, 2, DEFAULT_CUTOFF_RANGE, None).populations
-            rows[i] += (float(pops[1, 1]), True)
+    if runs:  # one exact run: the mirror's sample at -t*, before delta_phi's at t*
+        _, drive, t_star = runs[0]
+        pops = _exact_run(cfg, array, drive, t_star, 2, DEFAULT_CUTOFF_RANGE, None,
+                          t_start=-runs[1][2] if len(runs) == 2 else 0).populations
+        for (i, _, _), sample in zip(runs, (1, 0)):
+            rows[i] += (float(pops[sample, 1]), True)
     return rows
 
 
@@ -922,9 +919,10 @@ def link_transfer_scan(cfg, *, map_fn=map) -> LinkScanResult:
     is 2 pi minus point k, whose exact drive is its time reverse, so
     `map_fn` (called as the builtin map with two iterables) maps link_point
     over the first points - points // 2 points, each with its mirror: one
-    exact run per pair, sampled at -t* of the mirror and at t* of the point.
-    The effective runs and t* stay per point.  The pairs are independent, so
-    a process-pool map may run them.
+    exact run per pair, sampled at -t* of the mirror and at t* of the point,
+    whether `evolve` takes U_T or plain stepping.  The effective runs and t*
+    stay per point.  The pairs are independent, so a process-pool map may run
+    them.
     """
     grid = np.linspace(0.0, 2.0 * math.pi, cfg["scan.points"])
     half = len(grid) - len(grid) // 2

@@ -14,7 +14,6 @@ from phonon_gauge.couplings import DEFAULT_CUTOFF_RANGE, CouplingMatrix, bare_co
 from phonon_gauge.dynamics import (
     DrivenHamiltonian,
     IntegrationError,
-    PastSampleError,
     driven_model,
     effective_hamiltonian,
     evolve,
@@ -504,9 +503,11 @@ def test_samples_at_period_multiples_land_on_the_grid(request, model_fixture, pe
     diag = res.diagnostics
     assert diag["period_propagator"] is uses_propagator
     assert diag["period_nodes"] == (25 if uses_propagator else 0)  # 315 steps of degree 23
-    # no partial steps: every sample is a grid point
+    # no partial steps: every sample is a grid point; the pi link is its own
+    # reverse, so U_T forms the exponentials of the first ceil(n / 2) steps
     if uses_propagator:
-        assert diag["period_powers"] == periods and diag["magnus_steps"] == n
+        assert diag["period_reversed"]
+        assert diag["period_powers"] == periods and diag["magnus_steps"] == n - n // 2
     else:
         assert diag["period_powers"] == 0 and diag["magnus_steps"] == periods * n
     ref = _plain_magnus_populations(model, space, psi0, res.times, 0.4)
@@ -595,10 +596,12 @@ def test_cost_rule_prices_the_kept_partial_products_at_the_link_shape():
     # the link at delta_phi = pi is its own time reverse: half of U_T costs
     # 17689, 0.53 times the plain stepping
     assert dynamics._floquet_pays(25, n, 17, 14, np.array([0, n + 900]), reversed_drive=True)
-    # plain stepping cannot reach a sample below zero: U_T runs at any price
-    # that fits, powered down to the lowest period by U_T^dag
+    # plain stepping reaches a sample below zero by |points[0]| steps back: a
+    # long past pays for U_T, powered down to the lowest period by U_T^dag,
+    # and a short one or a node table over DENSE_BYTE_BUDGET steps back
     assert dynamics._floquet_pays(25, n, 17, 14, np.array([-n * 10 ** 6, 0]))
     assert not dynamics._floquet_pays(25, n, 10 ** 5, 14, np.array([-1, 0]))
+    assert not dynamics._floquet_pays(25, n, 17, 14, np.array([-100, 100]))
     # six distinct offsets are block-stepped and priced as before
     assert dynamics._kept_offsets(np.arange(6)) == set()
 
@@ -714,13 +717,12 @@ def test_interpolated_period_propagator_matches_the_sequential_product(pi_link_m
 def test_reversed_drive_builds_u_t_from_half_a_period(pi_link_model, preset, n, offsets):
     model, space = pi_link_model
     if preset.endswith("-steps"):
-        grid = dynamics._PeriodGrid(dataclasses.replace(model, modulation=-5.0),
-                                    2 * math.pi / 5.0 / n, _parity(space))
+        model, dt = dataclasses.replace(model, modulation=-5.0), 2 * math.pi / 5.0 / n
     else:
         if preset == "ring":
             model, space = _preset_ring_model(), build_fock_space(4, 2)
-        grid = dynamics._PeriodGrid(model, dynamics.default_time_step(model.frequency_scale),
-                                    _parity(space))
+        dt = dynamics.default_time_step(model.frequency_scale)
+    grid = dynamics._PeriodGrid(model, dt, _parity(space))
     assert grid.reversed and grid.n == n
     formed = _formed_ranges(grid)
     u, kept = grid.period_propagator(set(offsets))
@@ -731,6 +733,12 @@ def test_reversed_drive_builds_u_t_from_half_a_period(pi_link_model, preset, n, 
     for o in offsets:
         assert np.abs(kept[o] - ref_kept[o]).max() < 1e-12
         assert not np.shares_memory(kept[o], u)
+    # evolve counts the steps formed: 200 periods sampled at 0 and 200 T, both on the grid
+    res = evolve(model, single_phonon_state(space, 0), 200 * n * grid.h, dt,
+                 occupation=space.occupation_table(), samples=2)
+    diag = res.diagnostics
+    assert diag["period_propagator"] and diag["period_reversed"]
+    assert diag["magnus_steps"] == n - n // 2 and diag["period_powers"] == 200
 
 
 def test_a_drive_that_is_not_its_own_reverse_takes_the_full_build():
@@ -776,23 +784,51 @@ def test_samples_before_zero_are_the_time_reverse(pi_link_model, skew_link_model
     assert np.abs(back.populations[0] - back.populations[2]).max() > 1e-5  # 3.2e-4 at 9 T
 
 
-def test_a_past_sample_without_room_for_u_t_is_refused(pi_link_model, monkeypatch):
+def _spy_exact_runs(monkeypatch) -> list:
+    """The t_start of every exact-drive `evolve` call from here on."""
+    starts = []
+
+    def spy(hamiltonian, *args, **kwargs):
+        starts.extend([kwargs.get("t_start", 0.0)] * isinstance(hamiltonian, DrivenHamiltonian))
+        return evolve(hamiltonian, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "evolve", spy)
+    return starts
+
+
+def test_a_past_sample_without_room_for_u_t_steps_back(pi_link_model, monkeypatch):
     model, space = pi_link_model
     psi0, occ = single_phonon_state(space, 0), space.occupation_table()
-    # one byte short of the link's 17 node exponentials of 25 x 25
+    # [-50, 50], under one period (125.7), by U_T^dag for reference
+    monkeypatch.setattr(dynamics, "_floquet_pays", lambda *args: True)
+    floquet = evolve(model, psi0, 50.0, occupation=occ, samples=5, t_start=-50.0)
+    monkeypatch.undo()
+    # one byte short of the link's 17 node exponentials of 25 x 25: plain
+    # stepping, back from psi0 to -50 and again from psi0 up to 50
     monkeypatch.setattr(dynamics, "DENSE_BYTE_BUDGET", 16 * 17 * 25 ** 2 - 1)
-    with pytest.raises(PastSampleError, match=r"17 node exponentials of 25 x 25 would exceed "
-                                              r"DENSE_BYTE_BUDGET \(169999 bytes\)"):
-        evolve(model, psi0, 50.0, occupation=occ, samples=2, t_start=-50.0)
-    # later samples step there
-    assert not evolve(model, psi0, 50.0, occupation=occ, samples=2).diagnostics[
-        "period_propagator"]
-    # a mirrored pair of link points then runs each point on its own
+    plain = evolve(model, psi0, 50.0, occupation=occ, samples=5, t_start=-50.0)
+    assert floquet.diagnostics["period_propagator"]
+    assert not plain.diagnostics["period_propagator"]
+    assert np.abs(plain.populations - floquet.populations).max() < 1e-12  # 7.8e-13 measured
+    # each step back counts once: the priced steps, and a partial step per sample off the grid
+    h = plain.parameters["dt"]
+    points = np.floor(plain.times / h + 1e-9).astype(np.int64)
+    off_grid = np.count_nonzero(plain.times - points * h > 0)
+    assert points[0] < 0 and off_grid == 4
+    assert plain.diagnostics["magnus_steps"] == points[-1] - points[0] + off_grid
+    # a mirrored pair of link points still makes one exact run
     monkeypatch.setattr(dynamics, "DENSE_BYTE_BUDGET", 0)
     cfg = parse_config(LINK + "numerics.n_max = 1\nnumerics.time_step_divisor = 4\n")
+    exact_runs = _spy_exact_runs(monkeypatch)
     pair = link_point(cfg, math.pi / 2, 3 * math.pi / 2)
+    assert len(exact_runs) == 1 and exact_runs[0] < 0
+    single = link_point(cfg, math.pi / 2) + link_point(cfg, 3 * math.pi / 2)
     assert [row[3] for row in pair] == [True, True]
-    assert pair == link_point(cfg, math.pi / 2) + link_point(cfg, 3 * math.pi / 2)
+    # the samples from 0 on start again from psi0, by the same steps as a direct run
+    assert pair[0] == single[0] and pair[1][:2] == single[1][:2]
+    # the mirror's n2 differs by the partial steps to -t* and t*, the two ends
+    # of one grid step, here at divisor 4: 1.1e-6 measured
+    assert abs(pair[1][2] - single[1][2]) < 3e-6
 
 
 @pytest.mark.parametrize("points", [5, 6])
@@ -800,14 +836,7 @@ def test_mirrored_link_scan_rows_match_direct_runs(monkeypatch, points):
     # the mirrored rows differ from the direct ones by the partial steps to
     # -t* and t*, which span the two ends of one grid step: 2.5e-11 here
     cfg = parse_config(LINK + f"scan.points = {points}\nnumerics.n_max = 2\n")
-    exact_runs = []
-
-    def spy(hamiltonian, *args, **kwargs):
-        exact_runs.extend([kwargs.get("t_start", 0.0)] * isinstance(hamiltonian,
-                                                                    DrivenHamiltonian))
-        return evolve(hamiltonian, *args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "evolve", spy)
+    exact_runs = _spy_exact_runs(monkeypatch)
     res = link_transfer_scan(cfg)
     # 0 and 2 pi are undefined; one exact run per pair, and one for pi (points = 5)
     assert len(exact_runs) == 2 and min(exact_runs) < 0
@@ -854,8 +883,9 @@ def test_node_count_stops_at_the_taylor_degree_and_the_grid(n, nodes):
 
 def test_floquet_block_steps_keep_the_step_and_power_counts(monkeypatch):
     # the preset ring over 6.5 periods, 12 samples at 12 distinct offsets: the
-    # block crosses the period by E_k, with the counters it had under Taylor
-    # steps (1050 steps for U_T, 1002 block steps and 10 partial steps)
+    # block crosses the period by E_k, each counted as a Taylor step would
+    # be: 525 steps formed for U_T (the ring is its own reverse), 1002 block
+    # steps and 10 partial steps
     model = _preset_ring_model()
     space = build_fock_space(4, 2)
     psi0 = single_phonon_state(space, 0)
@@ -864,7 +894,7 @@ def test_floquet_block_steps_keep_the_step_and_power_counts(monkeypatch):
     assert len(set((np.floor(res.times / res.parameters["dt"] + 1e-9) % 1050).tolist())) == 12
     diag = res.diagnostics
     assert diag["period_propagator"] and diag["period_nodes"] == 15
-    assert diag["magnus_steps"] == 2062 and diag["period_powers"] == 6
+    assert diag["magnus_steps"] == 1537 and diag["period_powers"] == 6
     monkeypatch.setattr(dynamics, "_floquet_pays", lambda *args: False)
     plain = evolve(model, psi0, t_final, occupation=space.occupation_table(), samples=12)
     assert plain.diagnostics["magnus_steps"] == 6825 + 10  # 6.5 T itself is a grid point
@@ -1115,7 +1145,7 @@ def test_link_point_takes_the_kept_partial_product():
     off_grid = np.count_nonzero(res.times - np.floor(res.times / h + 1e-9) * h > 0)
     diag = res.diagnostics
     assert diag["period_propagator"] and diag["period_powers"] == 25
-    assert diag["magnus_steps"] == n + off_grid  # no block steps
+    assert diag["magnus_steps"] == n - n // 2 + off_grid  # half a period formed, no block steps
     ref = _plain_magnus_populations(model, space, psi0, res.times, dt)
     assert np.abs(res.populations - ref).max() < 1e-9
 
