@@ -11,7 +11,9 @@ cells of a CSV or the numbers at the same position of a JSON document.  The
 relative difference of two numbers is |a - b| / max(|a|, |b|).  A file whose
 text differs other than in its numbers is reported as ``differs in <place>``.
 Manifests are left out (each holds a wall-clock duration), and a file under
-one root only is listed as such.
+one root only is listed as such.  The exit status is 0 when every data file
+is identical, 1 when any differs or is under one root only, and 2 on a usage
+error, as for diff(1).
 """
 
 import csv
@@ -103,17 +105,20 @@ def data_files(root: Path) -> set:
 def main() -> int:
     if len(sys.argv) != 3:
         print(__doc__.splitlines()[2], file=sys.stderr)
-        return 1
+        return 2
     root_a, root_b = Path(sys.argv[1]), Path(sys.argv[2])
     files_a, files_b = data_files(root_a), data_files(root_b)
+    status = 0
     for name in sorted(files_a | files_b):
         if name not in files_b:
-            print(f"only in {root_a}  {name}")
+            line = f"only in {root_a}"
         elif name not in files_a:
-            print(f"only in {root_b}  {name}")
+            line = f"only in {root_b}"
         else:
-            print(f"{compare(root_a / name, root_b / name)}  {name}")
-    return 0
+            line = compare(root_a / name, root_b / name)
+        print(f"{line}  {name}")
+        status |= line != "identical"
+    return status
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .couplings import DEFAULT_CUTOFF_RANGE, DomainError, bare_coupling_matrix, \
     check_dipolar_reach, dressed_factor
 from .dynamics import COUPLING_THRESHOLD, config_drive, default_time_step, frequency_scale, \
-    link_array, period_steps, ring_couplings
+    link_array, path_work, period_steps, ring_couplings
 from .fock import DENSE_BYTE_BUDGET
 from .model import ConfigurationError, GeometryError, TrapArray, build_array
 
@@ -303,17 +303,13 @@ WORK_BUDGET = 4 * 10 ** 12
 def run_price(experiment: str, values: dict, couplings=None):
     """(arrays, work) of a run before it starts: each dense array that grows
     with the config as (keys, name, shape, bytes an entry), and None or (keys,
-    complex multiply-adds) counted from below, 2 n^3 / 3 a lattice spectrum
-    (the reduction in `eigh`; points - points // 2 spectra in a mirrored sweep,
-    a ladder at its open size) and one dim^2 matrix-vector product a step on
-    the exact drive's cheaper path: plain stepping to the window's end, or
-    Floquet sampling, n steps and one product a period plus n dim^3 for the
-    products that build U_T, once on the ring and once per mirrored pair of
-    link points, points - points // 2 of them (`link_transfer_scan`).
-    `couplings` is the ring's `ring_couplings(values)` or the error it
-    raised, evaluated here if None.
-    The drive's grid is priced only for a drive that can run: parse_config
-    reports any other."""
+    complex multiply-adds): 2 n^3 / 3 a lattice spectrum (the reduction in
+    `eigh`; points - points // 2 spectra in a mirrored sweep, a ladder at its
+    open size), and for each exact-drive run the cheaper path of `path_work`
+    on [0, the window's end] (the link's longest transfer time), at a Taylor
+    degree and node count of 1.  `couplings` is the ring's
+    `ring_couplings(values)` or the error it raised, evaluated here if None.
+    A drive that cannot run is not priced: parse_config reports it."""
     arrays, work, lattice = [], None, None  # lattice: keys, sites, points key, other columns
     if experiment == "fig2a_dressed_map":
         arrays.append(("map.eta_points, map.phase_points", "result table",
@@ -350,9 +346,12 @@ def run_price(experiment: str, values: dict, couplings=None):
         with suppress(OverflowError, ZeroDivisionError):
             n, h = period_steps(drive.drive_frequency,
                                 default_time_step(scale, values["numerics.time_step_divisor"]))
-            end = math.floor(window / h + 1e-9)  # the grid index of the window's end
-            runs = 1 if ring else values["scan.points"] - values["scan.points"] // 2
-            adds = runs * dim * dim * min(end, n + end // n + n * dim)
+            points = (0.0, float(math.floor(window / h + 1e-9)))  # floats: past int64 too
+            # runs by reversal: the ring and an odd scan's pi; the pairs but 0, 2 pi (J = 0)
+            runs = {True: 1} if ring else {True: values["scan.points"] % 2,
+                                           False: values["scan.points"] // 2 - 1}
+            adds = dim * dim * sum(count * min(path_work(dim, n, 1, 1, points, reverse, 1))
+                                   for reverse, count in runs.items())
         arrays.append(("numerics.time_step_divisor",
                        f"step table at frequency scale {scale:.3g}", (n, 5), 8))
         if ring:

@@ -521,41 +521,41 @@ def _kept_offsets(offsets: np.ndarray) -> set[int]:
     return distinct if len(distinct) <= _BLOCK_WIDTH else set()
 
 
-def _floquet_pays(dim: int, n: int, nodes: int, degree: int, points: np.ndarray,
-                  reversed_drive: bool = False) -> bool:
-    """Whether Floquet sampling to the ascending grid `points` (n steps per
-    period) costs fewer weighted multiply-adds than plain stepping.
+def path_work(dim: int, n: int, nodes: int, degree: int, points: np.ndarray,
+              reversed_drive: bool, product: float) -> tuple:
+    """(plain, floquet): the work of plain stepping and of Floquet sampling to
+    the ascending grid `points` (n steps per period), in units of d^2
+    multiply-adds; a d x d matrix product weighs `product` d units.  `evolve`
+    takes the cheaper path at 1 / _MATMUL_SPEEDUP, `config.run_price` at 1.
 
-    Plain stepping takes points[-1] steps of `degree` matrix-vector
-    products, and |points[0]| more back below zero.  Floquet sampling builds
-    U_T from `nodes` step exponentials (s + r - 2 matrix products each,
-    Paterson-Stockmeyer), n formation rows of nodes d^2 multiply-adds each,
-    at matrix-vector speed, and n matrix products for the accumulation, or
-    ceil(n / 2) rows and ceil(n / 2) + 1 products for a `reversed_drive`
-    (`_PeriodGrid.period_propagator`; the products that mirror kept offsets
-    past the middle, at most _BLOCK_WIDTH, are left out).  It then powers
-    psi0 to every sampled period: by U_T^dag down to the lowest, q_0 < 0, by
-    U_T up through the other negative ones (at most |q_0| more products), and
-    by U_T from psi0 up to the last.  When U_T keeps its partial products
-    at the sampled offsets (`_kept_offsets`), each sample then costs one
-    matrix-vector product.  Otherwise it steps blocks of at most _BLOCK_WIDTH
-    d columns, one column per sampled period, to each column's last sample by
-    the step exponentials E_k of U_T: a block step forms E_k again, one row of
-    nodes d^2 multiply-adds at matrix-vector speed, and multiplies the block
-    by it once, its first column at matrix-vector speed and the others at
-    matrix-product speed.  Formation, one row a step, and the accumulation
-    are upper bounds: `exponential_stacks` forms and `_chain` multiplies a
-    stack of E_k per call (104 at d = 25, 9 at d = 81, 1 at d = 625).  The
-    samples' partial steps cost the same on both paths and are left out.
-    U_T is refused when its node harmonics, nodes complex d x d matrices,
-    would exceed DENSE_BYTE_BUDGET.
+    Plain stepping takes `degree` matrix-vector products a step, points[-1]
+    steps and |points[0]| more back below zero.  Floquet sampling builds U_T
+    from `nodes` Paterson-Stockmeyer step exponentials (s + r - 2 products
+    each), n formation rows of nodes d^2 multiply-adds at matrix-vector speed
+    and n products for the accumulation, or ceil(n / 2) rows and
+    ceil(n / 2) + 1 products for a `reversed_drive` (`period_propagator`,
+    less the at most _BLOCK_WIDTH products that mirror kept offsets past the
+    middle).  It powers psi0 to every sampled period: by U_T^dag down to the
+    lowest, q_0 < 0, by U_T up through the other negative ones (at most |q_0|
+    more products), and from psi0 up to the last.  With U_T's partial products
+    kept at the sampled offsets (`_kept_offsets`), each sample costs one
+    matrix-vector product.  Otherwise blocks of at most _BLOCK_WIDTH d
+    columns, one per sampled period, step to each column's last sample by the
+    E_k of U_T: a block step forms E_k again, one row at matrix-vector speed,
+    and multiplies the block by it, its first column at matrix-vector speed
+    and the others at matrix-product speed.  Formation, one row a step, and
+    the accumulation are upper bounds: `exponential_stacks` forms and `_chain`
+    multiplies a stack of E_k per call (104 at d = 25, 9 at d = 81, 1 at
+    d = 625).  The samples' partial steps cost the same on both paths and are
+    left out.  Floquet sampling is infinite when its node harmonics, `nodes`
+    complex d x d matrices, would exceed DENSE_BYTE_BUDGET.
     """
+    plain = degree * (int(points[-1]) - min(int(points[0]), 0))
     if 16 * nodes * dim * dim > DENSE_BYTE_BUDGET:
-        return False
+        return plain, math.inf
     periods, offsets = np.divmod(points, n)
-    s, r = _ps_shape(degree)
     formed = n - n // 2 if reversed_drive else n
-    floquet = ((nodes * (s + r - 2) + formed + reversed_drive) * dim / _MATMUL_SPEEDUP
+    floquet = ((nodes * (sum(_ps_shape(degree)) - 2) + formed + reversed_drive) * dim * product
                + formed * nodes + int(periods[-1]) - 2 * min(int(periods[0]), 0))
     if _kept_offsets(offsets):
         floquet += len(points)
@@ -563,8 +563,8 @@ def _floquet_pays(dim: int, n: int, nodes: int, degree: int, points: np.ndarray,
         last = offsets[_period_ends(periods)]
         width = _BLOCK_WIDTH * dim
         steps = sum(int(last[i:i + width].max()) for i in range(0, len(last), width))
-        floquet += steps * (nodes + 1) + (int(last.sum()) - steps) / _MATMUL_SPEEDUP
-    return bool(floquet < degree * (int(points[-1]) - min(int(points[0]), 0)))
+        floquet += steps * (nodes + 1) + (int(last.sum()) - steps) * product
+    return plain, floquet
 
 
 def default_time_step(scale: float, time_step_divisor: int = 40) -> float:
@@ -632,7 +632,7 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     h = T / ceil(T / dt) fill the drive period T, dt defaulting to
     `default_time_step(hamiltonian.frequency_scale)`; each sample is one
     partial step from the grid point at or below it.  One block loop steps
-    the states to those grid points.  When `_floquet_pays`, it builds the
+    the states to those grid points.  When it pays (`path_work`), it builds the
     one-period propagator U_T from step exponentials interpolated in the
     drive phase (`_PeriodGrid.period_propagator`; `diagnostics["period_nodes"]`
     counts the exponentials it takes), powers psi0 by it to every period
@@ -729,7 +729,8 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
             read_out()
 
     # plain stepping: the whole window is period 0, and U_T is never applied
-    floquet = _floquet_pays(dim, n, grid.nodes, m, points, grid.reversed)
+    plain, floquet = path_work(dim, n, grid.nodes, m, points, grid.reversed, 1 / _MATMUL_SPEEDUP)
+    floquet = floquet < plain  # the cheaper path
     periods, offsets = np.divmod(points, n) if floquet else (np.zeros_like(points), points)
     u_period, kept = grid.period_propagator(_kept_offsets(offsets)) if floquet else (None, {})
     ends = _period_ends(periods)

@@ -295,7 +295,7 @@ def test_weak_ring_drive_on_the_automatic_window_is_a_config_error(tmp_path, mon
     ("experiment = fig2b_link_scan\nnumerics.n_max = 64\n",
      ["numerics.n_max: the step-generator table takes 1428050000 bytes "
       f"(5 x 4225 x 4225 x 16), {_BYTES}",
-      f"scan.points, numerics.n_max: the run takes at least 1.22e+15 complex "
+      f"scan.points, numerics.n_max: the run takes at least 3.27e+15 complex "
       f"multiply-adds, {_WORK}"]),
 ], ids=["fig2cd_plaquette", "fig2b_link_scan"])
 def test_fock_limit_is_listed_with_the_other_violations(tmp_path, capsys, text, capacity):
@@ -403,10 +403,10 @@ OVERSIZED_EXACT_DRIVES = {
                  "(1000000000 x 5 x 8)"]),
     "divisor": (RING + "numerics.time_step_divisor = 1000000000\n",
                 [f"{_STEPS} 1.31 takes 1049036486320 bytes (26225912158 x 5 x 8)",
-                 f"{_RING_WORK} 1.41e+16 complex multiply-adds"]),
+                 f"{_RING_WORK} 7.05e+15 complex multiply-adds"]),
     "strong_drive": (RING + "drive.rabi_frequency = 1e6\ndrive.lamb_dicke = 1e-3\n",
                      [f"{_STEPS} 1e+06 takes 32000065640 bytes (800001641 x 5 x 8)",
-                      f"{_RING_WORK} 430402484160360 complex multiply-adds"]),
+                      f"{_RING_WORK} 215201244074724 complex multiply-adds"]),
     "overflowing_drive": (RING + "drive.rabi_frequency = 1e300\ndrive.lamb_dicke = 1e-160\n"
                           "numerics.window = 100\n",
                           [f"{_STEPS} 1e+300 takes 3.2e+304 bytes (8e+302 x 5 x 8)",
@@ -416,7 +416,7 @@ OVERSIZED_EXACT_DRIVES = {
     "link_divisor": ("experiment = fig2b_link_scan\nnumerics.time_step_divisor = 1000000000\n",
                      ["numerics.time_step_divisor: the step table at frequency scale 1.83 takes "
                       "1464780720080 bytes (36619518002 x 5 x 8)",
-                      "scan.points, numerics.n_max: the run takes at least 6.55e+15"]),
+                      "scan.points, numerics.n_max: the run takes at least 5.65e+15"]),
 }
 
 
@@ -506,9 +506,9 @@ def test_oversized_sweep_is_a_config_error(tmp_path, capsys, text, problems):
 #: Runs that fit neither the byte budget nor the work budget, though each part of
 #: them would fit the other rules: the ring's and the link's step-generator table
 #: (0.46 and 1.34 GB at n_max = 6 and 7, 0.27 GB for the link at 42), the
-#: link's 11 U_T builds, one per mirrored pair of points, at n_max = 25 (its
-#: limit is 24), Floquet sampling over 8e14 drive periods, and 4095 and 500
-#: diagonalisations of a 4096 x 4096 lattice.
+#: link's U_T builds, a full one per mirrored pair of points and half of one
+#: for pi, at n_max = 25 (its limit is 24), Floquet sampling over 8e14 drive
+#: periods, and 4095 and 500 diagonalisations of a 4096 x 4096 lattice.
 OVERSIZED_RUNS = {
     "ring_n_max_6": (RING + "numerics.n_max = 6\n",
                      ["numerics.n_max: the step-generator table takes 461184080 bytes "
@@ -517,12 +517,12 @@ OVERSIZED_RUNS = {
                      ["numerics.n_max: the step-generator table takes 1342177280 bytes "
                       f"(5 x 4096 x 4096 x 16), {_BYTES}"]),
     "link_n_max_25": ("experiment = fig2b_link_scan\nnumerics.n_max = 25\n",
-                      ["scan.points, numerics.n_max: the run takes at least 5048376098480 "
+                      ["scan.points, numerics.n_max: the run takes at least 4366379175392 "
                        f"complex multiply-adds, {_WORK}"]),
     "link_n_max_42": ("experiment = fig2b_link_scan\nnumerics.n_max = 42\n",
                       ["numerics.n_max: the step-generator table takes 273504080 bytes "
                        f"(5 x 1849 x 1849 x 16), {_BYTES}",
-                       "scan.points, numerics.n_max: the run takes at least 102393944650250 "
+                       "scan.points, numerics.n_max: the run takes at least 88525267282859 "
                        f"complex multiply-adds, {_WORK}"]),
     "ring_window": (RING + "numerics.window = 1e17\n",
                     ["numerics.window, numerics.n_max: the run takes at least 5.22e+18 complex "
@@ -587,6 +587,19 @@ def test_normal_runs_fit_the_budget(text):
     if cfg.experiment in ("fig2b_link_scan", "fig2cd_plaquette"):
         assert work is not None  # the grid of the drive is priced
     assert work is None or work[1] <= config.WORK_BUDGET
+
+
+#: The exact drive's work as the runs are made: two link points are the pair 0
+#: and 2 pi, whose dressed factor vanishes, so nothing runs; three add pi, a
+#: drive that is its own time reverse and builds U_T from half a period, as
+#: the preset pi ring does.
+@pytest.mark.parametrize("text, adds", [(LINK_TWO_POINTS, 0),
+                                        ("experiment = fig2b_link_scan\nscan.points = 3\n",
+                                         19756250),
+                                        (RING, 284360301)], ids=["link_2", "link_3", "ring"])
+def test_exact_drive_is_priced_by_the_runs_it_makes(text, adds):
+    cfg = parse_config(text)
+    assert config.run_price(cfg.experiment, dict(cfg.values))[1][1] == adds
 
 
 @pytest.mark.parametrize("text", [RING, RING + "numerics.n_max = 6\n",

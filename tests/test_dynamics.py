@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -356,14 +355,14 @@ def test_absurd_step_raises_integration_error(link_setup, monkeypatch):
     # exponential and before the cost rule that prices its nodes
     monkeypatch.undo()
     calls = []
-    for name in ("_node_count", "_floquet_pays", "_taylor_matrix"):
+    for name in ("_node_count", "path_work", "_taylor_matrix"):
         def spy(*args, name=name, real=getattr(dynamics, name)):
             calls.append(name)
             return real(*args)
         monkeypatch.setattr(dynamics, name, spy)
     res = evolve(model, psi0, 4000.0, 0.4, occupation=space.occupation_table(), samples=2)
     assert res.diagnostics["period_propagator"] and res.diagnostics["period_nodes"] == 31
-    assert calls[:3] == ["_node_count", "_floquet_pays", "_taylor_matrix"]
+    assert calls[:3] == ["_node_count", "path_work", "_taylor_matrix"]
     assert calls.count("_node_count") == 1
 
 
@@ -554,6 +553,13 @@ def _grid_points(window, samples, n):
     return np.floor(np.linspace(0.0, window, samples) / h + 1e-9).astype(np.int64)
 
 
+def _floquet_share(dim, n, nodes, degree, points, reversed_drive=False):
+    """Floquet sampling's work over plain stepping's, as `evolve` weighs them."""
+    plain, floquet = dynamics.path_work(dim, n, nodes, degree, points, reversed_drive,
+                                        1 / dynamics._MATMUL_SPEEDUP)
+    return floquet / plain
+
+
 def test_cost_rule_branches_at_the_ring_shapes():
     # criterion 8's n_max = 4 ring (dim 625, 263 steps per period at degree 32,
     # 25 nodes, 151 samples over 1500): U_T and the block steps by E_k cost
@@ -561,17 +567,19 @@ def test_cost_rule_branches_at_the_ring_shapes():
     # Measured on one core of a 2-vCPU Xeon (numpy 2.4, OpenBLAS 0.3.31, one
     # BLAS thread): 31.2 s against 43.7 s by plain stepping, and a peak RSS of
     # 308 MB against 138 MB, of which the node harmonics take 156 MB
-    assert dynamics._floquet_pays(625, 263, 25, 32, _grid_points(1500.0, 151, 263))
+    criterion_8 = (625, 263, 25, 32, _grid_points(1500.0, 151, 263))
+    assert _floquet_share(*criterion_8) == pytest.approx(0.94, rel=0.01)
     # the same ring on a window under one period: U_T costs 13.8 times the stepping
-    assert not dynamics._floquet_pays(625, 263, 25, 32, _grid_points(100.0, 11, 263))
+    short = (625, 263, 25, 32, _grid_points(100.0, 11, 263))
+    assert _floquet_share(*short) == pytest.approx(13.8, rel=0.01)
     # the pi ring at n_max = 2 (dim 81, 1050 steps at degree 14, 15 nodes) on a 4060 window
-    assert dynamics._floquet_pays(81, 1050, 15, 14, _grid_points(4060.0, 601, 1050))
+    preset = (81, 1050, 15, 14, _grid_points(4060.0, 601, 1050))
+    assert _floquet_share(*preset) == pytest.approx(0.13, rel=0.03)
     # both rings are their own time reverse: half a period of E_k builds U_T,
-    # at 0.70, 10.3 and 0.095 times the stepping (0.94, 13.8 and 0.13 in full)
-    reversed_ring = partial(dynamics._floquet_pays, reversed_drive=True)
-    assert reversed_ring(625, 263, 25, 32, _grid_points(1500.0, 151, 263))
-    assert not reversed_ring(625, 263, 25, 32, _grid_points(100.0, 11, 263))
-    assert reversed_ring(81, 1050, 15, 14, _grid_points(4060.0, 601, 1050))
+    # at 0.70, 10.3 and 0.095 times the stepping
+    assert _floquet_share(*criterion_8, True) == pytest.approx(0.70, rel=0.01)
+    assert _floquet_share(*short, True) == pytest.approx(10.3, rel=0.01)
+    assert _floquet_share(*preset, True) == pytest.approx(0.095, rel=0.01)
 
 
 def test_cost_rule_refuses_a_node_table_above_the_dense_budget():
@@ -579,8 +587,8 @@ def test_cost_rule_refuses_a_node_table_above_the_dense_budget():
     # window of a thousand periods otherwise pays for U_T many times over
     points = np.array([0, 1000 * 263])
     assert 16 * 42 * 625 ** 2 <= dynamics.DENSE_BYTE_BUDGET < 16 * 43 * 625 ** 2
-    assert dynamics._floquet_pays(625, 263, 42, 32, points)
-    assert not dynamics._floquet_pays(625, 263, 43, 32, points)
+    assert _floquet_share(625, 263, 42, 32, points) < 0.02
+    assert dynamics.path_work(625, 263, 43, 32, points, False, 1.0) == (32 * 1000 * 263, math.inf)
 
 
 def test_cost_rule_prices_the_kept_partial_products_at_the_link_shape():
@@ -588,20 +596,20 @@ def test_cost_rule_prices_the_kept_partial_products_at_the_link_shape():
     # and t*, two offsets that U_T keeps: the block steps to t*'s offset are gone
     n = 1465
     assert dynamics._kept_offsets(np.array([0, 37658]) % n) == {0, 1033}
-    assert dynamics._floquet_pays(25, n, 17, 14, np.array([0, 37658]))  # t* at delta_phi = pi
-    # U_T costs 34699 weighted products, 1.69 periods of plain stepping: the
+    assert _floquet_share(25, n, 17, 14, np.array([0, 37658])) < 0.07  # t* at delta_phi = pi
+    # U_T costs 34702 weighted products, 1.69 periods of plain stepping: the
     # sample's offset in its period decides
-    assert dynamics._floquet_pays(25, n, 17, 14, np.array([0, n + 1100]))
-    assert not dynamics._floquet_pays(25, n, 17, 14, np.array([0, n + 900]))
+    assert _floquet_share(25, n, 17, 14, np.array([0, n + 1100])) < 1
+    assert _floquet_share(25, n, 17, 14, np.array([0, n + 900])) > 1
     # the link at delta_phi = pi is its own time reverse: half of U_T costs
     # 17689, 0.53 times the plain stepping
-    assert dynamics._floquet_pays(25, n, 17, 14, np.array([0, n + 900]), reversed_drive=True)
+    assert dynamics.path_work(25, n, 17, 14, np.array([0, n + 900]), True, 0.25) == (33110, 17689)
     # plain stepping reaches a sample below zero by |points[0]| steps back: a
     # long past pays for U_T, powered down to the lowest period by U_T^dag,
     # and a short one or a node table over DENSE_BYTE_BUDGET steps back
-    assert dynamics._floquet_pays(25, n, 17, 14, np.array([-n * 10 ** 6, 0]))
-    assert not dynamics._floquet_pays(25, n, 10 ** 5, 14, np.array([-1, 0]))
-    assert not dynamics._floquet_pays(25, n, 17, 14, np.array([-100, 100]))
+    assert _floquet_share(25, n, 17, 14, np.array([-n * 10 ** 6, 0])) < 1e-4
+    assert _floquet_share(25, n, 10 ** 5, 14, np.array([-1, 0])) == math.inf
+    assert _floquet_share(25, n, 17, 14, np.array([-100, 100])) > 12
     # six distinct offsets are block-stepped and priced as before
     assert dynamics._kept_offsets(np.arange(6)) == set()
 
@@ -800,7 +808,7 @@ def test_a_past_sample_without_room_for_u_t_steps_back(pi_link_model, monkeypatc
     model, space = pi_link_model
     psi0, occ = single_phonon_state(space, 0), space.occupation_table()
     # [-50, 50], under one period (125.7), by U_T^dag for reference
-    monkeypatch.setattr(dynamics, "_floquet_pays", lambda *args: True)
+    monkeypatch.setattr(dynamics, "path_work", lambda *args: (1, 0))  # U_T pays
     floquet = evolve(model, psi0, 50.0, occupation=occ, samples=5, t_start=-50.0)
     monkeypatch.undo()
     # one byte short of the link's 17 node exponentials of 25 x 25: plain
@@ -895,7 +903,7 @@ def test_floquet_block_steps_keep_the_step_and_power_counts(monkeypatch):
     diag = res.diagnostics
     assert diag["period_propagator"] and diag["period_nodes"] == 15
     assert diag["magnus_steps"] == 1537 and diag["period_powers"] == 6
-    monkeypatch.setattr(dynamics, "_floquet_pays", lambda *args: False)
+    monkeypatch.setattr(dynamics, "path_work", lambda *args: (0, 1))  # plain stepping
     plain = evolve(model, psi0, t_final, occupation=space.occupation_table(), samples=12)
     assert plain.diagnostics["magnus_steps"] == 6825 + 10  # 6.5 T itself is a grid point
     assert np.abs(res.populations - plain.populations).max() < 1e-10
@@ -1070,6 +1078,26 @@ def test_the_price_of_the_exact_drive_is_its_grid(text, sites):
     assert 16 * math.prod(shapes["step-generator table"]) == grid.table.nbytes
     assert shapes["step table"] == grid.coefs.shape == (grid.n, 5)
 
+
+
+@pytest.mark.parametrize("points, builds", [(2, []), (3, [True]), (21, [False] * 9 + [True])],
+                         ids=["two", "three", "preset"])
+def test_the_link_price_counts_the_u_t_builds_the_scan_makes(monkeypatch, points, builds):
+    # run_price prices points // 2 - 1 mirrored pairs at a full U_T build, the
+    # pi point of an odd scan at half of one, and nothing for the pair 0 and
+    # 2 pi, whose dressed factor vanishes: the builds that the scan makes
+    reversed_builds = []
+
+    def spy(hamiltonian, *args, **kwargs):
+        res = evolve(hamiltonian, *args, **kwargs)
+        if isinstance(hamiltonian, DrivenHamiltonian):
+            assert res.diagnostics["period_propagator"]
+            reversed_builds.append(res.diagnostics["period_reversed"])
+        return res
+
+    monkeypatch.setattr(dynamics, "evolve", spy)
+    link_transfer_scan(parse_config(LINK + f"scan.points = {points}\n"))
+    assert sorted(reversed_builds) == builds
 
 def test_top_level_population_is_the_truncation_leakage():
     text = "experiment = fig2cd_plaquette\nnumerics.window = 150\nnumerics.samples = 16\n"

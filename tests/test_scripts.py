@@ -27,8 +27,13 @@ def test_diff_outputs_names_each_data_file_and_its_largest_difference(tmp_path):
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
     (tmp_path / "A" / "lone.csv").write_text("x\n1\n")
-    out = subprocess.run([sys.executable, str(DIFF_OUTPUTS), str(tmp_path / "A"),
-                          str(tmp_path / "B")], capture_output=True, text=True, check=True)
+
+    def diff(*roots):
+        return subprocess.run([sys.executable, str(DIFF_OUTPUTS), *map(str, roots)],
+                              capture_output=True, text=True)
+
+    out = diff(tmp_path / "A", tmp_path / "B")
+    assert out.returncode == 1  # some files differ
     assert out.stdout.splitlines() == [
         "max abs 1e-06  max rel 5e-07  a/moved.csv",
         "max abs 0.5  max rel 0.333  a/moved.json",
@@ -36,6 +41,15 @@ def test_diff_outputs_names_each_data_file_and_its_largest_difference(tmp_path):
         "identical  a/same.csv",
         f"only in {tmp_path / 'A'}  lone.csv",
     ]
+    # a tree against itself is identical throughout, and a file under one root
+    # only is a difference by itself
+    same = diff(tmp_path / "A", tmp_path / "A")
+    assert same.returncode == 0 and all(line.startswith("identical  ")
+                                        for line in same.stdout.splitlines())
+    (tmp_path / "C").mkdir()
+    (tmp_path / "C" / "lone.csv").write_text("x\n1\n")
+    assert diff(tmp_path / "A", tmp_path / "C").returncode == 1
+    assert diff(tmp_path / "A").returncode == 2  # usage
 
 
 def test_hash_outputs_prints_one_line_per_written_file(tmp_path):
