@@ -4,9 +4,9 @@
 Usage: PYTHONPATH=src python scripts/hash_outputs.py [output_root]
 
 The list holds every preset, with the link scan on five phase steps, the
-ring at both fluxes on a 300-unit window (plain stepping) and at flux pi on
-a 600-unit window (Floquet sampling, its block crossing the period by the
-step exponentials of U_T), an open ladder sweep and a periodic butterfly on
+ring at both fluxes on a 300-unit window and at flux pi on a 600-unit
+window (all three by Floquet sampling, the block crossing half a period at
+flux 0 and a quarter period in the pi ring's mirror glide), an open ladder sweep and a periodic butterfly on
 even flux grids (the mirror's other branch: the preset grids are odd), a
 dressed map up to the largest drive strength (Bessel arguments up to 100),
 and `custom` in laser mode, in cosine mode, and with x couplings out to 7.5
@@ -14,9 +14,8 @@ lattice constants.  Each line reads ``sha256  <config>/<file>``, in the
 format of ``sha256sum``.  A
 manifest is hashed without its `duration_seconds`, the one entry that
 differs between reruns.  Run it on two checkouts and diff the outputs to see
-which data files a change moves.  The whole list takes 1.3 to 1.8 seconds
-on one core of a 2-vCPU Xeon, 0.2 of them in the 600-unit ring and 0.16 in
-the preset butterfly; output_root defaults to a temporary directory that is
+which data files a change moves.  The whole list takes about 0.9 seconds
+on one core of a 2-vCPU Xeon, 0.07 of them in the 600-unit ring; output_root defaults to a temporary directory that is
 removed afterwards.
 """
 
@@ -36,7 +35,8 @@ SHORT = {
 }
 
 #: The pi ring on a window long enough for Floquet sampling with a stepped
-#: block (61 samples at more than five offsets; 4 powers of U_T).
+#: block (61 samples at more than five offsets; 10 powers of W, the Floquet
+#: operator of the ring's half period).
 FLOQUET_RING = "numerics.window = 600\nnumerics.samples = 61\nplaquette.flux = pi\n"
 
 #: A periodic butterfly on an even flux grid, where no row is its own

@@ -6,8 +6,9 @@ Usage: python scripts/run_figures.py [output_root]
 The run list follows config.EXPERIMENTS, with the ring interference run at
 both synthetic fluxes; `custom` is left out because it needs a user-chosen
 array.layout.  The two ring runs integrate their full windows by Floquet
-sampling, 2797 Magnus steps at flux 0 and 2174 at pi, in about 0.4 s each;
-the whole list takes about 1.2 s on one core of a shared 2-vCPU Xeon host.
+sampling, 2066 Magnus steps in about 0.25 s at flux 0 and 1385 in about
+0.18 s at pi; the whole list takes about 1.1 s on one core of a shared
+2-vCPU Xeon host.
 """
 
 import sys

@@ -307,7 +307,8 @@ def run_price(experiment: str, values: dict, couplings=None):
     `eigh`; points - points // 2 spectra in a mirrored sweep, a ladder at its
     open size), and for each exact-drive run the cheaper path of `path_work`
     on [0, the window's end] (the link's longest transfer time), at a Taylor
-    degree and node count of 1.  `couplings` is the ring's
+    degree and node count of 1, over half a period of steps for the pi ring
+    on an even grid (its mirror glide).  `couplings` is the ring's
     `ring_couplings(values)` or the error it raised, evaluated here if None.
     A drive that cannot run is not priced: parse_config reports it."""
     arrays, work, lattice = [], None, None  # lattice: keys, sites, points key, other columns
@@ -350,7 +351,10 @@ def run_price(experiment: str, values: dict, couplings=None):
             # runs by reversal: the ring and an odd scan's pi; the pairs but 0, 2 pi (J = 0)
             runs = {True: 1} if ring else {True: values["scan.points"] % 2,
                                            False: values["scan.points"] // 2 - 1}
-            adds = dim * dim * sum(count * min(path_work(dim, n, 1, 1, points, reverse, 1))
+            # the pi ring's mirror glide on an even grid: a Floquet period of n / 2 steps
+            glide = ring and values["plaquette.flux"] == math.pi and n % 2 == 0
+            adds = dim * dim * sum(count * min(path_work(dim, n // 2 if glide else n, 1, 1,
+                                                         points, reverse, 1))
                                    for reverse, count in runs.items())
         arrays.append(("numerics.time_step_divisor",
                        f"step table at frequency scale {scale:.3g}", (n, 5), 8))

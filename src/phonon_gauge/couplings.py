@@ -65,7 +65,9 @@ def _bessel_j(orders: range, x: np.ndarray, reach: float) -> np.ndarray:
 
 
 def bessel_first_kind_array(n_top: int, x: float) -> np.ndarray:
-    """Array [J_0(x), ..., J_{n_top}(x)] for 0 <= x <= 50."""
+    """Array [J_0(x), ..., J_{n_top}(x)] for n_top >= 0 and 0 <= x <= 50."""
+    if n_top < 0:
+        raise DomainError(f"bessel_first_kind_array expects n_top >= 0, got {n_top}")
     if not math.isfinite(x):
         raise DomainError(f"bessel_first_kind_array expects a finite x, got {x}")
     if x < 0:
@@ -129,8 +131,8 @@ def dressed_map(resonance_order: int, eta_grid, delta_phi_grid) -> DressedMapRes
     return DressedMapResult(eta_d=etas, delta_phi=dphis, magnitude=magnitude)
 
 
-#: Rows per block of `CouplingMatrix`'s Hermiticity check: 1 MiB of
-#: complex conjugate at 4096 sites.
+#: Rows per block of the Hermiticity checks of `CouplingMatrix` and
+#: `spectra.eigensystem`: 1 MiB of complex conjugate at 4096 sites.
 _HERMITIAN_ROWS = 16
 
 

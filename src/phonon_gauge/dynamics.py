@@ -26,8 +26,15 @@ period by the same E_k, one product per step.  The Hamiltonian is real up
 to its drive phases, so the Fock parity Pi and complex conjugation map the
 drive with phases theta to the one with -theta, and the symmetric Magnus
 grid keeps this exactly: E_{n-1-k} of one is Pi E_k^T Pi of the other.  A
-drive whose phases are all 0 or pi is its own reverse, and U_T forms and
-multiplies only the first half period of E_k.  Plain stepping, which a flop
+drive whose phases are all 0 or pi is its own reverse: U_T forms and
+multiplies only the first half period of E_k, and a sample past the middle
+of period q is the column Pi conj(U_T^(q+1) psi0) stepped by the same E_k
+and mapped back, so that the block too crosses only half a period.  At flux
+pi the ring's mirror i_y -> 1 - i_y flips the drive's sign, as half a period
+does: H(t + T/2) = S H(t) S, S the mirror's Fock-state permutation.  On an
+even grid this glide makes T/2 the Floquet period, with W = S P_{n/2} and
+U_T = W^2, and the half period is its own reverse under S Pi, so that W and
+the block take a quarter period of E_k.  Plain stepping, which a flop
 rule picks when U_T does not pay, is one column stepped through the whole
 window under the Horner form of the Taylor polynomial.  Samples may also lie
 before t = 0, reached by U_T^dag or by stepping back by -Omega; the link scan
@@ -92,13 +99,16 @@ class DrivenHamiltonian:
     `modulation` is a nonzero signed angular frequency, and `drive` must be
     a normal matrix (see NORMAL_TOL), so that [V, V^dag] drops out of the
     Magnus generator.  `frequency_scale` is the largest frequency scale
-    present, used for the default step size.
+    present, used for the default step size.  `mirror`, when given, is the
+    Fock-state permutation S of a site mirror, S x = x[mirror]: the
+    integrator takes it as a glide when S H(t) S = H(t + T / 2).
     """
 
     static: np.ndarray
     drive: np.ndarray
     modulation: float
     frequency_scale: float
+    mirror: np.ndarray | None = None
 
     def __post_init__(self):
         if self.modulation == 0:
@@ -108,6 +118,13 @@ class DrivenHamiltonian:
         scale = max(np.abs(self.static).sum(axis=0).max(), norm)
         if np.abs(v @ vd - vd @ v).sum(axis=0).max() > NORMAL_TOL * norm * scale:
             raise ValueError("drive must be a normal matrix ([V, V^dag] = 0)")
+        if self.mirror is not None:
+            s = np.asarray(self.mirror)
+            if not (s.shape == (self.dim,) and s.dtype.kind in "iu"
+                    and ((s >= 0) & (s < self.dim)).all()
+                    and np.array_equal(s[s], np.arange(self.dim))):
+                raise ValueError("mirror must be a permutation of the basis that is its own "
+                                 "inverse")
 
     @property
     def dim(self) -> int:
@@ -146,7 +163,9 @@ def driven_model(array: TrapArray, drive: DriveSpec, bare: CouplingMatrix,
     phases.  mode "laser" drives with the full optical beat: the drive term
     is (rabi/2) sum_i exp(i(theta_i - w tau)) D_i + h.c. with D_i the site
     displacement exponential of the simulated direction's Lamb-Dicke
-    parameter and theta_i the optical phases.
+    parameter and theta_i the optical phases.  The model carries the Fock
+    permutation of the lattice's mirror i_y -> min + max - i_y when that maps
+    the lattice onto itself (`_fock_mirror`).
     """
     if space.n_sites != array.n_sites:
         raise ValueError("Fock space and array disagree on the site count")
@@ -166,7 +185,22 @@ def driven_model(array: TrapArray, drive: DriveSpec, bare: CouplingMatrix,
         v *= drive.rabi_frequency / 2.0
     modulation = drive.drive_frequency if drive.mode == "cosine" else -drive.drive_frequency
     return DrivenHamiltonian(static=static, drive=v, modulation=modulation,
-                             frequency_scale=frequency_scale(array, drive, bare))
+                             frequency_scale=frequency_scale(array, drive, bare),
+                             mirror=_fock_mirror(array, space))
+
+
+def _fock_mirror(array: TrapArray, space: FockSpace) -> np.ndarray | None:
+    """The basis permutation that the site mirror i_y -> min + max - i_y
+    makes of the Fock space, or None when it does not map the lattice onto
+    itself: the state of occupations n_i goes to the one with n_i on the
+    mirror image of site i."""
+    ys = [iy for _, iy in array.lattice]
+    index = {site: k for k, site in enumerate(array.lattice)}
+    image = [index.get((ix, min(ys) + max(ys) - iy)) for ix, iy in array.lattice]
+    if None in image:
+        return None
+    stride = space.local_dim ** (space.n_sites - 1 - np.arange(space.n_sites))
+    return stride[image] @ space.occupation_table()
 
 
 def frequency_scale(array: TrapArray, drive: DriveSpec, bare: CouplingMatrix) -> float:
@@ -340,6 +374,11 @@ class _PeriodGrid:
     anti-Hermitian matrices.  The commutator [H(t1), H(t2)] also holds a
     term Im(f1 conj(f2)) 2i [V,V^dag], which vanishes for the normal V that
     DrivenHamiltonian requires.
+
+    The model's mirror S is a glide (`glide`) when S Hs S = Hs and
+    S V S = -V, so that H(t + T / 2) = S H(t) S, and n is even: step k + n/2
+    is then S E_k S.  The grid's Floquet period is then T / 2, with
+    `period` = n / 2 steps, and its Floquet operator W = S P_{n/2}, U_T = W^2.
     """
 
     def __init__(self, model: DrivenHamiltonian, dt: float, parity: np.ndarray | None = None):
@@ -377,16 +416,31 @@ class _PeriodGrid:
         w = np.array([0.0, mu, -1j * mu, delta, -1j * delta]) / 2.0
         b, c = (np.abs(np.tensordot(x, tab, 1)).sum(axis=0).max() for x in (w, w.conj()))
         self.nodes = _node_count(h * n0, b, c, self.n, self.degree)
+        scale = max(np.abs(mat).sum(axis=0).max() for mat in (model.static, v))
+
+        def maps(image, signs):  # ||image(M) - sign M||_1 <= REVERSAL_TOL s for M = Hs, V
+            return all(np.abs(image(mat) - sign * mat).sum(axis=0).max() <= REVERSAL_TOL * scale
+                       for mat, sign in zip((model.static, v), signs))
+
+        self.mirror = s = model.mirror
+        self.glide = s is not None and self.n % 2 == 0 and maps(lambda m: m[np.ix_(s, s)], (1, -1))
+        self.period = self.n // 2 if self.glide else self.n  # steps of the Floquet period
         # Pi K, Pi = diag(`parity`) and K complex conjugation, maps the drive
         # with phases theta to the one with -theta: Hs is real and commutes with
         # Pi, and Pi conj(D_i) Pi = D_i.  A drive that it maps to itself is reversed.
         self.reversed, self.flip = False, None
         if parity is not None:
             self.flip = np.outer(parity, parity)  # Pi M Pi = flip * M
-            scale = max(np.abs(mat).sum(axis=0).max() for mat in (model.static, v))
-            self.reversed = all(np.abs(mat.conj() * self.flip - mat).sum(axis=0).max()
-                                <= REVERSAL_TOL * scale for mat in (model.static, v))
-        self.formed = self.n - self.n // 2 if self.reversed else self.n  # E_k that U_T forms
+            self.reversed = maps(lambda m: m.conj() * self.flip, (1, 1))
+        # E_k that the Floquet operator forms
+        self.formed = self.period - self.period // 2 if self.reversed else self.period
+
+    def reflect(self, m: np.ndarray) -> np.ndarray:
+        """G m G for the reversal G of the Floquet period: Pi, or S Pi with a
+        glide (S permutes the sites' occupations, so it commutes with Pi)."""
+        if self.glide:
+            m = m[np.ix_(self.mirror, self.mirror)]
+        return self.flip * m
 
     def coefficients(self, t, h) -> np.ndarray:
         """Table coefficients, one row per step of size h starting at t."""
@@ -412,9 +466,11 @@ class _PeriodGrid:
         return x
 
     def period_propagator(self, offsets=frozenset()) -> tuple[np.ndarray, dict]:
-        """U_T = E_{n-1} ... E_1 E_0, E_k the Taylor exponential of step k's
-        generator, and the partial product P_o = E_{o-1} ... E_0 kept at each
-        grid offset o in `offsets` (0 <= o < n; P_0 is the identity).
+        """The Floquet operator U = P_N of the N = `period` steps, P_o =
+        E_{o-1} ... E_1 E_0 with E_k the Taylor exponential of step k's
+        generator, or W = S P_N with a glide (U_T = W^2); and the partial
+        product P_o kept at each grid offset o in `offsets` (0 <= o < N; P_0
+        is the identity).
 
         E(t), the exponential of a full step from t, is periodic and smooth in
         the drive phase.  Its Taylor exponentials at N = `nodes` equispaced
@@ -433,12 +489,15 @@ class _PeriodGrid:
 
         A reversed drive (`reversed`, checked in the constructor) has
         E_{n-1-k} = Pi E_k^T Pi: the symmetric Magnus step is its own time
-        reverse.  Then only E_0 ... E_{c-1}, c = ceil(n / 2), are formed and
-        multiplied, and U_T = Pi P_{n//2}^T Pi P_c (for odd n, P_c = E_{n//2}
-        P_{n//2}).  A kept offset o > c is P_o = Pi conj(P_{n-o}) Pi U_T, one
-        more product, since E_{n-1} ... E_o = Pi P_{n-o}^T Pi is unitary.
+        reverse.  With a glide as well, E_{N-1-k} = G E_k^T G for G = S Pi
+        (`reflect`): the half period is reversed about T / 4.  Then only
+        E_0 ... E_{c-1}, c = ceil(N / 2), are formed and multiplied, and
+        P_N = G P_{N//2}^T G P_c (for odd N, P_c = E_{N//2} P_{N//2}).  A kept
+        offset o > c is P_o = G conj(P_{N-o}) G P_N, one more product, since
+        E_{N-1} ... E_o = G P_{N-o}^T G is unitary.
         """
-        d, n, nodes, half = self.table.shape[1], self.n, self.nodes, self.formed
+        d, n, nodes, period, half = (self.table.shape[1], self.n, self.nodes, self.period,
+                                     self.formed)
         size = _stack_size(d)
         self.orders = m = (np.arange(nodes) + nodes // 2) % nodes - nodes // 2  # 0 .. M, -M .. -1
         # the only nodes x d^2 array, kept for `exponential_stacks`
@@ -453,9 +512,9 @@ class _PeriodGrid:
         cols = _STACK_BYTES // (16 * nodes)
         for c in range(0, d * d, cols):
             harmonics[:, c:c + cols] = dft @ harmonics[:, c:c + cols]
-        cuts = {o if o <= half else n - o for o in offsets}
+        cuts = {o if o <= half else period - o for o in offsets}
         if self.reversed:
-            cuts.add(n // 2)
+            cuts.add(period // 2)
         part, cuts = {}, sorted(cuts)  # a Python sort, as in `_kept_offsets`
         u = np.eye(d, dtype=complex)
         for k, stack in self.exponential_stacks(0, half):
@@ -468,9 +527,10 @@ class _PeriodGrid:
                 u = _chain(stack[start:]) @ u
         part[half] = u
         if self.reversed:
-            u = (self.flip * part[n // 2].T) @ u
-        return u, {o: part[o] if o <= half else (self.flip * part[n - o].conj()) @ u
-                   for o in offsets}
+            u = self.reflect(part[period // 2].T) @ u
+        kept = {o: part[o] if o <= half else self.reflect(part[period - o].conj()) @ u
+                for o in offsets}
+        return (u[self.mirror] if self.glide else u), kept
 
     def exponential_stacks(self, j: int, o: int):
         """(k, stack): the step exponentials E_k ... E_{k+K-1} of the grid
@@ -506,9 +566,24 @@ _MATMUL_SPEEDUP = 4.0
 _BLOCK_WIDTH = 5
 
 
-def _period_ends(periods: np.ndarray) -> np.ndarray:
-    """Index of the last sample in each sampled period (`periods` ascending)."""
-    return np.append(np.flatnonzero(np.diff(periods)), len(periods) - 1)
+def _block_columns(periods: np.ndarray, offsets: np.ndarray, reversal: int = 0):
+    """(read, backward, ends, starts, last) of the block columns of the
+    ascending samples at `offsets` within their `periods`.
+
+    Each sample is read at its own offset, from the forward column of its
+    period q, U^q psi0; with `reversal` = N, the steps per period of a
+    reversed drive, one past c = ceil(N / 2) is read at N - o instead, from
+    the backward column of its period, built from U^(q+1) psi0 (`evolve`),
+    so that no column steps past c.  `read` holds the offset each sample is
+    read at, and `backward` its column.  A period's forward samples precede
+    its backward ones, so each column's samples are contiguous: `ends`
+    indexes its last sample, `starts` holds the power of U it starts from,
+    and `last` the largest offset it is read at."""
+    backward = (offsets > reversal - reversal // 2) if reversal else np.zeros(len(offsets), bool)
+    read = np.where(backward, reversal - offsets, offsets)
+    ends = np.append(np.flatnonzero(np.diff(2 * periods + backward)), len(periods) - 1)
+    return (read, backward, ends, periods[ends] + backward[ends],
+            np.maximum.reduceat(read, np.append(0, ends[:-1] + 1)))
 
 
 def _kept_offsets(offsets: np.ndarray) -> set[int]:
@@ -529,38 +604,44 @@ def path_work(dim: int, n: int, nodes: int, degree: int, points: np.ndarray,
     takes the cheaper path at 1 / _MATMUL_SPEEDUP, `config.run_price` at 1.
 
     Plain stepping takes `degree` matrix-vector products a step, points[-1]
-    steps and |points[0]| more back below zero.  Floquet sampling builds U_T
-    from `nodes` Paterson-Stockmeyer step exponentials (s + r - 2 products
-    each), n formation rows of nodes d^2 multiply-adds at matrix-vector speed
-    and n products for the accumulation, or ceil(n / 2) rows and
-    ceil(n / 2) + 1 products for a `reversed_drive` (`period_propagator`,
-    less the at most _BLOCK_WIDTH products that mirror kept offsets past the
-    middle).  It powers psi0 to every sampled period: by U_T^dag down to the
-    lowest, q_0 < 0, by U_T up through the other negative ones (at most |q_0|
-    more products), and from psi0 up to the last.  With U_T's partial products
-    kept at the sampled offsets (`_kept_offsets`), each sample costs one
-    matrix-vector product.  Otherwise blocks of at most _BLOCK_WIDTH d
-    columns, one per sampled period, step to each column's last sample by the
-    E_k of U_T: a block step forms E_k again, one row at matrix-vector speed,
-    and multiplies the block by it, its first column at matrix-vector speed
-    and the others at matrix-product speed.  Formation, one row a step, and
-    the accumulation are upper bounds: `exponential_stacks` forms and `_chain`
-    multiplies a stack of E_k per call (104 at d = 25, 9 at d = 81, 1 at
-    d = 625).  The samples' partial steps cost the same on both paths and are
-    left out.  Floquet sampling is infinite when its node harmonics, `nodes`
-    complex d x d matrices, would exceed DENSE_BYTE_BUDGET.
+    steps and |points[0]| more back below zero.  Floquet sampling builds the
+    Floquet operator U of n steps (U_T, or W of a glided grid, whose caller
+    passes half the grid's steps a period as n) from `nodes`
+    Paterson-Stockmeyer step exponentials (s + r - 2 products each), n
+    formation rows of nodes d^2 multiply-adds at matrix-vector speed and n
+    products for the accumulation, or ceil(n / 2) rows and ceil(n / 2) + 1
+    products for a `reversed_drive` (`period_propagator`, less the at most
+    _BLOCK_WIDTH products that mirror kept offsets past the middle).  It
+    powers psi0 to the period each block column starts from: by U^dag down
+    to the lowest, q_0 < 0, by U up through the other negative ones (at most
+    |q_0| more products), and from psi0 up to the last.  With U's partial
+    products kept at the sampled offsets (`_kept_offsets`), each sample costs
+    one matrix-vector product.  Otherwise blocks of at most _BLOCK_WIDTH d
+    columns (`_block_columns`: one per sampled period, and for a
+    `reversed_drive` one more per period sampled past ceil(n / 2)) step to
+    each column's last offset by the E_k of U, at most ceil(n / 2) of them
+    for a `reversed_drive`: a block step forms E_k again, one row at
+    matrix-vector speed, and multiplies the block by it, its first column at
+    matrix-vector speed and the others at matrix-product speed.  Formation,
+    one row a step, and the accumulation are upper bounds:
+    `exponential_stacks` forms and `_chain` multiplies a stack of E_k per call
+    (104 at d = 25, 9 at d = 81, 1 at d = 625).  The samples' partial steps
+    cost the same on both paths and are left out, as are the O(d) mirror
+    images of the samples.  Floquet sampling is infinite when its node
+    harmonics, `nodes` complex d x d matrices, would exceed DENSE_BYTE_BUDGET.
     """
     plain = degree * (int(points[-1]) - min(int(points[0]), 0))
     if 16 * nodes * dim * dim > DENSE_BYTE_BUDGET:
         return plain, math.inf
     periods, offsets = np.divmod(points, n)
     formed = n - n // 2 if reversed_drive else n
+    kept = _kept_offsets(offsets)
+    *_, starts, last = _block_columns(periods, offsets, n if reversed_drive and not kept else 0)
     floquet = ((nodes * (sum(_ps_shape(degree)) - 2) + formed + reversed_drive) * dim * product
-               + formed * nodes + int(periods[-1]) - 2 * min(int(periods[0]), 0))
-    if _kept_offsets(offsets):
+               + formed * nodes + int(starts[-1]) - 2 * min(int(starts[0]), 0))
+    if kept:
         floquet += len(points)
     else:
-        last = offsets[_period_ends(periods)]
         width = _BLOCK_WIDTH * dim
         steps = sum(int(last[i:i + width].max()) for i in range(0, len(last), width))
         floquet += steps * (nodes + 1) + (int(last.sum()) - steps) * product
@@ -646,14 +727,23 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     from psi0 (`diagnostics["period_powers"]` counts these products).  Plain
     stepping steps back from psi0 to the samples below 0 by exp(-Omega) of
     each step behind (`_PeriodGrid.advance`), then starts again from psi0.
-    `diagnostics["magnus_steps"]` counts the E_k that U_T forms, the steps
-    either way and the partial steps.  The Fock parity Pi = (-1)^(n_1 + ...),
-    read from `occupation`, and complex conjugation map the drive with
-    phases theta to the one with -theta, so psi_{-theta}(t) =
-    Pi conj(psi_theta(-t)) for a real psi0 of one parity; a drive that this
-    maps to itself (every exp(i theta_i) real, checked on the matrices to
-    REVERSAL_TOL) builds U_T from half a period
-    (`diagnostics["period_reversed"]`).  With at most
+    `diagnostics["magnus_steps"]` counts the E_k that U_T (or W) forms, the
+    block or plain steps and the partial steps.  The Fock parity
+    Pi = (-1)^(n_1 + ...), read from `occupation`, and complex conjugation
+    map the drive with phases theta to the one with -theta, so
+    psi_{-theta}(t) = Pi conj(psi_theta(-t)) for a real psi0 of one parity;
+    a drive that this maps to itself (every exp(i theta_i) real, checked on
+    the matrices to REVERSAL_TOL) builds U_T from half a period
+    (`diagnostics["period_reversed"]`), and its block crosses half a period:
+    a sample at offset o past ceil(n / 2) of period q is read at n - o from
+    the backward column Pi conj(U_T^(q+1) psi0), and mapped back by
+    conjugation and Pi (`_block_columns`).  A model whose `mirror` S is a
+    glide on the grid (`_PeriodGrid`; the pi ring on an even grid,
+    `diagnostics["period_glide"]`) runs all of this on the Floquet period
+    T / 2 instead, with W = S P_{n/2} in place of U_T: a sample in half
+    period j is S^j P_o W^j psi0, P_o W^j psi0 permuted by S once for odd j.
+    Its half period is reversed under S Pi, so W forms a quarter period of
+    E_k, and the block crosses a quarter period.  With at most
     _BLOCK_WIDTH distinct offsets o of the samples within their periods, U_T
     keeps its partial products P_o, and a column reaches offset o as P_o
     times its state instead of by stepping; a link point, sampled at 0 and
@@ -701,7 +791,8 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
 
     if dt is None:
         dt = default_time_step(hamiltonian.frequency_scale)
-    grid = _PeriodGrid(hamiltonian, dt, np.where(occ.sum(axis=0) % 2, -1.0, 1.0))
+    parity = np.where(occ.sum(axis=0) % 2, -1.0, 1.0)  # the diagonal of Pi
+    grid = _PeriodGrid(hamiltonian, dt, parity)
     h, n, m = grid.h, grid.n, grid.degree
 
     # grid point at or below each sample, and the partial step beyond it
@@ -729,36 +820,42 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
             read_out()
 
     # plain stepping: the whole window is period 0, and U_T is never applied
-    plain, floquet = path_work(dim, n, grid.nodes, m, points, grid.reversed, 1 / _MATMUL_SPEEDUP)
+    plain, floquet = path_work(dim, grid.period, grid.nodes, m, points, grid.reversed,
+                               1 / _MATMUL_SPEEDUP)
     floquet = floquet < plain  # the cheaper path
-    periods, offsets = np.divmod(points, n) if floquet else (np.zeros_like(points), points)
+    periods, offsets = (np.divmod(points, grid.period) if floquet
+                        else (np.zeros_like(points), points))
     u_period, kept = grid.period_propagator(_kept_offsets(offsets)) if floquet else (None, {})
-    ends = _period_ends(periods)
+    read, backward, ends, starts, lasts = _block_columns(
+        periods, offsets, grid.period if floquet and grid.reversed and not kept else 0)
+    glide = floquet and grid.glide
     width = _BLOCK_WIDTH * dim
-    back = u_period.conj().T if periods[0] < 0 else None  # U_T^dag = U_T^-1
+    back = u_period.conj().T if starts[0] < 0 else None  # U^dag = U^-1
     phi, power, powers, first, block_steps = psi0.astype(complex), 0, 0, 0, 0
-    for pass_ends in (ends[i:i + width] for i in range(0, len(ends), width)):
-        # Pass 1: U_T^q psi0 for each sampled period q, in columns ordered
-        # by their last sample's offset, latest first
-        last = offsets[pass_ends]
+    for c0 in range(0, len(ends), width):
+        # Pass 1: U^q psi0 for the forward column of each sampled period q,
+        # and its backward column Pi conj(U^(q+1) psi0), ordered by their
+        # last offset, latest first
+        pass_ends, last = ends[c0:c0 + width], lasts[c0:c0 + width]
         order = np.argsort(-last, kind="stable")
-        column = np.argsort(order)  # block column of each sampled period
+        column = np.argsort(order)  # block column of each column of the pass
         block = np.empty((dim, len(order)), dtype=complex)
         spare = np.empty_like(block) if floquet else None
-        for c, q in zip(column, periods[pass_ends]):
+        for c, q, b in zip(column, starts[c0:c0 + width], backward[pass_ends]):
             if power < 0 <= q:  # the periods from 0 on start again from psi0
                 phi, power = psi0.astype(complex), 0
             for _ in range(abs(q - power)):  # down only from 0 to the lowest period
                 phi = (u_period if q > power else back) @ phi
             powers, power = powers + abs(q - power), q
-            block[:, c] = phi
+            block[:, c] = parity * phi.conj() if b else phi
         last = last[order]
         # Pass 2: bring the block to each offset, emitting in offset order:
         # a kept P_o takes a column there in one product; otherwise the block
-        # steps through the period, and a column leaves once its last sample is
-        # out.  Plain stepping first takes the offsets below 0, from 0 down
+        # steps through the period (half of it on a reversed drive), and a
+        # column leaves once its last sample is out.  Plain stepping first
+        # takes the offsets below 0, from 0 down
         ks = np.arange(first, pass_ends[-1] + 1)
-        sampled = offsets[ks]
+        sampled = read[ks]
         sample_column = column[np.searchsorted(pass_ends, ks)]
         # one generator over the pass, so that every stack of E_k is formed full
         steps = (step for _, stack in grid.exponential_stacks(0, int(last[0]))
@@ -766,7 +863,7 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         j = 0
         for i in np.argsort(np.where(sampled < 0, sampled.min() - 1 - sampled, sampled),
                             kind="stable"):
-            o = sampled[i]
+            o, k = sampled[i], ks[i]
             if o >= 0 > j:  # back from the past: the offsets from 0 on start again from psi0
                 block, j = psi0.astype(complex)[:, None], 0
             if o != j and not kept:
@@ -780,7 +877,13 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
                 block_steps += abs(o - j)
                 j = o
             x = block[:, sample_column[i]]
-            emit(ks[i], kept[o] @ x if kept else x)
+            if backward[k]:  # P_(N-o) of the mirror image, mapped back
+                x = parity * x.conj()
+            if kept:
+                x = kept[o] @ x
+            if glide and (periods[k] + backward[k]) % 2:  # S^q, S^(q+1) from a backward column
+                x = x[grid.mirror]
+            emit(k, x)
         first = pass_ends[-1] + 1
     if queued:
         read_out()
@@ -799,6 +902,7 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
         "period_propagator": floquet,
         "period_nodes": grid.nodes if floquet else 0,
         "period_reversed": floquet and grid.reversed,
+        "period_glide": glide,
         "period_powers": int(powers),
         "max_norm_drift": float(np.abs(norms - 1.0).max()),
         "max_top_level_population": float(leakage.max()),

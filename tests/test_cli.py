@@ -205,14 +205,28 @@ def test_plaquette_manifest_reports_exact_diagnostics(tmp_path):
     assert code == 0
     diag = json.loads((out / "manifest.json").read_text())["resolved"]["diagnostics"]
     assert set(diag) == {"magnus_steps", "taylor_degree", "period_propagator", "period_nodes",
-                         "period_reversed", "period_powers", "max_norm_drift",
+                         "period_reversed", "period_glide", "period_powers", "max_norm_drift",
                          "max_top_level_population"}
     assert diag["magnus_steps"] > 0 and diag["taylor_degree"] > 0
-    assert diag["period_propagator"] is False and diag["period_powers"] == 0
-    assert diag["period_nodes"] == 0 and diag["period_reversed"] is False
+    # 150 spans 2.4 half periods of the pi ring's mirror glide, and W pays
+    # for itself; the whole period's U_T did not, and the run stepped plainly
+    assert diag["period_propagator"] is True and diag["period_powers"] == 2
+    assert diag["period_nodes"] == 15 and diag["period_reversed"] is True
+    assert diag["period_glide"] is True
     assert 0 <= diag["max_norm_drift"] < 1e-8
     assert 0 < diag["max_top_level_population"] < 1e-2  # n_max = 2 holds the drive's leakage
     assert "diagnostics" not in (out / "plaquette_exact.csv").read_text()
+
+
+def test_pi_ring_manifest_reports_the_glide(tmp_path):
+    # the preset pi ring's 1050 steps a period take its mirror glide: W, the
+    # Floquet operator of half a period, forms the 263 step exponentials of a
+    # quarter period, and the block steps through at most a quarter period
+    code, out = _simulate(tmp_path, "experiment = fig2cd_plaquette\n")
+    assert code == 0
+    diag = json.loads((out / "manifest.json").read_text())["resolved"]["diagnostics"]
+    assert diag["period_propagator"] and diag["period_reversed"] and diag["period_glide"]
+    assert diag["magnus_steps"] == 1385  # 263 formed, the block steps and the partial steps
 
 
 @pytest.mark.parametrize("text, key", [
@@ -403,7 +417,7 @@ OVERSIZED_EXACT_DRIVES = {
                  "(1000000000 x 5 x 8)"]),
     "divisor": (RING + "numerics.time_step_divisor = 1000000000\n",
                 [f"{_STEPS} 1.31 takes 1049036486320 bytes (26225912158 x 5 x 8)",
-                 f"{_RING_WORK} 7.05e+15 complex multiply-adds"]),
+                 f"{_RING_WORK} 3.53e+15 complex multiply-adds"]),
     "strong_drive": (RING + "drive.rabi_frequency = 1e6\ndrive.lamb_dicke = 1e-3\n",
                      [f"{_STEPS} 1e+06 takes 32000065640 bytes (800001641 x 5 x 8)",
                       f"{_RING_WORK} 215201244074724 complex multiply-adds"]),
@@ -412,7 +426,7 @@ OVERSIZED_EXACT_DRIVES = {
                           [f"{_STEPS} 1e+300 takes 3.2e+304 bytes (8e+302 x 5 x 8)",
                            f"{_RING_WORK} 4.18e+306 complex multiply-adds"]),
     "window": (RING + "numerics.window = 1e300\nnumerics.samples = 3\n",
-               [f"{_RING_WORK} 5.22e+301 complex multiply-adds"]),
+               [f"{_RING_WORK} 1.04e+302 complex multiply-adds"]),
     "link_divisor": ("experiment = fig2b_link_scan\nnumerics.time_step_divisor = 1000000000\n",
                      ["numerics.time_step_divisor: the step table at frequency scale 1.83 takes "
                       "1464780720080 bytes (36619518002 x 5 x 8)",
@@ -525,7 +539,7 @@ OVERSIZED_RUNS = {
                        "scan.points, numerics.n_max: the run takes at least 88525267282859 "
                        f"complex multiply-adds, {_WORK}"]),
     "ring_window": (RING + "numerics.window = 1e17\n",
-                    ["numerics.window, numerics.n_max: the run takes at least 5.22e+18 complex "
+                    ["numerics.window, numerics.n_max: the run takes at least 1.04e+19 complex "
                      f"multiply-adds, {_WORK}"]),
     "butterfly_64_8190": ("experiment = butterfly\nbutterfly.size = 64\n"
                           "butterfly.points = 8190\n",
@@ -592,11 +606,16 @@ def test_normal_runs_fit_the_budget(text):
 #: The exact drive's work as the runs are made: two link points are the pair 0
 #: and 2 pi, whose dressed factor vanishes, so nothing runs; three add pi, a
 #: drive that is its own time reverse and builds U_T from half a period, as
-#: the preset pi ring does.
+#: the flux-0 ring does.  The preset pi ring's mirror glide builds W, the
+#: Floquet operator of half its 1050 steps, from a quarter period; at divisor
+#: 10 its 263 steps are odd, and it takes no glide.
 @pytest.mark.parametrize("text, adds", [(LINK_TWO_POINTS, 0),
                                         ("experiment = fig2b_link_scan\nscan.points = 3\n",
                                          19756250),
-                                        (RING, 284360301)], ids=["link_2", "link_3", "ring"])
+                                        (RING, 144243585),
+                                        (RING + "plaquette.flux = 0\n", 395759520),
+                                        (RING + "numerics.time_step_divisor = 10\n", 72925515)],
+                         ids=["link_2", "link_3", "ring", "ring_flux_0", "ring_odd_grid"])
 def test_exact_drive_is_priced_by_the_runs_it_makes(text, adds):
     cfg = parse_config(text)
     assert config.run_price(cfg.experiment, dict(cfg.values))[1][1] == adds

@@ -79,6 +79,13 @@ def test_bessel_domain_error():
         bessel_first_kind_array(2, -1.0)
 
 
+@pytest.mark.parametrize("n_top", [-1, -5])
+def test_bessel_table_rejects_a_negative_top_order(n_top):
+    # range(n_top + 1) would be empty, and the table an empty array
+    with pytest.raises(DomainError, match="n_top >= 0"):
+        bessel_first_kind_array(n_top, 1.0)
+
+
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_bessel_table_rejects_a_non_finite_argument(x):
     # nan passes both range comparisons and would reach the recurrence's start order

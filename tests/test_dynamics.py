@@ -521,23 +521,26 @@ def small_link_model():
     return driven_model(arr, drv, bare_coupling_matrix(arr, "z"), space), space
 
 
-@pytest.mark.parametrize("model_fixture, periods, samples, uses_propagator", [
-    ("pi_link_model", 9.7, 11, True),   # one sample in every period
-    ("pi_link_model", 8.1, 29, True),   # several samples in each period
-    ("pi_link_model", 6.0, 5, True),    # offsets 0 and T / 2 in several periods, 3 T and 6 T
-    ("small_link_model", 50.5, 52, True),  # 51 sampled periods: two block passes of at most 45
-    ("pi_link_model", 0.95, 7, False),  # plain stepping to samples off the grid in one period
+@pytest.mark.parametrize("model_fixture, periods, samples, powers", [
+    # one sample in every period; 9.7 T, past the middle of period 9, is read
+    # from the backward column Pi conj(U_T^10 psi0)
+    ("pi_link_model", 9.7, 11, 10),
+    ("pi_link_model", 8.1, 29, 8),   # several samples in each period
+    ("pi_link_model", 6.0, 5, 6),    # offsets 0 and T / 2 in several periods, 3 T and 6 T
+    ("small_link_model", 50.5, 52, 50),  # two block passes of at most 45 columns
+    ("pi_link_model", 0.95, 7, None),  # plain stepping to samples off the grid in one period
 ], ids=["every-period", "several-per-period", "same-offset", "two-passes", "plain-partial-steps"])
 def test_floquet_sampling_matches_plain_stepping(request, model_fixture, periods, samples,
-                                                 uses_propagator):
+                                                 powers):
     model, space = request.getfixturevalue(model_fixture)
     psi0 = single_phonon_state(space, 0)
     period = 2 * math.pi / abs(model.modulation)
     res = evolve(model, psi0, periods * period, 0.4, occupation=space.occupation_table(),
                  samples=samples)
     diag = res.diagnostics
+    uses_propagator = powers is not None
     assert diag["period_propagator"] is uses_propagator
-    assert diag["period_powers"] == (int(periods) if uses_propagator else 0)
+    assert diag["period_powers"] == (powers if uses_propagator else 0)
     if not uses_propagator:  # one step per grid point, one partial step per sample off it
         h = period / math.ceil(period / 0.4 - 1e-12)
         points = np.floor(res.times / h + 1e-9).astype(np.int64)
@@ -576,10 +579,15 @@ def test_cost_rule_branches_at_the_ring_shapes():
     preset = (81, 1050, 15, 14, _grid_points(4060.0, 601, 1050))
     assert _floquet_share(*preset) == pytest.approx(0.13, rel=0.03)
     # both rings are their own time reverse: half a period of E_k builds U_T,
-    # at 0.70, 10.3 and 0.095 times the stepping
-    assert _floquet_share(*criterion_8, True) == pytest.approx(0.70, rel=0.01)
-    assert _floquet_share(*short, True) == pytest.approx(10.3, rel=0.01)
-    assert _floquet_share(*preset, True) == pytest.approx(0.095, rel=0.01)
+    # and the block steps through half a period, at 0.67, 9.9 and 0.077 times
+    # the stepping
+    assert _floquet_share(*criterion_8, True) == pytest.approx(0.67, rel=0.01)
+    assert _floquet_share(*short, True) == pytest.approx(9.93, rel=0.01)
+    assert _floquet_share(*preset, True) == pytest.approx(0.077, rel=0.01)
+    # the preset's even grid takes the pi ring's mirror glide: a Floquet period
+    # of 525 steps, W built and the block stepped through a quarter period
+    glided = (81, 525, 15, 14, _grid_points(4060.0, 601, 1050))
+    assert _floquet_share(*glided, True) == pytest.approx(0.048, rel=0.01)
 
 
 def test_cost_rule_refuses_a_node_table_above_the_dense_budget():
@@ -687,7 +695,8 @@ def _formed_ranges(grid):
     # and an offset that cuts a stack into two odd segments (211: 3 and 101
     # steps; 30: 3 and 6, after 27's segment of 3)
     ("link", (25, 1465, 17), (0, 103, 104, 105, 211, 1456, 1464)),
-    ("ring", (81, 1050, 15), (0, 8, 9, 10, 30, 524, 1044, 1049)),
+    # the pi ring glides: W = S P_525, with a ragged last stack of 3 at 522
+    ("ring", (81, 1050, 15), (0, 8, 9, 10, 30, 520, 524)),
     # a drive 100 times faster, four steps per period: the nodes are the grid points
     ("few-steps", (25, 4, 4), (0, 1, 3)),
 ], ids=["link", "ring", "few-steps"])
@@ -699,11 +708,15 @@ def test_interpolated_period_propagator_matches_the_sequential_product(pi_link_m
     else:
         grid = _preset_grid(preset, pi_link_model)
     assert (grid.table.shape[1], grid.n, grid.nodes) == shape
+    assert grid.glide is (preset == "ring")
     u, kept = grid.period_propagator(set(offsets))
-    ref_u, ref_kept = _sequential_period_propagator(grid, offsets)
+    ref_u, ref_kept = _sequential_period_propagator(grid, offsets + (grid.period,))
     assert sorted(kept) == list(offsets)
     # interpolation and the transform round differently from one exponential
     # per step; the harmonics beyond the nodes are below 2^-53
+    if grid.glide:  # W = S P_525, and U_T = W^2
+        assert np.abs(u - ref_kept[grid.period][grid.mirror]).max() < 1e-12
+        u = u @ u
     assert np.abs(u - ref_u).max() < 1e-12
     for o in offsets:
         assert np.abs(kept[o] - ref_kept[o]).max() < 1e-12
@@ -716,7 +729,8 @@ def test_interpolated_period_propagator_matches_the_sequential_product(pi_link_m
     # odd n: the middle step E_732 is its own mirror, and U_T forms E_0 ... E_732;
     # offsets on both sides of the middle, the largest P_o mirrored from P_1
     ("link", 1465, (0, 100, 731, 732, 733, 734, 1000, 1464)),
-    # even n: E_0 ... E_524, U_T = Pi P_525^T Pi P_525
+    # even n: E_0 ... E_524, U_T = Pi P_525^T Pi P_525 (the ring without its
+    # mirror, whose glide would halve the period)
     ("ring", 1050, (0, 9, 524, 525, 526, 1040, 1049)),
     # a drive 100 times faster, four and five steps a period: the nodes are the grid points
     ("four-steps", 4, (0, 1, 2, 3)),
@@ -728,10 +742,11 @@ def test_reversed_drive_builds_u_t_from_half_a_period(pi_link_model, preset, n, 
         model, dt = dataclasses.replace(model, modulation=-5.0), 2 * math.pi / 5.0 / n
     else:
         if preset == "ring":
-            model, space = _preset_ring_model(), build_fock_space(4, 2)
+            model = dataclasses.replace(_preset_ring_model(), mirror=None)
+            space = build_fock_space(4, 2)
         dt = dynamics.default_time_step(model.frequency_scale)
     grid = dynamics._PeriodGrid(model, dt, _parity(space))
-    assert grid.reversed and grid.n == n
+    assert grid.reversed and not grid.glide and grid.n == n
     formed = _formed_ranges(grid)
     u, kept = grid.period_propagator(set(offsets))
     assert formed == [(0, n - n // 2)]
@@ -763,6 +778,123 @@ def test_a_drive_that_is_not_its_own_reverse_takes_the_full_build():
     u, _ = grid.period_propagator()
     assert formed == [(0, 1050)]
     assert np.abs(u.conj().T @ u - np.eye(81)).max() <= 1e-11
+
+
+def test_the_fock_mirror_moves_each_phonon_to_the_mirror_site():
+    model, space = _preset_ring_model(), build_fock_space(4, 2)
+    _, array, _, _ = dynamics.ring_couplings(parse_config("experiment = fig2cd_plaquette\n"))
+    s = model.mirror
+    assert np.array_equal(s[s], np.arange(space.dim))
+    for k, (ix, iy) in enumerate(array.lattice):  # S x = x[mirror]
+        image = array.lattice.index((ix, 1 - iy))
+        assert np.array_equal(single_phonon_state(space, k)[s], single_phonon_state(space, image))
+    # the pi ring's glide, S H(t) S = H(t + T / 2), on the built matrices
+    assert np.abs(model.static[np.ix_(s, s)] - model.static).max() < 1e-15
+    assert np.abs(model.drive[np.ix_(s, s)] + model.drive).max() < 1e-15
+    # an L of three sites has no mirror image of (1, 0)
+    corner = dataclasses.replace(array, lattice=((0, 0), (1, 0), (0, 1)))
+    assert dynamics._fock_mirror(corner, build_fock_space(3, 1)) is None
+
+
+@pytest.mark.parametrize("mirror", [np.arange(80), np.arange(81)[::-1] + 1, np.arange(81.0),
+                                    np.roll(np.arange(81), 1)],
+                         ids=["short", "out-of-range", "float", "not-an-involution"])
+def test_a_mirror_that_is_no_involution_of_the_basis_is_rejected(mirror):
+    with pytest.raises(ValueError, match="own inverse"):
+        dataclasses.replace(_preset_ring_model(), mirror=mirror)
+
+
+def _pi_ring(divisor=40):
+    """The preset pi ring's model, Fock space and time step at `divisor`."""
+    model = _preset_ring_model()
+    return model, build_fock_space(4, 2), dynamics.default_time_step(model.frequency_scale,
+                                                                     divisor)
+
+
+@pytest.mark.parametrize("divisor, n, offsets", [
+    # n / 2 = 525 is odd: W forms E_0 ... E_262, and the middle step E_262 is
+    # its own mirror; offsets on both sides of T / 8, T / 4 and 3 T / 8
+    (40, 1050, (0, 100, 131, 261, 262, 263, 264, 393, 400, 524)),
+    # n / 2 = 538 is even: E_0 ... E_268, W = S G P_269^T G P_269
+    (41, 1076, (0, 100, 134, 268, 269, 270, 403, 537)),
+])
+def test_glide_builds_w_from_a_quarter_period(divisor, n, offsets):
+    model, space, dt = _pi_ring(divisor)
+    grid = dynamics._PeriodGrid(model, dt, _parity(space))
+    assert grid.glide and grid.reversed and grid.n == n and grid.period == n // 2
+    formed = _formed_ranges(grid)
+    w, kept = grid.period_propagator(set(offsets))
+    half = n // 2
+    assert formed == [(0, half - half // 2)]
+    ref_u, ref_kept = _sequential_period_propagator(grid, offsets + (half,))
+    assert sorted(kept) == list(offsets)
+    # W = S P_(n/2), the Floquet operator of T / 2, and U_T = W^2
+    assert np.abs(w - ref_kept[half][grid.mirror]).max() < 1e-12
+    assert np.abs(w @ w - ref_u).max() < 1e-12
+    for o in offsets:
+        assert np.abs(kept[o] - ref_kept[o]).max() < 1e-12
+        assert not np.shares_memory(kept[o], w)
+
+
+@pytest.mark.parametrize("case", ["flux-0", "link", "odd-grid"])
+def test_no_glide_without_a_mirror_that_flips_the_drive_on_an_even_grid(pi_link_model, case):
+    if case == "flux-0":  # the mirror keeps the drive: S V S = V
+        cfg = parse_config("experiment = fig2cd_plaquette\nplaquette.flux = 0\n")
+        drive, array, _, _ = dynamics.ring_couplings(cfg)
+        space = build_fock_space(4, 2)
+        model = driven_model(array, drive, bare_coupling_matrix(
+            array, cfg["direction"], cfg["numerics.cutoff_range"]), space)
+        dt = dynamics.default_time_step(model.frequency_scale)
+    elif case == "link":  # one row of sites: the mirror is the identity; 1464 steps
+        model, space = pi_link_model
+        dt = 2 * math.pi / abs(model.modulation) / 1464
+        assert np.array_equal(model.mirror, np.arange(model.dim))
+    else:  # the pi ring at criterion 8's divisor: n = 263 steps
+        model, space, dt = _pi_ring(10)
+    grid = dynamics._PeriodGrid(model, dt, _parity(space))
+    assert model.mirror is not None and grid.reversed
+    assert not grid.glide and grid.period == grid.n
+    assert grid.n % 2 == (case == "odd-grid")
+
+
+@pytest.mark.parametrize("t_final, samples, t_start", [
+    # 9 samples 11 T / 8 apart, in every quarter of the period at four
+    # offsets of the half period: W keeps its partial products P_o there,
+    # while the whole period's eight offsets take the block
+    (11.0, 9, 0.0),
+    (4060.0 / (2 * math.pi / 0.05), 601, 0.0),  # the benchmark ring: the block
+    (900.0 / (2 * math.pi / 0.05), 37, -700.0 / (2 * math.pi / 0.05)),  # and its past
+])
+def test_the_glide_samples_the_pi_ring_as_the_whole_period_does(t_final, samples, t_start):
+    model, space, _ = _pi_ring()
+    period = 2 * math.pi / abs(model.modulation)
+    psi0, occ = single_phonon_state(space, 0), space.occupation_table()
+    runs = [evolve(m, psi0, t_final * period, occupation=occ, samples=samples,
+                   t_start=t_start * period)
+            for m in (model, dataclasses.replace(model, mirror=None))]
+    glided, whole = (res.diagnostics for res in runs)
+    assert glided["period_glide"] and glided["period_reversed"] and not whole["period_glide"]
+    # half the E_k for W, and block steps through a quarter period, not a half
+    assert glided["magnus_steps"] < whole["magnus_steps"]
+    # two builds and powers that round differently; W is taken twice as often
+    # as U_T: 1.1e-12, 3.9e-12 and 1.9e-12 measured, against norm drifts of
+    # 1.0e-12, 3.6e-12 and 1.0e-12
+    assert np.abs(runs[0].populations - runs[1].populations).max() < 1e-11
+
+
+def test_the_block_through_half_a_period_matches_the_whole_period(monkeypatch):
+    # the flux-0 ring is its own reverse and has no glide: a sample past the
+    # middle of its period is read from the backward column Pi conj(U_T^(q+1) psi0)
+    cfg = parse_config("experiment = fig2cd_plaquette\nplaquette.flux = 0\n"
+                       "numerics.window = 4060\nnumerics.samples = 601\n")
+    half = plaquette_experiment(cfg)[1]
+    columns = dynamics._block_columns
+    monkeypatch.setattr(dynamics, "_block_columns",  # every sample read forward
+                        lambda periods, offsets, reversal=0: columns(periods, offsets))
+    whole = plaquette_experiment(cfg)[1]
+    assert half.diagnostics["period_reversed"] and not half.diagnostics["period_glide"]
+    assert half.diagnostics["magnus_steps"] < whole.diagnostics["magnus_steps"]
+    assert np.abs(half.populations - whole.populations).max() < 1e-12
 
 
 @pytest.mark.parametrize("steps", [9 * 1465, 9 * 1465 + 333])  # on a period, and past one
@@ -890,19 +1022,21 @@ def test_node_count_stops_at_the_taylor_degree_and_the_grid(n, nodes):
 
 
 def test_floquet_block_steps_keep_the_step_and_power_counts(monkeypatch):
-    # the preset ring over 6.5 periods, 12 samples at 12 distinct offsets: the
-    # block crosses the period by E_k, each counted as a Taylor step would
-    # be: 525 steps formed for U_T (the ring is its own reverse), 1002 block
-    # steps and 10 partial steps
+    # the preset ring over 13 half periods, 12 samples at 11 distinct offsets
+    # in the 525 steps of its glide: the block crosses a quarter period by
+    # E_k, each counted as a Taylor step would be: 263 steps formed for W (the
+    # half period is its own reverse), 239 block steps and 10 partial steps
     model = _preset_ring_model()
     space = build_fock_space(4, 2)
     psi0 = single_phonon_state(space, 0)
     t_final = 6.5 * 2 * math.pi / abs(model.modulation)
     res = evolve(model, psi0, t_final, occupation=space.occupation_table(), samples=12)
-    assert len(set((np.floor(res.times / res.parameters["dt"] + 1e-9) % 1050).tolist())) == 12
+    assert len(set((np.floor(res.times / res.parameters["dt"] + 1e-9) % 525).tolist())) == 11
     diag = res.diagnostics
-    assert diag["period_propagator"] and diag["period_nodes"] == 15
-    assert diag["magnus_steps"] == 1537 and diag["period_powers"] == 6
+    assert diag["period_propagator"] and diag["period_nodes"] == 15 and diag["period_glide"]
+    # W^q psi0 for a forward column of half period q, W^(q+1) psi0 for a
+    # backward one, up to W^13 psi0 at 6.5 T
+    assert diag["magnus_steps"] == 512 and diag["period_powers"] == 13
     monkeypatch.setattr(dynamics, "path_work", lambda *args: (0, 1))  # plain stepping
     plain = evolve(model, psi0, t_final, occupation=space.occupation_table(), samples=12)
     assert plain.diagnostics["magnus_steps"] == 6825 + 10  # 6.5 T itself is a grid point
@@ -1078,6 +1212,66 @@ def test_the_price_of_the_exact_drive_is_its_grid(text, sites):
     assert 16 * math.prod(shapes["step-generator table"]) == grid.table.nbytes
     assert shapes["step table"] == grid.coefs.shape == (grid.n, 5)
 
+
+
+@pytest.mark.parametrize("text", ["", "plaquette.flux = 0\n", "numerics.time_step_divisor = 10\n",
+                                  "numerics.time_step_divisor = 41\n"],
+                         ids=["pi", "flux-0", "odd-grid", "even-half-period"])
+def test_the_ring_price_takes_the_glide_that_the_grid_takes(text):
+    # run_price's rule, flux pi on an even grid, prices the Floquet period
+    # that the run's grid takes: n / 2 steps with the glide, n without
+    cfg = parse_config("experiment = fig2cd_plaquette\n" + text)
+    drive, array, _, window = dynamics.ring_couplings(cfg)
+    space = build_fock_space(4, cfg["numerics.n_max"])
+    model = driven_model(array, drive, bare_coupling_matrix(
+        array, cfg["direction"], cfg["numerics.cutoff_range"]), space)
+    grid = dynamics._PeriodGrid(model, dynamics.default_time_step(
+        model.frequency_scale, cfg["numerics.time_step_divisor"]), _parity(space))
+    assert grid.glide is (text in ("", "numerics.time_step_divisor = 41\n"))
+    points = np.array([0.0, math.floor(window / grid.h + 1e-9)])
+    work = min(dynamics.path_work(model.dim, grid.period, 1, 1, points, grid.reversed, 1))
+    assert run_price(cfg.experiment, dict(cfg.values))[1][1] == model.dim ** 2 * work
+
+
+class _Priced(Exception):
+    """Raised after `path_work` priced a ring: the rest of the run is not needed."""
+
+
+#: Exact-drive runs and the path that each of their `evolve` calls takes:
+#: Floquet sampling for both preset rings, criterion 8's ring, the benchmark
+#: ring and every defined pair of the preset (and benchmark) link scan.
+KEPT_PATHS = {
+    "ring_pi": ("experiment = fig2cd_plaquette\n", [True]),
+    "ring_flux_0": ("experiment = fig2cd_plaquette\nplaquette.flux = 0\n", [True]),
+    "criterion_8_ring": ("experiment = fig2cd_plaquette\nnumerics.n_max = 4\n"
+                         "numerics.time_step_divisor = 10\nnumerics.window = 1500\n"
+                         "numerics.samples = 151\n", [True]),
+    "bench_ring_pi": ("experiment = fig2cd_plaquette\nplaquette.flux = pi\nnumerics.n_max = 2\n"
+                      "numerics.samples = 601\nnumerics.window = 4060.0\n", [True]),
+    "bench_link_scan": ("experiment = fig2b_link_scan\nscan.points = 21\nnumerics.n_max = 4\n",
+                        [True] * 10),
+}
+
+
+@pytest.mark.parametrize("text, paths", KEPT_PATHS.values(), ids=KEPT_PATHS.keys())
+def test_the_presets_and_benchmark_runs_keep_their_path(monkeypatch, text, paths):
+    cfg = parse_config(text)
+    ring, chosen, price = cfg.experiment == "fig2cd_plaquette", [], dynamics.path_work
+
+    def spy(*args):
+        plain, floquet = price(*args)
+        chosen.append(floquet < plain)
+        if ring:
+            raise _Priced
+        return plain, floquet
+
+    monkeypatch.setattr(dynamics, "path_work", spy)
+    if ring:
+        with pytest.raises(_Priced):
+            plaquette_experiment(cfg)
+    else:
+        link_transfer_scan(cfg)
+    assert chosen == paths
 
 
 @pytest.mark.parametrize("points, builds", [(2, []), (3, [True]), (21, [False] * 9 + [True])],

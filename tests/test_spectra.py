@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,55 @@ def test_eigensystem_trivial():
 def test_eigensystem_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
         eigensystem(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+class _ReachedEigh(Exception):
+    """Raised in place of numpy's eigh: the Hermiticity check passed."""
+
+
+def _stop_at_eigh(monkeypatch):
+    def stop(*args, **kwargs):
+        raise _ReachedEigh
+
+    monkeypatch.setattr(np.linalg, "eigh", stop)
+
+
+def test_eigensystem_hermiticity_check_copies_no_whole_matrix(monkeypatch):
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(1024, 1024)) + 1j * rng.normal(size=(1024, 1024))
+    m += m.conj().T
+    _stop_at_eigh(monkeypatch)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_ReachedEigh):
+            eigensystem(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.nbytes / 4
+
+
+@pytest.mark.parametrize("i, j", [(199, 5), (5, 199), (198, 199)])
+def test_eigensystem_hermiticity_tolerance_in_the_last_row_block(monkeypatch, i, j):
+    # 12 blocks of 16 rows and a last block of 8; the largest entry is 4
+    m = np.zeros((200, 200), dtype=complex)
+    m[0, 1] = m[1, 0] = 4.0
+    m[i, j] = 3e-12  # a defect of 3e-12 over the scale 4 passes
+    _stop_at_eigh(monkeypatch)
+    with pytest.raises(_ReachedEigh):
+        eigensystem(m)
+    m[i, j] = 5e-12  # 5e-12 does not
+    with pytest.raises(NonHermitianError, match="not Hermitian within 1e-12"):
+        eigensystem(m)
+
+
+def test_eigensystem_hermiticity_check_passes_a_nan(monkeypatch):
+    # a nan makes the scale and the defect nan, and the check lets eigh see it
+    m = np.eye(40)
+    m[37, 2] = math.nan
+    _stop_at_eigh(monkeypatch)
+    with pytest.raises(_ReachedEigh):
+        eigensystem(m)
 
 
 def test_eigensystem_conventions_and_residuals():
