@@ -6,17 +6,19 @@ Usage: PYTHONPATH=src python scripts/hash_outputs.py [output_root]
 The list holds every preset, with the link scan on five phase steps, the
 ring at both fluxes on a 300-unit window and at flux pi on a 600-unit
 window (all three by Floquet sampling, the block crossing half a period at
-flux 0 and a quarter period in the pi ring's mirror glide), an open ladder sweep and a periodic butterfly on
-even flux grids (the mirror's other branch: the preset grids are odd), a
-dressed map up to the largest drive strength (Bessel arguments up to 100),
-and `custom` in laser mode, in cosine mode, and with x couplings out to 7.5
-lattice constants.  Each line reads ``sha256  <config>/<file>``, in the
-format of ``sha256sum``.  A
+flux 0 and a quarter period in the pi ring's mirror glide), the pi ring on a
+100-unit window, under one drive period, by plain stepping, an open ladder
+sweep and a periodic butterfly on even flux grids (the mirror's other
+branch: the preset grids are odd), a dressed map up to the largest drive
+strength (Bessel arguments up to 100), and `custom` in laser mode, in
+cosine mode, and with x couplings out to 7.5 lattice constants.  Each line
+reads ``sha256  <config>/<file>``, in the format of ``sha256sum``.  A
 manifest is hashed without its `duration_seconds`, the one entry that
 differs between reruns.  Run it on two checkouts and diff the outputs to see
 which data files a change moves.  The whole list takes about 0.9 seconds
-on one core of a 2-vCPU Xeon, 0.07 of them in the 600-unit ring; output_root defaults to a temporary directory that is
-removed afterwards.
+on one core of a 2-vCPU Xeon, 0.07 of them in the 600-unit ring and about
+0.1 in the 100-unit one; output_root defaults to a temporary directory that
+is removed afterwards.
 """
 
 import hashlib
@@ -38,6 +40,10 @@ SHORT = {
 #: block (61 samples at more than five offsets; 10 powers of W, the Floquet
 #: operator of the ring's half period).
 FLOQUET_RING = "numerics.window = 600\nnumerics.samples = 61\nplaquette.flux = pi\n"
+
+#: The pi ring on a window shorter than one drive period (125.7), where
+#: Floquet sampling does not pay: plain stepping, 895 Magnus steps.
+PLAIN_RING = "numerics.window = 100\nnumerics.samples = 61\nplaquette.flux = pi\n"
 
 #: A periodic butterfly on an even flux grid, where no row is its own
 #: mirror: rows 5-3 repeat rows 0-2.
@@ -66,6 +72,7 @@ def runs():
             for flux in ("0", "pi"):
                 yield f"{name}_flux{flux}", text + f"plaquette.flux = {flux}\n"
             yield f"{name}_fluxpi_floquet", f"experiment = {name}\n" + FLOQUET_RING
+            yield f"{name}_fluxpi_plain", f"experiment = {name}\n" + PLAIN_RING
         elif name == "fig2f_flux_sweep":
             yield name, text
             yield f"{name}_open_even", text + EVEN_SWEEP

@@ -27,15 +27,16 @@ to its drive phases, so the Fock parity Pi and complex conjugation map the
 drive with phases theta to the one with -theta, and the symmetric Magnus
 grid keeps this exactly: E_{n-1-k} of one is Pi E_k^T Pi of the other.  A
 drive whose phases are all 0 or pi is its own reverse: U_T forms and
-multiplies only the first half period of E_k, and a sample past the middle
-of period q is the column Pi conj(U_T^(q+1) psi0) stepped by the same E_k
-and mapped back, so that the block too crosses only half a period.  At flux
-pi the ring's mirror i_y -> 1 - i_y flips the drive's sign, as half a period
-does: H(t + T/2) = S H(t) S, S the mirror's Fock-state permutation.  On an
-even grid this glide makes T/2 the Floquet period, with W = S P_{n/2} and
-U_T = W^2, and the half period is its own reverse under S Pi, so that W and
-the block take a quarter period of E_k.  Plain stepping, which a flop
-rule picks when U_T does not pay, is one column stepped through the whole
+multiplies only the first half period of E_k, and every sample past the
+middle of period q, kept or stepped, is read from the backward column
+Pi conj(U_T^(q+1) psi0), brought there by the same E_k (or their kept
+product) and mapped back, so that the block too crosses only half a period.
+At flux pi the ring's mirror i_y -> 1 - i_y flips the drive's sign, as half
+a period does: H(t + T/2) = S H(t) S, S the mirror's Fock-state
+permutation.  On an even grid this glide makes T/2 the Floquet period, with
+W = S P_{n/2} and U_T = W^2, and the half period is its own reverse under
+S Pi, so that W and the block take a quarter period of E_k.  Plain
+stepping, which a flop rule picks when U_T does not pay, is one column stepped through the whole
 window under the Horner form of the Taylor polynomial.  Samples may also lie
 before t = 0, reached by U_T^dag or by stepping back by -Omega; the link scan
 runs one exact drive per pair of mirrored phase steps delta and 2 pi - delta
@@ -435,13 +436,6 @@ class _PeriodGrid:
         # E_k that the Floquet operator forms
         self.formed = self.period - self.period // 2 if self.reversed else self.period
 
-    def reflect(self, m: np.ndarray) -> np.ndarray:
-        """G m G for the reversal G of the Floquet period: Pi, or S Pi with a
-        glide (S permutes the sites' occupations, so it commutes with Pi)."""
-        if self.glide:
-            m = m[np.ix_(self.mirror, self.mirror)]
-        return self.flip * m
-
     def coefficients(self, t, h) -> np.ndarray:
         """Table coefficients, one row per step of size h starting at t."""
         t, h = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(h, dtype=float))
@@ -469,8 +463,8 @@ class _PeriodGrid:
         """The Floquet operator U = P_N of the N = `period` steps, P_o =
         E_{o-1} ... E_1 E_0 with E_k the Taylor exponential of step k's
         generator, or W = S P_N with a glide (U_T = W^2); and the partial
-        product P_o kept at each grid offset o in `offsets` (0 <= o < N; P_0
-        is the identity).
+        product P_o kept at each grid offset o in `offsets` (0 <= o <=
+        `formed`; P_0 is the identity).
 
         E(t), the exponential of a full step from t, is periodic and smooth in
         the drive phase.  Its Taylor exponentials at N = `nodes` equispaced
@@ -489,12 +483,13 @@ class _PeriodGrid:
 
         A reversed drive (`reversed`, checked in the constructor) has
         E_{n-1-k} = Pi E_k^T Pi: the symmetric Magnus step is its own time
-        reverse.  With a glide as well, E_{N-1-k} = G E_k^T G for G = S Pi
-        (`reflect`): the half period is reversed about T / 4.  Then only
-        E_0 ... E_{c-1}, c = ceil(N / 2), are formed and multiplied, and
-        P_N = G P_{N//2}^T G P_c (for odd N, P_c = E_{N//2} P_{N//2}).  A kept
-        offset o > c is P_o = G conj(P_{N-o}) G P_N, one more product, since
-        E_{N-1} ... E_o = G P_{N-o}^T G is unitary.
+        reverse.  With a glide as well, E_{N-1-k} = G E_k^T G for G = S Pi (S
+        permutes the sites' occupations, so it commutes with Pi): the half
+        period is reversed about T / 4.  Then only E_0 ... E_{c-1},
+        c = ceil(N / 2), are formed and multiplied, and P_N = G P_{N//2}^T G P_c
+        (for odd N, P_c = E_{N//2} P_{N//2}); `evolve` reads every sample past
+        the middle, kept or stepped, from a backward column (`_block_columns`),
+        so no P_o past c is kept.
         """
         d, n, nodes, period, half = (self.table.shape[1], self.n, self.nodes, self.period,
                                      self.formed)
@@ -512,9 +507,7 @@ class _PeriodGrid:
         cols = _STACK_BYTES // (16 * nodes)
         for c in range(0, d * d, cols):
             harmonics[:, c:c + cols] = dft @ harmonics[:, c:c + cols]
-        cuts = {o if o <= half else period - o for o in offsets}
-        if self.reversed:
-            cuts.add(period // 2)
+        cuts = {*offsets, period // 2} if self.reversed else set(offsets)
         part, cuts = {}, sorted(cuts)  # a Python sort, as in `_kept_offsets`
         u = np.eye(d, dtype=complex)
         for k, stack in self.exponential_stacks(0, half):
@@ -526,11 +519,10 @@ class _PeriodGrid:
             if start < len(stack):
                 u = _chain(stack[start:]) @ u
         part[half] = u
-        if self.reversed:
-            u = self.reflect(part[period // 2].T) @ u
-        kept = {o: part[o] if o <= half else self.reflect(part[period - o].conj()) @ u
-                for o in offsets}
-        return (u[self.mirror] if self.glide else u), kept
+        if self.reversed:  # G P_{N//2}^T G, G = Pi or, with a glide, S Pi
+            g = part[period // 2].T
+            u = (self.flip * (g[np.ix_(self.mirror, self.mirror)] if self.glide else g)) @ u
+        return (u[self.mirror] if self.glide else u), {o: part[o] for o in offsets}
 
     def exponential_stacks(self, j: int, o: int):
         """(k, stack): the step exponentials E_k ... E_{k+K-1} of the grid
@@ -587,8 +579,9 @@ def _block_columns(periods: np.ndarray, offsets: np.ndarray, reversal: int = 0):
 
 
 def _kept_offsets(offsets: np.ndarray) -> set[int]:
-    """The distinct sampled grid offsets if U_T keeps its partial products
-    there, at most _BLOCK_WIDTH of them; none if the block steps to them.
+    """The distinct grid offsets that samples are read at (`_block_columns`)
+    if U_T keeps its partial products there, at most _BLOCK_WIDTH of them;
+    none if the block steps to them.
 
     A Python set: numpy's first integer sort would map about 1 MB more of
     its sorting code into the process."""
@@ -610,16 +603,17 @@ def path_work(dim: int, n: int, nodes: int, degree: int, points: np.ndarray,
     Paterson-Stockmeyer step exponentials (s + r - 2 products each), n
     formation rows of nodes d^2 multiply-adds at matrix-vector speed and n
     products for the accumulation, or ceil(n / 2) rows and ceil(n / 2) + 1
-    products for a `reversed_drive` (`period_propagator`, less the at most
-    _BLOCK_WIDTH products that mirror kept offsets past the middle).  It
-    powers psi0 to the period each block column starts from: by U^dag down
-    to the lowest, q_0 < 0, by U up through the other negative ones (at most
-    |q_0| more products), and from psi0 up to the last.  With U's partial
-    products kept at the sampled offsets (`_kept_offsets`), each sample costs
-    one matrix-vector product.  Otherwise blocks of at most _BLOCK_WIDTH d
-    columns (`_block_columns`: one per sampled period, and for a
-    `reversed_drive` one more per period sampled past ceil(n / 2)) step to
-    each column's last offset by the E_k of U, at most ceil(n / 2) of them
+    products for a `reversed_drive` (`period_propagator`).  It powers psi0
+    to the period each block column starts from: by U^dag down to the
+    lowest, q_0 < 0, by U up through the other negative ones (at most |q_0|
+    more products), and from psi0 up to the last.  The columns are
+    those of `_block_columns`: one per sampled period, and for a
+    `reversed_drive` one more per period sampled past ceil(n / 2), since
+    every sample past the middle, kept or stepped, is read from a backward
+    column.  With U's partial products kept at the read offsets
+    (`_kept_offsets`), each sample costs one matrix-vector product.
+    Otherwise blocks of at most _BLOCK_WIDTH d columns step to each
+    column's last offset by the E_k of U, at most ceil(n / 2) of them
     for a `reversed_drive`: a block step forms E_k again, one row at
     matrix-vector speed, and multiplies the block by it, its first column at
     matrix-vector speed and the others at matrix-product speed.  Formation,
@@ -635,8 +629,8 @@ def path_work(dim: int, n: int, nodes: int, degree: int, points: np.ndarray,
         return plain, math.inf
     periods, offsets = np.divmod(points, n)
     formed = n - n // 2 if reversed_drive else n
-    kept = _kept_offsets(offsets)
-    *_, starts, last = _block_columns(periods, offsets, n if reversed_drive and not kept else 0)
+    read, _, _, starts, last = _block_columns(periods, offsets, n if reversed_drive else 0)
+    kept = _kept_offsets(read)
     floquet = ((nodes * (sum(_ps_shape(degree)) - 2) + formed + reversed_drive) * dim * product
                + formed * nodes + int(starts[-1]) - 2 * min(int(starts[0]), 0))
     if kept:
@@ -735,23 +729,24 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     a drive that this maps to itself (every exp(i theta_i) real, checked on
     the matrices to REVERSAL_TOL) builds U_T from half a period
     (`diagnostics["period_reversed"]`), and its block crosses half a period:
-    a sample at offset o past ceil(n / 2) of period q is read at n - o from
-    the backward column Pi conj(U_T^(q+1) psi0), and mapped back by
-    conjugation and Pi (`_block_columns`).  A model whose `mirror` S is a
-    glide on the grid (`_PeriodGrid`; the pi ring on an even grid,
+    every sample at an offset o past ceil(n / 2) of period q, kept or
+    stepped, is read at n - o from the backward column
+    Pi conj(U_T^(q+1) psi0), and mapped back by conjugation and Pi
+    (`_block_columns`).  A model whose `mirror` S is a glide on the grid
+    (`_PeriodGrid`; the pi ring on an even grid,
     `diagnostics["period_glide"]`) runs all of this on the Floquet period
     T / 2 instead, with W = S P_{n/2} in place of U_T: a sample in half
     period j is S^j P_o W^j psi0, P_o W^j psi0 permuted by S once for odd j.
     Its half period is reversed under S Pi, so W forms a quarter period of
     E_k, and the block crosses a quarter period.  With at most
-    _BLOCK_WIDTH distinct offsets o of the samples within their periods, U_T
-    keeps its partial products P_o, and a column reaches offset o as P_o
-    times its state instead of by stepping; a link point, sampled at 0 and
-    t*, takes this path.  Each sample's state at its grid point is queued,
-    and a stack of _READOUT_BYTES of them takes its partial steps by one
-    stacked Horner (a state on the grid comes out an exact copy); the
-    eigendecomposition reads a block of _STACK_BYTES of times out per
-    product.  Aborts if the norm drifts beyond 1e-4 or is not finite, naming
+    _BLOCK_WIDTH distinct offsets o that the samples are read at, U_T keeps
+    its partial products P_o (o <= ceil(n / 2) on a reversed drive), and a
+    column reaches offset o as P_o times its state instead of by stepping;
+    a link point, sampled at 0 and t*, takes this path.  Each sample's state
+    at its grid point is queued, and a stack of _READOUT_BYTES of them takes
+    its partial steps by one stacked Horner (a state on the grid comes out
+    an exact copy); the eigendecomposition reads a block of _STACK_BYTES of
+    times out per product.  Aborts if the norm drifts beyond 1e-4 or is not finite, naming
     the earliest such sample.
     """
     if t_final <= 0:
@@ -825,9 +820,9 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     floquet = floquet < plain  # the cheaper path
     periods, offsets = (np.divmod(points, grid.period) if floquet
                         else (np.zeros_like(points), points))
-    u_period, kept = grid.period_propagator(_kept_offsets(offsets)) if floquet else (None, {})
     read, backward, ends, starts, lasts = _block_columns(
-        periods, offsets, grid.period if floquet and grid.reversed and not kept else 0)
+        periods, offsets, grid.period if floquet and grid.reversed else 0)
+    u_period, kept = grid.period_propagator(_kept_offsets(read)) if floquet else (None, {})
     glide = floquet and grid.glide
     width = _BLOCK_WIDTH * dim
     back = u_period.conj().T if starts[0] < 0 else None  # U^dag = U^-1
@@ -877,10 +872,10 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
                 block_steps += abs(o - j)
                 j = o
             x = block[:, sample_column[i]]
+            if kept:  # P_o, before a backward column's map back
+                x = kept[o] @ x
             if backward[k]:  # P_(N-o) of the mirror image, mapped back
                 x = parity * x.conj()
-            if kept:
-                x = kept[o] @ x
             if glide and (periods[k] + backward[k]) % 2:  # S^q, S^(q+1) from a backward column
                 x = x[grid.mirror]
             emit(k, x)

@@ -608,13 +608,14 @@ def test_normal_runs_fit_the_budget(text):
 #: drive that is its own time reverse and builds U_T from half a period, as
 #: the flux-0 ring does.  The preset pi ring's mirror glide builds W, the
 #: Floquet operator of half its 1050 steps, from a quarter period; at divisor
-#: 10 its 263 steps are odd, and it takes no glide.
+#: 10 its 263 steps are odd, and it takes no glide; there the window's end
+#: lies past the middle of a period, read from a backward column one power on.
 @pytest.mark.parametrize("text, adds", [(LINK_TWO_POINTS, 0),
                                         ("experiment = fig2b_link_scan\nscan.points = 3\n",
                                          19756250),
                                         (RING, 144243585),
                                         (RING + "plaquette.flux = 0\n", 395759520),
-                                        (RING + "numerics.time_step_divisor = 10\n", 72925515)],
+                                        (RING + "numerics.time_step_divisor = 10\n", 72932076)],
                          ids=["link_2", "link_3", "ring", "ring_flux_0", "ring_odd_grid"])
 def test_exact_drive_is_priced_by_the_runs_it_makes(text, adds):
     cfg = parse_config(text)

@@ -470,11 +470,12 @@ def test_period_propagator_matches_straight_evolution(pi_link_model):
     model, space = pi_link_model
     psi0 = single_phonon_state(space, 0)
     period = 2 * math.pi / abs(model.modulation)
-    # samples at 0, 12.35 T and 24.7 T: U_T takes psi0 to period 24 in 24
-    # products, and the block carries periods 12 and 24 to their partial steps
+    # samples at 0, 12.35 T and 24.7 T: 24.7 T lies past the middle of period
+    # 24, so it is read from the backward column of U_T^25 psi0, and U_T takes
+    # psi0 there in 25 products
     res = evolve(model, psi0, 24.7 * period, 0.4, occupation=space.occupation_table(), samples=3)
     assert res.diagnostics["period_propagator"]
-    assert res.diagnostics["period_powers"] == 24
+    assert res.diagnostics["period_powers"] == 25
     ref = _plain_magnus_populations(model, space, psi0, res.times, 0.4)
     assert np.abs(res.populations - ref).max() < 1e-9
 
@@ -610,8 +611,9 @@ def test_cost_rule_prices_the_kept_partial_products_at_the_link_shape():
     assert _floquet_share(25, n, 17, 14, np.array([0, n + 1100])) < 1
     assert _floquet_share(25, n, 17, 14, np.array([0, n + 900])) > 1
     # the link at delta_phi = pi is its own time reverse: half of U_T costs
-    # 17689, 0.53 times the plain stepping
-    assert dynamics.path_work(25, n, 17, 14, np.array([0, n + 900]), True, 0.25) == (33110, 17689)
+    # 17690, 0.53 times the plain stepping (offset 900 lies past the middle:
+    # its backward column starts one power of U_T further)
+    assert dynamics.path_work(25, n, 17, 14, np.array([0, n + 900]), True, 0.25) == (33110, 17690)
     # plain stepping reaches a sample below zero by |points[0]| steps back: a
     # long past pays for U_T, powered down to the lowest period by U_T^dag,
     # and a short one or a node table over DENSE_BYTE_BUDGET steps back
@@ -659,8 +661,8 @@ def _sequential_period_propagator(grid, offsets=()):
     return u, kept
 
 
-def _preset_ring_model():
-    cfg = parse_config("experiment = fig2cd_plaquette\n")
+def _preset_ring_model(text=""):
+    cfg = parse_config("experiment = fig2cd_plaquette\n" + text)
     drive, array, _, _ = dynamics.ring_couplings(cfg)
     space = build_fock_space(4, cfg["numerics.n_max"])
     bare = bare_coupling_matrix(array, cfg["direction"], cfg["numerics.cutoff_range"])
@@ -727,14 +729,15 @@ def test_interpolated_period_propagator_matches_the_sequential_product(pi_link_m
 
 @pytest.mark.parametrize("preset, n, offsets", [
     # odd n: the middle step E_732 is its own mirror, and U_T forms E_0 ... E_732;
-    # offsets on both sides of the middle, the largest P_o mirrored from P_1
-    ("link", 1465, (0, 100, 731, 732, 733, 734, 1000, 1464)),
+    # offsets up to the last formed, c = 733 (`evolve` reads a sample past c
+    # from a backward column)
+    ("link", 1465, (0, 100, 731, 732, 733)),
     # even n: E_0 ... E_524, U_T = Pi P_525^T Pi P_525 (the ring without its
     # mirror, whose glide would halve the period)
-    ("ring", 1050, (0, 9, 524, 525, 526, 1040, 1049)),
+    ("ring", 1050, (0, 9, 524, 525)),
     # a drive 100 times faster, four and five steps a period: the nodes are the grid points
-    ("four-steps", 4, (0, 1, 2, 3)),
-    ("five-steps", 5, (0, 2, 3, 4)),
+    ("four-steps", 4, (0, 1, 2)),
+    ("five-steps", 5, (0, 2, 3)),
 ])
 def test_reversed_drive_builds_u_t_from_half_a_period(pi_link_model, preset, n, offsets):
     model, space = pi_link_model
@@ -749,7 +752,7 @@ def test_reversed_drive_builds_u_t_from_half_a_period(pi_link_model, preset, n, 
     assert grid.reversed and not grid.glide and grid.n == n
     formed = _formed_ranges(grid)
     u, kept = grid.period_propagator(set(offsets))
-    assert formed == [(0, n - n // 2)]
+    assert formed == [(0, n - n // 2)] and max(offsets) == grid.formed
     ref_u, ref_kept = _sequential_period_propagator(grid, offsets)
     assert sorted(kept) == list(offsets)
     assert np.abs(u - ref_u).max() < 1e-12
@@ -813,10 +816,10 @@ def _pi_ring(divisor=40):
 
 @pytest.mark.parametrize("divisor, n, offsets", [
     # n / 2 = 525 is odd: W forms E_0 ... E_262, and the middle step E_262 is
-    # its own mirror; offsets on both sides of T / 8, T / 4 and 3 T / 8
-    (40, 1050, (0, 100, 131, 261, 262, 263, 264, 393, 400, 524)),
+    # its own mirror; offsets on both sides of T / 8 up to the last formed
+    (40, 1050, (0, 100, 131, 261, 262, 263)),
     # n / 2 = 538 is even: E_0 ... E_268, W = S G P_269^T G P_269
-    (41, 1076, (0, 100, 134, 268, 269, 270, 403, 537)),
+    (41, 1076, (0, 100, 134, 268, 269)),
 ])
 def test_glide_builds_w_from_a_quarter_period(divisor, n, offsets):
     model, space, dt = _pi_ring(divisor)
@@ -825,7 +828,7 @@ def test_glide_builds_w_from_a_quarter_period(divisor, n, offsets):
     formed = _formed_ranges(grid)
     w, kept = grid.period_propagator(set(offsets))
     half = n // 2
-    assert formed == [(0, half - half // 2)]
+    assert formed == [(0, half - half // 2)] and max(offsets) == grid.formed
     ref_u, ref_kept = _sequential_period_propagator(grid, offsets + (half,))
     assert sorted(kept) == list(offsets)
     # W = S P_(n/2), the Floquet operator of T / 2, and U_T = W^2
@@ -839,11 +842,7 @@ def test_glide_builds_w_from_a_quarter_period(divisor, n, offsets):
 @pytest.mark.parametrize("case", ["flux-0", "link", "odd-grid"])
 def test_no_glide_without_a_mirror_that_flips_the_drive_on_an_even_grid(pi_link_model, case):
     if case == "flux-0":  # the mirror keeps the drive: S V S = V
-        cfg = parse_config("experiment = fig2cd_plaquette\nplaquette.flux = 0\n")
-        drive, array, _, _ = dynamics.ring_couplings(cfg)
-        space = build_fock_space(4, 2)
-        model = driven_model(array, drive, bare_coupling_matrix(
-            array, cfg["direction"], cfg["numerics.cutoff_range"]), space)
+        model, space = _preset_ring_model("plaquette.flux = 0\n"), build_fock_space(4, 2)
         dt = dynamics.default_time_step(model.frequency_scale)
     elif case == "link":  # one row of sites: the mirror is the identity; 1464 steps
         model, space = pi_link_model
@@ -882,6 +881,38 @@ def test_the_glide_samples_the_pi_ring_as_the_whole_period_does(t_final, samples
     assert np.abs(runs[0].populations - runs[1].populations).max() < 1e-11
 
 
+@pytest.mark.parametrize("flux, samples, bound", [
+    # 9 samples 3 T / 8 apart: four offsets of the glide's half period T / 2,
+    # one of them (3 T / 8) past its middle; W is taken twice as often as U_T
+    ("pi", 9, 1e-11),
+    # 5 samples 3 T / 4 apart: four offsets of the whole period, one of them
+    # (3 T / 4) past its middle
+    ("0", 5, 1e-12),
+])
+def test_kept_samples_past_the_middle_match_plain_stepping(monkeypatch, flux, samples, bound):
+    model, space = _preset_ring_model(f"plaquette.flux = {flux}\n"), build_fock_space(4, 2)
+    psi0, occ = single_phonon_state(space, 0), space.occupation_table()
+    t_final = 3 * 2 * math.pi / abs(model.modulation)
+    calls, build = [], dynamics._PeriodGrid.period_propagator
+
+    def spy(grid, offsets=frozenset()):
+        calls.append((grid.period, grid.formed, set(offsets)))
+        return build(grid, offsets)
+
+    monkeypatch.setattr(dynamics._PeriodGrid, "period_propagator", spy)
+    kept = evolve(model, psi0, t_final, occupation=occ, samples=samples)
+    [(period, formed, offsets)] = calls
+    assert kept.diagnostics["period_glide"] is (flux == "pi")
+    # the partial products kept stop at the middle, while some samples lie past it
+    points = np.floor(kept.times / kept.parameters["dt"] + 1e-9).astype(int)
+    assert 0 < len(offsets) <= 5 and max(offsets) <= formed < (points % period).max()
+    monkeypatch.setattr(dynamics, "path_work", lambda *args: (0, 1))  # plain stepping
+    plain = evolve(model, psi0, t_final, occupation=occ, samples=samples)
+    assert not plain.diagnostics["period_propagator"]
+    # 5.4e-13 (pi) and 6.3e-13 (flux 0) measured, against norm drifts of 2.7e-13 and 3.3e-13
+    assert np.abs(kept.populations - plain.populations).max() < bound
+
+
 def test_the_block_through_half_a_period_matches_the_whole_period(monkeypatch):
     # the flux-0 ring is its own reverse and has no glide: a sample past the
     # middle of its period is read from the backward column Pi conj(U_T^(q+1) psi0)
@@ -907,8 +938,10 @@ def test_samples_before_zero_are_the_time_reverse(pi_link_model, skew_link_model
     diag = res.diagnostics
     assert res.times.tolist() == [-t, 0.0, t]
     assert diag["period_propagator"] and diag["period_reversed"]
-    # psi0 to period -9 (or -10) by U_T^dag, and again psi0 to period 9 by U_T
-    assert diag["period_powers"] == 9 + -(-steps // 1465)
+    # psi0 to period -9 by U_T^dag (-9 T - 333 steps, past the middle of
+    # period -10, is read from the backward column of period -9), and again
+    # psi0 to period 9 by U_T
+    assert diag["period_powers"] == 18
     assert np.abs(res.populations[0] - res.populations[2]).max() < 1e-12
     assert res.populations[1].tolist() == [1.0, 0.0]
     # a drive that is not its own reverse: its past is the future of the drive at -theta
@@ -1213,7 +1246,6 @@ def test_the_price_of_the_exact_drive_is_its_grid(text, sites):
     assert shapes["step table"] == grid.coefs.shape == (grid.n, 5)
 
 
-
 @pytest.mark.parametrize("text", ["", "plaquette.flux = 0\n", "numerics.time_step_divisor = 10\n",
                                   "numerics.time_step_divisor = 41\n"],
                          ids=["pi", "flux-0", "odd-grid", "even-half-period"])
@@ -1293,6 +1325,7 @@ def test_the_link_price_counts_the_u_t_builds_the_scan_makes(monkeypatch, points
     link_transfer_scan(parse_config(LINK + f"scan.points = {points}\n"))
     assert sorted(reversed_builds) == builds
 
+
 def test_top_level_population_is_the_truncation_leakage():
     text = "experiment = fig2cd_plaquette\nnumerics.window = 150\nnumerics.samples = 16\n"
     cfg = parse_config(text)
@@ -1352,7 +1385,8 @@ def test_link_point_at_pi():
 
 def test_link_point_takes_the_kept_partial_product():
     # the exact model of link_point at delta_phi = pi, on a coarser grid that
-    # keeps the scipy reference short: 25 periods, then P_o to t*'s offset
+    # keeps the scipy reference short: t* lies past the middle of period 25,
+    # so 26 powers, then P_o to the mirror of t*'s offset in the backward column
     cfg = parse_config(LINK + "numerics.time_step_divisor = 10\n")
     array = build_array("link", (2,), gradient=cfg["array.gradient"])
     drive = dynamics.config_drive(cfg, "laser", math.pi, 0.0)
@@ -1366,7 +1400,7 @@ def test_link_point_takes_the_kept_partial_product():
     n = round(2 * math.pi / abs(model.modulation) / h)
     off_grid = np.count_nonzero(res.times - np.floor(res.times / h + 1e-9) * h > 0)
     diag = res.diagnostics
-    assert diag["period_propagator"] and diag["period_powers"] == 25
+    assert diag["period_propagator"] and diag["period_powers"] == 26
     assert diag["magnus_steps"] == n - n // 2 + off_grid  # half a period formed, no block steps
     ref = _plain_magnus_populations(model, space, psi0, res.times, dt)
     assert np.abs(res.populations - ref).max() < 1e-9

@@ -66,6 +66,9 @@ def test_hash_outputs_prints_one_line_per_written_file(tmp_path):
     manifests = [json.loads((tmp_path / name / "manifest.json").read_text())
                  for name in {name for name, _ in hashed}]
     assert {m["experiment"] for m in manifests} == set(EXPERIMENTS)
+    # the hashed rings cover both paths of the exact drive
+    assert {m["resolved"]["diagnostics"]["period_propagator"] for m in manifests
+            if m["experiment"] == "fig2cd_plaquette"} == {False, True}
     for (name, file), digest in hashed.items():
         if file != "manifest.json":  # a manifest is hashed without its wall clock
             assert hashlib.sha256((tmp_path / name / file).read_bytes()).hexdigest() == digest
