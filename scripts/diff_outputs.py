@@ -4,14 +4,17 @@
 Usage: python scripts/diff_outputs.py A B
 
 A and B are output roots of `scripts/hash_outputs.py` (or any two trees of
-`simulate` outputs).  For each data file under both roots it prints one line:
+`simulate` outputs).  For each file under both roots it prints one line:
 ``identical  <file>`` when the bytes match, else the largest absolute and
 relative difference between the numbers at the same place in both files, the
 cells of a CSV or the numbers at the same position of a JSON document.  The
 relative difference of two numbers is |a - b| / max(|a|, |b|).  A file whose
-text differs other than in its numbers is reported as ``differs in <place>``.
-Manifests are left out (each holds a wall-clock duration), and a file under
-one root only is listed as such.  The exit status is 0 when every data file
+text differs other than in its numbers is reported as ``differs in <place>``,
+a JSON place as a path such as ``$.resolved.diagnostics.period_glide``.  A
+manifest is compared without its `duration_seconds`, the one entry that
+differs between reruns, as `hash_outputs.py` hashes it, so that a change in
+what a run did (its `resolved.diagnostics`) shows with its size.  A file
+under one root only is listed as such.  The exit status is 0 when every file
 is identical, 1 when any differs or is under one root only, and 2 on a usage
 error, as for diff(1).
 """
@@ -73,9 +76,19 @@ def _csv_pairs(a: str, b: str):
                 yield nx, ny
 
 
+def _contents(path: Path) -> bytes:
+    """The bytes of a file; a manifest's without its wall-clock duration."""
+    data = path.read_bytes()
+    if path.name == "manifest.json":
+        manifest = json.loads(data)
+        manifest.pop("duration_seconds", None)
+        data = json.dumps(manifest).encode()
+    return data
+
+
 def compare(a: Path, b: Path) -> str:
-    """The report line of one data file (without its name)."""
-    text_a, text_b = a.read_bytes(), b.read_bytes()
+    """The report line of one file (without its name)."""
+    text_a, text_b = _contents(a), _contents(b)
     if text_a == text_b:
         return "identical"
     try:
@@ -98,8 +111,7 @@ def compare(a: Path, b: Path) -> str:
 
 
 def data_files(root: Path) -> set:
-    return {str(p.relative_to(root)) for p in root.rglob("*")
-            if p.is_file() and p.name != "manifest.json"}
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
 
 
 def main() -> int:

@@ -306,10 +306,13 @@ def run_price(experiment: str, values: dict, couplings=None):
     complex multiply-adds): 2 n^3 / 3 a lattice spectrum (the reduction in
     `eigh`; points - points // 2 spectra in a mirrored sweep, a ladder at its
     open size), and for each exact-drive run the cheaper path of `path_work`
-    on [0, the window's end] (the link's longest transfer time), at a Taylor
-    degree and node count of 1, over half a period of steps for the pi ring
-    on an even grid (its mirror glide).  `couplings` is the ring's
-    `ring_couplings(values)` or the error it raised, evaluated here if None.
+    at a Taylor degree and node count of 1: on [0, the window's end] for the
+    ring, over half a period of steps for the pi ring on an even grid (its
+    mirror glide), and for the link's pi point of an odd scan; on [-end, end]
+    for each mirrored pair of link points, `link_point`'s run from the
+    mirror's -t* to the point's t*, end the link's longest transfer time.
+    `couplings` is the ring's `ring_couplings(values)` or the error it
+    raised, evaluated here if None.
     A drive that cannot run is not priced: parse_config reports it."""
     arrays, work, lattice = [], None, None  # lattice: keys, sites, points key, other columns
     if experiment == "fig2a_dressed_map":
@@ -347,15 +350,17 @@ def run_price(experiment: str, values: dict, couplings=None):
         with suppress(OverflowError, ZeroDivisionError):
             n, h = period_steps(drive.drive_frequency,
                                 default_time_step(scale, values["numerics.time_step_divisor"]))
-            points = (0.0, float(math.floor(window / h + 1e-9)))  # floats: past int64 too
-            # runs by reversal: the ring and an odd scan's pi; the pairs but 0, 2 pi (J = 0)
-            runs = {True: 1} if ring else {True: values["scan.points"] % 2,
-                                           False: values["scan.points"] // 2 - 1}
+            end = float(math.floor(window / h + 1e-9))  # a float: past int64 too
+            # (points, reversed, count) of the runs: the ring and an odd scan's pi
+            # on [0, end]; the mirrored pairs but 0, 2 pi (J = 0) on [-end, end]
+            runs = [((0.0, end), True, 1 if ring else values["scan.points"] % 2)]
+            if not ring:
+                runs.append(((-end, end), False, values["scan.points"] // 2 - 1))
             # the pi ring's mirror glide on an even grid: a Floquet period of n / 2 steps
             glide = ring and values["plaquette.flux"] == math.pi and n % 2 == 0
             adds = dim * dim * sum(count * min(path_work(dim, n // 2 if glide else n, 1, 1,
                                                          points, reverse, 1))
-                                   for reverse, count in runs.items())
+                                   for points, reverse, count in runs)
         arrays.append(("numerics.time_step_divisor",
                        f"step table at frequency scale {scale:.3g}", (n, 5), 8))
         if ring:

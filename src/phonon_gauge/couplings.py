@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import csv_text, json_text
+from .fock import block_items
 from .model import ConfigurationError, DriveSpec, GeometryError, TrapArray
 
 #: Largest argument accepted by bessel_first_kind_array and dressed_factor.
@@ -94,11 +95,6 @@ def dressed_factor(resonance_order: int, eta_d: float, delta_phi):
     return complex(out) if out.ndim == 0 else out
 
 
-#: Phase steps per dressed_factor call of dressed_map: its recurrence holds
-#: about ten float64 arrays of this length, 1.3 MiB.
-_PHASE_BLOCK = 2 ** 14
-
-
 @dataclass(frozen=True)
 class DressedMapResult:
     """|dressed_factor| over drive strengths (rows) and phase steps (columns)."""
@@ -119,21 +115,28 @@ class DressedMapResult:
 
 def dressed_map(resonance_order: int, eta_grid, delta_phi_grid) -> DressedMapResult:
     """Dressed-coupling magnitude on a grid, one dressed_factor call per
-    strength and block of phase steps, so the recurrence holds no whole row."""
+    strength and block of phase steps, so the recurrence holds no whole row:
+    about ten float64 arrays of a block's length."""
     etas = np.asarray(eta_grid, dtype=float)
     dphis = np.asarray(delta_phi_grid, dtype=float)
     magnitude = np.empty((etas.size, dphis.size))
+    size = block_items(80)
     for row, eta in zip(magnitude, etas):
         # one call at least, so that an empty phase grid still checks eta
-        for lo in range(0, max(dphis.size, 1), _PHASE_BLOCK):
-            block = slice(lo, lo + _PHASE_BLOCK)
+        for lo in range(0, max(dphis.size, 1), size):
+            block = slice(lo, lo + size)
             row[block] = np.abs(dressed_factor(resonance_order, eta, dphis[block]))
     return DressedMapResult(eta_d=etas, delta_phi=dphis, magnitude=magnitude)
 
 
-#: Rows per block of the Hermiticity checks of `CouplingMatrix` and
-#: `spectra.eigensystem`: 1 MiB of complex conjugate at 4096 sites.
-_HERMITIAN_ROWS = 16
+def adjoint_blocks(m: np.ndarray):
+    """(m[i:i+R], the same rows of m^dag) for each block of R rows of the
+    square matrix m, R = `block_items` of a conjugate row: the walk of the
+    Hermiticity checks of `CouplingMatrix` and `spectra.eigensystem`, which
+    never copies the whole matrix."""
+    size = block_items(16 * max(len(m), 1))
+    for i in range(0, len(m), size):
+        yield m[i:i + size], m[:, i:i + size].conj().T
 
 
 @dataclass(frozen=True)
@@ -148,9 +151,7 @@ class CouplingMatrix:
             raise ValueError("coupling matrix must be square")
         if np.any(np.diagonal(m) != 0):
             raise ValueError("coupling matrix must have zero diagonal")
-        # a block of rows at a time, so the check never copies the whole matrix
-        if not all(np.array_equal(m[i:i + _HERMITIAN_ROWS], m[:, i:i + _HERMITIAN_ROWS].conj().T)
-                   for i in range(0, len(m), _HERMITIAN_ROWS)):
+        if not all(np.array_equal(rows, adjoint) for rows, adjoint in adjoint_blocks(m)):
             raise ValueError("coupling matrix must be exactly Hermitian")
         m.setflags(write=False)
 

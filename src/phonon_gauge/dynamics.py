@@ -58,7 +58,7 @@ import numpy as np
 from ._text import csv_text, json_text
 from .couplings import DEFAULT_CUTOFF_RANGE, CouplingMatrix, dressed_factor, \
     bare_coupling_matrix, effective_coupling_matrix
-from .fock import DENSE_BYTE_BUDGET, FockSpace, add_local, build_fock_space, \
+from .fock import DENSE_BYTE_BUDGET, FockSpace, add_local, block_items, build_fock_space, \
     displacement_exponential, lowering, single_phonon_state
 from .model import ConfigurationError, DriveSpec, TrapArray, build_array, cosine_drive, \
     laser_drive
@@ -284,52 +284,6 @@ def _taylor_matrix(omega: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-#: Bytes of one stack of complex d x d matrices in
-#: `_PeriodGrid.period_propagator`, which exponentiates its nodes
-#: K = `_stack_size(d)` at a time.  A stack spreads numpy's per-call
-#: overhead on small matrices over K steps, until the stack and its powers
-#: outgrow the cache.  One U_T, best of 5, on one core of a 2-vCPU Xeon
-#: (numpy 2.4, OpenBLAS 0.3.31, 1 thread), two runs: at d = 25 (the link)
-#: 0.036-0.050 s at K = 1 and 0.020-0.030 s at K = 8 to 64; at d = 81 (the
-#: preset ring) K = 1 to 64 all took 0.16-0.29 s.  128 KiB gives K = 13 at
-#: d = 25 and K = 1 from d = 81 on.
-_STACK_BYTES = 128 * 1024
-
-#: Bytes of one stack of step exponentials in `_PeriodGrid.exponential_stacks`,
-#: which forms K = `_stack_size(d, _FORMATION_BYTES)` of them by one product
-#: of K phase rows with the N x d^2 harmonic table, into one buffer of
-#: K 16 d^2 bytes that stays resident while the generator runs.  A stack of
-#: one is a matrix-vector product that streams the whole table for each
-#: step; a stack of K streams it once per K steps.  One pass over a period,
-#: per step, best of 5, phase rows included, on one core of a 2-vCPU Xeon
-#: (numpy 2.4, OpenBLAS 0.3.31, 1 thread), three runs: at d = 81 (the preset
-#: ring, N = 15) 80-107 us at K = 1, 35-58 at K = 8-9, 37-44 at 16 and 34-37
-#: at 32; at d = 25 (the link, N = 17) 21-25 us at K = 1, 5.3-7.7 at K = 13
-#: and 4.7-5.0 at K = 64.  1 MiB gives K = 104 at d = 25, 9 at d = 81 and 1
-#: from d = 257 on (criterion 8's d = 625), a buffer below the d = 81 table
-#: itself (1.6 MB).  The node exponentials keep _STACK_BYTES: their stack
-#: also holds its Paterson-Stockmeyer powers, 5.7 MB for K = 9 at d = 81.
-_FORMATION_BYTES = 1024 * 1024
-
-#: Bytes of one stack of partial-step generators in `evolve`'s sample
-#: read-out, which forms K = `_stack_size(d, _READOUT_BYTES)` of them by one
-#: product and applies them to the K queued states by one stacked Horner.
-#: One sample at a time is 14 one-column products at degree 14, each a numpy
-#: call.  The read-out of 601 random states at d = 81 (the preset ring), median
-#: of 15 on one core of a 2-vCPU Xeon (numpy 2.4, OpenBLAS 0.3.31, 1 thread):
-#: 69 ms one sample at a time, 79 at K = 1, 39 at K = 4, 35 at K = 6 to 9,
-#: 37 at K = 12, and 55-67 at K = 16 to 32, whose stacks outgrow the cache.
-#: 512 KiB gives K = 4 at d = 81, 52 at d = 25 and 1 from d = 129 on: the
-#: ring's tracemalloc peak stays that of U_T's build, which K = 9 would
-#: raise by 0.4 MiB.
-_READOUT_BYTES = 512 * 1024
-
-
-def _stack_size(dim: int, budget: int = _STACK_BYTES) -> int:
-    """Matrices per stack of `budget` bytes at state dimension `dim`."""
-    return max(1, budget // (16 * dim * dim))
-
-
 def _node_count(a: float, b: float, c: float, n: int, degree: int) -> int:
     """Interpolation nodes N = 2M + 1 in the drive phase for the n step
     exponentials of one period, or n when 2M + 1 >= n (the grid points).
@@ -468,18 +422,19 @@ class _PeriodGrid:
 
         E(t), the exponential of a full step from t, is periodic and smooth in
         the drive phase.  Its Taylor exponentials at N = `nodes` equispaced
-        phases t_j = j T / N, a stack of at most _STACK_BYTES at a time, are
-        transformed in place to the harmonics F_m, |m| <= (N - 1) / 2, which
-        the grid keeps for `exponential_stacks`; `_node_count` bounds the error
-        by 2^-53.  With N = n the nodes are the grid points, and E_k is their
-        exponential up to roundoff.  Each stack of E_k that
-        `exponential_stacks` forms is cut at the kept offsets within it, and
-        each segment is multiplied out pairwise by `_chain` (one stacked
-        product per level) and then taken into u = segment u, so that every
-        kept offset ends a segment and P_o is the u reached there.  Each u is
-        a new matrix, so keeping P_o copies nothing, and no P_o shares memory
-        with the formation buffer, which the next stack overwrites.  At
-        d = 625 a stack holds one E_k, and u = E_k u is one product a step.
+        phases t_j = j T / N, a stack of `block_items` at a time (each with its
+        Paterson-Stockmeyer powers), are transformed in place to the harmonics
+        F_m, |m| <= (N - 1) / 2, which the grid keeps for `exponential_stacks`;
+        `_node_count` bounds the error by 2^-53.  With N = n the nodes are the
+        grid points, and E_k is their exponential up to roundoff.  Each stack
+        of E_k that `exponential_stacks` forms is cut at the kept offsets
+        within it, and each segment is multiplied out pairwise by `_chain`
+        (one stacked product per level) and then taken into u = segment u, so
+        that every kept offset ends a segment and P_o is the u reached there.
+        Each u is a new matrix, so keeping P_o copies nothing, and no P_o
+        shares memory with the formation buffer, which the next stack
+        overwrites.  At d = 625 a stack holds one E_k, and u = E_k u is one
+        product a step.
 
         A reversed drive (`reversed`, checked in the constructor) has
         E_{n-1-k} = Pi E_k^T Pi: the symmetric Magnus step is its own time
@@ -493,7 +448,7 @@ class _PeriodGrid:
         """
         d, n, nodes, period, half = (self.table.shape[1], self.n, self.nodes, self.period,
                                      self.formed)
-        size = _stack_size(d)
+        size = block_items(16 * d * d * (_ps_shape(self.degree)[0] + 2))
         self.orders = m = (np.arange(nodes) + nodes // 2) % nodes - nodes // 2  # 0 .. M, -M .. -1
         # the only nodes x d^2 array, kept for `exponential_stacks`
         self.harmonics = harmonics = np.empty((nodes, d * d), dtype=complex)
@@ -504,7 +459,7 @@ class _PeriodGrid:
         # F_m = sum_j E_j exp(-2 pi i m j / N) / N in place, a stack of columns at
         # a time: loading numpy.fft raised the ring's peak RSS by 0.15 to 0.6 MB
         dft = np.exp((-2j * math.pi / nodes) * (np.outer(m, np.arange(nodes)) % nodes)) / nodes
-        cols = _STACK_BYTES // (16 * nodes)
+        cols = block_items(16 * nodes)
         for c in range(0, d * d, cols):
             harmonics[:, c:c + cols] = dft @ harmonics[:, c:c + cols]
         cuts = {*offsets, period // 2} if self.reversed else set(offsets)
@@ -528,12 +483,12 @@ class _PeriodGrid:
         """(k, stack): the step exponentials E_k ... E_{k+K-1} of the grid
         offsets in [j, o), 0 <= j <= o <= n, a stack (K, d, d) at a time, with
         E_k = sum_m F_m exp(2 pi i m k / n) from the harmonics that
-        `period_propagator` kept: one product of K phase rows with them per
-        stack of _FORMATION_BYTES, into one buffer allocated per call.  A
+        `period_propagator` kept: one product of K = `block_items` phase rows
+        with them per stack, into one buffer allocated per call.  A
         yielded stack is a view of that buffer, valid only until the generator
         moves on: use it, or copy it, before asking for the next."""
         d, n = self.table.shape[1], self.n
-        size = min(_stack_size(d, _FORMATION_BYTES), max(o - j, 1))
+        size = min(block_items(16 * d * d), max(o - j, 1))
         buffer = np.empty((size, d * d), dtype=complex)
         for k in range(j, o, size):
             out = buffer[:min(size, o - k)]
@@ -743,10 +698,10 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     its partial products P_o (o <= ceil(n / 2) on a reversed drive), and a
     column reaches offset o as P_o times its state instead of by stepping;
     a link point, sampled at 0 and t*, takes this path.  Each sample's state
-    at its grid point is queued, and a stack of _READOUT_BYTES of them takes
+    at its grid point is queued, and a stack of `block_items` of them takes
     its partial steps by one stacked Horner (a state on the grid comes out
-    an exact copy); the eigendecomposition reads a block of _STACK_BYTES of
-    times out per product.  Aborts if the norm drifts beyond 1e-4 or is not finite, naming
+    an exact copy); the eigendecomposition reads a block of times out per
+    product.  Aborts if the norm drifts beyond 1e-4 or is not finite, naming
     the earliest such sample.
     """
     if t_final <= 0:
@@ -775,8 +730,9 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     if isinstance(hamiltonian, np.ndarray):
         vals, vecs = np.linalg.eigh(hamiltonian)
         coeff = vecs.conj().T @ psi0
-        # psi(t) = vecs exp(-i vals t) coeff, a block of _STACK_BYTES of times per product
-        size = max(1, _STACK_BYTES // (16 * len(vals)))
+        # psi(t) = vecs exp(-i vals t) coeff, a block of times per product: a
+        # time holds its phases and its state
+        size = block_items(32 * len(vals))
         for i in range(0, samples, size):
             phases = np.exp(np.multiply.outer(times[i:i + size], -1j * vals)) * coeff
             pops[i:i + size], norms[i:i + size], _ = _observables(occ, top, phases @ vecs.T)
@@ -796,9 +752,9 @@ def evolve(hamiltonian, psi0: np.ndarray, t_final: float, dt: float | None = Non
     partial = np.maximum(times - points * h, 0.0)
     partial_coefs = grid.coefficients((points % n) * h, partial)
 
-    # the samples' grid-point states, queued a stack of _READOUT_BYTES of
-    # partial-step generators at a time
-    queue, queued = np.empty((min(_stack_size(dim, _READOUT_BYTES), samples), dim, 1),
+    # the samples' grid-point states, queued a stack of partial-step
+    # generators at a time
+    queue, queued = np.empty((min(block_items(16 * dim * dim), samples), dim, 1),
                              dtype=complex), []
 
     def read_out():

@@ -7,6 +7,7 @@ occupation table lists every basis state in that order.  Operators here are
 local: d x d matrices on one site, d = n_max + 1.  `add_local` adds one to a
 many-body matrix on the sites it acts on.  Spaces are immutable, and
 `build_fock_space` refuses one whose dense operators exceed DENSE_BYTE_BUDGET.
+`block_items` sizes the block of every block loop from one budget, BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -18,6 +19,33 @@ import numpy as np
 
 #: Bytes one dense array may take: a complex 4096 x 4096 matrix.
 DENSE_BYTE_BUDGET = 16 * 4096 ** 2
+
+#: Bytes one block of a block loop holds at once, about a core's L2 cache:
+#: each loop takes `block_items(b)` items a block, b the bytes one item holds.
+#: A block spreads numpy's per-call overhead over its items, until it
+#: outgrows the cache.  Per loop, b and the block at d = 25 / 81 / 625 (the
+#: link, the preset ring, criterion 8's ring):
+#:   node exponentials (`dynamics._PeriodGrid.period_propagator`): the stack,
+#:     its powers up to Omega^s, the Horner sum and a product, 16 d^2 (s + 2):
+#:     17 / 1 / 1;
+#:   node DFT columns (same): 16 nodes: 3855 / 4369 / 2621 (17 / 15 / 25 nodes);
+#:   step exponentials (`dynamics._PeriodGrid.exponential_stacks`) and the
+#:     sample read-out (`dynamics.evolve`): 16 d^2: 104 / 9 / 1;
+#:   eigendecomposition times (`dynamics.evolve`): 32 n at n sites: 8192 at 4;
+#:   Hermiticity rows (`couplings.adjoint_blocks`): 16 n: 64 at n = 1024,
+#:     16 at 4096;
+#:   dressed-map phase steps (`couplings.dressed_map`), about ten float64
+#:     arrays in the recurrence: 80: 13107.
+#: The pi ring of 601 samples on a 4060-unit window, best of 5 in three runs
+#: on one core of a 2-vCPU Xeon (numpy 2.4, OpenBLAS 0.3.31, 1 thread), took
+#: 0.125-0.133 s at 512 KiB (4 step exponentials a product) against
+#: 0.114-0.122 s at 1 MiB; 2 MiB was no faster.
+BLOCK_BYTES = 1024 * 1024
+
+
+def block_items(item_bytes: int) -> int:
+    """Items per block of BLOCK_BYTES, `item_bytes` each; at least one."""
+    return max(1, BLOCK_BYTES // item_bytes)
 
 
 class CapacityError(ValueError):

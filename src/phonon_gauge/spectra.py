@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from ._text import csv_text, json_text
-from .couplings import _HERMITIAN_ROWS, dressed_factor
+from .couplings import adjoint_blocks, dressed_factor
 from .model import DriveSpec
 
 #: Relative tolerance used to verify Hermiticity of eigensystem inputs.
@@ -176,13 +176,12 @@ def eigensystem(matrix: np.ndarray, *, cells: np.ndarray | None = None,
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonHermitianError("eigensystem needs a square matrix")
-    # max |m_ij| and max |m - m^dag|, a block of rows at a time, so the check
-    # never copies the whole matrix; a nan makes both nan, and passes
+    # max |m_ij| and max |m - m^dag|, a block of rows at a time; a nan makes
+    # both nan, and passes
     scale, defect = 1.0, 0.0
-    for i in range(0, len(m), _HERMITIAN_ROWS):
-        rows = m[i:i + _HERMITIAN_ROWS]
+    for rows, adjoint in adjoint_blocks(m):
         scale = np.maximum(scale, np.abs(rows).max())
-        defect = np.maximum(defect, np.abs(rows - m[:, i:i + _HERMITIAN_ROWS].conj().T).max())
+        defect = np.maximum(defect, np.abs(rows - adjoint).max())
     if defect > HERMITICITY_TOL * scale:
         raise NonHermitianError("matrix is not Hermitian within 1e-12")
     vals, vecs = np.linalg.eigh(m)

@@ -309,7 +309,7 @@ def test_weak_ring_drive_on_the_automatic_window_is_a_config_error(tmp_path, mon
     ("experiment = fig2b_link_scan\nnumerics.n_max = 64\n",
      ["numerics.n_max: the step-generator table takes 1428050000 bytes "
       f"(5 x 4225 x 4225 x 16), {_BYTES}",
-      f"scan.points, numerics.n_max: the run takes at least 3.27e+15 complex "
+      f"scan.points, numerics.n_max: the run takes at least 6.21e+15 complex "
       f"multiply-adds, {_WORK}"]),
 ], ids=["fig2cd_plaquette", "fig2b_link_scan"])
 def test_fock_limit_is_listed_with_the_other_violations(tmp_path, capsys, text, capacity):
@@ -473,7 +473,7 @@ OVERSIZED_SWEEPS = {
                             "648000000000000"]),
     "link_scan": ("experiment = fig2b_link_scan\nscan.points = 1000000000000\n",
                   ["scan.points: the result table takes 40000000000000 bytes",
-                   "scan.points, numerics.n_max: the run takes at least 1.58e+19 complex "
+                   "scan.points, numerics.n_max: the run takes at least 2.36e+19 complex "
                    "multiply-adds"]),
     "butterfly_400_digits": (f"experiment = butterfly\nbutterfly.points = {10 ** 399}\n",
                              ["butterfly.points, butterfly.size: the result table takes "
@@ -531,12 +531,12 @@ OVERSIZED_RUNS = {
                      ["numerics.n_max: the step-generator table takes 1342177280 bytes "
                       f"(5 x 4096 x 4096 x 16), {_BYTES}"]),
     "link_n_max_25": ("experiment = fig2b_link_scan\nnumerics.n_max = 25\n",
-                      ["scan.points, numerics.n_max: the run takes at least 4366379175392 "
+                      ["scan.points, numerics.n_max: the run takes at least 4469198775392 "
                        f"complex multiply-adds, {_WORK}"]),
     "link_n_max_42": ("experiment = fig2b_link_scan\nnumerics.n_max = 42\n",
                       ["numerics.n_max: the step-generator table takes 273504080 bytes "
                        f"(5 x 1849 x 1849 x 16), {_BYTES}",
-                       "scan.points, numerics.n_max: the run takes at least 88525267282859 "
+                       "scan.points, numerics.n_max: the run takes at least 89294497507859 "
                        f"complex multiply-adds, {_WORK}"]),
     "ring_window": (RING + "numerics.window = 1e17\n",
                     ["numerics.window, numerics.n_max: the run takes at least 1.04e+19 complex "
@@ -606,17 +606,21 @@ def test_normal_runs_fit_the_budget(text):
 #: The exact drive's work as the runs are made: two link points are the pair 0
 #: and 2 pi, whose dressed factor vanishes, so nothing runs; three add pi, a
 #: drive that is its own time reverse and builds U_T from half a period, as
-#: the flux-0 ring does.  The preset pi ring's mirror glide builds W, the
-#: Floquet operator of half its 1050 steps, from a quarter period; at divisor
-#: 10 its 263 steps are odd, and it takes no glide; there the window's end
-#: lies past the middle of a period, read from a backward column one power on.
+#: the flux-0 ring does.  The preset's 21 points add nine mirrored pairs,
+#: each one run on both sides of t = 0.  The preset pi ring's mirror glide
+#: builds W, the Floquet operator of half its 1050 steps, from a quarter
+#: period; at divisor 10 its 263 steps are odd, and it takes no glide; there
+#: the window's end lies past the middle of a period, read from a backward
+#: column one power on.
 @pytest.mark.parametrize("text, adds", [(LINK_TWO_POINTS, 0),
                                         ("experiment = fig2b_link_scan\nscan.points = 3\n",
                                          19756250),
+                                        ("experiment = fig2b_link_scan\n", 445101875),
                                         (RING, 144243585),
                                         (RING + "plaquette.flux = 0\n", 395759520),
                                         (RING + "numerics.time_step_divisor = 10\n", 72932076)],
-                         ids=["link_2", "link_3", "ring", "ring_flux_0", "ring_odd_grid"])
+                         ids=["link_2", "link_3", "link", "ring", "ring_flux_0",
+                              "ring_odd_grid"])
 def test_exact_drive_is_priced_by_the_runs_it_makes(text, adds):
     cfg = parse_config(text)
     assert config.run_price(cfg.experiment, dict(cfg.values))[1][1] == adds

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
-from phonon_gauge import couplings
+from phonon_gauge import couplings, fock
 from phonon_gauge.couplings import (
     BrokenCycleError,
     CouplingMatrix,
@@ -199,7 +199,7 @@ def test_dressed_map_memory_is_its_table_and_a_block():
 
 
 def test_dressed_map_blocks_match_one_call():
-    dphis = np.linspace(-1.0, 7.0, couplings._PHASE_BLOCK + 5)
+    dphis = np.linspace(-1.0, 7.0, fock.block_items(80) + 5)  # a block and a ragged one
     row = couplings.dressed_map(2, [1.3], dphis).magnitude[0]
     assert row.tolist() == np.abs(dressed_factor(2, 1.3, dphis)).tolist()
 
@@ -303,8 +303,9 @@ def test_hermiticity_check_copies_no_whole_matrix():
 
 
 @pytest.mark.parametrize("i, j", [(199, 5), (5, 199), (198, 199)])
-def test_one_entry_off_hermitian_in_the_last_row_block_raises(i, j):
-    m = _hermitian(200)  # 12 blocks of 16 rows and a last block of 8
+def test_one_entry_off_hermitian_in_the_last_row_block_raises(monkeypatch, i, j):
+    m = _hermitian(200)
+    monkeypatch.setattr(fock, "BLOCK_BYTES", 16 * 200 * 16)  # 12 blocks of 16 rows, one of 8
     m[i, j] = complex(m[i, j].real, np.nextafter(m[i, j].imag, math.inf))  # one ulp off
     with pytest.raises(ValueError, match="exactly Hermitian"):
         CouplingMatrix(matrix=m)

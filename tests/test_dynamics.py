@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from phonon_gauge import dynamics
+from phonon_gauge import dynamics, fock
 from phonon_gauge.config import parse_config, run_price
 from phonon_gauge.couplings import DEFAULT_CUTOFF_RANGE, CouplingMatrix, bare_coupling_matrix, \
-    effective_coupling_matrix
+    dressed_map, effective_coupling_matrix
 from phonon_gauge.dynamics import (
     DrivenHamiltonian,
     IntegrationError,
@@ -23,6 +23,7 @@ from phonon_gauge.dynamics import (
 from phonon_gauge.fock import build_fock_space, displacement_exponential, lowering, \
     single_phonon_state
 from phonon_gauge.model import build_array, cosine_drive, laser_drive
+from phonon_gauge.spectra import eigensystem
 
 
 def _kron_embed(space, site, local):
@@ -1099,14 +1100,39 @@ def test_step_exponential_harmonics_stay_within_the_node_bound(pi_link_model, pr
             assert np.abs(f_m).sum(axis=0).max() <= bound + 1e-16  # plus the transform's roundoff
 
 
-def test_stack_budgets_at_the_link_and_ring_dimensions():
-    # node exponentials: the link's d = 25 stacks, while the preset ring
-    # (d = 81) and criterion 8's ring (d = 625) take one matrix per stack
-    assert [dynamics._stack_size(d) for d in (25, 81, 625)] == [13, 1, 1]
-    # step exponentials: 104 at the link and 9 at the preset ring per product;
-    # criterion 8's ring still forms one per product
-    budget = dynamics._FORMATION_BYTES
-    assert [dynamics._stack_size(d, budget) for d in (25, 81, 625)] == [104, 9, 1]
+@pytest.mark.parametrize("d, powers, nodes, blocks", [
+    (25, 4, 17, (17, 3855, 104)),  # the link
+    (81, 4, 15, (1, 4369, 9)),  # the preset ring
+    (625, 6, 25, (1, 2621, 1)),  # criterion 8's ring
+], ids=["link", "ring", "criterion_8_ring"])
+def test_stack_budgets_at_the_link_and_ring_dimensions(d, powers, nodes, blocks):
+    # node exponentials (the stack, its powers up to Omega^s, the Horner sum
+    # and a product), node DFT columns, and step exponentials and read-out
+    # stacks (one d x d matrix each)
+    assert (fock.block_items(16 * d * d * (powers + 2)), fock.block_items(16 * nodes),
+            fock.block_items(16 * d * d)) == blocks
+    # eigendecomposition times at 4 sites, Hermiticity rows at 1024 and 4096
+    # sites, and dressed-map phase steps, whatever d
+    assert [fock.block_items(b) for b in (32 * 4, 16 * 1024, 16 * 4096, 80)] == [
+        8192, 64, 16, 13107]
+
+
+@pytest.mark.parametrize("preset", ["link", "ring"])
+def test_the_block_loops_ask_for_the_bytes_of_one_item(monkeypatch, pi_link_model, preset):
+    # each block loop of a Floquet run with a stepped block sizes its block by
+    # the bytes one item holds: node exponentials, DFT columns, and step
+    # exponentials and read-out stacks
+    grid = _preset_grid(preset, pi_link_model)
+    d, powers = grid.table.shape[1], dynamics._ps_shape(grid.degree)[0]
+    asked = []
+    monkeypatch.setattr(dynamics, "block_items",
+                        lambda item: asked.append(item) or fock.block_items(item))
+    model, space = (pi_link_model if preset == "link"
+                    else (_preset_ring_model(), build_fock_space(4, 2)))
+    res = evolve(model, single_phonon_state(space, 0), 9.7 * 2 * math.pi / abs(model.modulation),
+                 occupation=space.occupation_table(), samples=23)
+    assert res.diagnostics["period_propagator"]
+    assert set(asked) == {16 * d * d * (powers + 2), 16 * grid.nodes, 16 * d * d}
 
 
 def _one_step_exponential(grid, k):
@@ -1126,7 +1152,7 @@ def _one_step_exponential(grid, k):
 def test_stacked_step_exponentials_match_one_at_a_time_formation(pi_link_model, preset, ranges):
     grid = _preset_grid(preset, pi_link_model)
     grid.period_propagator()
-    size = dynamics._stack_size(grid.table.shape[1], dynamics._FORMATION_BYTES)
+    size = fock.block_items(16 * grid.table.shape[1] ** 2)
     for j, o in ranges:
         # copy each stack as it comes: it is a view of the formation buffer
         stacks = [(k, stack.copy()) for k, stack in grid.exponential_stacks(j, o)]
@@ -1137,11 +1163,11 @@ def test_stacked_step_exponentials_match_one_at_a_time_formation(pi_link_model, 
             assert np.abs(step - _one_step_exponential(grid, k)).max() < 1e-14
 
 
-@pytest.mark.parametrize("preset, size", [("link", 52), ("ring", 4)])
+@pytest.mark.parametrize("preset, size", [("link", 104), ("ring", 9)])
 def test_stacked_read_out_matches_one_sample_at_a_time(pi_link_model, preset, size):
     grid = _preset_grid(preset, pi_link_model)
     d, m = grid.table.shape[1], grid.degree
-    assert dynamics._stack_size(d, dynamics._READOUT_BYTES) == size
+    assert fock.block_items(16 * d * d) == size
     rng = np.random.default_rng(5)
     count = 2 * size + 3  # two full stacks and a ragged one of three
     states = rng.normal(size=(count, d, 1)) + 1j * rng.normal(size=(count, d, 1))
@@ -1160,34 +1186,96 @@ def test_stacked_read_out_matches_one_sample_at_a_time(pi_link_model, preset, si
             assert np.abs(x[:, 0] - ref).max() < 1e-14
 
 
-@pytest.mark.parametrize("model_fixture, periods, samples", [
-    ("pi_link_model", 9.7, 11),  # d = 25: one ragged stack of 11
-    ("ring", 6.5, 23),  # d = 81: five stacks of 4, in offset order, and a ragged one of 3
-])
-def test_read_out_stacks_give_the_samples_of_one_at_a_time(request, monkeypatch,
-                                                            model_fixture, periods, samples):
-    if model_fixture == "ring":
-        model, space = _preset_ring_model(), build_fock_space(4, 2)
-    else:
-        model, space = request.getfixturevalue(model_fixture)
-    psi0 = single_phonon_state(space, 0)
-    t_final = periods * 2 * math.pi / abs(model.modulation)
-    res = evolve(model, psi0, t_final, occupation=space.occupation_table(), samples=samples)
-    assert res.diagnostics["period_propagator"]
-    monkeypatch.setattr(dynamics, "_READOUT_BYTES", 1)  # one sample per stack
-    one = evolve(model, psi0, t_final, occupation=space.occupation_table(), samples=samples)
-    assert np.abs(res.populations - one.populations).max() < 1e-14
-    assert np.abs(res.norms - one.norms).max() < 1e-14
-    assert res.diagnostics["max_top_level_population"] == pytest.approx(
-        one.diagnostics["max_top_level_population"], abs=1e-16)
+#: Runs through every block loop, and the largest difference between their
+#: values at the default block budget and at one item a block.  The pi ring
+#: by Floquet sampling in its mirror glide, the flux-0 ring by Floquet
+#: sampling through half a period (both with a stepped block), and the pi
+#: ring by plain stepping, each with its effective run; a mirrored link pair,
+#: whose run keeps U_T's partial products and samples the past; a dressed
+#: map; and both Hermiticity checks.  Blocks of one take matrix-vector
+#: products where the default takes matrix products, which round
+#: differently, and U_T's roundoff grows with its powers: measured 1.2e-13
+#: (glide) and 6.1e-13 (flux 0) against norm drifts of 5.2e-13 and 2.9e-13,
+#: and 1.5e-11 on the link, 49 powers of U_T each way, against 2.6e-12.
+ONE_ITEM_BLOCKS = {
+    "glided_pi_ring": ("plaquette.flux = pi\nnumerics.window = 600\n", 1e-12),
+    "flux_0_ring": ("plaquette.flux = 0\nnumerics.window = 300\n", 2e-12),
+    "plain_ring": ("plaquette.flux = pi\nnumerics.window = 100\n", 1e-14),
+    "link_pair": (None, 1e-10),
+    "dressed_map": (None, 1e-14),
+    "hermiticity": (None, 0.0),
+}
+
+
+def _accepts(check, m) -> float:
+    try:
+        check(m)
+    except ValueError:
+        return 0.0
+    return 1.0
+
+
+def _block_run(case):
+    """(values, the exact drive's sample on the grid at t = 0, the path) of
+    one ONE_ITEM_BLOCKS case."""
+    if case == "link_pair":
+        rows = link_point(parse_config(LINK), 0.3 * math.pi, 1.7 * math.pi)
+        return np.array(rows, dtype=float), None, None
+    if case == "dressed_map":
+        res = dressed_map(1, np.linspace(0.0, 5.0, 4), np.linspace(0.0, 2 * math.pi, 50))
+        return res.magnitude, None, None
+    if case == "hermiticity":
+        m = np.zeros((40, 40), dtype=complex)
+        m[3, 30], m[30, 3] = 1 + 2j, 1 - 2j
+        off = m.copy()
+        off[30, 3] += 1e-9j
+        return np.array([_accepts(check, x) for check in (CouplingMatrix, eigensystem)
+                         for x in (m, off)]), None, None
+    cfg = parse_config("experiment = fig2cd_plaquette\nnumerics.samples = 61\n"
+                       + ONE_ITEM_BLOCKS[case][0])
+    eff, exact = plaquette_experiment(cfg)
+    values = np.hstack([np.column_stack((r.populations, r.norms)) for r in (eff, exact)])
+    values = np.append(values, exact.diagnostics["max_top_level_population"])
+    path = {key: exact.diagnostics[key] for key in ("period_propagator", "period_glide",
+                                                   "period_reversed", "period_powers",
+                                                   "magnus_steps")}
+    return values, exact.populations[0], path
+
+
+@pytest.mark.parametrize("case", ONE_ITEM_BLOCKS)
+def test_one_item_blocks_give_the_default_run(monkeypatch, case):
+    offsets, build = [], dynamics._PeriodGrid.period_propagator
+
+    def spy(grid, kept=frozenset()):
+        offsets.append(set(kept))
+        return build(grid, kept)
+
+    monkeypatch.setattr(dynamics._PeriodGrid, "period_propagator", spy)
+    values, on_grid, path = _block_run(case)
+    monkeypatch.setattr(fock, "BLOCK_BYTES", 1)  # every loop takes one item a block
+    one_values, one_on_grid, one_path = _block_run(case)
+    assert np.abs(values - one_values).max() <= ONE_ITEM_BLOCKS[case][1]
+    if on_grid is not None:  # psi0 itself, an exact copy
+        assert on_grid.tobytes() == one_on_grid.tobytes()
+    assert path == one_path
+    if case == "glided_pi_ring":
+        assert path["period_glide"]
+    elif case == "flux_0_ring":
+        assert path["period_reversed"] and not path["period_glide"]
+    elif case == "plain_ring":
+        assert not path["period_propagator"]
+    elif case == "link_pair":  # U_T keeps its products at the offsets of -t* and t*
+        assert len(offsets) == 2 and offsets[0] == offsets[1] and len(offsets[0]) == 2
+    elif case == "hermiticity":
+        assert values.tolist() == [1, 0, 1, 0]
 
 
 @pytest.mark.parametrize("samples", [2, 601, 102])  # 102: one block of 101 times and one more
-def test_chunked_effective_sampling_matches_one_time_at_a_time(samples):
+def test_chunked_effective_sampling_matches_one_time_at_a_time(monkeypatch, samples):
     cfg = parse_config("experiment = fig2cd_plaquette\n")
     _, _, eff, window = dynamics.ring_couplings(cfg)
     space = build_fock_space(4, cfg["numerics.n_max"])
-    assert dynamics._STACK_BYTES // (16 * space.dim) == 101
+    monkeypatch.setattr(fock, "BLOCK_BYTES", 32 * 101 * space.dim)  # 101 times a block
     hamiltonian, psi0 = effective_hamiltonian(eff, space), single_phonon_state(space, 0)
     res = evolve(hamiltonian, psi0, window, occupation=space.occupation_table(), samples=samples)
     vals, vecs = np.linalg.eigh(hamiltonian)

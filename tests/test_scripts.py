@@ -20,6 +20,15 @@ def test_diff_outputs_names_each_data_file_and_its_largest_difference(tmp_path):
         "a/moved.json": ('{"k": [1, null, true]}', '{"k": [1.5, null, true]}'),
         "a/renamed.json": ('{"m": 1}', '{"n": 1}'),
         "a/manifest.json": ('{"duration_seconds": 1}', '{"duration_seconds": 2}'),
+        # a manifest is compared without its wall clock, number by number
+        "b/manifest.json": ('{"duration_seconds": 1, "resolved": {"diagnostics": '
+                            '{"magnus_steps": 10, "period_glide": true}}}',
+                            '{"duration_seconds": 3, "resolved": {"diagnostics": '
+                            '{"magnus_steps": 12, "period_glide": true}}}'),
+        "c/manifest.json": ('{"duration_seconds": 1, "resolved": {"diagnostics": '
+                            '{"period_glide": true}}}',
+                            '{"duration_seconds": 1, "resolved": {"diagnostics": '
+                            '{"period_glide": false}}}'),
     }
     for name, texts in files.items():
         for root, text in zip("AB", texts):
@@ -35,10 +44,13 @@ def test_diff_outputs_names_each_data_file_and_its_largest_difference(tmp_path):
     out = diff(tmp_path / "A", tmp_path / "B")
     assert out.returncode == 1  # some files differ
     assert out.stdout.splitlines() == [
+        "identical  a/manifest.json",
         "max abs 1e-06  max rel 5e-07  a/moved.csv",
         "max abs 0.5  max rel 0.333  a/moved.json",
         "differs in $  a/renamed.json",
         "identical  a/same.csv",
+        "max abs 2  max rel 0.167  b/manifest.json",
+        "differs in $.resolved.diagnostics.period_glide  c/manifest.json",
         f"only in {tmp_path / 'A'}  lone.csv",
     ]
     # a tree against itself is identical throughout, and a file under one root

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from phonon_gauge import fock
 from phonon_gauge.cli import run_experiment
 from phonon_gauge.config import parse_config
 from phonon_gauge.model import laser_drive
@@ -158,8 +159,8 @@ def test_eigensystem_hermiticity_check_copies_no_whole_matrix(monkeypatch):
 
 @pytest.mark.parametrize("i, j", [(199, 5), (5, 199), (198, 199)])
 def test_eigensystem_hermiticity_tolerance_in_the_last_row_block(monkeypatch, i, j):
-    # 12 blocks of 16 rows and a last block of 8; the largest entry is 4
-    m = np.zeros((200, 200), dtype=complex)
+    monkeypatch.setattr(fock, "BLOCK_BYTES", 16 * 200 * 16)  # 12 blocks of 16 rows, one of 8
+    m = np.zeros((200, 200), dtype=complex)  # the largest entry is 4
     m[0, 1] = m[1, 0] = 4.0
     m[i, j] = 3e-12  # a defect of 3e-12 over the scale 4 passes
     _stop_at_eigh(monkeypatch)
